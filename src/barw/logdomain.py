@@ -1,10 +1,10 @@
-"""Signed log-domain arithmetic.
+"""Log-domain values.
 
 Quantities like extinction probabilities from high starting counts decay
 geometrically and fall below the smallest positive double long before the
-state space is exhausted, so they are carried as (sign, log|value|) pairs.
-Vector helpers operate on parallel (sign, log-magnitude) arrays; signs are
-int8 in {-1, 0, +1} and a zero sign always pairs with log-magnitude -inf.
+state space is exhausted, so they are carried as natural logs.  LogValue
+holds one real number as a (sign, log|value|) pair; logsumexp_1d sums
+positive values given by their logs.
 """
 
 from __future__ import annotations
@@ -44,61 +44,6 @@ class LogValue:
 
     def __float__(self) -> float:
         return self.to_real()
-
-
-def _as_sign(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.int8)
-
-
-def signed_add(s1, l1, s2, l2):
-    """Elementwise signed-log addition: returns (sign, log|x1 + x2|)."""
-    s1, s2 = _as_sign(s1), _as_sign(s2)
-    l1 = np.asarray(l1, dtype=float)
-    l2 = np.asarray(l2, dtype=float)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        same = (s1 == s2) | (s1 == 0) | (s2 == 0)
-        add_l = np.logaddexp(l1, l2)
-        add_s = np.where(s1 != 0, s1, s2)
-
-        # opposite signs: larger magnitude wins, log-diff for the result
-        hi = np.maximum(l1, l2)
-        lo = np.minimum(l1, l2)
-        diff_l = hi + np.log1p(-np.exp(lo - hi))
-        diff_l = np.where(l1 == l2, LOG_ZERO, diff_l)
-        diff_s = np.where(l1 >= l2, s1, s2)
-
-    out_l = np.where(same, add_l, diff_l)
-    out_s = np.where(same, add_s, diff_s).astype(np.int8)
-    out_s = np.where(np.isneginf(out_l), 0, out_s).astype(np.int8)
-    return out_s, out_l
-
-
-def signed_mul(s1, l1, s2, l2):
-    """Elementwise signed-log multiplication."""
-    s = (_as_sign(s1) * _as_sign(s2)).astype(np.int8)
-    l = np.where(s != 0, np.asarray(l1, float) + np.asarray(l2, float), LOG_ZERO)
-    return s, l
-
-
-def signed_sum(s, l) -> LogValue:
-    """Signed-log sum of a vector, returned as a LogValue.
-
-    Positive and negative contributions are accumulated with separate
-    log-sum-exp reductions before the single cancelling subtraction.
-    """
-    s = _as_sign(s)
-    l = np.asarray(l, dtype=float)
-    lpos = logsumexp_1d(l[s > 0])
-    lneg = logsumexp_1d(l[s < 0])
-    rs, rl = signed_add(np.int8(1), lpos, np.int8(-1), lneg)
-    return LogValue(int(rs), float(rl))
-
-
-def signed_dot(s1, l1, s2, l2) -> LogValue:
-    """Signed-log dot product of two vectors, returned as a LogValue."""
-    ps, pl = signed_mul(s1, l1, s2, l2)
-    return signed_sum(ps, pl)
 
 
 def logsumexp_1d(a: np.ndarray) -> float:

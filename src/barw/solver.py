@@ -2,16 +2,18 @@
 
 Hitting probabilities phi_u(x) = P_x[hit 0 before reaching >= u] solve the
 first-step system phi(x) = p(x,0) + sum_{0<y<u} p(x,y) phi(y).  They decay
-geometrically in x, so the solve is carried in signed log domain whenever a
-rigorous floor on the solution cannot certify that a native-double solve is
-underflow-safe.  Conditioning on that hitting event is a Doob transform of
-the kernel by phi; expected absorption and occupation times under the
-conditioned chain are ordinary dense solves.
+geometrically in x, so whenever a rigorous floor on the solution cannot
+certify that a native-double solve is underflow-safe, the system is solved
+by subtraction-free (GTH) elimination in log domain, where every quantity
+is the log of a positive mass.  Conditioning on that hitting event is a
+Doob transform of the kernel by phi; expected absorption and occupation
+times under the conditioned chain are ordinary dense solves.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .chain import ModelParams, transition_log_row
-from .logdomain import LOG_ZERO, signed_add, signed_sum
+from .logdomain import LOG_ZERO, logsumexp_1d
 
 HARMONICITY_TOL = 1e-8
 ROW_SUM_TOL = 1e-9
@@ -163,57 +165,50 @@ def _solve_m_matrix(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_signed_log(
-    diag_log: np.ndarray, offdiag_log: np.ndarray, rhs_log: np.ndarray
-) -> np.ndarray:
-    """Solve (I - Q) x = c in signed log domain; returns log(x).
+def _solve_gth_log(log_q: np.ndarray, log_c: np.ndarray, log_top: np.ndarray) -> np.ndarray:
+    """Solve (I - Q) x = c by GTH elimination in log domain; returns log(x).
 
-    diag_log[i] = log(1 - Q[i,i]); offdiag_log = log Q with the diagonal
-    ignored; rhs_log = log c.  Q is substochastic and c positive, so the
-    true solution is positive; a sign flip in the computed solution means
-    the elimination lost the M-matrix structure and is reported as failure.
+    log_q = log Q over the transient states (its diagonal is never read),
+    log_c = log c, the one-step mass to 0, and log_top the one-step mass to
+    >= u.  Every quantity is a log of a positive mass: each pivot 1 - Q_kk
+    is the sum of state k's remaining outgoing masses, and eliminating k
+    folds its transitions into the later rows by addition only (Grassmann,
+    Taksar and Heyman, Oper. Res. 33, 1985).  Nothing cancels, so the
+    solution keeps its relative accuracy however small it gets.
     """
-    m = rhs_log.size
-    S = np.full((m, m), -1, dtype=np.int8)
-    L = np.array(offdiag_log, dtype=float)
-    idx = np.arange(m)
-    L[idx, idx] = diag_log
-    S[idx, idx] = 1
-    S[np.isneginf(L)] = 0
-    sb = np.ones(m, dtype=np.int8)
-    lb = np.array(rhs_log, dtype=float)
-
+    L = np.array(log_q, dtype=float)
+    c = np.array(log_c, dtype=float)
+    top = np.array(log_top, dtype=float)
+    m = c.size
+    log_pivot = np.empty(m)
+    outer = np.empty((m, m))
     for k in range(m):
-        if S[k, k] != 1:
-            raise SolverError(f"nonpositive pivot at elimination step {k}")
-        # f = A[i,k] / A[k,k]; subtracting f * row_k == adding (-f) * row_k
-        neg_fs = (-S[k + 1 :, k] * S[k, k]).astype(np.int8)
-        fl = L[k + 1 :, k] - L[k, k]
-        prod_s = neg_fs[:, None] * S[k, k + 1 :][None, :]
-        prod_l = fl[:, None] + L[k, k + 1 :][None, :]
-        S[k + 1 :, k + 1 :], L[k + 1 :, k + 1 :] = signed_add(
-            S[k + 1 :, k + 1 :], L[k + 1 :, k + 1 :], prod_s, prod_l
-        )
-        sb[k + 1 :], lb[k + 1 :] = signed_add(
-            sb[k + 1 :], lb[k + 1 :], neg_fs * sb[k], fl + lb[k]
-        )
+        log_pivot[k] = logsumexp_1d(np.concatenate(([c[k], top[k]], L[k, k + 1 :])))
+        f = L[k + 1 :, k] - log_pivot[k]  # log Q_ik / (1 - Q_kk)
+        r = f.size
+        np.add.outer(f, L[k, k + 1 :], out=outer[:r, :r])
+        np.logaddexp(L[k + 1 :, k + 1 :], outer[:r, :r], out=L[k + 1 :, k + 1 :])
+        np.logaddexp(c[k + 1 :], f + c[k], out=c[k + 1 :])
+        np.logaddexp(top[k + 1 :], f + top[k], out=top[k + 1 :])
 
-    xs = np.zeros(m, dtype=np.int8)
-    xl = np.full(m, LOG_ZERO)
+    x = np.empty(m)
     for i in range(m - 1, -1, -1):
-        ts = np.concatenate(([sb[i]], -S[i, i + 1 :] * xs[i + 1 :]))
-        tl = np.concatenate(([lb[i]], L[i, i + 1 :] + xl[i + 1 :]))
-        num = signed_sum(ts, tl)
-        if num.sign != 1:
-            raise SolverError(f"log-domain back substitution lost positivity at state {i + 1}")
-        xs[i] = num.sign * S[i, i]
-        xl[i] = num.log_magnitude - L[i, i]
-    return xl
+        x[i] = logsumexp_1d(np.concatenate(([c[i]], L[i, i + 1 :] + x[i + 1 :]))) - log_pivot[i]
+    return x
 
 
 def _transient_log_rows(params: ModelParams, u: int) -> np.ndarray:
     """log p(x, y) for x = 1..u-1 (rows) and y = 0..u-1 (columns)."""
     return np.array([transition_log_row(params, x, u - 1) for x in range(1, u)])
+
+
+def _log_top_masses(params: ModelParams, u: int) -> np.ndarray:
+    """log P_x[X_1 >= u] for x = 1..u-1, from each row's upper tail.
+
+    Summed one row at a time, never formed as 1 minus the mass below u,
+    which cancels to nothing once the tail falls below machine epsilon.
+    """
+    return np.array([logsumexp_1d(transition_log_row(params, x)[u:]) for x in range(1, u)])
 
 
 def _harmonicity_residual(log_p: np.ndarray, log_phi: np.ndarray) -> float:
@@ -229,9 +224,11 @@ def hitting_profile(params: ModelParams, u: int, method: str | None = None) -> H
 
     method=None picks dense-native when the one-step absorption masses
     certify that every solution entry stays above the underflow floor
-    (phi(x) >= p(x,0)), and dense-logdomain otherwise.  Pass an explicit
-    method to force a path; "value-iteration" is the independent
-    cross-check, a monotone fixed-point iteration from phi = 0.
+    (phi(x) >= p(x,0)), and dense-logdomain otherwise: GTH elimination in
+    log domain, which carries the one-step masses to 0 and to >= u as two
+    absorbing columns and never subtracts.  Pass an explicit method to
+    force a path; "value-iteration" is the independent cross-check, a
+    monotone fixed-point iteration from phi = 0.
     """
     if not 1 <= u <= params.n:
         raise ValueError(f"threshold {u} outside [1, {params.n}]")
@@ -250,9 +247,7 @@ def hitting_profile(params: ModelParams, u: int, method: str | None = None) -> H
             raise SolverError("native solve produced nonpositive probabilities")
         log_phi = np.concatenate(([0.0], np.log(phi)))
     elif method == METHOD_LOGDOMAIN:
-        idx = np.arange(u - 1)
-        diag_log = np.log1p(-np.exp(log_p[idx, idx + 1]))
-        log_phi_t = _solve_signed_log(diag_log, log_p[:, 1:], log_p[:, 0])
+        log_phi_t = _solve_gth_log(log_p[:, 1:], log_p[:, 0], _log_top_masses(params, u))
         log_phi = np.concatenate(([0.0], log_phi_t))
     elif method == METHOD_VI:
         log_phi = _value_iteration(log_p, u)
@@ -384,6 +379,12 @@ def _g17(v: float) -> str:
 
 
 def write_profile(profile: HittingProfile, path: str | Path) -> None:
+    """Write a version-1 profile file atomically.
+
+    The text goes to a temporary file beside `path`, which then replaces
+    `path` in one step, so an interrupted write leaves no partial file.
+    """
+    path = Path(path)
     lines = [
         f"version={PROFILE_FORMAT_VERSION}",
         f"lambda={_g17(profile.params.lam)}",
@@ -392,7 +393,12 @@ def write_profile(profile: HittingProfile, path: str | Path) -> None:
         f"residual={_g17(profile.residual)}",
     ]
     lines.extend(f"{x}\t{_g17(lp)}" for x, lp in enumerate(profile.log_phi))
-    Path(path).write_text("\n".join(lines) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_profile(path: str | Path) -> HittingProfile:

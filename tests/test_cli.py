@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +239,28 @@ class TestCache:
         lines[4] = "residual=0.001"
         path.write_text("\n".join(lines) + "\n")
         assert cache_lookup(tmp_path, 2.0, 50, 10) is None
+
+    def test_interrupted_store_leaves_no_file(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        profile = hitting_profile(ModelParams(2.0, 50), 10)
+        write_text = Path.write_text
+
+        def write_half_then_fail(path, text, *args, **kwargs):
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", write_half_then_fail)
+            with pytest.raises(OSError):
+                cache_store(cache, profile)
+        assert not cache_path(cache, 2.0, 50, 10).exists()
+        assert list(cache.iterdir()) == []
+        args = ["profile", "--lambda", "2", "--n", "50", "--u", "10", "--cache", str(cache)]
+        assert run(args + ["--out", str(tmp_path / "a")]) == 0
+        back = cache_lookup(cache, 2.0, 50, 10)
+        assert back is not None
+        assert back.log_phi.tobytes() == profile.log_phi.tobytes()
+        assert [p.name for p in cache.iterdir()] == [cache_path(cache, 2.0, 50, 10).name]
 
     def test_run_uses_cache_and_stays_identical(self, tmp_path):
         cache = tmp_path / "cache"

@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from barw.logdomain import (
-    LOG_ZERO,
-    LogValue,
-    logsumexp_1d,
-    signed_add,
-    signed_dot,
-    signed_mul,
-    signed_sum,
-)
+from barw.logdomain import LOG_ZERO, LogValue, logsumexp_1d
 
 
 def ulp(x):
@@ -51,71 +43,6 @@ class TestLogValue:
     def test_zero_needs_neg_inf_magnitude(self):
         with pytest.raises(ValueError):
             LogValue(0, 1.0)
-
-
-def as_signed(values):
-    values = np.asarray(values, dtype=float)
-    signs = np.sign(values).astype(np.int8)
-    with np.errstate(divide="ignore"):
-        logs = np.where(values != 0.0, np.log(np.abs(values)), LOG_ZERO)
-    return signs, logs
-
-
-def materialize(signs, logs):
-    return np.asarray(signs, float) * np.exp(np.asarray(logs, float))
-
-
-class TestSignedVectorOps:
-    def setup_method(self):
-        self.rng = np.random.default_rng(20240811)
-
-    def random_values(self, size):
-        vals = self.rng.uniform(-5.0, 5.0, size=size)
-        vals[self.rng.random(size) < 0.15] = 0.0
-        return vals
-
-    def test_add_matches_native(self):
-        a = self.random_values(300)
-        b = self.random_values(300)
-        s, l = signed_add(*as_signed(a), *as_signed(b))
-        np.testing.assert_allclose(materialize(s, l), a + b, rtol=1e-12, atol=1e-14)
-
-    def test_mul_matches_native(self):
-        a = self.random_values(300)
-        b = self.random_values(300)
-        s, l = signed_mul(*as_signed(a), *as_signed(b))
-        np.testing.assert_allclose(materialize(s, l), a * b, rtol=1e-12, atol=0)
-
-    def test_exact_cancellation_gives_signed_zero(self):
-        s, l = signed_add(*as_signed([2.5, -3.0]), *as_signed([-2.5, 3.0]))
-        assert np.all(s == 0)
-        assert np.all(np.isneginf(l))
-
-    def test_adding_zero_is_identity(self):
-        a = np.array([1.5, -0.25, 0.0])
-        s, l = signed_add(*as_signed(a), *as_signed(np.zeros(3)))
-        np.testing.assert_allclose(materialize(s, l), a, rtol=0, atol=0)
-
-    def test_sum_matches_native(self):
-        a = self.random_values(500)
-        total = signed_sum(*as_signed(a))
-        assert abs(total.to_real() - a.sum()) <= 1e-11 * max(1.0, abs(a.sum()))
-
-    def test_dot_matches_native(self):
-        a = self.random_values(200)
-        b = self.random_values(200)
-        d = signed_dot(*as_signed(a), *as_signed(b))
-        expected = float(np.sum(a * b))
-        assert abs(d.to_real() - expected) <= 1e-11 * max(1.0, abs(expected))
-
-    def test_dot_far_below_native_range(self):
-        # magnitudes around e^-900 vanish in doubles but not in log domain
-        logs_a = np.array([-900.0, -901.0])
-        logs_b = np.array([-0.5, -0.25])
-        d = signed_dot(np.array([1, 1], np.int8), logs_a, np.array([1, 1], np.int8), logs_b)
-        assert d.sign == 1
-        expected = np.logaddexp(-900.5, -901.25)
-        assert abs(d.log_magnitude - expected) < 1e-12
 
 
 class TestLogSumExp:

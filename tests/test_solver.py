@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from barw import (
@@ -12,6 +14,7 @@ from barw import (
     branch_prob,
     conditional_expected_extinction,
     conditional_occupation_time,
+    equilibrium,
     hitting_profile,
     read_profile,
     tilted_kernel,
@@ -19,7 +22,14 @@ from barw import (
     unconditional_expected_extinction,
     write_profile,
 )
-from barw.solver import HittingProfile, METHOD_LOGDOMAIN, METHOD_NATIVE, METHOD_VI
+from barw.solver import (
+    HittingProfile,
+    METHOD_LOGDOMAIN,
+    METHOD_NATIVE,
+    METHOD_VI,
+    _log_top_masses,
+    _transient_log_rows,
+)
 
 
 def exact_kernel(lam, n, u):
@@ -110,6 +120,17 @@ class TestSolverMethods:
         assert prof.method == METHOD_LOGDOMAIN
         forced = hitting_profile(params, 250, method=METHOD_NATIVE)
         np.testing.assert_allclose(prof.log_phi, forced.log_phi, rtol=0, atol=1e-9)
+        vi = hitting_profile(params, 250, method=METHOD_VI)
+        np.testing.assert_allclose(prof.log_phi, vi.log_phi, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("lam,n,u", [(2.0, 12, 3), (2.0, 30, 5), (6.0, 40, 12), (8.0, 16, 3)])
+    def test_top_mass_from_tail_matches_complement(self, lam, n, u):
+        # at small n the mass to >= u is large enough for 1 - sum to be exact
+        params = ModelParams(lam, n)
+        below = np.exp(_transient_log_rows(params, u)).sum(axis=1)
+        np.testing.assert_allclose(
+            np.exp(_log_top_masses(params, u)), 1.0 - below, rtol=1e-12, atol=0
+        )
 
     def test_auto_selects_native_when_certified(self):
         prof = hitting_profile(ModelParams(2.0, 50), 10)
@@ -120,16 +141,73 @@ class TestSolverMethods:
             hitting_profile(ModelParams(2.0, 50), 10, method="iterative-jacobi")
 
     def test_deterministic_bit_identical(self):
-        a = hitting_profile(ModelParams(1.5, 300), 67)
-        b = hitting_profile(ModelParams(1.5, 300), 67)
-        assert a.log_phi.tobytes() == b.log_phi.tobytes()
-        assert a.residual == b.residual
+        for params, u, method in [
+            (ModelParams(1.5, 300), 67, METHOD_NATIVE),
+            (ModelParams(6.0, 1450), 250, METHOD_LOGDOMAIN),
+        ]:
+            a = hitting_profile(params, u)
+            b = hitting_profile(params, u)
+            assert a.method == method
+            assert a.log_phi.tobytes() == b.log_phi.tobytes()
+            assert a.residual == b.residual
 
     @pytest.mark.parametrize("lam,n,u", [(2.0, 50, 10), (1.5, 300, 67)])
     def test_harmonicity_contract(self, lam, n, u):
         prof = hitting_profile(ModelParams(lam, n), u)
         assert prof.residual <= 1e-8
         assert np.all(np.isfinite(prof.log_phi))
+
+
+@st.composite
+def below_equilibrium(draw):
+    """(lam, n, u) with 2 <= u <= eq, where every solve path converges fast.
+
+    Above eq the chain is trapped for about e^{cn} steps: value iteration
+    needs that many sweeps, and the native solve of the near-singular
+    I - Q loses digits that the harmonicity check cannot see.
+    """
+    lam = draw(st.floats(1.2, 8.0))
+    n = draw(st.integers(math.ceil(2.0 * lam / math.log(lam)), 300))
+    u = draw(st.integers(2, min(n, math.floor(equilibrium(ModelParams(lam, n))))))
+    return lam, n, u
+
+
+@st.composite
+def any_threshold_pair(draw):
+    """(lam, n, u, u2) with 2 <= u < u2 <= n."""
+    lam = draw(st.floats(1.2, 8.0))
+    n = draw(st.integers(3, 300))
+    u = draw(st.integers(2, n - 1))
+    return lam, n, u, draw(st.integers(u + 1, n))
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=50, database=None)
+
+
+class TestSolverProperties:
+    @PROPERTY_SETTINGS
+    @given(below_equilibrium())
+    def test_paths_agree(self, case):
+        lam, n, u = case
+        params = ModelParams(lam, n)
+        native, logdom, vi = (
+            hitting_profile(params, u, method=m) for m in (METHOD_NATIVE, METHOD_LOGDOMAIN, METHOD_VI)
+        )
+        for prof in (native, logdom, vi):
+            assert prof.residual <= 1e-8
+        np.testing.assert_allclose(logdom.log_phi, native.log_phi, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(logdom.log_phi, vi.log_phi, rtol=0, atol=1e-9)
+
+    @PROPERTY_SETTINGS
+    @given(any_threshold_pair())
+    def test_phi_nondecreasing_in_u(self, case):
+        # a higher bar is harder to escape to, so dying first gets likelier
+        lam, n, u, u2 = case
+        params = ModelParams(lam, n)
+        low = hitting_profile(params, u, method=METHOD_LOGDOMAIN)
+        high = hitting_profile(params, u2, method=METHOD_LOGDOMAIN)
+        assert low.residual <= 1e-8 and high.residual <= 1e-8
+        assert np.all(low.log_phi <= high.log_phi[:u] + 1e-9)
 
 
 class TestTiltedKernel:
