@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import binom as _binom
 
 from .chain import ModelParams, _ceil_snapped, branch_prob, gw_extinction_prob, transition_log_row
-from .logdomain import LogValue, logsumexp_1d
+from .logdomain import logsumexp_1d
 from .solver import HittingProfile, TiltedKernel
 
 #: slack for CDF comparisons; absorbs roundoff at probability-1 boundaries
@@ -132,11 +132,11 @@ def envelope_bounds(bounds: BoundSet, x: int) -> tuple[float, float]:
     return math.exp(lower), math.exp(upper)
 
 
-def geometric_upper(bounds: BoundSet, x: int) -> LogValue:
-    """The geometric bound theta^x as a LogValue."""
+def geometric_upper(bounds: BoundSet, x: int) -> float:
+    """Natural log of the geometric bound theta^x, i.e. x*log(theta)."""
     if x < 0:
         raise ValueError(f"state must be nonnegative, got {x}")
-    return LogValue(1, x * math.log(bounds.theta))
+    return x * math.log(bounds.theta)
 
 
 @dataclass(frozen=True)

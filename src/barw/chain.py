@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .logdomain import LOG_ZERO, LogValue
+from .logdomain import LOG_ZERO
 
 
 GW_MEAN_MARGIN = 1e-12
@@ -117,24 +117,6 @@ def transition_log_row(params: ModelParams, x: int, y_hi: int | None = None) -> 
     return row
 
 
-def transition_logpmf(params: ModelParams, x: int, y: int) -> LogValue:
-    """Log of the one-step transition mass P[X_{t+1} = y | X_t = x]."""
-    n = params.n
-    if not 0 <= x <= n or not 0 <= y <= n:
-        raise ValueError(f"states ({x}, {y}) outside [0, {n}]")
-    b = branch_prob(params, x)
-    if b == 0.0:
-        return LogValue(1, 0.0) if y == 0 else LogValue(0, LOG_ZERO)
-    logp = (
-        gammaln(n + 1.0)
-        - gammaln(y + 1.0)
-        - gammaln(n - y + 1.0)
-        + y * math.log(b)
-        + (n - y) * math.log1p(-b)
-    )
-    return LogValue(1, float(logp))
-
-
 def _ceil_snapped(v: float) -> int:
     """Ceiling that first snaps values within 1e-9 (relative) of an integer.
 
@@ -172,34 +154,3 @@ def threshold_u(params: ModelParams, epsilon: float, mode: str) -> int:
     if not 1 <= u <= params.n:
         raise ValueError(f"threshold {u} outside [1, {params.n}]")
     return u
-
-
-@dataclass(frozen=True)
-class LevelSpec:
-    """A resolved threshold: epsilon, how it was derived, and the integer u."""
-
-    epsilon: float | None
-    mode: str
-    u: int
-
-
-def level_spec(
-    params: ModelParams,
-    mode: str,
-    epsilon: float | None = None,
-    u: int | None = None,
-) -> LevelSpec:
-    """Build a LevelSpec, deriving u for the low/window modes."""
-    if mode == "custom":
-        if u is None:
-            raise ValueError("custom mode requires an explicit threshold u")
-        if not 1 <= u <= params.n:
-            raise ValueError(f"threshold {u} outside [1, {params.n}]")
-        return LevelSpec(epsilon, "custom", int(u))
-    if mode in ("low", "window"):
-        if epsilon is None:
-            raise ValueError(f"{mode} mode requires epsilon")
-        if u is not None:
-            raise ValueError(f"{mode} mode derives u; do not pass one")
-        return LevelSpec(epsilon, mode, threshold_u(params, epsilon, mode))
-    raise ValueError(f"mode must be 'low', 'window' or 'custom', got {mode!r}")

@@ -3,7 +3,8 @@
 Every experiment validates its configuration before touching the output
 directory, writes a fixed set of CSV files plus a summary.json, and is
 bit-reproducible: the same configuration (including seed) always yields
-byte-identical CSVs, for any worker count.
+byte-identical CSVs.  --workers is accepted and validated but has no
+effect: trials run serially.
 
 Exit codes: 0 success, 2 invalid configuration or cache refusal,
 3 solver failure, 4 simulation truncation.
@@ -37,6 +38,7 @@ from .solver import (
     KernelConsistencyError,
     ProfileFormatError,
     SolverError,
+    _g17,
     conditional_expected_extinction,
     conditional_occupation_time,
     hitting_profile,
@@ -71,12 +73,8 @@ class ExperimentConfig:
     seed: int | None = None
     graph: str | None = None
     self_loops: bool = True
-    workers: int = 1
+    workers: int = 1  # validated, but trials always run serially
     cache_dir: Path | None = None
-
-
-def _g17(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _cell(v) -> str:
@@ -106,8 +104,14 @@ def _params(config: ExperimentConfig) -> ModelParams:
 
 
 def _resolve_u(config: ExperimentConfig, params: ModelParams, default_mode: str) -> int:
-    """Threshold from --u (custom) or --mode/--epsilon, with a per-experiment default."""
+    """Threshold from --u (custom) or --mode/--epsilon, with a per-experiment default.
+
+    --mode low|window derives u from --epsilon, so an explicit --u with
+    either of them is a conflict, not an override.
+    """
     if config.u is not None:
+        if config.mode in ("low", "window"):
+            raise ValueError(f"mode={config.mode} derives u from --epsilon; do not pass --u")
         if not 1 <= config.u <= params.n:
             raise ValueError(f"threshold {config.u} outside [1, {params.n}]")
         return config.u
@@ -218,8 +222,7 @@ def _exp_profile(config: ExperimentConfig, out: Path) -> dict:
 
 def _exp_figure1(config: ExperimentConfig, out: Path) -> dict:
     params = _params(config)
-    _require(config, "epsilon")
-    u = threshold_u(params, config.epsilon, "window")
+    u = _resolve_u(config, params, "window")
     profile = _get_profile(config, params, u)
     ln10 = math.log(10.0)
     rows = [(x, profile.log_phi[x] / ln10) for x in range(u)]
@@ -233,8 +236,7 @@ def _exp_figure1(config: ExperimentConfig, out: Path) -> dict:
 
 def _exp_figure2(config: ExperimentConfig, out: Path) -> dict:
     params = _params(config)
-    _require(config, "epsilon")
-    u = threshold_u(params, config.epsilon, "window")
+    u = _resolve_u(config, params, "window")
     profile = _get_profile(config, params, u)
     kernel = tilted_kernel(profile)
     rows = (
@@ -271,8 +273,8 @@ def _exp_uncond_time(config: ExperimentConfig, out: Path) -> dict:
     for n in config.n_sweep:
         params = ModelParams(config.lam, n)
         x = config.x0 if config.x0 is not None else -(-n // 2)
-        if not 0 <= x <= n:
-            raise ValueError(f"start {x} outside [0, {n}]")
+        if not 1 <= x <= n:
+            raise ValueError(f"--x0 must lie in [1, n={n}], got {x}")
         t = unconditional_expected_extinction(params).values
         rows.append((n, x, t[x], math.log(t[x])))
     _write_csv(out / "T.csv", ["n", "x", "expected_T0", "ln_expected_T0"], rows)
@@ -299,9 +301,7 @@ def _exp_mc_hitting(config: ExperimentConfig, out: Path) -> dict:
     params = _params(config)
     _require(config, "x0", "trials", "seed")
     u = _resolve_u(config, params, "low")
-    est = estimate_hitting_prob(
-        params, u, config.x0, config.trials, config.seed, workers=config.workers
-    )
+    est = estimate_hitting_prob(params, u, config.x0, config.trials, config.seed)
     _write_csv(
         out / "est.csv",
         ["estimate", "std_error", "trials", "seed"],
@@ -316,9 +316,7 @@ def _exp_mc_cond_path(config: ExperimentConfig, out: Path) -> dict:
     u = _resolve_u(config, params, "window")
     profile = _get_profile(config, params, u)
     kernel = tilted_kernel(profile)
-    est = estimate_conditioned_length(
-        kernel, config.x0, config.trials, config.seed, workers=config.workers
-    )
+    est = estimate_conditioned_length(kernel, config.x0, config.trials, config.seed)
     _write_csv(
         out / "est.csv",
         ["estimate", "std_error", "trials", "seed"],
@@ -336,9 +334,7 @@ def _exp_equivalence(config: ExperimentConfig, out: Path) -> dict:
         graph = graph_from_name(f"complete:{config.n}", config.self_loops)
     n = graph.vertex_count
     params = ModelParams(config.lam, n)
-    counts = particle_step_counts(
-        graph, config.x0, config.lam, config.trials, config.seed, workers=config.workers
-    )
+    counts = particle_step_counts(graph, config.x0, config.lam, config.trials, config.seed)
     empirical = np.bincount(counts, minlength=n + 1)[: n + 1] / config.trials
     exact = np.exp(transition_log_row(params, config.x0))
     tv = tv_distance(empirical, exact)

@@ -3,15 +3,15 @@
 Sampling is exact: binomial and Poisson draws come from numpy's Generator
 (inversion for small means, exact accept/reject for large), never from
 normal approximations.  Randomness is counter-based: trial i of a run with
-seed s uses an independent Philox stream keyed by (s, i), so results depend
-only on (seed, trials) and never on how trials are scheduled over workers.
+seed s uses an independent Philox stream keyed by (s, i), and trials run
+one after another, so results depend only on (seed, trials).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -71,30 +71,22 @@ class GraphSpec:
             frozen.append(arr)
         object.__setattr__(self, "adjacency", tuple(frozen))
 
-    @property
+    @cached_property
     def targets(self) -> tuple:
         """Legal move targets per vertex (neighbors, plus self if allowed)."""
-        cached = self.__dict__.get("_targets")
-        if cached is None:
-            cached = []
-            for v, nbrs in enumerate(self.adjacency):
-                t = np.sort(np.append(nbrs, v)) if self.allow_self else nbrs
-                t.flags.writeable = False
-                cached.append(t)
-            cached = tuple(cached)
-            self.__dict__["_targets"] = cached
-        return cached
+        out = []
+        for v, nbrs in enumerate(self.adjacency):
+            t = np.sort(np.append(nbrs, v)) if self.allow_self else nbrs
+            t.flags.writeable = False
+            out.append(t)
+        return tuple(out)
 
-    @property
+    @cached_property
     def uniform_targets(self) -> bool:
         """True when every vertex may move anywhere (complete graph with self)."""
-        cached = self.__dict__.get("_uniform")
-        if cached is None:
-            cached = self.allow_self and all(
-                len(nbrs) == self.vertex_count - 1 for nbrs in self.adjacency
-            )
-            self.__dict__["_uniform"] = cached
-        return cached
+        return self.allow_self and all(
+            len(nbrs) == self.vertex_count - 1 for nbrs in self.adjacency
+        )
 
 
 def complete_graph(n: int, allow_self: bool = True) -> GraphSpec:
@@ -303,59 +295,31 @@ def sample_conditioned_path(kernel: TiltedKernel, x0: int, stream: Generator) ->
     return Trajectory(states, True, False, kernel.u)
 
 
-def _run_indexed(trials: int, workers: int, body) -> None:
-    """Run body(i) for i in range(trials), optionally across threads.
-
-    Work is split into contiguous chunks by trial index; since each body
-    call touches only its own slot, the outcome is identical for any
-    worker count.
-    """
-    if workers <= 1:
-        for i in range(trials):
-            body(i)
-        return
-
-    def chunk(bounds):
-        for i in range(*bounds):
-            body(i)
-
-    step = -(-trials // workers)
-    spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(chunk, s) for s in spans]:
-            future.result()
-
-
 def estimate_hitting_prob(
     params: ModelParams,
     u: int,
     x0: int,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> EstimateWithCI:
     """Monte Carlo estimate of P_x0[hit 0 before reaching >= u].
 
     Per-trial streams are derived from (seed, trial index); the mean is an
-    exact integer count over trials, so repeated runs agree bit for bit
-    regardless of worker count.
+    exact integer count over trials, so repeated runs agree bit for bit.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= x0 < u:
         raise ValueError(f"start {x0} must lie in [0, u={u})")
-    outcomes = np.zeros(trials, dtype=np.uint8)
-
-    def body(i: int) -> None:
+    deaths = 0
+    for i in range(trials):
         traj = run_to_absorption(params, x0, u, STEP_CAP, trial_stream(seed, i))
         if traj.truncated:
             raise TruncationError(
                 f"trial {i} exceeded {STEP_CAP} steps; the estimate would be biased"
             )
-        outcomes[i] = traj.absorbed_at_zero
-
-    _run_indexed(trials, workers, body)
-    mean = float(int(outcomes.sum())) / trials
+        deaths += traj.absorbed_at_zero
+    mean = float(deaths) / trials
     return EstimateWithCI(mean, math.sqrt(mean * (1.0 - mean) / trials), trials, seed)
 
 
@@ -364,19 +328,15 @@ def estimate_conditioned_length(
     x0: int,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> EstimateWithCI:
     """Mean extinction time of the conditioned chain from x0, with its SE."""
     if trials < 1:
         raise ValueError("trials must be positive")
     lengths = np.zeros(trials, dtype=np.int64)
-
-    def body(i: int) -> None:
+    for i in range(trials):
         lengths[i] = sample_conditioned_path(kernel, x0, trial_stream(seed, i)).steps
-
-    _run_indexed(trials, workers, body)
     mean = float(int(lengths.sum())) / trials
-    # exact integer moments keep the merge order-independent
+    # exact integer moments: nothing is rounded before the final division
     sq = float(int(np.dot(lengths, lengths)))
     var = max(sq / trials - mean * mean, 0.0)
     return EstimateWithCI(mean, math.sqrt(var / trials), trials, seed)
@@ -388,24 +348,22 @@ def particle_step_counts(
     lam: float,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> np.ndarray:
     """Occupied-site counts after one particle step from a fixed-size start.
 
     The starting set is the first start_count vertices; on a vertex-
     transitive graph the choice is immaterial.  Returns one count per trial.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     if not 0 <= start_count <= graph.vertex_count:
         raise ValueError("start_count outside the vertex range")
     occ = np.zeros(graph.vertex_count, dtype=bool)
     occ[:start_count] = True
     state = ParticleState(occ, 0)
     counts = np.zeros(trials, dtype=np.int64)
-
-    def body(i: int) -> None:
+    for i in range(trials):
         counts[i] = step_particle(graph, state, lam, trial_stream(seed, i)).count
-
-    _run_indexed(trials, workers, body)
     return counts
 
 

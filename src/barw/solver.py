@@ -375,7 +375,8 @@ def conditional_occupation_time(kernel: TiltedKernel, delta: float) -> TimeProfi
 
 
 def _g17(v: float) -> str:
-    return format(v, ".17g")
+    # float() first: formatting a numpy scalar directly is slower, same text
+    return format(float(v), ".17g")
 
 
 def write_profile(profile: HittingProfile, path: str | Path) -> None:

@@ -124,8 +124,7 @@ class TestEnvelope:
 class TestGeometricUpper:
     def test_at_zero(self):
         bs = make_bound_set(2.0, 100, 0.05)
-        v = geometric_upper(bs, 0)
-        assert v.sign == 1 and v.log_magnitude == 0.0
+        assert geometric_upper(bs, 0) == 0.0
 
     def test_theta_fixed_point_residual(self):
         bs = make_bound_set(1.5, 1200, 0.05)

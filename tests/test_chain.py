@@ -8,10 +8,8 @@ from barw import (
     branch_prob,
     equilibrium,
     gw_extinction_prob,
-    level_spec,
     threshold_u,
     transition_log_row,
-    transition_logpmf,
 )
 
 
@@ -118,18 +116,15 @@ class TestGwExtinctionProb:
 
 class TestTransitionLogpmf:
     def test_empty_state_point_mass(self):
-        params = ModelParams(2.0, 10)
-        at_zero = transition_logpmf(params, 0, 0)
-        assert at_zero.sign == 1 and at_zero.log_magnitude == 0.0
-        for y in (1, 5, 10):
-            assert transition_logpmf(params, 0, y).sign == 0
+        row = transition_log_row(ModelParams(2.0, 10), 0)
+        assert row[0] == 0.0
+        assert np.all(np.isneginf(row[1:]))
 
     def test_direct_evaluation(self):
         params = ModelParams(2.0, 3)
         b1 = branch_prob(params, 1)
-        got = transition_logpmf(params, 1, 0)
-        assert got.sign == 1
-        assert got.log_magnitude == pytest.approx(3 * math.log1p(-b1), abs=1e-14)
+        got = transition_log_row(params, 1)[0]
+        assert got == pytest.approx(3 * math.log1p(-b1), abs=1e-14)
 
     @pytest.mark.parametrize("x", [0, 1, 10, 25, 50])
     def test_row_sums_to_one(self, x):
@@ -137,18 +132,12 @@ class TestTransitionLogpmf:
         total = np.exp(transition_log_row(params, x)).sum()
         assert abs(total - 1.0) <= 1e-10
 
-    def test_row_matches_scalar_op(self):
-        params = ModelParams(2.0, 20)
-        row = transition_log_row(params, 7)
-        for y in (0, 3, 11, 20):
-            assert row[y] == pytest.approx(transition_logpmf(params, 7, y).log_magnitude, abs=0)
-
     def test_out_of_range(self):
         params = ModelParams(2.0, 10)
         with pytest.raises(ValueError):
-            transition_logpmf(params, -1, 0)
+            transition_log_row(params, -1)
         with pytest.raises(ValueError):
-            transition_logpmf(params, 0, 11)
+            transition_log_row(params, 11)
 
     def test_large_n_no_overflow(self):
         params = ModelParams(2.0, 10_000)
@@ -195,31 +184,3 @@ class TestThresholdU:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             threshold_u(ModelParams(2.0, 10), 0.1, "middle")
-
-
-class TestLevelSpec:
-    def test_custom(self):
-        spec = level_spec(ModelParams(2.0, 100), "custom", u=17)
-        assert spec.u == 17 and spec.mode == "custom"
-
-    def test_custom_requires_u(self):
-        with pytest.raises(ValueError):
-            level_spec(ModelParams(2.0, 100), "custom")
-
-    def test_low_derives(self):
-        spec = level_spec(ModelParams(2.0, 100), "low", epsilon=0.05)
-        assert spec.u == 5
-
-    def test_window_derives(self):
-        spec = level_spec(ModelParams(1.5, 1200), "window", epsilon=0.05)
-        assert spec.u == 265
-
-    def test_derived_modes_reject_explicit_u(self):
-        with pytest.raises(ValueError):
-            level_spec(ModelParams(2.0, 100), "low", epsilon=0.05, u=5)
-
-    def test_custom_range_check(self):
-        with pytest.raises(ValueError):
-            level_spec(ModelParams(2.0, 100), "custom", u=0)
-        with pytest.raises(ValueError):
-            level_spec(ModelParams(2.0, 100), "custom", u=101)

@@ -107,6 +107,44 @@ class TestFigureExperiments:
         assert (out1 / "logh.csv").read_bytes() == (out2 / "logh.csv").read_bytes()
 
 
+class TestThresholdResolution:
+    def test_custom(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["profile", "--lambda", "2", "--n", "100", "--mode", "custom", "--u", "17",
+                    "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["constants"]["u"] == 17
+
+    def test_custom_requires_u(self, tmp_path):
+        assert run(["profile", "--lambda", "2", "--n", "100", "--mode", "custom",
+                    "--out", str(tmp_path / "x")]) == 2
+
+    def test_custom_range_check(self, tmp_path):
+        for u in ("0", "101"):
+            assert run(["profile", "--lambda", "2", "--n", "100", "--u", u,
+                        "--out", str(tmp_path / "x")]) == 2
+
+    def test_derived_modes_reject_explicit_u(self, tmp_path):
+        cases = [
+            ("profile", "phi.csv", ["--n", "100", "--mode", "low", "--u", "7"]),
+            ("figure1", "logh.csv", ["--n", "300", "--mode", "low", "--u", "5"]),
+            ("figure2", "kernel.csv", ["--n", "300", "--mode", "window", "--u", "5"]),
+        ]
+        for experiment, csv, flags in cases:
+            out = tmp_path / experiment
+            argv = [experiment, "--lambda", "2", "--epsilon", "0.05", *flags, "--out", str(out)]
+            assert run(argv) == 2
+            assert not (out / csv).exists()
+
+    def test_figures_honor_u_and_mode(self, tmp_path):
+        assert run(["figure1", "--lambda", "1.5", "--n", "300", "--u", "5",
+                    "--out", str(tmp_path / "f1")]) == 0
+        assert len((tmp_path / "f1" / "logh.csv").read_text().splitlines()) == 1 + 5
+        assert run(["figure2", "--lambda", "2", "--n", "100", "--mode", "low",
+                    "--epsilon", "0.05", "--out", str(tmp_path / "f2")]) == 0
+        # u = ceil(0.05 * 100) = 5: rows x = 1..4, columns y = 0..4
+        assert len((tmp_path / "f2" / "kernel.csv").read_text().splitlines()) == 1 + 4 * 5
+
+
 class TestTimeExperiments:
     def test_cond_time_columns(self, tmp_path):
         out = tmp_path / "ct"
@@ -125,6 +163,14 @@ class TestTimeExperiments:
         assert lines[0] == "n,x,expected_T0,ln_expected_T0"
         assert len(lines) == 3
         assert lines[1].startswith("10,5,")  # default start is ceil(n/2)
+
+    def test_uncond_time_start_out_of_range(self, tmp_path, capsys):
+        for x0 in ("0", "21"):
+            out = tmp_path / f"T{x0}"
+            assert run(["uncond-time", "--lambda", "2", "--n", "20", "--x0", x0,
+                        "--out", str(out)]) == 2
+            assert "--x0" in capsys.readouterr().err
+            assert not (out / "T.csv").exists()
 
     def test_occupation(self, tmp_path):
         out = tmp_path / "occ"
@@ -197,6 +243,13 @@ class TestStochasticExperiments:
         )
         assert code == 0
         assert (out / "tv.csv").read_text().splitlines()[1].startswith("20,")
+
+
+    def test_equivalence_rejects_zero_trials(self, tmp_path):
+        out = tmp_path / "eq"
+        assert run(["equivalence", "--lambda", "2", "--n", "30", "--x0", "10", "--trials", "0",
+                    "--seed", "1", "--out", str(out)]) == 2
+        assert not (out / "tv.csv").exists()
 
 
 class TestBoundsReport:

@@ -287,13 +287,6 @@ class TestEstimateHittingProb:
         phi3 = hitting_profile(params, 10).phi(3)
         assert abs(est.mean - phi3) <= 4 * est.std_error
 
-    def test_bit_identical_across_worker_counts(self):
-        params = ModelParams(2.0, 50)
-        runs = [
-            estimate_hitting_prob(params, 10, 3, 5000, seed=5, workers=w) for w in (1, 2, 5)
-        ]
-        assert len({(r.mean, r.std_error) for r in runs}) == 1
-
     def test_preconditions(self):
         params = ModelParams(2.0, 50)
         with pytest.raises(ValueError):

@@ -209,6 +209,14 @@ class TestSolverProperties:
         assert low.residual <= 1e-8 and high.residual <= 1e-8
         assert np.all(low.log_phi <= high.log_phi[:u] + 1e-9)
 
+    @PROPERTY_SETTINGS
+    @given(below_equilibrium())
+    def test_tilted_rows_sum_to_one(self, case):
+        # tilted_kernel raises KernelConsistencyError if a raw row is off
+        lam, n, u = case
+        kernel = tilted_kernel(hitting_profile(ModelParams(lam, n), u))
+        assert np.max(np.abs(kernel.rows.sum(axis=1) - 1.0)) <= 1e-9
+
 
 class TestTiltedKernel:
     def test_row_sums(self, profile_15_300_window, kernel_15_300_window):
