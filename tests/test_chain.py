@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from barw import (
     ModelParams,
@@ -11,6 +13,7 @@ from barw import (
     threshold_u,
     transition_log_row,
 )
+from barw.cli import ExperimentConfig, _resolve_u
 
 
 class TestModelParams:
@@ -132,6 +135,17 @@ class TestTransitionLogpmf:
         total = np.exp(transition_log_row(params, x)).sum()
         assert abs(total - 1.0) <= 1e-10
 
+    def test_row_matches_scalar_op(self):
+        params = ModelParams(2.0, 20)
+        row = transition_log_row(params, 7)
+        b = branch_prob(params, 7)
+        for y in (0, 3, 11, 20):
+            scalar = (
+                gammaln(21.0) - gammaln(y + 1.0) - gammaln(21.0 - y)
+                + y * math.log(b) + (20 - y) * math.log1p(-b)
+            )
+            assert row[y] == pytest.approx(scalar, abs=0)
+
     def test_out_of_range(self):
         params = ModelParams(2.0, 10)
         with pytest.raises(ValueError):
@@ -184,3 +198,35 @@ class TestThresholdU:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             threshold_u(ModelParams(2.0, 10), 0.1, "middle")
+
+
+def _resolve(lam, n, default_mode="custom", **flags):
+    config = ExperimentConfig(experiment="profile", out_dir=Path("."), lam=lam, n=n, **flags)
+    return _resolve_u(config, ModelParams(lam, n), default_mode)
+
+
+class TestLevelSpec:
+    """Threshold resolution from u, mode and epsilon (cli._resolve_u)."""
+
+    def test_custom(self):
+        assert _resolve(2.0, 100, mode="custom", u=17) == 17
+
+    def test_custom_requires_u(self):
+        with pytest.raises(ValueError):
+            _resolve(2.0, 100, mode="custom")
+
+    def test_low_derives(self):
+        assert _resolve(2.0, 100, mode="low", epsilon=0.05) == 5
+
+    def test_window_derives(self):
+        assert _resolve(1.5, 1200, mode="window", epsilon=0.05) == 265
+
+    def test_derived_modes_reject_explicit_u(self):
+        with pytest.raises(ValueError):
+            _resolve(2.0, 100, mode="low", epsilon=0.05, u=5)
+
+    def test_custom_range_check(self):
+        with pytest.raises(ValueError):
+            _resolve(2.0, 100, mode="custom", u=0)
+        with pytest.raises(ValueError):
+            _resolve(2.0, 100, mode="custom", u=101)
