@@ -3,8 +3,9 @@
 Every experiment validates its configuration before touching the output
 directory, writes a fixed set of CSV files plus a summary.json, and is
 bit-reproducible: the same configuration (including seed) always yields
-byte-identical CSVs.  --workers is accepted and validated but has no
-effect: trials run serially.
+byte-identical CSVs.  Each subcommand takes only the flags its experiment
+reads.  The Monte Carlo ones accept --workers and check it, but it has no
+effect: their trials run in lockstep in one thread.
 
 Exit codes: 0 success, 2 invalid configuration or cache refusal,
 3 solver failure, 4 simulation truncation.
@@ -25,6 +26,7 @@ import numpy as np
 from . import bounds as bnd
 from .chain import ModelParams, equilibrium, gw_extinction_prob, threshold_u, transition_log_row
 from .simulate import (
+    EstimateWithCI,
     TruncationError,
     estimate_conditioned_length,
     estimate_hitting_prob,
@@ -73,7 +75,7 @@ class ExperimentConfig:
     seed: int | None = None
     graph: str | None = None
     self_loops: bool = True
-    workers: int = 1  # validated, but trials always run serially
+    workers: int = 1  # validated, but it has no effect on how trials run
     cache_dir: Path | None = None
 
 
@@ -297,17 +299,30 @@ def _exp_occupation(config: ExperimentConfig, out: Path) -> dict:
     }
 
 
-def _exp_mc_hitting(config: ExperimentConfig, out: Path) -> dict:
-    params = _params(config)
-    _require(config, "x0", "trials", "seed")
-    u = _resolve_u(config, params, "low")
-    est = estimate_hitting_prob(params, u, config.x0, config.trials, config.seed)
+def _write_estimate(out: Path, est: EstimateWithCI, seconds: float, constants: dict) -> dict:
+    """Write est.csv; the summary also gets the chain steps and the trial rate."""
     _write_csv(
         out / "est.csv",
         ["estimate", "std_error", "trials", "seed"],
         [(est.mean, est.std_error, est.trials, est.seed)],
     )
-    return {"files": ["est.csv"], "constants": _constants(params, config.epsilon, u)}
+    return {
+        "files": ["est.csv"],
+        "constants": constants,
+        "steps_total": est.steps_total,
+        "steps_max": est.steps_max,
+        "trials_per_s": est.trials / seconds,
+    }
+
+
+def _exp_mc_hitting(config: ExperimentConfig, out: Path) -> dict:
+    params = _params(config)
+    _require(config, "x0", "trials", "seed")
+    u = _resolve_u(config, params, "low")
+    started = time.perf_counter()
+    est = estimate_hitting_prob(params, u, config.x0, config.trials, config.seed)
+    seconds = time.perf_counter() - started
+    return _write_estimate(out, est, seconds, _constants(params, config.epsilon, u))
 
 
 def _exp_mc_cond_path(config: ExperimentConfig, out: Path) -> dict:
@@ -316,13 +331,10 @@ def _exp_mc_cond_path(config: ExperimentConfig, out: Path) -> dict:
     u = _resolve_u(config, params, "window")
     profile = _get_profile(config, params, u)
     kernel = tilted_kernel(profile)
+    started = time.perf_counter()
     est = estimate_conditioned_length(kernel, config.x0, config.trials, config.seed)
-    _write_csv(
-        out / "est.csv",
-        ["estimate", "std_error", "trials", "seed"],
-        [(est.mean, est.std_error, est.trials, est.seed)],
-    )
-    return {"files": ["est.csv"], "constants": _constants(params, config.epsilon, u)}
+    seconds = time.perf_counter() - started
+    return _write_estimate(out, est, seconds, _constants(params, config.epsilon, u))
 
 
 def _exp_equivalence(config: ExperimentConfig, out: Path) -> dict:
@@ -420,6 +432,42 @@ def run_experiment(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+#: argparse settings of every flag but --out
+_ARGUMENTS = {
+    "--lambda": {"dest": "lam", "type": float, "help": "offspring mean (> 1)"},
+    "--n": {"type": int, "help": "number of sites"},
+    "--epsilon": {"type": float},
+    "--delta": {"type": float},
+    "--alpha": {"type": float},
+    "--x0": {"type": int},
+    "--u": {"type": int},
+    "--mode": {"choices": ["low", "window", "custom"]},
+    "--trials": {"type": int},
+    "--seed": {"type": int},
+    "--graph": {"type": str, "help": "graph file path or complete:<n>"},
+    "--self-loops": {"dest": "self_loops", "type": int, "choices": [0, 1], "default": 1},
+    "--workers": {"type": int, "default": 1, "help": "checked to be >= 1; has no effect"},
+    "--cache": {"type": Path, "default": None},
+}
+
+_THRESHOLD = ("--lambda", "--n", "--epsilon", "--u", "--mode")
+_TRIALS = ("--x0", "--trials", "--seed", "--workers")
+
+#: the flags each experiment reads, besides --out; any other flag is exit 2
+_FLAGS = {
+    "profile": (*_THRESHOLD, "--cache"),
+    "figure1": (*_THRESHOLD, "--cache"),
+    "figure2": (*_THRESHOLD, "--cache"),
+    "cond-time": (*_THRESHOLD, "--cache"),
+    "uncond-time": ("--lambda", "--n", "--x0"),
+    "occupation": (*_THRESHOLD, "--delta", "--cache"),
+    "mc-hitting": (*_THRESHOLD, *_TRIALS),
+    "mc-cond-path": (*_THRESHOLD, *_TRIALS, "--cache"),
+    "equivalence": ("--lambda", "--n", "--graph", "--self-loops", *_TRIALS),
+    "bounds-report": ("--lambda", "--n", "--epsilon", "--alpha", "--cache"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="barw",
@@ -428,56 +476,44 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in _EXPERIMENTS:
         sp = sub.add_parser(name)
-        sp.add_argument("--lambda", dest="lam", type=float, help="offspring mean (> 1)")
-        if name == "uncond-time":
-            sp.add_argument("--n", type=str, help="comma-separated site counts, e.g. 20,30,40,50")
-        else:
-            sp.add_argument("--n", type=int, help="number of sites")
-        sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--delta", type=float)
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--x0", type=int)
-        sp.add_argument("--u", type=int)
-        sp.add_argument("--mode", choices=["low", "window", "custom"])
-        sp.add_argument("--trials", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--graph", type=str, help="graph file path or complete:<n>")
-        sp.add_argument("--self-loops", dest="self_loops", type=int, choices=[0, 1], default=1)
-        sp.add_argument("--workers", type=int, default=1)
+        for flag in _FLAGS[name]:
+            settings = _ARGUMENTS[flag]
+            if name == "uncond-time" and flag == "--n":
+                settings = {"type": str, "help": "comma-separated site counts, e.g. 20,30,40,50"}
+            sp.add_argument(flag, **settings)
         sp.add_argument("--out", type=Path, required=True)
-        sp.add_argument("--cache", type=Path, default=None)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    n = None
+    opts = vars(args)
+    n = opts.get("n")
     n_sweep: tuple[int, ...] = ()
     if args.experiment == "uncond-time":
-        if args.n:
+        if n:
             try:
-                n_sweep = tuple(int(tok) for tok in args.n.split(","))
+                n_sweep = tuple(int(tok) for tok in n.split(","))
             except ValueError:
-                raise ValueError(f"bad --n sweep {args.n!r}") from None
-    else:
-        n = args.n
+                raise ValueError(f"bad --n sweep {n!r}") from None
+        n = None
     return ExperimentConfig(
         experiment=args.experiment,
         out_dir=args.out,
-        lam=args.lam,
+        lam=opts.get("lam"),
         n=n,
         n_sweep=n_sweep,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        alpha=args.alpha,
-        x0=args.x0,
-        u=args.u,
-        mode=args.mode,
-        trials=args.trials,
-        seed=args.seed,
-        graph=args.graph,
-        self_loops=bool(args.self_loops),
-        workers=args.workers,
-        cache_dir=args.cache,
+        epsilon=opts.get("epsilon"),
+        delta=opts.get("delta"),
+        alpha=opts.get("alpha"),
+        x0=opts.get("x0"),
+        u=opts.get("u"),
+        mode=opts.get("mode"),
+        trials=opts.get("trials"),
+        seed=opts.get("seed"),
+        graph=opts.get("graph"),
+        self_loops=bool(opts.get("self_loops", 1)),
+        workers=opts.get("workers", 1),
+        cache_dir=opts.get("cache"),
     )
 
 

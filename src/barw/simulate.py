@@ -1,30 +1,51 @@
 """Monte Carlo engines for the count chain and the particle system.
 
-Sampling is exact: binomial and Poisson draws come from numpy's Generator
-(inversion for small means, exact accept/reject for large), never from
-normal approximations.  Randomness is counter-based: trial i of a run with
-seed s uses an independent Philox stream keyed by (s, i), and trials run
-one after another, so results depend only on (seed, trials).
+Randomness is counter-based: trial i of a run with seed s reads the words of
+one Philox4x64-10 stream keyed by (s, i), which is `trial_stream(s, i)`.
+Every draw inverts one 53-bit uniform made from the next word against a CDF
+row held in doubles: a count-chain step against Bin(n, b(x)), a tilted step
+against the conditioned kernel, an offspring count against Poisson(lam), and
+a move as floor(U*k) into the k legal targets.  Sampling is exact up to the
+rounding of those CDF rows; there are no normal approximations.
+
+The estimators run all trials in lockstep, CHUNK trials at a time, and make
+their words with `philox_block`, a numpy-vectorized Philox that equals
+`trial_stream` bit for bit.  The one-trial functions (`step_meanfield`,
+`sample_conditioned_path`, `step_particle`) are the reference: they read the
+same words from a `trial_stream` generator in the same order, so trial i of
+an estimator equals its one-trial run on `trial_stream(seed, i)`, and every
+result depends only on (seed, trials).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.special import gammaln
 
-from .chain import ModelParams, branch_prob
+from .chain import ModelParams, transition_log_row
 from .solver import TiltedKernel
 
 #: hard per-trial cap inside estimators; hitting it means the estimate
 #: would be biased, which is an error rather than a silent truncation
 STEP_CAP = 10**7
 
+#: trials advanced together; keeps each chunk's transient arrays to a few MB.
+#: Results do not depend on it, because every trial has its own key.
+CHUNK = 1024
+
 _MASK64 = (1 << 64) - 1
+
+# Philox4x64 round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 class TruncationError(RuntimeError):
@@ -38,6 +59,88 @@ def trial_stream(seed: int, trial: int) -> Generator:
     if trial < 0:
         raise ValueError(f"trial index must be nonnegative, got {trial}")
     return Generator(Philox(key=(seed & _MASK64) | (trial << 64)))
+
+
+def _mulhilo(m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of m*b, with the high word from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    b_lo, b_hi = b & _LO32, b >> _SHIFT32
+    lh = b_hi * m_lo
+    hl = b_lo * m_hi
+    mid = ((b_lo * m_lo) >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
+    hi = b_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, b * np.uint64(m)
+
+
+def _philox4x64_10(seed: int, trials: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """philox4x64_10(counter=(blocks+1, 0, 0, 0), key=(seed, trials)) on 1-D arrays."""
+    c0 = blocks + np.uint64(1)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = seed, trials
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1)
+
+
+def philox_block(seed: int, trials, blocks) -> np.ndarray:
+    """Block `blocks` of `trial_stream(seed, trials)`: uint64 words, shape (..., 4).
+
+    numpy's Philox is Philox4x64-10 keyed by (seed, trial) and increments its
+    counter before each block, so block j is philox4x64_10(counter=(j+1, 0, 0,
+    0), key=(seed, trial)).  `trials` and `blocks` broadcast against each
+    other; word w of a trial is word w % 4 of its block w // 4.  The work
+    goes CHUNK blocks at a time, which bounds its temporaries.
+    """
+    trials, blocks = np.broadcast_arrays(
+        np.asarray(trials, dtype=np.uint64), np.asarray(blocks, dtype=np.uint64)
+    )
+    out = np.empty(trials.shape + (4,), dtype=np.uint64)
+    flat_trials, flat_blocks, flat_out = trials.ravel(), blocks.ravel(), out.reshape(-1, 4)
+    for lo in range(0, flat_trials.size, CHUNK):
+        part = slice(lo, lo + CHUNK)
+        flat_out[part] = _philox4x64_10(seed, flat_trials[part], flat_blocks[part])
+    return out
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """53-bit uniforms on [0, 1) from 64-bit words, as `Generator.random` makes them."""
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u *= 2.0**-53
+    return u
+
+
+def _invert(cdf: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF draw: how many entries of a nondecreasing CDF row are <= u.
+
+    cdf is one row shared by every uniform in u, or one row per uniform
+    (shape (len(u), k)); both forms give np.searchsorted(row, u, side="right").
+    """
+    if cdf.ndim == 1:
+        return np.searchsorted(cdf, u, side="right")
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+@lru_cache(maxsize=256)
+def _binomial_cdf(params: ModelParams, x: int, y_hi: int) -> np.ndarray:
+    """CDF of Bin(n, b(x)) over y = 0..y_hi, from transition_log_row."""
+    cdf = np.cumsum(np.exp(transition_log_row(params, x, y_hi)))
+    cdf.flags.writeable = False
+    return cdf
+
+
+@lru_cache(maxsize=64)
+def _poisson_cdf(lam: float) -> np.ndarray:
+    """CDF of Poisson(lam) over k = 0..K, with K far enough out that the
+    omitted tail lies below double resolution."""
+    k = np.arange(int(lam + 12.0 * math.sqrt(lam) + 40.0))
+    cdf = np.cumsum(np.exp(k * math.log(lam) - lam - gammaln(k + 1.0)))
+    cdf.flags.writeable = False
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -80,6 +183,14 @@ class GraphSpec:
             t.flags.writeable = False
             out.append(t)
         return tuple(out)
+
+    @cached_property
+    def _target_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Targets flattened: (start, size, flat), vertex v's set is
+        flat[start[v]:start[v] + size[v]]."""
+        size = np.array([t.size for t in self.targets], dtype=np.int64)
+        start = np.concatenate(([0], np.cumsum(size)[:-1]))
+        return start, size, np.concatenate(self.targets)
 
     @cached_property
     def uniform_targets(self) -> bool:
@@ -198,6 +309,9 @@ class EstimateWithCI:
     std_error: float
     trials: int
     seed: int
+    #: chain steps summed over trials, and the most any one trial took
+    steps_total: int = 0
+    steps_max: int = 0
 
     def __post_init__(self):
         if self.trials < 1:
@@ -207,12 +321,29 @@ class EstimateWithCI:
 
 
 def step_meanfield(params: ModelParams, x: int, stream: Generator) -> int:
-    """One exact Bin(n, b(x)) transition of the count chain."""
+    """One exact Bin(n, b(x)) transition of the count chain, by inversion."""
     if not 0 <= x <= params.n:
         raise ValueError(f"state {x} outside [0, {params.n}]")
     if x == 0:
         return 0
-    return int(stream.binomial(params.n, branch_prob(params, x)))
+    return min(int(_invert(_binomial_cdf(params, x, params.n), stream.random())), params.n)
+
+
+def _move_targets(
+    graph: GraphSpec, parents: np.ndarray, offspring: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Where each offspring lands: floor(u*k) into its parent's k legal targets.
+
+    parents[j] has offspring[j] offspring, which take the uniforms of u in turn.
+    """
+    if graph.uniform_targets:
+        n = graph.vertex_count
+        moves = (u * n).astype(np.int64)
+        return np.minimum(moves, n - 1, out=moves)
+    start, size, flat = graph._target_table
+    movers = np.repeat(parents, offspring)
+    k = size[movers]
+    return flat[start[movers] + np.minimum((u * k).astype(np.int64), k - 1)]
 
 
 def step_particle(
@@ -220,29 +351,17 @@ def step_particle(
 ) -> ParticleState:
     """One step of the particle system on a graph.
 
-    Every occupied vertex spawns an exact Poisson(lam) number of offspring;
-    each offspring moves to an independent uniform legal target; vertices
-    receiving exactly one arrival are occupied next.
+    Every occupied vertex, in ascending order, spawns a Poisson(lam) number
+    of offspring (one word each); then each offspring, parent by parent,
+    moves to a uniform legal target (one word each).  Vertices receiving
+    exactly one arrival are occupied next.
     """
     if not lam > 0.0:
         raise ValueError(f"offspring mean must be positive, got {lam}")
     parents = np.flatnonzero(state.occupied)
-    if parents.size == 0:
-        return ParticleState(state.occupied, state.time + 1)
-    counts = stream.poisson(lam, size=parents.size)
-    arrivals = np.zeros(graph.vertex_count, dtype=np.int64)
-    if graph.uniform_targets:
-        total = int(counts.sum())
-        if total:
-            moves = stream.integers(0, graph.vertex_count, size=total)
-            arrivals += np.bincount(moves, minlength=graph.vertex_count)
-    else:
-        targets = graph.targets
-        for parent, k in zip(parents, counts):
-            if k:
-                choices = targets[parent]
-                moves = choices[stream.integers(0, choices.size, size=int(k))]
-                arrivals += np.bincount(moves, minlength=graph.vertex_count)
+    offspring = _invert(_poisson_cdf(lam), stream.random(parents.size))
+    targets = _move_targets(graph, parents, offspring, stream.random(offspring.sum()))
+    arrivals = np.bincount(targets, minlength=graph.vertex_count)
     return ParticleState(arrivals == 1, state.time + 1)
 
 
@@ -281,7 +400,8 @@ def sample_conditioned_path(kernel: TiltedKernel, x0: int, stream: Generator) ->
     """Sample the conditioned chain from x0 until it dies.
 
     The tilted kernel puts no mass at or above u, so every sampled path
-    stays below u and ends at 0.
+    stays below u and ends at 0; a uniform above a row's rounded total
+    takes the top state u-1.
     """
     if not 1 <= x0 < kernel.u:
         raise ValueError(f"start {x0} outside [1, {kernel.u - 1}]")
@@ -290,9 +410,89 @@ def sample_conditioned_path(kernel: TiltedKernel, x0: int, stream: Generator) ->
     states = [x0]
     x = x0
     while x != 0:
-        x = min(int(np.searchsorted(cdfs[x - 1], stream.random(), side="right")), top)
+        x = min(int(_invert(cdfs[x - 1], stream.random())), top)
         states.append(x)
     return Trajectory(states, True, False, kernel.u)
+
+
+class _Uniforms:
+    """Successive uniforms of `trial_stream(seed, i)` for a shrinking set of trials.
+
+    Blocks are made ahead in one `philox_block` call, more of them as fewer
+    trials remain, so that a few long trials do not pay the call's overhead
+    every four steps.
+    """
+
+    def __init__(self, seed: int, trials: np.ndarray):
+        self.seed = seed
+        self.trials = trials
+        self.buf = np.empty((trials.size, 0))
+        self.col = 0
+        self.block = 0
+
+    def next(self) -> np.ndarray:
+        if self.col == self.buf.shape[1]:
+            ahead = min(64, max(1, CHUNK // max(self.trials.size, 1)))
+            blocks = self.block + np.arange(ahead)
+            words = philox_block(self.seed, self.trials[:, None], blocks)
+            self.buf = uniforms(words).reshape(self.trials.size, 4 * ahead)
+            self.block += ahead
+            self.col = 0
+        self.col += 1
+        return self.buf[:, self.col - 1]
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.trials = self.trials[mask]
+        self.buf = self.buf[mask]
+
+
+def _run_chains(
+    cdfs: np.ndarray,
+    x0: int,
+    trials: int,
+    seed: int,
+    clamp: bool,
+    cap: int | None = None,
+    history: list | None = None,
+):
+    """Run trials 0..trials-1 of a count chain in lockstep, CHUNK at a time.
+
+    Row x-1 of cdfs (shape (u-1, u)) is the CDF over 0..u-1 of the next
+    state from x; step t of trial i inverts uniform t of trial_stream(seed,
+    i).  A count of u means the step left 0..u-1; with clamp it is the top
+    state u-1 instead.  A trial stops at 0 or u.  Yields, per chunk, the
+    steps each trial took and its final state.  A trial still
+    running after `cap` steps raises TruncationError.  history, if given,
+    receives (trial indices, states) after every step.
+    """
+    u = cdfs.shape[1]
+    for lo in range(0, trials, CHUNK):
+        idx = np.arange(lo, min(lo + CHUNK, trials), dtype=np.uint64)
+        steps = np.zeros(idx.size, dtype=np.int64)
+        final = np.zeros(idx.size, dtype=np.int64)
+        live = np.arange(idx.size) if x0 else np.arange(0)
+        x = np.full(live.size, x0, dtype=np.int64)
+        draws = _Uniforms(seed, idx[live])
+        t = 0
+        while live.size:
+            if t == cap:
+                raise TruncationError(
+                    f"trial {idx[live[0]]} exceeded {cap} steps; the estimate would be biased"
+                )
+            x = _invert(cdfs[x - 1], draws.next())
+            if clamp:
+                np.minimum(x, u - 1, out=x)
+            t += 1
+            if history is not None:
+                history.append((idx[live], x.copy()))
+            stop = (x == 0) | (x == u)
+            if stop.any():
+                steps[live[stop]] = t
+                final[live[stop]] = x[stop]
+                keep = ~stop
+                live, x = live[keep], x[keep]
+                draws.keep(keep)
+        yield steps, final
 
 
 def estimate_hitting_prob(
@@ -304,23 +504,25 @@ def estimate_hitting_prob(
 ) -> EstimateWithCI:
     """Monte Carlo estimate of P_x0[hit 0 before reaching >= u].
 
-    Per-trial streams are derived from (seed, trial index); the mean is an
-    exact integer count over trials, so repeated runs agree bit for bit.
+    All trials step in lockstep against one Bin(n, b(x)) CDF table over
+    0..u-1, one uniform per step; the mean is an exact integer count over
+    trials, so repeated runs agree bit for bit.  A trial that passes
+    STEP_CAP steps raises TruncationError.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= x0 < u:
         raise ValueError(f"start {x0} must lie in [0, u={u})")
-    deaths = 0
-    for i in range(trials):
-        traj = run_to_absorption(params, x0, u, STEP_CAP, trial_stream(seed, i))
-        if traj.truncated:
-            raise TruncationError(
-                f"trial {i} exceeded {STEP_CAP} steps; the estimate would be biased"
-            )
-        deaths += traj.absorbed_at_zero
+    cdfs = np.array([_binomial_cdf(params, x, u - 1) for x in range(1, u)]).reshape(u - 1, u)
+    deaths = steps_total = steps_max = 0
+    for steps, final in _run_chains(cdfs, x0, trials, seed, clamp=False, cap=STEP_CAP):
+        deaths += int(np.count_nonzero(final == 0))
+        steps_total += int(steps.sum())
+        steps_max = max(steps_max, int(steps.max()))
     mean = float(deaths) / trials
-    return EstimateWithCI(mean, math.sqrt(mean * (1.0 - mean) / trials), trials, seed)
+    return EstimateWithCI(
+        mean, math.sqrt(mean * (1.0 - mean) / trials), trials, seed, steps_total, steps_max
+    )
 
 
 def estimate_conditioned_length(
@@ -332,14 +534,50 @@ def estimate_conditioned_length(
     """Mean extinction time of the conditioned chain from x0, with its SE."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    lengths = np.zeros(trials, dtype=np.int64)
-    for i in range(trials):
-        lengths[i] = sample_conditioned_path(kernel, x0, trial_stream(seed, i)).steps
-    mean = float(int(lengths.sum())) / trials
+    if not 1 <= x0 < kernel.u:
+        raise ValueError(f"start {x0} outside [1, {kernel.u - 1}]")
     # exact integer moments: nothing is rounded before the final division
-    sq = float(int(np.dot(lengths, lengths)))
-    var = max(sq / trials - mean * mean, 0.0)
-    return EstimateWithCI(mean, math.sqrt(var / trials), trials, seed)
+    total = sq = steps_max = 0
+    for steps, _ in _run_chains(kernel.row_cdfs, x0, trials, seed, clamp=True):
+        total += int(steps.sum())
+        sq += int(np.dot(steps, steps))
+        steps_max = max(steps_max, int(steps.max()))
+    mean = float(total) / trials
+    var = max(float(sq) / trials - mean * mean, 0.0)
+    return EstimateWithCI(mean, math.sqrt(var / trials), trials, seed, total, steps_max)
+
+
+def _move_uniforms(seed: int, idx: np.ndarray, p: int, moves: np.ndarray) -> np.ndarray:
+    """Uniforms p .. p+moves_i-1 of trial_stream(seed, idx_i), trial after trial."""
+    nblocks = np.where(moves > 0, (p + moves - 1) // 4 - p // 4 + 1, 0)
+    first = np.cumsum(nblocks) - nblocks  # each trial's first block in the list
+    owner = np.repeat(np.arange(idx.size), nblocks)
+    words = philox_block(seed, idx[owner], p // 4 + np.arange(owner.size) - first[owner])
+    # word p of trial i is flat word 4*first_i + p % 4, and its moves follow it
+    at = np.repeat(4 * first + p % 4 - (np.cumsum(moves) - moves), moves)
+    at += np.arange(at.size)
+    return uniforms(words).reshape(-1)[at]
+
+
+def _particle_chunk(
+    graph: GraphSpec, parents: np.ndarray, lam: float, seed: int, idx: np.ndarray
+) -> np.ndarray:
+    """Occupied counts after one step of trials idx, all from the same parents.
+
+    Trial i reads the words step_particle reads from trial_stream(seed, i):
+    words 0..P-1 are the parents' offspring counts, the next ones the moves.
+    """
+    p = parents.size
+    first = -(-p // 4)  # blocks holding the count words
+    words = philox_block(seed, idx[:, None], np.arange(first)).reshape(idx.size, 4 * first)
+    offspring = _invert(_poisson_cdf(lam), uniforms(words[:, :p]))
+    moves = offspring.sum(axis=1)
+    u = _move_uniforms(seed, idx, p, moves)
+    key = _move_targets(graph, np.tile(parents, idx.size), offspring.reshape(-1), u)
+    n = graph.vertex_count
+    key += np.repeat(np.arange(idx.size) * n, moves)
+    arrivals = np.bincount(key, minlength=idx.size * n).reshape(idx.size, n)
+    return (arrivals == 1).sum(axis=1)
 
 
 def particle_step_counts(
@@ -352,18 +590,20 @@ def particle_step_counts(
     """Occupied-site counts after one particle step from a fixed-size start.
 
     The starting set is the first start_count vertices; on a vertex-
-    transitive graph the choice is immaterial.  Returns one count per trial.
+    transitive graph the choice is immaterial.  Returns one count per trial;
+    trial i equals step_particle on trial_stream(seed, i).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= start_count <= graph.vertex_count:
         raise ValueError("start_count outside the vertex range")
-    occ = np.zeros(graph.vertex_count, dtype=bool)
-    occ[:start_count] = True
-    state = ParticleState(occ, 0)
-    counts = np.zeros(trials, dtype=np.int64)
-    for i in range(trials):
-        counts[i] = step_particle(graph, state, lam, trial_stream(seed, i)).count
+    if not lam > 0.0:
+        raise ValueError(f"offspring mean must be positive, got {lam}")
+    parents = np.arange(start_count)
+    counts = np.empty(trials, dtype=np.int64)
+    for lo in range(0, trials, CHUNK):
+        idx = np.arange(lo, min(lo + CHUNK, trials), dtype=np.uint64)
+        counts[lo : lo + idx.size] = _particle_chunk(graph, parents, lam, seed, idx)
     return counts
 
 

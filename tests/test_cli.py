@@ -252,6 +252,49 @@ class TestStochasticExperiments:
         assert not (out / "tv.csv").exists()
 
 
+    def test_mc_summaries_report_steps_and_rate(self, tmp_path):
+        runs = {
+            "mc-hitting": ["--n", "50", "--u", "10", "--x0", "3"],
+            "mc-cond-path": ["--n", "100", "--epsilon", "0.05", "--x0", "5"],
+        }
+        for experiment, flags in runs.items():
+            out = tmp_path / experiment
+            argv = [experiment, "--lambda", "2", *flags, "--trials", "500", "--seed", "4"]
+            assert run(argv + ["--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert 500 <= summary["steps_total"] <= 500 * summary["steps_max"]
+            assert summary["trials_per_s"] > 0
+
+
+class TestFlags:
+    def test_unused_flags_are_rejected(self, tmp_path, capsys):
+        cases = [
+            ["bounds-report", "--lambda", "2", "--n", "100", "--epsilon", "0.05",
+             "--u", "7", "--mode", "low"],
+            ["profile", "--lambda", "2", "--n", "50", "--u", "10",
+             "--trials", "5", "--delta", "3", "--seed", "9"],
+        ]
+        for i, argv in enumerate(cases):
+            out = tmp_path / str(i)
+            with pytest.raises(SystemExit) as exc:
+                run(argv + ["--out", str(out)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_readme_commands_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        commands = [
+            line.split("#")[0].split()[1:]
+            for line in readme.read_text().splitlines()
+            if line.startswith("barw ")
+        ]
+        assert len(commands) == len(cli._EXPERIMENTS)
+        for argv in commands:
+            args = cli._build_parser().parse_args(argv)
+            assert cli._config_from_args(args).experiment == argv[0]
+
+
 class TestBoundsReport:
     def test_report_written(self, tmp_path):
         out = tmp_path / "br"

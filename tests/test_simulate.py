@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 import barw.simulate as sim
 from barw import (
+    EstimateWithCI,
     ModelParams,
     TruncationError,
     branch_prob,
     complete_graph,
     conditional_expected_extinction,
+    equilibrium,
     estimate_conditioned_length,
     estimate_hitting_prob,
     graph_from_name,
@@ -85,9 +89,10 @@ class TestStepMeanfield:
 class TestExactPoissonSampler:
     @pytest.mark.parametrize("lam", [0.5, 2.0, 6.0, 40.0])
     def test_tv_against_exact_pmf(self, lam):
+        # the offspring sampler: inversion of one uniform per draw
         stream = trial_stream(303, 0)
         trials = 200_000
-        samples = stream.poisson(lam, size=trials)
+        samples = sim._invert(sim._poisson_cdf(lam), stream.random(trials))
         hi = int(samples.max()) + 1
         empirical = np.bincount(samples, minlength=hi) / trials
         exact = poisson.pmf(np.arange(hi), lam)
@@ -310,3 +315,181 @@ class TestTvDistance:
 
     def test_padding(self):
         assert tv_distance(np.array([1.0]), np.array([0.5, 0.5])) == pytest.approx(0.5)
+
+
+class TestEstimateWithCI:
+    def test_positional_construction_defaults_step_counts(self):
+        est = EstimateWithCI(0.5, 0.1, 10, 1)
+        assert (est.steps_total, est.steps_max) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# batched samplers against the one-trial reference
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+SEEDS = st.integers(0, (1 << 64) - 1)
+
+
+class TestPhiloxBlock:
+    @PROPERTY_SETTINGS
+    @given(SEEDS, st.integers(0, 1 << 40), st.integers(0, 64))
+    def test_words_match_trial_stream(self, seed, trial, block):
+        raw = trial_stream(seed, trial).bit_generator.random_raw(4 * (block + 1))
+        assert np.array_equal(sim.philox_block(seed, trial, block), raw[-4:])
+
+    @PROPERTY_SETTINGS
+    @given(SEEDS, st.lists(st.integers(0, 1 << 40), min_size=1, max_size=8), st.integers(1, 16))
+    def test_vectorized_blocks_and_uniforms(self, seed, trials, blocks):
+        words = sim.philox_block(seed, np.array(trials)[:, None], np.arange(blocks))
+        for i, trial in enumerate(trials):
+            stream = trial_stream(seed, trial)
+            assert np.array_equal(words[i].ravel(), stream.bit_generator.random_raw(4 * blocks))
+            stream = trial_stream(seed, trial)
+            assert np.array_equal(sim.uniforms(words[i].ravel()), stream.random(4 * blocks))
+
+
+@st.composite
+def chain_case(draw):
+    """(lam, n, u, x0, seed) with 2 <= u <= eq, where trials end fast."""
+    lam = draw(st.floats(1.2, 8.0))
+    n = draw(st.integers(math.ceil(2.0 * lam / math.log(lam)), 120))
+    u = draw(st.integers(2, min(n, math.floor(equilibrium(ModelParams(lam, n))))))
+    return lam, n, u, draw(st.integers(0, u - 1)), draw(SEEDS)
+
+
+def batched_paths(cdfs, x0, trials, seed, clamp, cap=None):
+    """Per-trial paths, steps and final states of sim._run_chains."""
+    history = []
+    chunks = list(sim._run_chains(cdfs, x0, trials, seed, clamp, cap, history))
+    steps = np.concatenate([c[0] for c in chunks])
+    final = np.concatenate([c[1] for c in chunks])
+    paths = [[x0] for _ in range(trials)]
+    for idx, states in history:
+        for i, x in zip(idx.tolist(), states.tolist()):
+            paths[i].append(x)
+    return paths, steps, final
+
+
+def binomial_table(params, u):
+    return np.array([sim._binomial_cdf(params, x, u - 1) for x in range(1, u)]).reshape(u - 1, u)
+
+
+class TestBatchedMatchesScalar:
+    TRIALS = 25
+
+    @PROPERTY_SETTINGS
+    @given(chain_case())
+    def test_count_chain(self, case):
+        lam, n, u, x0, seed = case
+        params = ModelParams(lam, n)
+        paths, steps, final = batched_paths(binomial_table(params, u), x0, self.TRIALS, seed, False)
+        refs = [
+            run_to_absorption(params, x0, u, 10**6, trial_stream(seed, i))
+            for i in range(self.TRIALS)
+        ]
+        for i, ref in enumerate(refs):
+            assert not ref.truncated
+            # the batched chain records a crossing as u; the reference keeps the state
+            assert paths[i][:-1] == ref.states.tolist()[:-1]
+            assert min(paths[i][-1], u) == min(int(ref.states[-1]), u)
+            assert steps[i] == ref.steps
+            assert (final[i] == 0) == ref.absorbed_at_zero
+            assert (final[i] == u) == ref.crossed_u
+        est = estimate_hitting_prob(params, u, x0, self.TRIALS, seed)
+        assert est.mean == sum(r.absorbed_at_zero for r in refs) / self.TRIALS
+        assert est.steps_total == sum(r.steps for r in refs)
+        assert est.steps_max == max(r.steps for r in refs)
+
+    @PROPERTY_SETTINGS
+    @given(chain_case())
+    def test_conditioned_path(self, case):
+        lam, n, u, x0, seed = case
+        kern = tilted_kernel(hitting_profile(ModelParams(lam, n), u))
+        x0 = max(x0, 1)
+        paths, steps, final = batched_paths(kern.row_cdfs, x0, self.TRIALS, seed, True)
+        refs = [sample_conditioned_path(kern, x0, trial_stream(seed, i)) for i in range(self.TRIALS)]
+        for i, ref in enumerate(refs):
+            assert paths[i] == ref.states.tolist()
+            assert steps[i] == ref.steps
+            assert final[i] == 0 and ref.absorbed_at_zero
+        est = estimate_conditioned_length(kern, x0, self.TRIALS, seed)
+        lengths = [r.steps for r in refs]
+        assert est.mean == sum(lengths) / self.TRIALS
+        assert (est.steps_total, est.steps_max) == (sum(lengths), max(lengths))
+
+    @pytest.fixture(scope="class")
+    def graph_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("graphs")
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(2, 12),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30),
+        st.booleans(),
+        st.floats(0.3, 6.0),
+        st.data(),
+        SEEDS,
+    )
+    def test_particle_step_on_graph_file(self, graph_dir, v, extra, self_loops, lam, data, seed):
+        # a path through every vertex plus random extra edges: never complete for v > 2
+        edges = {(a, a + 1) for a in range(v - 1)}
+        edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b and max(a, b) < v}
+        path = graph_dir / f"g{len(list(graph_dir.iterdir()))}.txt"
+        lines = [f"vertices={v} self_loops={int(self_loops)}"] + [f"{a} {b}" for a, b in edges]
+        path.write_text("\n".join(lines) + "\n")
+        graph = parse_graph_file(path)
+        start = data.draw(st.integers(0, v))
+        self.check_particle(graph, start, lam, seed)
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(2, 40), st.booleans(), st.floats(0.3, 6.0), st.data(), SEEDS)
+    def test_particle_step_on_complete_graph(self, n, self_loops, lam, data, seed):
+        graph = complete_graph(n, allow_self=self_loops)
+        self.check_particle(graph, data.draw(st.integers(0, n)), lam, seed)
+
+    def check_particle(self, graph, start, lam, seed):
+        counts = sim.particle_step_counts(graph, start, lam, self.TRIALS, seed)
+        state = ParticleState(np.arange(graph.vertex_count) < start)
+        for i in range(self.TRIALS):
+            assert counts[i] == step_particle(graph, state, lam, trial_stream(seed, i)).count
+
+
+class TestChunkInvariance:
+    @pytest.fixture(scope="class")
+    def reference(self, kernel):
+        return self.run_all(kernel)
+
+    @staticmethod
+    def run_all(kernel):
+        return (
+            estimate_hitting_prob(ModelParams(2.0, 50), 10, 3, 60, seed=17),
+            estimate_conditioned_length(kernel, 20, 60, seed=17),
+            sim.particle_step_counts(complete_graph(30), 10, 2.0, 60, seed=17).tolist(),
+            sim.particle_step_counts(complete_graph(12, False), 5, 3.0, 60, seed=17).tolist(),
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, sim.CHUNK])
+    def test_results_do_not_depend_on_chunk(self, monkeypatch, kernel, reference, chunk):
+        monkeypatch.setattr(sim, "CHUNK", chunk)
+        assert self.run_all(kernel) == reference
+
+    @pytest.mark.parametrize("chunk", [1, 7, sim.CHUNK])
+    def test_truncation_names_lowest_truncated_trial(self, monkeypatch, chunk):
+        # u above eq: a trial that does not die soon is trapped near eq.  Take
+        # the first seed whose trial 0 dies in time, so that the lowest
+        # truncated trial is not simply the first one.
+        params, cap = ModelParams(2.0, 50), 12
+        for seed in range(100):
+            truncated = [
+                run_to_absorption(params, 1, 40, cap, trial_stream(seed, i)).truncated
+                for i in range(20)
+            ]
+            if not truncated[0] and any(truncated):
+                break
+        assert not truncated[0] and any(truncated)
+        monkeypatch.setattr(sim, "CHUNK", chunk)
+        monkeypatch.setattr(sim, "STEP_CAP", cap)
+        first = truncated.index(True)
+        with pytest.raises(TruncationError, match=f"trial {first} exceeded {cap} steps"):
+            estimate_hitting_prob(params, 40, 1, 20, seed=seed)
