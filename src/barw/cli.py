@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_TRUNCATION = 4
 
+#: rows formatted per block by _write_csv
+CSV_CHUNK = 4096
+
 
 @dataclass
 class ExperimentConfig:
@@ -87,10 +91,44 @@ def _cell(v) -> str:
     return _g17(v)
 
 
+#: printf conversions giving `_cell`'s text for a column of one plain type
+_CONVERSIONS = {float: "%.17g", int: "%d", str: "%s"}
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    """Write rows as CSV, CSV_CHUNK rows per printf-style format call.
+
+    A column whose cells in a chunk are all plain floats, ints or strings
+    is formatted by one conversion; any other column goes through `_cell`
+    cell by cell.  Either way the bytes equal those of `_cell` on every
+    cell, so pass Python numbers (from `.tolist()`) for speed.
+    """
+    rows = iter(rows)
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        while chunk := list(islice(rows, CSV_CHUNK)):
+            width = len(chunk[0])
+            cells = list(chain.from_iterable(chunk))
+            conversions = []
+            for j in range(width):
+                kinds = set(map(type, cells[j::width]))
+                conversion = _CONVERSIONS.get(kinds.pop()) if len(kinds) == 1 else None
+                if conversion is None:
+                    cells[j::width] = map(_cell, cells[j::width])
+                    conversion = "%s"
+                conversions.append(conversion)
+            line = ",".join(conversions)
+            f.write("\n".join([line] * len(chunk)) % tuple(cells) + "\n")
+
+
+def _solve_summary(profile: HittingProfile) -> dict:
+    """What summary.json records of a profile: its size, solve method and residual."""
+    return {
+        "u": profile.u,
+        "m": profile.u - 1,
+        "method": profile.method,
+        "residual": profile.residual,
+    }
 
 
 def _require(config: ExperimentConfig, *names: str) -> None:
@@ -210,15 +248,16 @@ def _exp_profile(config: ExperimentConfig, out: Path) -> dict:
     u = _resolve_u(config, params, "custom")
     profile = _get_profile(config, params, u)
     rows = []
-    for x in range(u):
-        v = math.exp(profile.log_phi[x])
-        rows.append((x, profile.log_phi[x], v if v > 0.0 else ""))
+    for x, log_phi in enumerate(profile.log_phi.tolist()):
+        v = math.exp(log_phi)
+        rows.append((x, log_phi, v if v > 0.0 else ""))
     _write_csv(out / "phi.csv", ["x", "log_phi_natural", "phi_if_representable"], rows)
     return {
         "files": ["phi.csv"],
         "constants": _constants(params, config.epsilon, u),
         "residual": profile.residual,
         "method": profile.method,
+        "solve": _solve_summary(profile),
     }
 
 
@@ -226,13 +265,13 @@ def _exp_figure1(config: ExperimentConfig, out: Path) -> dict:
     params = _params(config)
     u = _resolve_u(config, params, "window")
     profile = _get_profile(config, params, u)
-    ln10 = math.log(10.0)
-    rows = [(x, profile.log_phi[x] / ln10) for x in range(u)]
-    _write_csv(out / "logh.csv", ["x", "log10_h"], rows)
+    log10_h = (profile.log_phi / math.log(10.0)).tolist()
+    _write_csv(out / "logh.csv", ["x", "log10_h"], enumerate(log10_h))
     return {
         "files": ["logh.csv"],
         "constants": _constants(params, config.epsilon, u),
         "residual": profile.residual,
+        "solve": _solve_summary(profile),
     }
 
 
@@ -242,13 +281,14 @@ def _exp_figure2(config: ExperimentConfig, out: Path) -> dict:
     profile = _get_profile(config, params, u)
     kernel = tilted_kernel(profile)
     rows = (
-        (x, y, kernel.rows[x - 1, y]) for x in range(1, u) for y in range(u)
+        (x, y, p) for x in range(1, u) for y, p in enumerate(kernel.rows[x - 1].tolist())
     )
     _write_csv(out / "kernel.csv", ["x", "y", "p_phi"], rows)
     return {
         "files": ["kernel.csv"],
         "constants": _constants(params, config.epsilon, u),
         "residual": profile.residual,
+        "solve": _solve_summary(profile),
     }
 
 
@@ -256,7 +296,7 @@ def _exp_cond_time(config: ExperimentConfig, out: Path) -> dict:
     params = _params(config)
     u = _resolve_u(config, params, "window")
     profile = _get_profile(config, params, u)
-    t = conditional_expected_extinction(tilted_kernel(profile)).values
+    t = conditional_expected_extinction(tilted_kernel(profile)).values.tolist()
     rows = [(0, 0.0, "")]
     rows.extend((x, t[x], t[x] / math.log1p(x)) for x in range(1, u))
     _write_csv(out / "t.csv", ["x", "t", "t_over_log1p"], rows)
@@ -264,6 +304,7 @@ def _exp_cond_time(config: ExperimentConfig, out: Path) -> dict:
         "files": ["t.csv"],
         "constants": _constants(params, config.epsilon, u),
         "residual": profile.residual,
+        "solve": _solve_summary(profile),
     }
 
 
@@ -288,14 +329,14 @@ def _exp_occupation(config: ExperimentConfig, out: Path) -> dict:
     _require(config, "delta")
     u = _resolve_u(config, params, "window")
     profile = _get_profile(config, params, u)
-    t = conditional_occupation_time(tilted_kernel(profile), config.delta).values
-    rows = [(x, t[x]) for x in range(u)]
-    _write_csv(out / "h_occ.csv", ["x", "expected_band_time"], rows)
+    t = conditional_occupation_time(tilted_kernel(profile), config.delta).values.tolist()
+    _write_csv(out / "h_occ.csv", ["x", "expected_band_time"], enumerate(t))
     return {
         "files": ["h_occ.csv"],
         "constants": _constants(params, config.epsilon, u),
         "delta": config.delta,
         "residual": profile.residual,
+        "solve": _solve_summary(profile),
     }
 
 
@@ -334,7 +375,9 @@ def _exp_mc_cond_path(config: ExperimentConfig, out: Path) -> dict:
     started = time.perf_counter()
     est = estimate_conditioned_length(kernel, config.x0, config.trials, config.seed)
     seconds = time.perf_counter() - started
-    return _write_estimate(out, est, seconds, _constants(params, config.epsilon, u))
+    summary = _write_estimate(out, est, seconds, _constants(params, config.epsilon, u))
+    summary["solve"] = _solve_summary(profile)
+    return summary
 
 
 def _exp_equivalence(config: ExperimentConfig, out: Path) -> dict:
@@ -365,6 +408,7 @@ def _exp_bounds_report(config: ExperimentConfig, out: Path) -> dict:
     reports = []
     u_low = threshold_u(params, config.epsilon, "low")
     low_profile = _get_profile(config, params, u_low)
+    solves = {"low": _solve_summary(low_profile)}
     if bset.envelope_ok:
         reports.append(bnd.check_envelope(low_profile, bset))
     reports.append(bnd.check_ratio_beta(low_profile))
@@ -372,6 +416,7 @@ def _exp_bounds_report(config: ExperimentConfig, out: Path) -> dict:
     if config.epsilon < eq_rate:
         u_win = threshold_u(params, config.epsilon, "window")
         win_profile = _get_profile(config, params, u_win)
+        solves["window"] = _solve_summary(win_profile)
         # the geometric bound needs the drift factor to clear exp(lam*eps)
         # at every transient state
         if params.lam * math.exp(-params.lam * (u_win - 1) / params.n) >= math.exp(
@@ -389,6 +434,7 @@ def _exp_bounds_report(config: ExperimentConfig, out: Path) -> dict:
         "alpha": bset.alpha,
         "gamma": None if math.isnan(bset.gamma) else bset.gamma,
         "checks": {r.name: r.passed for r in reports},
+        "solve": solves,
     }
     return summary
 

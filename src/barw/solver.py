@@ -2,12 +2,15 @@
 
 Hitting probabilities phi_u(x) = P_x[hit 0 before reaching >= u] solve the
 first-step system phi(x) = p(x,0) + sum_{0<y<u} p(x,y) phi(y).  They decay
-geometrically in x, so whenever a rigorous floor on the solution cannot
-certify that a native-double solve is underflow-safe, the system is solved
-by subtraction-free (GTH) elimination in log domain, where every quantity
-is the log of a positive mass.  Conditioning on that hitting event is a
-Doob transform of the kernel by phi; expected absorption and occupation
-times under the conditioned chain are ordinary dense solves.
+geometrically in x, far below the smallest double.  Plain native
+elimination is used only when a rigorous floor certifies that phi stays
+representable and u lies at or below eq; otherwise the system is solved
+by subtraction-free (GTH) elimination on the rescaled matrix D^-1 Q D,
+D = diag(e^s) with s an estimate of log phi from below, in native
+doubles, while the O(u) vectors of masses and pivots stay in logs.  Conditioning on that
+hitting event is a Doob transform of the kernel by phi; expected
+absorption and occupation times under the conditioned chain are ordinary
+dense solves.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
-from .chain import ModelParams, transition_log_row
+from .chain import ModelParams, branch_prob, equilibrium, transition_log_row
 from .logdomain import LOG_ZERO, logsumexp_1d
 
 HARMONICITY_TOL = 1e-8
@@ -31,6 +34,15 @@ VI_MAX_SWEEPS = 10**6
 #: native-double solves are used only when every solution entry provably
 #: stays above this floor
 NATIVE_FLOOR = math.log(1e-280)
+#: scaled GTH zeroes entries below e^LOG_NEGLIGIBLE, so any product of two
+#: kept entries is a normal double (e^-700 > 2.2e-308)
+LOG_NEGLIGIBLE = -350.0
+#: a scaled solve whose psi = phi / e^s exceeds e^LOG_SCALE_GAP is redone,
+#: scaled by its own result, at most RESCALE_PASSES passes in all
+LOG_SCALE_GAP = 100.0
+RESCALE_PASSES = 6
+#: rows built per block by the vectorized kernel-row builders
+ROW_BLOCK = 64
 UNCONDITIONAL_N_CAP = 400
 
 METHOD_NATIVE = "dense-native"
@@ -165,50 +177,157 @@ def _solve_m_matrix(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_gth_log(log_q: np.ndarray, log_c: np.ndarray, log_top: np.ndarray) -> np.ndarray:
-    """Solve (I - Q) x = c by GTH elimination in log domain; returns log(x).
+def _path_floor(log_p: np.ndarray) -> np.ndarray:
+    """s(x) = log-probability of the likeliest path from x to 0 below u, x = 0..u-1.
 
-    log_q = log Q over the transient states (its diagonal is never read),
-    log_c = log c, the one-step mass to 0, and log_top the one-step mass to
-    >= u.  Every quantity is a log of a positive mass: each pivot 1 - Q_kk
-    is the sum of state k's remaining outgoing masses, and eliminating k
-    folds its transitions into the later rows by addition only (Grassmann,
-    Taksar and Heyman, Oper. Res. 33, 1985).  Nothing cancels, so the
-    solution keeps its relative accuracy however small it gets.
+    Every such path is one way of hitting 0 before reaching u, so s is a
+    rigorous lower bound on log phi.  It is a max-plus shortest path on
+    the weights -log p(x, y) >= 0, found by dense Dijkstra from 0 in O(u^2).
+    Paths may climb: far above eq the likeliest route to 0 first goes up,
+    where b(x) is smallest, and a floor over descending paths alone falls
+    more than e^709 below phi.
     """
-    L = np.array(log_q, dtype=float)
-    c = np.array(log_c, dtype=float)
-    top = np.array(log_top, dtype=float)
-    m = c.size
-    log_pivot = np.empty(m)
-    outer = np.empty((m, m))
-    for k in range(m):
-        log_pivot[k] = logsumexp_1d(np.concatenate(([c[k], top[k]], L[k, k + 1 :])))
-        f = L[k + 1 :, k] - log_pivot[k]  # log Q_ik / (1 - Q_kk)
-        r = f.size
-        np.add.outer(f, L[k, k + 1 :], out=outer[:r, :r])
-        np.logaddexp(L[k + 1 :, k + 1 :], outer[:r, :r], out=L[k + 1 :, k + 1 :])
-        np.logaddexp(c[k + 1 :], f + c[k], out=c[k + 1 :])
-        np.logaddexp(top[k + 1 :], f + top[k], out=top[k + 1 :])
+    m = log_p.shape[0]
+    s = np.full(m + 1, LOG_ZERO)
+    s[0] = 0.0
+    done = np.zeros(m + 1, dtype=bool)
+    for _ in range(m + 1):
+        y = int(np.argmax(np.where(done, LOG_ZERO, s)))
+        done[y] = True
+        # finished states hold s >= s[y] >= log p + s[y]: relaxing them is a no-op
+        np.maximum(s[1:], log_p[:, y] + s[y], out=s[1:])
+    return s
 
-    x = np.empty(m)
+
+def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Solve phi = c + Q phi by GTH elimination on D^-1 Q D; returns log phi(1..u-1).
+
+    log_p holds log p(x, y) for x = 1..u-1, y = 0..u-1, so c = p(., 0) and
+    Q = p(., 1..u-1); log_top is the one-step mass to >= u.  GTH (Grassmann,
+    Taksar and Heyman, Oper. Res. 33, 1985) carries c and top as two
+    absorbing columns and takes every pivot 1 - Q_kk as the sum of state
+    k's remaining outgoing masses, so nothing is ever subtracted.
+
+    phi spans far more orders of magnitude than a double, so the solve
+    finds psi = phi / e^s on A = D^-1 Q D, D = diag(e^s), with s an
+    estimate of log phi(1..u-1) from below.  The O(m^3) elimination is a
+    native multiply-add; pivots, c and top (O(m) per step) stay in logs,
+    as raw masses.
+
+    Entries with log A below LOG_NEGLIGIBLE are set to 0, which keeps every
+    product of two kept entries a normal double.  Where the scaling alone,
+    e^(s_y - s_x), is below e^(LOG_NEGLIGIBLE / 2), phi(y) is negligible
+    beside phi(x): the raw mass, which may be large (a jump against a
+    strong drift), moves to top, so the pivot keeps it.  Otherwise the raw
+    mass itself is below e^(LOG_NEGLIGIBLE / 2) and is dropped, as if it
+    were a self-loop.  Moving such a mass to top instead would pose as an
+    escape to >= u, which in a chain trapped far above eq can be far rarer
+    still.  Each way drops a share of at most
+    e^(LOG_NEGLIGIBLE / 2) * psi(y) / psi(x) from phi(x).
+    """
+    m = s.size
+    A = np.add(log_p[:, 1:], s[None, :])
+    A -= s[:, None]
+    negligible = A < LOG_NEGLIGIBLE
+    np.fill_diagonal(negligible, False)  # the diagonal is never a pivot mass
+    buf = np.subtract(s[None, :], s[:, None])
+    to_top = negligible & (buf < LOG_NEGLIGIBLE / 2)
+    buf.fill(LOG_ZERO)
+    np.copyto(buf, log_p[:, 1:], where=to_top)
+    del to_top
+    top = np.logaddexp(log_top, _logsumexp_rows(buf))
+    np.exp(A, out=A)
+    A[negligible] = 0.0
+    del negligible
+    log_c = log_p[:, 0] - s  # log of the scaled mass to 0
+    log_pivot = np.empty(m)
+    with np.errstate(divide="ignore"):
+        for k in range(m):
+            log_row = np.log(A[k, k + 1 :]) + (s[k] - s[k + 1 :])
+            log_pivot[k] = logsumexp_1d(np.concatenate(([log_c[k] + s[k], top[k]], log_row)))
+            r = m - k - 1
+            col = A[k + 1 :, k]
+            np.multiply.outer(col, A[k, k + 1 :] / math.exp(log_pivot[k]), out=buf[:r, :r])
+            A[k + 1 :, k + 1 :] += buf[:r, :r]
+            f = np.log(col) - log_pivot[k]  # log(Q_ik / pivot) + s_k - s_i
+            np.logaddexp(log_c[k + 1 :], f + log_c[k], out=log_c[k + 1 :])
+            np.logaddexp(top[k + 1 :], f + (s[k + 1 :] - s[k] + top[k]), out=top[k + 1 :])
+
+    psi = np.empty(m)
+    c = np.exp(log_c)
+    pivot = np.exp(log_pivot)
     for i in range(m - 1, -1, -1):
-        x[i] = logsumexp_1d(np.concatenate(([c[i]], L[i, i + 1 :] + x[i + 1 :]))) - log_pivot[i]
-    return x
+        psi[i] = (c[i] + np.sum(A[i, i + 1 :] * psi[i + 1 :])) / pivot[i]
+    return np.log(psi) + s
+
+
+def _solve_logdomain(log_p: np.ndarray, log_top: np.ndarray) -> np.ndarray:
+    """log phi(1..u-1) by scaled GTH, rescaling until psi stays below e^LOG_SCALE_GAP.
+
+    The first pass scales by the path floor.  Far above eq phi gathers
+    e^(cn) looping paths that the floor, a single path, misses: at lam=4,
+    n=u=2000 by about e^730.  The zeroed entries then hold shares of phi that
+    matter, and the pass falls short of log phi, but it recovers about
+    e^350 of the miss.  Each further pass scales by the previous result,
+    until one moves by at most LOG_SCALE_GAP; that one is returned.
+    """
+    s = _path_floor(log_p)[1:]
+    for _ in range(RESCALE_PASSES):
+        log_phi = _solve_gth_scaled(log_p, log_top, s)
+        if np.max(log_phi - s) <= LOG_SCALE_GAP:
+            return log_phi
+        s = log_phi
+    raise SolverError(f"scaled GTH did not settle within {RESCALE_PASSES} passes")
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """logsumexp_1d of every row of a 2-d array, overwriting `a` as scratch."""
+    peak = a.max(axis=1)
+    shift = np.where(np.isneginf(peak), 0.0, peak)
+    a -= shift[:, None]
+    np.exp(a, out=a)
+    with np.errstate(divide="ignore"):
+        return np.log(a.sum(axis=1)) + shift
+
+
+def _log_row_blocks(params: ModelParams, u: int, y_lo: int, y_hi: int):
+    """log p(x, y) for x = 1..u-1 and y = y_lo..y_hi, ROW_BLOCK rows at a time.
+
+    Yields (first row index, block).  The float operations and their order
+    are those of transition_log_row, so every entry is bit-identical to it;
+    the binomial coefficients are computed once for all rows.
+    """
+    n = params.n
+    y = np.arange(y_lo, y_hi + 1)
+    coef = gammaln(n + 1.0) - gammaln(y + 1.0) - gammaln(n - y + 1.0)
+    b = [branch_prob(params, x) for x in range(1, u)]
+    log_b = np.array([math.log(v) for v in b])[:, None]
+    log_1mb = np.array([math.log1p(-v) for v in b])[:, None]
+    for i in range(0, u - 1, ROW_BLOCK):
+        block = coef + y * log_b[i : i + ROW_BLOCK]
+        block += (n - y) * log_1mb[i : i + ROW_BLOCK]
+        yield i, block
 
 
 def _transient_log_rows(params: ModelParams, u: int) -> np.ndarray:
     """log p(x, y) for x = 1..u-1 (rows) and y = 0..u-1 (columns)."""
-    return np.array([transition_log_row(params, x, u - 1) for x in range(1, u)])
+    rows = np.empty((u - 1, u))
+    for i, block in _log_row_blocks(params, u, 0, u - 1):
+        rows[i : i + block.shape[0]] = block
+    return rows
 
 
 def _log_top_masses(params: ModelParams, u: int) -> np.ndarray:
     """log P_x[X_1 >= u] for x = 1..u-1, from each row's upper tail.
 
-    Summed one row at a time, never formed as 1 minus the mass below u,
-    which cancels to nothing once the tail falls below machine epsilon.
+    Summed as a log-sum over y >= u, never formed as 1 minus the mass
+    below u, which cancels to nothing once the tail falls below machine
+    epsilon.
     """
-    return np.array([logsumexp_1d(transition_log_row(params, x)[u:]) for x in range(1, u)])
+    top = np.empty(u - 1)
+    for i, block in _log_row_blocks(params, u, u, params.n):
+        top[i : i + block.shape[0]] = _logsumexp_rows(block)
+    return top
 
 
 def _harmonicity_residual(log_p: np.ndarray, log_phi: np.ndarray) -> float:
@@ -224,11 +343,14 @@ def hitting_profile(params: ModelParams, u: int, method: str | None = None) -> H
 
     method=None picks dense-native when the one-step absorption masses
     certify that every solution entry stays above the underflow floor
-    (phi(x) >= p(x,0)), and dense-logdomain otherwise: GTH elimination in
-    log domain, which carries the one-step masses to 0 and to >= u as two
-    absorbing columns and never subtracts.  Pass an explicit method to
-    force a path; "value-iteration" is the independent cross-check, a
-    monotone fixed-point iteration from phi = 0.
+    (phi(x) >= p(x,0)) and u <= eq, and dense-logdomain otherwise.  Above
+    eq, I - Q is nearly singular and the plain elimination loses digits
+    that the harmonicity check cannot see.  dense-logdomain is GTH
+    elimination on D^-1 Q D (see _solve_logdomain): it carries the
+    one-step masses to 0 and to >= u as two absorbing columns, never
+    subtracts, and keeps phi's relative accuracy however small it gets.
+    Pass an explicit method to force a path; "value-iteration" is the
+    independent cross-check, a monotone fixed-point iteration from phi = 0.
     """
     if not 1 <= u <= params.n:
         raise ValueError(f"threshold {u} outside [1, {params.n}]")
@@ -237,7 +359,8 @@ def hitting_profile(params: ModelParams, u: int, method: str | None = None) -> H
 
     log_p = _transient_log_rows(params, u)
     if method is None:
-        method = METHOD_NATIVE if log_p[:, 0].min() >= NATIVE_FLOOR else METHOD_LOGDOMAIN
+        certified = log_p[:, 0].min() >= NATIVE_FLOOR and u <= equilibrium(params)
+        method = METHOD_NATIVE if certified else METHOD_LOGDOMAIN
 
     if method == METHOD_NATIVE:
         p = np.exp(log_p)
@@ -247,7 +370,7 @@ def hitting_profile(params: ModelParams, u: int, method: str | None = None) -> H
             raise SolverError("native solve produced nonpositive probabilities")
         log_phi = np.concatenate(([0.0], np.log(phi)))
     elif method == METHOD_LOGDOMAIN:
-        log_phi_t = _solve_gth_log(log_p[:, 1:], log_p[:, 0], _log_top_masses(params, u))
+        log_phi_t = _solve_logdomain(log_p, _log_top_masses(params, u))
         log_phi = np.concatenate(([0.0], log_phi_t))
     elif method == METHOD_VI:
         log_phi = _value_iteration(log_p, u)

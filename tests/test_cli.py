@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import barw.cli as cli
@@ -295,6 +296,29 @@ class TestFlags:
             assert cli._config_from_args(args).experiment == argv[0]
 
 
+class TestCsvWriter:
+    @pytest.mark.parametrize("chunk", [cli.CSV_CHUNK, 3])
+    def test_column_formatting_matches_per_cell(self, tmp_path, monkeypatch, chunk):
+        # with 3-row chunks column d mixes types in its first chunk only
+        monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
+        floats = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e300, -2.5, 1.0]
+        ints = list(range(-5, len(floats) - 5))
+        columns = [
+            ints,
+            floats,
+            [np.float64(v) for v in floats],
+            [v if i > 1 else "" for i, v in enumerate(floats)],
+            [np.int64(v) for v in ints],
+            [""] * len(floats),
+            [v if i % 2 else i for i, v in enumerate(floats)],
+        ]
+        rows = list(zip(*columns))
+        header = ["a", "b", "c", "d", "e", "f", "g"]
+        cli._write_csv(tmp_path / "t.csv", header, rows)
+        want = [",".join(header)] + [",".join(cli._cell(v) for v in row) for row in rows]
+        assert (tmp_path / "t.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+
+
 class TestBoundsReport:
     def test_report_written(self, tmp_path):
         out = tmp_path / "br"
@@ -308,6 +332,13 @@ class TestBoundsReport:
             assert f"check: {name}" in text
         summary = json.loads((out / "summary.json").read_text())
         assert all(summary["checks"].values())
+        params = ModelParams(2.0, 200)
+        for mode in ("low", "window"):
+            u = threshold_u(params, 0.05, mode)
+            solve = summary["solve"][mode]
+            assert (solve["u"], solve["m"]) == (u, u - 1)
+            assert solve["method"] == hitting_profile(params, u).method
+            assert 0.0 <= solve["residual"] <= 1e-8
 
 
 class TestCache:
@@ -367,6 +398,17 @@ class TestCache:
         assert (tmp_path / "a" / "phi.csv").read_bytes() == (
             tmp_path / "b" / "phi.csv"
         ).read_bytes()
+
+    def test_summary_names_the_solve_and_cache_hits(self, tmp_path):
+        cache = tmp_path / "cache"
+        args = ["figure1", "--lambda", "2", "--n", "50", "--u", "10", "--cache", str(cache)]
+        solves = []
+        for name in ("a", "b"):
+            run(args + ["--out", str(tmp_path / name)])
+            solves.append(json.loads((tmp_path / name / "summary.json").read_text())["solve"])
+        residual = hitting_profile(ModelParams(2.0, 50), 10).residual
+        assert solves[0] == {"u": 10, "m": 9, "method": "dense-native", "residual": residual}
+        assert solves[1] == dict(solves[0], method="cached")
 
     def test_run_refuses_mismatched_cache_file(self, tmp_path):
         cache = tmp_path / "cache"

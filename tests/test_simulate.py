@@ -172,14 +172,14 @@ class TestStepParticle:
     def test_single_vertex_self_loop_survival(self):
         # one vertex whose only target is itself: survives iff Poisson(2) == 1
         g = sim.GraphSpec(1, ([],), allow_self=True)
-        state = single_origin_state(g)
         trials = 100_000
-        hits = sum(
-            step_particle(g, state, 2.0, trial_stream(404, i)).count for i in range(trials)
-        )
+        counts = sim.particle_step_counts(g, 1, 2.0, trials, seed=404)
+        state = single_origin_state(g)
+        scalar = [step_particle(g, state, 2.0, trial_stream(404, i)).count for i in range(1000)]
+        assert scalar == counts[:1000].tolist()
         p = 2 * math.exp(-2)
         sigma = math.sqrt(p * (1 - p) / trials)
-        assert abs(hits / trials - p) <= 4 * sigma
+        assert abs(counts.sum() / trials - p) <= 4 * sigma
 
     def test_requires_positive_mean(self):
         g = complete_graph(3)

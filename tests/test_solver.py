@@ -17,17 +17,20 @@ from barw import (
     equilibrium,
     hitting_profile,
     read_profile,
+    threshold_u,
     tilted_kernel,
     transition_log_row,
     unconditional_expected_extinction,
     write_profile,
 )
+from barw.logdomain import logsumexp_1d
 from barw.solver import (
     HittingProfile,
     METHOD_LOGDOMAIN,
     METHOD_NATIVE,
     METHOD_VI,
     _log_top_masses,
+    _path_floor,
     _transient_log_rows,
 )
 
@@ -63,6 +66,49 @@ def certified_horizon(lam, n, u, tol=1e-8):
     p = exact_kernel(lam, n, u)
     stay = 1.0 - p[:, 0].min()
     return int(math.ceil(math.log(tol) / math.log(stay))) + 1
+
+
+def _solve_gth_log(log_q: np.ndarray, log_c: np.ndarray, log_top: np.ndarray) -> np.ndarray:
+    """Solve (I - Q) x = c by GTH elimination in log domain; returns log(x).
+
+    log_q = log Q over the transient states (its diagonal is never read),
+    log_c = log c, the one-step mass to 0, and log_top the one-step mass to
+    >= u.  Every quantity is a log of a positive mass: each pivot 1 - Q_kk
+    is the sum of state k's remaining outgoing masses, and eliminating k
+    folds its transitions into the later rows by addition only (Grassmann,
+    Taksar and Heyman, Oper. Res. 33, 1985).  Nothing cancels, so the
+    solution keeps its relative accuracy however small it gets.
+    """
+    L = np.array(log_q, dtype=float)
+    c = np.array(log_c, dtype=float)
+    top = np.array(log_top, dtype=float)
+    m = c.size
+    log_pivot = np.empty(m)
+    outer = np.empty((m, m))
+    for k in range(m):
+        log_pivot[k] = logsumexp_1d(np.concatenate(([c[k], top[k]], L[k, k + 1 :])))
+        f = L[k + 1 :, k] - log_pivot[k]  # log Q_ik / (1 - Q_kk)
+        r = f.size
+        np.add.outer(f, L[k, k + 1 :], out=outer[:r, :r])
+        np.logaddexp(L[k + 1 :, k + 1 :], outer[:r, :r], out=L[k + 1 :, k + 1 :])
+        np.logaddexp(c[k + 1 :], f + c[k], out=c[k + 1 :])
+        np.logaddexp(top[k + 1 :], f + top[k], out=top[k + 1 :])
+
+    x = np.empty(m)
+    for i in range(m - 1, -1, -1):
+        x[i] = logsumexp_1d(np.concatenate(([c[i]], L[i, i + 1 :] + x[i + 1 :]))) - log_pivot[i]
+    return x
+
+
+def oracle_log_phi(params, u):
+    """log phi_u(x), x = 0..u-1, from the all-log-domain GTH reference solve."""
+    log_p = _transient_log_rows(params, u)
+    x = _solve_gth_log(log_p[:, 1:], log_p[:, 0], _log_top_masses(params, u))
+    return np.concatenate(([0.0], x))
+
+
+def window_u(lam, n):
+    return threshold_u(ModelParams(lam, n), 0.05, "window")
 
 
 class TestHittingProfileSmall:
@@ -132,6 +178,40 @@ class TestSolverMethods:
             np.exp(_log_top_masses(params, u)), 1.0 - below, rtol=1e-12, atol=0
         )
 
+    @pytest.mark.parametrize(
+        "lam,n,u",
+        [
+            (6.0, 2400, window_u(6.0, 2400)),  # strong drift: needs the fold
+            (8.0, 2000, window_u(8.0, 2000)),
+            (2.0, 300, 300),  # trapped far above eq: subnormal pivot rows
+            (2.0, 285, 166),
+            (2.0, 2000, 594),  # phi down to e^-523: needs the rescaling
+        ],
+    )
+    def test_scaled_solve_matches_log_domain_oracle(self, lam, n, u):
+        params = ModelParams(lam, n)
+        prof = hitting_profile(params, u, method=METHOD_LOGDOMAIN)
+        assert prof.residual <= 1e-8
+        np.testing.assert_allclose(prof.log_phi, oracle_log_phi(params, u), rtol=0, atol=1e-10)
+
+    def test_trapped_chain_dies_surely(self):
+        # hitting u = n needs every site occupied at once, probability at most
+        # e^-n per step, so phi = 1 to double precision.  One pass scaled by
+        # the path floor (e^-354 below phi here) that moved every zeroed mass
+        # to the top column pulled log phi down to -1.5: the masses posed as
+        # escapes to n
+        prof = hitting_profile(ModelParams(3.0, 850), 850)
+        assert prof.method == METHOD_LOGDOMAIN
+        assert np.all(prof.log_phi >= -1e-10)
+
+    def test_auto_avoids_native_above_equilibrium(self):
+        # the native elimination of the near-singular I - Q is off by 7.5 in
+        # log phi here while passing the harmonicity gate
+        params = ModelParams(8.0, 300)
+        prof = hitting_profile(params, 300)
+        assert prof.method == METHOD_LOGDOMAIN
+        np.testing.assert_allclose(prof.log_phi, oracle_log_phi(params, 300), rtol=0, atol=1e-10)
+
     def test_auto_selects_native_when_certified(self):
         prof = hitting_profile(ModelParams(2.0, 50), 10)
         assert prof.method == METHOD_NATIVE
@@ -181,6 +261,14 @@ def any_threshold_pair(draw):
     return lam, n, u, draw(st.integers(u + 1, n))
 
 
+@st.composite
+def any_threshold(draw):
+    """(lam, n, u) with 2 <= u <= n, including thresholds far above eq."""
+    lam = draw(st.floats(1.2, 8.0))
+    n = draw(st.integers(2, 300))
+    return lam, n, draw(st.integers(2, n))
+
+
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
 
@@ -208,6 +296,33 @@ class TestSolverProperties:
         high = hitting_profile(params, u2, method=METHOD_LOGDOMAIN)
         assert low.residual <= 1e-8 and high.residual <= 1e-8
         assert np.all(low.log_phi <= high.log_phi[:u] + 1e-9)
+
+    @PROPERTY_SETTINGS
+    @given(any_threshold())
+    def test_scaled_solve_matches_log_domain_oracle(self, case):
+        lam, n, u = case
+        params = ModelParams(lam, n)
+        prof = hitting_profile(params, u, method=METHOD_LOGDOMAIN)
+        assert prof.residual <= 1e-8
+        np.testing.assert_allclose(prof.log_phi, oracle_log_phi(params, u), rtol=0, atol=1e-10)
+
+    @PROPERTY_SETTINGS
+    @given(any_threshold())
+    def test_path_floor_bounds_log_phi(self, case):
+        lam, n, u = case
+        params = ModelParams(lam, n)
+        floor = _path_floor(_transient_log_rows(params, u))
+        assert np.all(floor <= oracle_log_phi(params, u))
+
+    @PROPERTY_SETTINGS
+    @given(any_threshold())
+    def test_vectorized_rows_match_transition_log_row(self, case):
+        lam, n, u = case
+        params = ModelParams(lam, n)
+        rows = np.array([transition_log_row(params, x) for x in range(1, u)])
+        assert _transient_log_rows(params, u).tobytes() == rows[:, :u].tobytes()
+        tails = np.array([logsumexp_1d(row[u:]) for row in rows])
+        assert _log_top_masses(params, u).tobytes() == tails.tobytes()
 
     @PROPERTY_SETTINGS
     @given(below_equilibrium())
