@@ -11,6 +11,7 @@ Galton-Watson extinction-probability solver used throughout the bounds.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,31 +91,43 @@ def gw_extinction_prob(mean: float) -> float:
     return q
 
 
-def transition_log_row(params: ModelParams, x: int, y_hi: int | None = None) -> np.ndarray:
-    """Natural logs of the Bin(n, b(x)) mass at y = 0..y_hi (default n).
+def transition_log_rows(
+    params: ModelParams, xs: Iterable[int], y_lo: int = 0, y_hi: int | None = None
+) -> np.ndarray:
+    """Natural logs of the Bin(n, b(x)) mass at y = y_lo..y_hi (default n), a row per x in xs.
 
-    Uses log-gamma for the binomial coefficients so n up to 1e4 poses no
-    overflow risk.  Entries with zero mass are -inf.
+    Uses log-gamma for the binomial coefficients, computed once for all
+    rows, so n up to 1e4 poses no overflow risk.  Entries with zero mass
+    are -inf.  Every entry depends on its own x and y alone, so a row is
+    the same whichever other rows are built with it.
     """
     n = params.n
     if y_hi is None:
         y_hi = n
-    b = branch_prob(params, x)
-    y = np.arange(y_hi + 1)
-    if b == 0.0:
-        row = np.full(y_hi + 1, LOG_ZERO)
-        row[0] = 0.0
-        return row
-    log_b = math.log(b)
-    log_1mb = math.log1p(-b)
-    row = (
+    b = [branch_prob(params, x) for x in xs]
+    dead = np.array([v == 0.0 for v in b], dtype=bool)
+    # math.log per entry: numpy's vectorized log may round differently
+    log_b = np.array([math.log(v) if v > 0.0 else 0.0 for v in b])[:, None]
+    log_1mb = np.array([math.log1p(-v) for v in b])[:, None]
+    y = np.arange(y_lo, y_hi + 1)
+    rows = (
         gammaln(n + 1.0)
         - gammaln(y + 1.0)
         - gammaln(n - y + 1.0)
         + y * log_b
         + (n - y) * log_1mb
     )
-    return row
+    if dead.any():
+        # b(0) = 0: the chain stays at 0
+        rows[dead] = LOG_ZERO
+        if y_lo == 0:
+            rows[dead, 0] = 0.0
+    return rows
+
+
+def transition_log_row(params: ModelParams, x: int, y_hi: int | None = None) -> np.ndarray:
+    """Natural logs of the Bin(n, b(x)) mass at y = 0..y_hi (default n)."""
+    return transition_log_rows(params, (x,), 0, y_hi)[0]
 
 
 def _ceil_snapped(v: float) -> int:

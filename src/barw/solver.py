@@ -7,7 +7,9 @@ elimination is used only when a rigorous floor certifies that phi stays
 representable and u lies at or below eq; otherwise the system is solved
 by subtraction-free (GTH) elimination on the rescaled matrix D^-1 Q D,
 D = diag(e^s) with s an estimate of log phi from below, in native
-doubles, while the O(u) vectors of masses and pivots stay in logs.  Conditioning on that
+doubles, while the O(u) vectors of masses and pivots stay in logs.  Where
+the estimate s falls far short, the solve is repeated, scaled by its own
+result, until it reaches a fixed point.  Conditioning on that
 hitting event is a Doob transform of the kernel by phi; expected
 absorption and occupation times under the conditioned chain are ordinary
 dense solves.
@@ -22,9 +24,9 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
-from .chain import ModelParams, branch_prob, equilibrium, transition_log_row
+from .chain import ModelParams, equilibrium, transition_log_row, transition_log_rows
 from .logdomain import LOG_ZERO, logsumexp_1d
 
 HARMONICITY_TOL = 1e-8
@@ -37,11 +39,13 @@ NATIVE_FLOOR = math.log(1e-280)
 #: scaled GTH zeroes entries below e^LOG_NEGLIGIBLE, so any product of two
 #: kept entries is a normal double (e^-700 > 2.2e-308)
 LOG_NEGLIGIBLE = -350.0
-#: a scaled solve whose psi = phi / e^s exceeds e^LOG_SCALE_GAP is redone,
-#: scaled by its own result, at most RESCALE_PASSES passes in all
+#: a floor-scaled solve whose psi = phi / e^s exceeds e^LOG_SCALE_GAP is
+#: redone, scaled by its own result, until a pass moves log phi by at most
+#: RESCALE_TOL; at most RESCALE_PASSES passes in all
 LOG_SCALE_GAP = 100.0
-RESCALE_PASSES = 6
-#: rows built per block by the vectorized kernel-row builders
+RESCALE_TOL = 1e-9
+RESCALE_PASSES = 8
+#: rows per block when summing the kernel's upper tails
 ROW_BLOCK = 64
 UNCONDITIONAL_N_CAP = 400
 
@@ -50,7 +54,9 @@ METHOD_LOGDOMAIN = "dense-logdomain"
 METHOD_VI = "value-iteration"
 METHOD_CACHED = "cached"
 
-PROFILE_FORMAT_VERSION = 1
+#: version 2 keeps version 1's layout.  Version-1 files with u above eq may
+#: hold the plain native solve, which is wrong there, so they are refused.
+PROFILE_FORMAT_VERSION = 2
 
 
 class SolverError(RuntimeError):
@@ -223,7 +229,8 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
     were a self-loop.  Moving such a mass to top instead would pose as an
     escape to >= u, which in a chain trapped far above eq can be far rarer
     still.  Each way drops a share of at most
-    e^(LOG_NEGLIGIBLE / 2) * psi(y) / psi(x) from phi(x).
+    e^(LOG_NEGLIGIBLE / 2) * psi(y) / psi(x) from phi(x), with psi the
+    true phi / e^s, which the pass itself cannot see (see _solve_logdomain).
     """
     m = s.size
     A = np.add(log_p[:, 1:], s[None, :])
@@ -262,21 +269,33 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
 
 
 def _solve_logdomain(log_p: np.ndarray, log_top: np.ndarray) -> np.ndarray:
-    """log phi(1..u-1) by scaled GTH, rescaling until psi stays below e^LOG_SCALE_GAP.
+    """log phi(1..u-1) by scaled GTH, rescaled by its own result until it settles.
 
-    The first pass scales by the path floor.  Far above eq phi gathers
-    e^(cn) looping paths that the floor, a single path, misses: at lam=4,
-    n=u=2000 by about e^730.  The zeroed entries then hold shares of phi that
-    matter, and the pass falls short of log phi, but it recovers about
-    e^350 of the miss.  Each further pass scales by the previous result,
-    until one moves by at most LOG_SCALE_GAP; that one is returned.
+    The first pass scales by the path floor.  Its result is returned when
+    psi = phi / e^s stays below e^LOG_SCALE_GAP.  That exit is a measured
+    rule, not a proof, since a pass that fell short would understate its
+    own psi too: it holds for every configuration from eq down, and every
+    first pass that took it matched the all-log-domain solve within 2e-12
+    in log phi (lam 1.5 to 8, n up to 3000, u up to n).
+
+    Far above eq phi gathers e^(cn) looping paths that the floor, a single
+    path, misses: at lam=4, n=u=2000 by about e^730.  The zeroed entries
+    then hold shares of phi that matter.  Each further pass scales by the
+    previous result, and a pass is returned only at a fixed point, once it
+    moves log phi by at most RESCALE_TOL.  The scaling is then the answer
+    itself, so every zeroed entry carried less than e^LOG_NEGLIGIBLE of the
+    returned phi(x), and a pivot missed at most raw masses below
+    e^(LOG_NEGLIGIBLE / 2) kept as self-loops.
     """
     s = _path_floor(log_p)[1:]
-    for _ in range(RESCALE_PASSES):
-        log_phi = _solve_gth_scaled(log_p, log_top, s)
-        if np.max(log_phi - s) <= LOG_SCALE_GAP:
-            return log_phi
+    log_phi = _solve_gth_scaled(log_p, log_top, s)
+    if np.max(log_phi - s) <= LOG_SCALE_GAP:
+        return log_phi
+    for _ in range(RESCALE_PASSES - 1):
         s = log_phi
+        log_phi = _solve_gth_scaled(log_p, log_top, s)
+        if np.max(np.abs(log_phi - s)) <= RESCALE_TOL:
+            return log_phi
     raise SolverError(f"scaled GTH did not settle within {RESCALE_PASSES} passes")
 
 
@@ -290,31 +309,9 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
         return np.log(a.sum(axis=1)) + shift
 
 
-def _log_row_blocks(params: ModelParams, u: int, y_lo: int, y_hi: int):
-    """log p(x, y) for x = 1..u-1 and y = y_lo..y_hi, ROW_BLOCK rows at a time.
-
-    Yields (first row index, block).  The float operations and their order
-    are those of transition_log_row, so every entry is bit-identical to it;
-    the binomial coefficients are computed once for all rows.
-    """
-    n = params.n
-    y = np.arange(y_lo, y_hi + 1)
-    coef = gammaln(n + 1.0) - gammaln(y + 1.0) - gammaln(n - y + 1.0)
-    b = [branch_prob(params, x) for x in range(1, u)]
-    log_b = np.array([math.log(v) for v in b])[:, None]
-    log_1mb = np.array([math.log1p(-v) for v in b])[:, None]
-    for i in range(0, u - 1, ROW_BLOCK):
-        block = coef + y * log_b[i : i + ROW_BLOCK]
-        block += (n - y) * log_1mb[i : i + ROW_BLOCK]
-        yield i, block
-
-
 def _transient_log_rows(params: ModelParams, u: int) -> np.ndarray:
     """log p(x, y) for x = 1..u-1 (rows) and y = 0..u-1 (columns)."""
-    rows = np.empty((u - 1, u))
-    for i, block in _log_row_blocks(params, u, 0, u - 1):
-        rows[i : i + block.shape[0]] = block
-    return rows
+    return transition_log_rows(params, range(1, u), 0, u - 1)
 
 
 def _log_top_masses(params: ModelParams, u: int) -> np.ndarray:
@@ -322,11 +319,13 @@ def _log_top_masses(params: ModelParams, u: int) -> np.ndarray:
 
     Summed as a log-sum over y >= u, never formed as 1 minus the mass
     below u, which cancels to nothing once the tail falls below machine
-    epsilon.
+    epsilon.  The tails are built ROW_BLOCK rows at a time: all of them at
+    once would be a (u-1) x (n-u+1) array and its temporaries.
     """
     top = np.empty(u - 1)
-    for i, block in _log_row_blocks(params, u, u, params.n):
-        top[i : i + block.shape[0]] = _logsumexp_rows(block)
+    for lo in range(1, u, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, u)
+        top[lo - 1 : hi - 1] = _logsumexp_rows(transition_log_rows(params, range(lo, hi), u))
     return top
 
 
@@ -486,9 +485,9 @@ def conditional_occupation_time(kernel: TiltedKernel, delta: float) -> TimeProfi
 
 
 # ---------------------------------------------------------------------------
-# profile text format (version 1)
+# profile text format (version 2)
 #
-#   version=1
+#   version=2
 #   lambda=<17 significant digits>
 #   n=<int>
 #   u=<int>
@@ -503,7 +502,7 @@ def _g17(v: float) -> str:
 
 
 def write_profile(profile: HittingProfile, path: str | Path) -> None:
-    """Write a version-1 profile file atomically.
+    """Write a version-2 profile file atomically.
 
     The text goes to a temporary file beside `path`, which then replaces
     `path` in one step, so an interrupted write leaves no partial file.
@@ -526,7 +525,7 @@ def write_profile(profile: HittingProfile, path: str | Path) -> None:
 
 
 def read_profile(path: str | Path) -> HittingProfile:
-    """Parse a version-1 profile file; malformed content raises ProfileFormatError."""
+    """Parse a version-2 profile file; malformed content raises ProfileFormatError."""
     path = Path(path)
     text = path.read_text()
     lines = text.splitlines()
@@ -547,7 +546,9 @@ def read_profile(path: str | Path) -> HittingProfile:
     except ValueError as exc:
         raise ProfileFormatError(f"bad header value: {exc}", str(path)) from None
     if version != PROFILE_FORMAT_VERSION:
-        raise ProfileFormatError(f"unsupported version {version}", str(path))
+        raise ProfileFormatError(
+            f"unsupported version {version}, expected {PROFILE_FORMAT_VERSION}", str(path)
+        )
     body = [line for line in lines if line]
     if len(body) != u:
         raise ProfileFormatError(f"expected {u} data lines, found {len(body)}", str(path))

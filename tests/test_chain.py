@@ -12,6 +12,7 @@ from barw import (
     gw_extinction_prob,
     threshold_u,
     transition_log_row,
+    transition_log_rows,
 )
 from barw.cli import ExperimentConfig, _resolve_u
 
@@ -158,6 +159,20 @@ class TestTransitionLogpmf:
         row = transition_log_row(params, 5000)
         assert np.all(np.isfinite(row))
         assert abs(np.exp(row).sum() - 1.0) <= 1e-10
+
+    def test_rows_over_a_column_range(self):
+        # rows for several x over y = y_lo..y_hi, the empty state included:
+        # b(0) = 0 puts all mass on y = 0, outside this range
+        params = ModelParams(2.0, 20)
+        rows = transition_log_rows(params, [0, 7, 20], 5, 12)
+        assert rows.shape == (3, 8)
+        assert np.all(np.isneginf(rows[0]))
+        assert rows[1].tobytes() == transition_log_row(params, 7)[5:13].tobytes()
+        y = np.arange(5, 13)
+        b = branch_prob(params, 20)
+        direct = gammaln(21.0) - gammaln(y + 1.0) - gammaln(21.0 - y)
+        direct = direct + y * math.log(b) + (20 - y) * math.log1p(-b)
+        np.testing.assert_allclose(rows[2], direct, rtol=1e-14, atol=0)
 
 
 class TestDriftFloor:

@@ -420,6 +420,21 @@ class TestCache:
         path.write_text("\n".join(lines) + "\n")
         assert run(args + ["--out", str(tmp_path / "b")]) == 2
 
+    def test_version_one_cache_file_is_refused(self, tmp_path, capsys):
+        # version 1 was written while u > eq could still take the native solve,
+        # off by 7.5 in log phi here; such a file must not be reused as "cached"
+        cache = tmp_path / "cache"
+        path = cache_store(cache, hitting_profile(ModelParams(8.0, 300), 300))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["version=1"] + lines[1:]) + "\n")
+        code = run(
+            ["profile", "--lambda", "8", "--n", "300", "--u", "300",
+             "--cache", str(cache), "--out", str(tmp_path / "b")]
+        )
+        assert code == 2
+        assert path.name in capsys.readouterr().err
+        assert not (tmp_path / "b" / "phi.csv").exists()
+
     def test_corrupted_cache_is_parse_error_naming_file(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         profile = hitting_profile(ModelParams(2.0, 50), 10)

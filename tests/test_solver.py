@@ -23,6 +23,7 @@ from barw import (
     unconditional_expected_extinction,
     write_profile,
 )
+from barw import solver
 from barw.logdomain import logsumexp_1d
 from barw.solver import (
     HittingProfile,
@@ -194,6 +195,29 @@ class TestSolverMethods:
         assert prof.residual <= 1e-8
         np.testing.assert_allclose(prof.log_phi, oracle_log_phi(params, u), rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("lam,n,u", [(4.0, 500, 350), (3.0, 600, 420)])
+    def test_rescaled_solve_matches_log_domain_oracle(self, lam, n, u, monkeypatch):
+        # above eq the path floor misses phi by more than e^LOG_SCALE_GAP, so
+        # the solve rescales by its own result until a pass stays put; log phi
+        # falls to -52 and -103 here, so the oracle checks more than phi = 1
+        moves = []
+        solve_pass = solver._solve_gth_scaled
+
+        def recorded(log_p, log_top, s):
+            log_phi = solve_pass(log_p, log_top, s)
+            moves.append(np.max(np.abs(log_phi - s)))
+            return log_phi
+
+        monkeypatch.setattr(solver, "_solve_gth_scaled", recorded)
+        params = ModelParams(lam, n)
+        prof = hitting_profile(params, u)
+        assert prof.method == METHOD_LOGDOMAIN
+        assert len(moves) > 1 and moves[0] > solver.LOG_SCALE_GAP
+        assert moves[-1] <= solver.RESCALE_TOL
+        oracle = oracle_log_phi(params, u)
+        assert oracle.min() < -50
+        np.testing.assert_allclose(prof.log_phi, oracle, rtol=0, atol=1e-10)
+
     def test_trapped_chain_dies_surely(self):
         # hitting u = n needs every site occupied at once, probability at most
         # e^-n per step, so phi = 1 to double precision.  One pass scaled by
@@ -313,16 +337,6 @@ class TestSolverProperties:
         params = ModelParams(lam, n)
         floor = _path_floor(_transient_log_rows(params, u))
         assert np.all(floor <= oracle_log_phi(params, u))
-
-    @PROPERTY_SETTINGS
-    @given(any_threshold())
-    def test_vectorized_rows_match_transition_log_row(self, case):
-        lam, n, u = case
-        params = ModelParams(lam, n)
-        rows = np.array([transition_log_row(params, x) for x in range(1, u)])
-        assert _transient_log_rows(params, u).tobytes() == rows[:, :u].tobytes()
-        tails = np.array([logsumexp_1d(row[u:]) for row in rows])
-        assert _log_top_masses(params, u).tobytes() == tails.tobytes()
 
     @PROPERTY_SETTINGS
     @given(below_equilibrium())
@@ -470,7 +484,7 @@ class TestProfileSerialization:
         path = tmp_path / "profile.txt"
         write_profile(profile_2_50_u10, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "version=1"
+        assert lines[0] == "version=2"
         assert lines[1] == "lambda=2"
         assert lines[2] == "n=50"
         assert lines[3] == "u=10"
