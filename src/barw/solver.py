@@ -45,7 +45,7 @@ LOG_NEGLIGIBLE = -350.0
 LOG_SCALE_GAP = 100.0
 RESCALE_TOL = 1e-9
 RESCALE_PASSES = 8
-#: rows per block when summing the kernel's upper tails
+#: kernel rows built per call of transition_log_rows
 ROW_BLOCK = 64
 UNCONDITIONAL_N_CAP = 400
 
@@ -309,9 +309,22 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
         return np.log(a.sum(axis=1)) + shift
 
 
+def _log_row_blocks(params: ModelParams, u: int, y_lo: int, y_hi: int):
+    """transition_log_rows for x = 1..u-1 over y_lo..y_hi, ROW_BLOCK rows at a time.
+
+    Yields (first row index, block).  Blocks keep the builder's temporaries
+    small; all rows at once would hold two more arrays of the full size.
+    """
+    for lo in range(1, u, ROW_BLOCK):
+        yield lo - 1, transition_log_rows(params, range(lo, min(lo + ROW_BLOCK, u)), y_lo, y_hi)
+
+
 def _transient_log_rows(params: ModelParams, u: int) -> np.ndarray:
     """log p(x, y) for x = 1..u-1 (rows) and y = 0..u-1 (columns)."""
-    return transition_log_rows(params, range(1, u), 0, u - 1)
+    rows = np.empty((u - 1, u))
+    for i, block in _log_row_blocks(params, u, 0, u - 1):
+        rows[i : i + block.shape[0]] = block
+    return rows
 
 
 def _log_top_masses(params: ModelParams, u: int) -> np.ndarray:
@@ -319,13 +332,11 @@ def _log_top_masses(params: ModelParams, u: int) -> np.ndarray:
 
     Summed as a log-sum over y >= u, never formed as 1 minus the mass
     below u, which cancels to nothing once the tail falls below machine
-    epsilon.  The tails are built ROW_BLOCK rows at a time: all of them at
-    once would be a (u-1) x (n-u+1) array and its temporaries.
+    epsilon.
     """
     top = np.empty(u - 1)
-    for lo in range(1, u, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, u)
-        top[lo - 1 : hi - 1] = _logsumexp_rows(transition_log_rows(params, range(lo, hi), u))
+    for i, block in _log_row_blocks(params, u, u, params.n):
+        top[i : i + block.shape[0]] = _logsumexp_rows(block)
     return top
 
 
