@@ -105,20 +105,19 @@ def transition_log_rows(
     if y_hi is None:
         y_hi = n
     b = [branch_prob(params, x) for x in xs]
-    dead = np.array([v == 0.0 for v in b], dtype=bool)
     # math.log per entry: numpy's vectorized log may round differently
-    log_b = np.array([math.log(v) if v > 0.0 else 0.0 for v in b])[:, None]
-    log_1mb = np.array([math.log1p(-v) for v in b])[:, None]
+    logs = np.array([(math.log(v) if v > 0.0 else 0.0, math.log1p(-v)) for v in b])
     y = np.arange(y_lo, y_hi + 1)
     rows = (
         gammaln(n + 1.0)
         - gammaln(y + 1.0)
         - gammaln(n - y + 1.0)
-        + y * log_b
-        + (n - y) * log_1mb
+        + y * logs[:, :1]
+        + (n - y) * logs[:, 1:]
     )
-    if dead.any():
+    if 0.0 in b:
         # b(0) = 0: the chain stays at 0
+        dead = [i for i, v in enumerate(b) if v == 0.0]
         rows[dead] = LOG_ZERO
         if y_lo == 0:
             rows[dead, 0] = 0.0
