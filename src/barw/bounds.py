@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom as _binom
 
 from .chain import ModelParams, _ceil_snapped, branch_prob, gw_extinction_prob, transition_log_row
 from .logdomain import logsumexp_1d
@@ -369,13 +368,16 @@ def binomial_tail_bound(n: int, b: float, xi: float) -> tuple[float, float]:
     Returns (exp(-n*b*(1-xi)^2/4), P[Bin(n,b) < xi*n*b]); the bound always
     dominates the exact probability.
     """
+    # scipy.stats costs about 0.6 s and 45 MB to import, and no experiment
+    # calls this function, so it is loaded on the first call only
+    from scipy.stats import binom
     if not 0.0 < b < 1.0:
         raise ValueError(f"success probability must lie in (0,1), got {b}")
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must lie in (0,1), got {xi}")
     bound = math.exp(-n * b * (1.0 - xi) ** 2 / 4.0)
     k = math.ceil(xi * n * b) - 1
-    exact = float(_binom.cdf(k, n, b)) if k >= 0 else 0.0
+    exact = float(binom.cdf(k, n, b)) if k >= 0 else 0.0
     return bound, exact
 
 

@@ -361,15 +361,22 @@ def hitting_profile(params: ModelParams, u: int, method: str | None = None) -> H
     subtracts, and keeps phi's relative accuracy however small it gets.
     Pass an explicit method to force a path; "value-iteration" is the
     independent cross-check, a monotone fixed-point iteration from phi = 0.
+    Forcing dense-native with u > eq raises ValueError, since its result
+    there can be wrong by several units of log phi.
     """
     if not 1 <= u <= params.n:
         raise ValueError(f"threshold {u} outside [1, {params.n}]")
     if u == 1:
         return HittingProfile(params, 1, np.zeros(1), 0.0, method or METHOD_NATIVE)
 
+    eq = equilibrium(params)
+    if method == METHOD_NATIVE and u > eq:
+        raise ValueError(
+            f"{METHOD_NATIVE} needs u <= eq, got u={u} above eq={eq:.6g}; use {METHOD_LOGDOMAIN}"
+        )
     log_p = _transient_log_rows(params, u)
     if method is None:
-        certified = log_p[:, 0].min() >= NATIVE_FLOOR and u <= equilibrium(params)
+        certified = log_p[:, 0].min() >= NATIVE_FLOOR and u <= eq
         method = METHOD_NATIVE if certified else METHOD_LOGDOMAIN
 
     if method == METHOD_NATIVE:
@@ -454,15 +461,20 @@ def conditional_expected_extinction(kernel: TiltedKernel) -> TimeProfile:
 def unconditional_expected_extinction(params: ModelParams) -> TimeProfile:
     """Expected absorption time of the raw chain from every state.
 
-    Values grow exponentially in n, so this solve stays in native doubles
-    with an explicit cap on n and overflow turned into a hard error rather
-    than silent infinities.
+    Solves (I - Q)T = 1 over the states 1..n by native elimination, which
+    subtracts.  The chain leaves for 0 at a rate of about 1/T ~ e^(-cn), so
+    I - Q is singular to within that rate and T loses relative accuracy as
+    n grows, with no error raised: at lam=2 log T is off by up to 2.5e-9 at
+    n=50 and 4.4e-3 at n=100 against a 60-digit solve.  Overflow is not the
+    limit, since T stays below e^110 for n <= UNCONDITIONAL_N_CAP; a larger
+    n is refused, and a non-finite entry raises SolveOverflowError.
     """
     n = params.n
     if n > UNCONDITIONAL_N_CAP:
         raise ValueError(
-            f"n={n} exceeds the native-precision cap {UNCONDITIONAL_N_CAP}; "
-            "expected times overflow doubles well below that scale"
+            f"n={n} exceeds the native-precision cap {UNCONDITIONAL_N_CAP}; the native "
+            "solve loses relative accuracy as n grows (log T off by 4.4e-3 at n=100, "
+            "lambda=2) long before expected times overflow doubles"
         )
     rows = np.exp(np.array([transition_log_row(params, x) for x in range(1, n + 1)]))
     A = np.eye(n) - rows[:, 1:]

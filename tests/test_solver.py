@@ -236,6 +236,13 @@ class TestSolverMethods:
         assert prof.method == METHOD_LOGDOMAIN
         np.testing.assert_allclose(prof.log_phi, oracle_log_phi(params, 300), rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("lam,n,u", [(8.0, 300, 300), (2.0, 300, 150)])
+    def test_forced_native_refused_above_equilibrium(self, lam, n, u):
+        # forced here, the native solve was off by 7.47 and 2.7e-6 in log phi
+        # against the oracle, with harmonicity residuals below 1e-14
+        with pytest.raises(ValueError, match=r"above eq=.*dense-logdomain"):
+            hitting_profile(ModelParams(lam, n), u, method=METHOD_NATIVE)
+
     def test_auto_selects_native_when_certified(self):
         prof = hitting_profile(ModelParams(2.0, 50), 10)
         assert prof.method == METHOD_NATIVE
