@@ -368,8 +368,9 @@ def binomial_tail_bound(n: int, b: float, xi: float) -> tuple[float, float]:
     Returns (exp(-n*b*(1-xi)^2/4), P[Bin(n,b) < xi*n*b]); the bound always
     dominates the exact probability.
     """
-    # scipy.stats costs about 0.6 s and 45 MB to import, and no experiment
-    # calls this function, so it is loaded on the first call only
+    # importing scipy.stats more than doubles the time and memory of
+    # `import barw`, and no experiment calls this function, so it is loaded
+    # on the first call only
     from scipy.stats import binom
     if not 0.0 < b < 1.0:
         raise ValueError(f"success probability must lie in (0,1), got {b}")

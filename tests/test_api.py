@@ -34,9 +34,9 @@ def test_public_names_resolve_sorted_and_unique():
 
 
 def test_experiments_never_load_scipy_stats(tmp_path):
-    # scipy.stats is about 0.6 s and 45 MB of every process start; only
-    # binomial_tail_bound needs it.  The test modules import it, so the
-    # check runs in a fresh interpreter
+    # scipy.stats would more than double the time and memory of every
+    # process start, and only binomial_tail_bound needs it.  The test
+    # modules import it, so the check runs in a fresh interpreter
     src = str(Path(barw.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
