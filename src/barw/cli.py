@@ -243,69 +243,56 @@ def _constants(params: ModelParams, epsilon: float | None, u: int | None) -> dic
     return out
 
 
-def _exp_profile(config: ExperimentConfig, out: Path) -> dict:
+def _profile_step(
+    config: ExperimentConfig, default_mode: str, *required: str
+) -> tuple[HittingProfile, dict]:
+    """Check the flags, resolve u, get its profile; returns it and its summary fields."""
     params = _params(config)
-    u = _resolve_u(config, params, "custom")
+    _require(config, *required)
+    u = _resolve_u(config, params, default_mode)
+    constants = _constants(params, config.epsilon, u)
     profile = _get_profile(config, params, u)
+    return profile, {
+        "constants": constants,
+        "residual": profile.residual,
+        "solve": _solve_summary(profile),
+    }
+
+
+def _exp_profile(config: ExperimentConfig, out: Path) -> dict:
+    profile, summary = _profile_step(config, "custom")
     rows = []
     for x, log_phi in enumerate(profile.log_phi.tolist()):
         v = math.exp(log_phi)
         rows.append((x, log_phi, v if v > 0.0 else ""))
     _write_csv(out / "phi.csv", ["x", "log_phi_natural", "phi_if_representable"], rows)
-    return {
-        "files": ["phi.csv"],
-        "constants": _constants(params, config.epsilon, u),
-        "residual": profile.residual,
-        "method": profile.method,
-        "solve": _solve_summary(profile),
-    }
+    return {"files": ["phi.csv"], "method": profile.method, **summary}
 
 
 def _exp_figure1(config: ExperimentConfig, out: Path) -> dict:
-    params = _params(config)
-    u = _resolve_u(config, params, "window")
-    profile = _get_profile(config, params, u)
+    profile, summary = _profile_step(config, "window")
     log10_h = (profile.log_phi / math.log(10.0)).tolist()
     _write_csv(out / "logh.csv", ["x", "log10_h"], enumerate(log10_h))
-    return {
-        "files": ["logh.csv"],
-        "constants": _constants(params, config.epsilon, u),
-        "residual": profile.residual,
-        "solve": _solve_summary(profile),
-    }
+    return {"files": ["logh.csv"], **summary}
 
 
 def _exp_figure2(config: ExperimentConfig, out: Path) -> dict:
-    params = _params(config)
-    u = _resolve_u(config, params, "window")
-    profile = _get_profile(config, params, u)
+    profile, summary = _profile_step(config, "window")
     kernel = tilted_kernel(profile)
     rows = (
-        (x, y, p) for x in range(1, u) for y, p in enumerate(kernel.rows[x - 1].tolist())
+        (x, y, p) for x in range(1, profile.u) for y, p in enumerate(kernel.rows[x - 1].tolist())
     )
     _write_csv(out / "kernel.csv", ["x", "y", "p_phi"], rows)
-    return {
-        "files": ["kernel.csv"],
-        "constants": _constants(params, config.epsilon, u),
-        "residual": profile.residual,
-        "solve": _solve_summary(profile),
-    }
+    return {"files": ["kernel.csv"], **summary}
 
 
 def _exp_cond_time(config: ExperimentConfig, out: Path) -> dict:
-    params = _params(config)
-    u = _resolve_u(config, params, "window")
-    profile = _get_profile(config, params, u)
+    profile, summary = _profile_step(config, "window")
     t = conditional_expected_extinction(tilted_kernel(profile)).values.tolist()
     rows = [(0, 0.0, "")]
-    rows.extend((x, t[x], t[x] / math.log1p(x)) for x in range(1, u))
+    rows.extend((x, t[x], t[x] / math.log1p(x)) for x in range(1, profile.u))
     _write_csv(out / "t.csv", ["x", "t", "t_over_log1p"], rows)
-    return {
-        "files": ["t.csv"],
-        "constants": _constants(params, config.epsilon, u),
-        "residual": profile.residual,
-        "solve": _solve_summary(profile),
-    }
+    return {"files": ["t.csv"], **summary}
 
 
 def _exp_uncond_time(config: ExperimentConfig, out: Path) -> dict:
@@ -325,19 +312,10 @@ def _exp_uncond_time(config: ExperimentConfig, out: Path) -> dict:
 
 
 def _exp_occupation(config: ExperimentConfig, out: Path) -> dict:
-    params = _params(config)
-    _require(config, "delta")
-    u = _resolve_u(config, params, "window")
-    profile = _get_profile(config, params, u)
+    profile, summary = _profile_step(config, "window", "delta")
     t = conditional_occupation_time(tilted_kernel(profile), config.delta).values.tolist()
     _write_csv(out / "h_occ.csv", ["x", "expected_band_time"], enumerate(t))
-    return {
-        "files": ["h_occ.csv"],
-        "constants": _constants(params, config.epsilon, u),
-        "delta": config.delta,
-        "residual": profile.residual,
-        "solve": _solve_summary(profile),
-    }
+    return {"files": ["h_occ.csv"], "delta": config.delta, **summary}
 
 
 def _write_estimate(out: Path, est: EstimateWithCI, seconds: float, constants: dict) -> dict:
@@ -367,17 +345,12 @@ def _exp_mc_hitting(config: ExperimentConfig, out: Path) -> dict:
 
 
 def _exp_mc_cond_path(config: ExperimentConfig, out: Path) -> dict:
-    params = _params(config)
-    _require(config, "x0", "trials", "seed")
-    u = _resolve_u(config, params, "window")
-    profile = _get_profile(config, params, u)
+    profile, step = _profile_step(config, "window", "x0", "trials", "seed")
     kernel = tilted_kernel(profile)
     started = time.perf_counter()
     est = estimate_conditioned_length(kernel, config.x0, config.trials, config.seed)
     seconds = time.perf_counter() - started
-    summary = _write_estimate(out, est, seconds, _constants(params, config.epsilon, u))
-    summary["solve"] = _solve_summary(profile)
-    return summary
+    return {**_write_estimate(out, est, seconds, step["constants"]), "solve": step["solve"]}
 
 
 def _exp_equivalence(config: ExperimentConfig, out: Path) -> dict:
@@ -428,7 +401,7 @@ def _exp_bounds_report(config: ExperimentConfig, out: Path) -> dict:
     if bset.gamma_ok:
         reports.append(bnd.check_gamma_ratio(params, config.epsilon, bset.alpha))
     (out / "report.txt").write_text(bnd.render_reports(reports))
-    summary = {
+    return {
         "files": ["report.txt"],
         "constants": _constants(params, config.epsilon, None),
         "alpha": bset.alpha,
@@ -436,7 +409,6 @@ def _exp_bounds_report(config: ExperimentConfig, out: Path) -> dict:
         "checks": {r.name: r.passed for r in reports},
         "solve": solves,
     }
-    return summary
 
 
 _EXPERIMENTS = {
@@ -478,7 +450,21 @@ def run_experiment(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-#: argparse settings of every flag but --out
+def _n_sweep(text: str) -> tuple[int, ...]:
+    """uncond-time's --n: the site counts of its sweep."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated site counts: {text!r}") from None
+
+
+def _zero_or_one(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 0, 1)")
+    return text == "1"
+
+
+#: argparse settings of every flag but --out; each dest names an ExperimentConfig field
 _ARGUMENTS = {
     "--lambda": {"dest": "lam", "type": float, "help": "offspring mean (> 1)"},
     "--n": {"type": int, "help": "number of sites"},
@@ -491,9 +477,9 @@ _ARGUMENTS = {
     "--trials": {"type": int},
     "--seed": {"type": int},
     "--graph": {"type": str, "help": "graph file path or complete:<n>"},
-    "--self-loops": {"dest": "self_loops", "type": int, "choices": [0, 1], "default": 1},
+    "--self-loops": {"type": _zero_or_one, "default": True, "metavar": "{0,1}"},
     "--workers": {"type": int, "default": 1, "help": "checked to be >= 1; has no effect"},
-    "--cache": {"type": Path, "default": None},
+    "--cache": {"dest": "cache_dir", "type": Path, "default": None},
 }
 
 _THRESHOLD = ("--lambda", "--n", "--epsilon", "--u", "--mode")
@@ -525,42 +511,15 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in _FLAGS[name]:
             settings = _ARGUMENTS[flag]
             if name == "uncond-time" and flag == "--n":
-                settings = {"type": str, "help": "comma-separated site counts, e.g. 20,30,40,50"}
+                sweep = "comma-separated site counts, e.g. 20,30,40,50"
+                settings = {"dest": "n_sweep", "type": _n_sweep, "default": (), "help": sweep}
             sp.add_argument(flag, **settings)
-        sp.add_argument("--out", type=Path, required=True)
+        sp.add_argument("--out", dest="out_dir", type=Path, required=True)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    opts = vars(args)
-    n = opts.get("n")
-    n_sweep: tuple[int, ...] = ()
-    if args.experiment == "uncond-time":
-        if n:
-            try:
-                n_sweep = tuple(int(tok) for tok in n.split(","))
-            except ValueError:
-                raise ValueError(f"bad --n sweep {n!r}") from None
-        n = None
-    return ExperimentConfig(
-        experiment=args.experiment,
-        out_dir=args.out,
-        lam=opts.get("lam"),
-        n=n,
-        n_sweep=n_sweep,
-        epsilon=opts.get("epsilon"),
-        delta=opts.get("delta"),
-        alpha=opts.get("alpha"),
-        x0=opts.get("x0"),
-        u=opts.get("u"),
-        mode=opts.get("mode"),
-        trials=opts.get("trials"),
-        seed=opts.get("seed"),
-        graph=opts.get("graph"),
-        self_loops=bool(opts.get("self_loops", 1)),
-        workers=opts.get("workers", 1),
-        cache_dir=opts.get("cache"),
-    )
+    return ExperimentConfig(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -578,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"simulation truncated: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
     files = ", ".join(summary.get("files", []))
-    print(f"{summary['experiment']}: wrote {files} and summary.json to {args.out}")
+    print(f"{summary['experiment']}: wrote {files} and summary.json to {args.out_dir}")
     return EXIT_OK
 
 

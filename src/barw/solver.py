@@ -24,7 +24,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .chain import ModelParams, equilibrium, transition_log_row, transition_log_rows
 from .logdomain import LOG_ZERO, logsumexp_1d
@@ -159,17 +158,20 @@ class TimeProfile:
             raise ValueError("t(0) must be 0")
 
 
-def _solve_m_matrix(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination without pivoting, native doubles.
+def _solve_m_matrix(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (I - Q) x = b by Gaussian elimination without pivoting, native doubles.
 
-    A is I minus a substochastic matrix (a nonsingular M-matrix), for which
-    elimination in natural order is stable.  Row updates are elementwise
-    vector operations, so results are bit-reproducible: no BLAS reductions
-    with data-dependent ordering are involved.
+    Q is substochastic, so I - Q is a nonsingular M-matrix, for which
+    elimination in natural order is stable.  I - Q is formed here, in the
+    one m x m array the elimination works in; Q and b are left as they are.
+    Row updates are elementwise vector operations, so results are
+    bit-reproducible: no BLAS reductions with data-dependent ordering are
+    involved.
     """
-    A = A.copy()
-    b = b.copy()
     m = b.size
+    A = np.subtract(0.0, Q)
+    A.flat[:: m + 1] += 1.0  # bit for bit np.eye(m) - Q
+    b = b.copy()
     for k in range(m):
         akk = A[k, k]
         if not akk > 0.0:
@@ -344,7 +346,7 @@ def _harmonicity_residual(log_p: np.ndarray, log_phi: np.ndarray) -> float:
     """max_x | logsumexp_y(log p(x,y) + log phi(y)) - log phi(x) |."""
     if log_p.shape[0] == 0:
         return 0.0
-    lhs = logsumexp(log_p + log_phi[None, :], axis=1)
+    lhs = _logsumexp_rows(log_p + log_phi[None, :])
     return float(np.max(np.abs(lhs - log_phi[1:])))
 
 
@@ -381,8 +383,7 @@ def hitting_profile(params: ModelParams, u: int, method: str | None = None) -> H
 
     if method == METHOD_NATIVE:
         p = np.exp(log_p)
-        A = np.eye(u - 1) - p[:, 1:]
-        phi = _solve_m_matrix(A, p[:, 0])
+        phi = _solve_m_matrix(p[:, 1:], p[:, 0])
         if np.any(phi <= 0.0):
             raise SolverError("native solve produced nonpositive probabilities")
         log_phi = np.concatenate(([0.0], np.log(phi)))
@@ -412,7 +413,7 @@ def _value_iteration(log_p: np.ndarray, u: int) -> np.ndarray:
     log_phi = np.full(u, LOG_ZERO)
     log_phi[0] = 0.0
     for _ in range(VI_MAX_SWEEPS):
-        nxt = np.concatenate(([0.0], logsumexp(log_p + log_phi[None, :], axis=1)))
+        nxt = np.concatenate(([0.0], _logsumexp_rows(log_p + log_phi[None, :])))
         change = np.max(np.abs(nxt - log_phi))
         log_phi = nxt
         if change < VI_TOL:
@@ -448,14 +449,15 @@ def tilted_kernel(profile: HittingProfile) -> TiltedKernel:
     return TiltedKernel(u, rows / sums[:, None], profile)
 
 
+def _conditioned_time(kernel: TiltedKernel, r: np.ndarray) -> TimeProfile:
+    """Solve t = r + P_phi t over x = 1..u-1 under the conditioned chain, t(0) = 0."""
+    t = _solve_m_matrix(kernel.rows[:, 1:], r)
+    return TimeProfile(np.concatenate(([0.0], t)), conditional=True)
+
+
 def conditional_expected_extinction(kernel: TiltedKernel) -> TimeProfile:
     """Expected steps to absorption under the conditioned chain, t(0) = 0."""
-    m = kernel.u - 1
-    if m == 0:
-        return TimeProfile(np.zeros(1), conditional=True)
-    A = np.eye(m) - kernel.rows[:, 1:]
-    t = _solve_m_matrix(A, np.ones(m))
-    return TimeProfile(np.concatenate(([0.0], t)), conditional=True)
+    return _conditioned_time(kernel, np.ones(kernel.u - 1))
 
 
 def unconditional_expected_extinction(params: ModelParams) -> TimeProfile:
@@ -477,8 +479,7 @@ def unconditional_expected_extinction(params: ModelParams) -> TimeProfile:
             "lambda=2) long before expected times overflow doubles"
         )
     rows = np.exp(np.array([transition_log_row(params, x) for x in range(1, n + 1)]))
-    A = np.eye(n) - rows[:, 1:]
-    t = _solve_m_matrix(A, np.ones(n))
+    t = _solve_m_matrix(rows[:, 1:], np.ones(n))
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
         raise SolveOverflowError(
@@ -497,14 +498,8 @@ def conditional_occupation_time(kernel: TiltedKernel, delta: float) -> TimeProfi
     n = kernel.source.params.n
     if delta * n >= kernel.u:
         raise ValueError(f"band floor delta*n={delta * n:.6g} must lie below u={kernel.u}")
-    m = kernel.u - 1
-    if m == 0:
-        return TimeProfile(np.zeros(1), conditional=True)
     x = np.arange(1, kernel.u)
-    in_band = (x > delta * n).astype(float)
-    A = np.eye(m) - kernel.rows[:, 1:]
-    t = _solve_m_matrix(A, in_band)
-    return TimeProfile(np.concatenate(([0.0], t)), conditional=True)
+    return _conditioned_time(kernel, (x > delta * n).astype(float))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -21,6 +22,14 @@ from barw.cli import ExperimentConfig, cache_lookup, cache_path, cache_store, ru
 
 def run(argv):
     return cli.main(argv)
+
+
+def exit_code(argv):
+    """main's exit code, whether it returns it or argparse exits with it."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestProfileExperiment:
@@ -283,6 +292,57 @@ class TestFlags:
             assert "unrecognized arguments" in capsys.readouterr().err
             assert not out.exists()
 
+    #: flag -> (a non-default value, the ExperimentConfig field it fills, the field's value)
+    NON_DEFAULT = {
+        "--lambda": ("2.5", "lam", 2.5),
+        "--n": ("40", "n", 40),
+        "--epsilon": ("0.03", "epsilon", 0.03),
+        "--delta": ("0.2", "delta", 0.2),
+        "--alpha": ("0.4", "alpha", 0.4),
+        "--x0": ("7", "x0", 7),
+        "--u": ("9", "u", 9),
+        "--mode": ("custom", "mode", "custom"),
+        "--trials": ("123", "trials", 123),
+        "--seed": ("5", "seed", 5),
+        "--graph": ("complete:8", "graph", "complete:8"),
+        "--self-loops": ("0", "self_loops", False),
+        "--workers": ("3", "workers", 3),
+        "--cache": ("d", "cache_dir", Path("d")),
+    }
+
+    @pytest.mark.parametrize("experiment", list(cli._EXPERIMENTS))
+    def test_every_flag_fills_its_config_field(self, experiment):
+        argv = [experiment, "--out", "o"]
+        want = dataclasses.asdict(ExperimentConfig(experiment=experiment, out_dir=Path("o")))
+        for flag in cli._FLAGS[experiment]:
+            text, field, value = self.NON_DEFAULT[flag]
+            if experiment == "uncond-time" and flag == "--n":
+                text, field, value = "20,30", "n_sweep", (20, 30)
+            assert want[field] != value
+            argv += [flag, text]
+            want[field] = value
+        config = cli._config_from_args(cli._build_parser().parse_args(argv))
+        assert dataclasses.asdict(config) == want
+        assert type(config.self_loops) is bool
+
+    def test_unset_flags_keep_config_defaults(self):
+        for argv in (["uncond-time", "--out", "o"], ["equivalence", "--out", "o"]):
+            config = cli._config_from_args(cli._build_parser().parse_args(argv))
+            assert config == ExperimentConfig(experiment=argv[0], out_dir=Path("o"))
+
+    def test_bad_flag_values_exit_2_before_output(self, tmp_path, capsys):
+        cases = [
+            (["uncond-time", "--lambda", "2", "--n", "20,x"], "T.csv", "20,x"),
+            (["uncond-time", "--lambda", "2"], "T.csv", "--n"),
+            (["equivalence", "--lambda", "2", "--n", "30", "--x0", "10", "--trials", "10",
+              "--seed", "1", "--self-loops", "2"], "tv.csv", "--self-loops"),
+        ]
+        for i, (argv, csv, named) in enumerate(cases):
+            out = tmp_path / str(i)
+            assert exit_code(argv + ["--out", str(out)]) == 2
+            assert named in capsys.readouterr().err
+            assert not (out / csv).exists()
+
     def test_readme_commands_parse(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         commands = [
@@ -294,6 +354,54 @@ class TestFlags:
         for argv in commands:
             args = cli._build_parser().parse_args(argv)
             assert cli._config_from_args(args).experiment == argv[0]
+
+
+class TestSummaryKeys:
+    THRESHOLD = ["--lambda", "1.5", "--n", "60", "--epsilon", "0.05"]
+    PROFILE = {"constants", "residual", "solve", "files", "experiment", "elapsed_seconds"}
+    ESTIMATE = {"constants", "steps_total", "steps_max", "trials_per_s", "files", "experiment",
+                "elapsed_seconds"}
+    BOUNDS = {"eq", "q", "q1", "q2", "theta", "kappa_n"}
+    RUNS = {
+        "profile": (["--lambda", "2", "--n", "50", "--u", "10"],
+                    PROFILE | {"method"}, {"eq", "q", "kappa_n", "u"}),
+        "figure1": (THRESHOLD, PROFILE, BOUNDS | {"u"}),
+        "figure2": (THRESHOLD, PROFILE, BOUNDS | {"u"}),
+        "cond-time": (THRESHOLD, PROFILE, BOUNDS | {"u"}),
+        "uncond-time": (["--lambda", "2", "--n", "10,20"],
+                        {"constants", "files", "experiment", "elapsed_seconds"}, {"q"}),
+        "occupation": ([*THRESHOLD, "--delta", "0.1"], PROFILE | {"delta"}, BOUNDS | {"u"}),
+        "mc-hitting": (["--lambda", "2", "--n", "50", "--u", "10", "--x0", "3",
+                        "--trials", "200", "--seed", "1"],
+                       ESTIMATE, {"eq", "q", "kappa_n", "u"}),
+        "mc-cond-path": ([*THRESHOLD, "--x0", "5", "--trials", "200", "--seed", "1"],
+                         ESTIMATE | {"solve"}, BOUNDS | {"u"}),
+        "equivalence": (["--lambda", "2", "--n", "20", "--x0", "5", "--trials", "200",
+                         "--seed", "1"],
+                        {"constants", "files", "experiment", "elapsed_seconds"},
+                        {"eq", "q", "kappa_n"}),
+        "bounds-report": (["--lambda", "2", "--n", "200", "--epsilon", "0.05"],
+                          {"constants", "alpha", "gamma", "checks", "solve", "files",
+                           "experiment", "elapsed_seconds"},
+                          BOUNDS),
+    }
+
+    def test_every_experiment_is_pinned(self):
+        assert set(self.RUNS) == set(cli._EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment", list(RUNS))
+    def test_summary_key_set(self, tmp_path, experiment):
+        flags, keys, constants = self.RUNS[experiment]
+        assert run([experiment, *flags, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert set(summary) == keys
+        assert set(summary["constants"]) == constants
+        if experiment == "bounds-report":
+            solves = list(summary["solve"].values())
+        else:
+            solves = [summary["solve"]] if "solve" in summary else []
+        for solve in solves:
+            assert set(solve) == {"u", "m", "method", "residual"}
 
 
 class TestCsvWriter:
@@ -478,6 +586,13 @@ class TestExitCodes:
              "--trials", "10", "--seed", "1", "--out", str(tmp_path / "x")]
         )
         assert code == 4
+
+    def test_bad_epsilon_with_explicit_u_writes_nothing(self, tmp_path):
+        # the constants (and their --epsilon check) come before the solve
+        out = tmp_path / "never"
+        argv = ["profile", "--lambda", "2", "--n", "50", "--u", "10", "--epsilon", "-1"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not (out / "phi.csv").exists()
 
     def test_validation_precedes_output(self, tmp_path):
         out = tmp_path / "never"

@@ -31,7 +31,9 @@ from barw.solver import (
     METHOD_NATIVE,
     METHOD_VI,
     _log_top_masses,
+    _logsumexp_rows,
     _path_floor,
+    _solve_m_matrix,
     _transient_log_rows,
 )
 
@@ -418,6 +420,38 @@ class TestConditionalExpectedExtinction:
         x = np.arange(2, kernel_15_300_window.u)
         r = t[2:] / np.log1p(x)
         assert math.isfinite(r.max() / r.min())
+
+
+class TestLogsumexpRows:
+    def test_matches_logsumexp_1d_bit_for_bit(self, profile_15_300_window):
+        log_p = _transient_log_rows(profile_15_300_window.params, profile_15_300_window.u)
+        a = log_p + profile_15_300_window.log_phi[None, :]
+        want = [logsumexp_1d(row) for row in a]
+        a[0] = -np.inf  # an all-zero row sums to log 0
+        want[0] = -np.inf
+        assert _logsumexp_rows(a).tolist() == want
+
+
+class TestConditionedTimeSolve:
+    def test_u_one_gives_t_zero(self):
+        kern = tilted_kernel(hitting_profile(ModelParams(2.0, 10), 1))
+        for t in (conditional_expected_extinction(kern), conditional_occupation_time(kern, 0.05)):
+            assert t.values.tolist() == [0.0]
+            assert t.conditional
+
+    def test_m_matrix_solve_forms_i_minus_q(self, kernel_2_50_u10):
+        Q = kernel_2_50_u10.rows[:, 1:]
+        b = np.linspace(0.0, 1.0, Q.shape[0])
+        before = Q.copy(), b.copy()
+        x = _solve_m_matrix(Q, b)
+        assert x == pytest.approx(np.linalg.solve(np.eye(Q.shape[0]) - Q, b), rel=1e-12)
+        assert Q.tobytes() == before[0].tobytes() and b.tobytes() == before[1].tobytes()
+
+    def test_occupation_with_full_band_is_extinction_time(self, kernel_15_300_window):
+        # every transient state lies above delta*n = 0.3, so r = 1 as for t
+        t = conditional_expected_extinction(kernel_15_300_window).values
+        occ = conditional_occupation_time(kernel_15_300_window, 0.001).values
+        assert occ.tobytes() == t.tobytes()
 
 
 class TestUnconditionalExpectedExtinction:
