@@ -15,8 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ModelParams, _ceil_snapped, branch_prob, gw_extinction_prob, transition_log_row
-from .logdomain import logsumexp_1d
+from .chain import (
+    ModelParams,
+    _ceil_snapped,
+    _logsumexp_rows,
+    branch_prob,
+    gw_extinction_prob,
+    transition_log_row,
+)
 from .solver import HittingProfile, TiltedKernel
 
 #: slack for CDF comparisons; absorbs roundoff at probability-1 boundaries
@@ -319,13 +325,15 @@ def tilted_reference_pmf(
     """
     if not factor > 0.0:
         raise ValueError(f"tilt factor must be positive, got {factor}")
+    if upper is not None and upper < 1:
+        raise ValueError(f"upper must be at least 1, or no mass is left; got {upper}")
     log_row = transition_log_row(params, x)
     y = np.arange(params.n + 1)
     log_w = y * math.log(factor) + log_row
     if upper is not None:
         log_w = log_w[:upper]
     pmf = np.zeros(params.n + 1)
-    pmf[: log_w.size] = np.exp(log_w - logsumexp_1d(log_w))
+    pmf[: log_w.size] = np.exp(log_w - _logsumexp_rows(log_w.copy()))
     return pmf
 
 

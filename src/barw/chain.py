@@ -6,6 +6,11 @@ b(x) = (lam*x/n) * exp(-lam*x/n), so the next count is Bin(n, b(x)).
 This module holds the model parameters, the transition kernel in log
 domain, the equilibrium level, the threshold integerization and the
 Galton-Watson extinction-probability solver used throughout the bounds.
+
+Kernel rows are natural logs: hitting probabilities from high counts decay
+geometrically and fall below the smallest double long before the state
+space is exhausted.  LOG_ZERO is the log of 0 and `_logsumexp_rows` sums in
+logs; the exact solves and the hitting sampler build rows blockwise here.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .logdomain import LOG_ZERO
-
-
+LOG_ZERO = float("-inf")
 GW_MEAN_MARGIN = 1e-12
 GW_TOL = 1e-14
+#: kernel rows built per call of transition_log_rows
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,8 @@ def transition_log_rows(
         y_hi = n
     b = [branch_prob(params, x) for x in xs]
     # math.log per entry: numpy's vectorized log may round differently
-    logs = np.array([(math.log(v) if v > 0.0 else 0.0, math.log1p(-v)) for v in b])
+    pairs = [(math.log(v) if v > 0.0 else 0.0, math.log1p(-v)) for v in b]
+    logs = np.array(pairs).reshape(-1, 2)  # shape (0, 2) when xs is empty
     y = np.arange(y_lo, y_hi + 1)
     rows = (
         gammaln(n + 1.0)
@@ -127,6 +133,51 @@ def transition_log_rows(
 def transition_log_row(params: ModelParams, x: int, y_hi: int | None = None) -> np.ndarray:
     """Natural logs of the Bin(n, b(x)) mass at y = 0..y_hi (default n)."""
     return transition_log_rows(params, (x,), 0, y_hi)[0]
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis of a 1-d or 2-d array, overwriting `a` as scratch.
+
+    A 1-d array gives a 0-d result, a 2-d array one value per row; a row
+    that is all LOG_ZERO sums to LOG_ZERO.
+    """
+    peak = a.max(axis=-1)
+    shift = np.where(np.isneginf(peak), 0.0, peak)
+    a -= shift[..., None]
+    np.exp(a, out=a)
+    with np.errstate(divide="ignore"):
+        return np.log(a.sum(axis=-1)) + shift
+
+
+def _log_row_blocks(params: ModelParams, u: int, y_lo: int, y_hi: int):
+    """transition_log_rows for x = 1..u-1 over y_lo..y_hi, ROW_BLOCK rows at a time.
+
+    Yields (first row index, block).  Blocks keep the builder's temporaries
+    small; all rows at once would hold two more arrays of the full size.
+    """
+    for lo in range(1, u, ROW_BLOCK):
+        yield lo - 1, transition_log_rows(params, range(lo, min(lo + ROW_BLOCK, u)), y_lo, y_hi)
+
+
+def _transient_log_rows(params: ModelParams, u: int) -> np.ndarray:
+    """log p(x, y) for x = 1..u-1 (rows) and y = 0..u-1 (columns)."""
+    rows = np.empty((u - 1, u))
+    for i, block in _log_row_blocks(params, u, 0, u - 1):
+        rows[i : i + block.shape[0]] = block
+    return rows
+
+
+def _log_top_masses(params: ModelParams, u: int) -> np.ndarray:
+    """log P_x[X_1 >= u] for x = 1..u-1, from each row's upper tail.
+
+    Summed as a log-sum over y >= u, never formed as 1 minus the mass
+    below u, which cancels to nothing once the tail falls below machine
+    epsilon.
+    """
+    top = np.empty(u - 1)
+    for i, block in _log_row_blocks(params, u, u, params.n):
+        top[i : i + block.shape[0]] = _logsumexp_rows(block)
+    return top
 
 
 def _ceil_snapped(v: float) -> int:

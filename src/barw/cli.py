@@ -1,11 +1,12 @@
 """Command-line front end: canned experiments emitting CSV data.
 
 Every experiment validates its configuration before touching the output
-directory, writes a fixed set of CSV files plus a summary.json, and is
-bit-reproducible: the same configuration (including seed) always yields
-byte-identical CSVs.  Each subcommand takes only the flags its experiment
-reads.  The Monte Carlo ones accept --workers and check it, but it has no
-effect: their trials run in lockstep in one thread.
+directory, which its first write creates, writes a fixed set of CSV files
+plus a summary.json, and is bit-reproducible: the same configuration
+(including seed) always yields byte-identical CSVs.  Each subcommand takes
+only the flags its experiment reads.  The Monte Carlo ones accept --workers
+and check it, but it has no effect: their trials run in lockstep in one
+thread.
 
 Exit codes: 0 success, 2 invalid configuration or cache refusal,
 3 solver failure, 4 simulation truncation.
@@ -104,6 +105,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     cell, so pass Python numbers (from `.tolist()`) for speed.
     """
     rows = iter(rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         while chunk := list(islice(rows, CSV_CHUNK)):
@@ -400,6 +402,7 @@ def _exp_bounds_report(config: ExperimentConfig, out: Path) -> dict:
             reports.append(bnd.check_ratio_kappa(win_profile, bset))
     if bset.gamma_ok:
         reports.append(bnd.check_gamma_ratio(params, config.epsilon, bset.alpha))
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(bnd.render_reports(reports))
     return {
         "files": ["report.txt"],
@@ -424,20 +427,15 @@ _EXPERIMENTS = {
     "bounds-report": _exp_bounds_report,
 }
 
-_STOCHASTIC = {"mc-hitting", "mc-cond-path", "equivalence"}
-
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run one experiment; returns the summary also written to summary.json."""
     if config.experiment not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {config.experiment!r}")
-    if config.experiment in _STOCHASTIC and config.seed is None:
-        raise ValueError(f"{config.experiment}: --seed is mandatory for stochastic experiments")
     if config.workers < 1:
         raise ValueError("workers must be at least 1")
     started = time.perf_counter()
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summary = _EXPERIMENTS[config.experiment](config, out)
     summary["experiment"] = config.experiment
     summary["elapsed_seconds"] = time.perf_counter() - started

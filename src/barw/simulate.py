@@ -28,7 +28,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import gammaln
 
-from .chain import ModelParams, transition_log_row
+from .chain import ModelParams, _transient_log_rows, transition_log_row
 from .solver import TiltedKernel
 
 #: hard per-trial cap inside estimators; hitting it means the estimate
@@ -513,7 +513,9 @@ def estimate_hitting_prob(
         raise ValueError("trials must be positive")
     if not 0 <= x0 < u:
         raise ValueError(f"start {x0} must lie in [0, u={u})")
-    cdfs = np.array([_binomial_cdf(params, x, u - 1) for x in range(1, u)]).reshape(u - 1, u)
+    cdfs = _transient_log_rows(params, u)
+    np.exp(cdfs, out=cdfs)
+    np.cumsum(cdfs, axis=1, out=cdfs)
     deaths = steps_total = steps_max = 0
     for steps, final in _run_chains(cdfs, x0, trials, seed, clamp=False, cap=STEP_CAP):
         deaths += int(np.count_nonzero(final == 0))

@@ -25,8 +25,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ModelParams, equilibrium, transition_log_row, transition_log_rows
-from .logdomain import LOG_ZERO, logsumexp_1d
+from .chain import (
+    LOG_ZERO,
+    ModelParams,
+    _log_top_masses,
+    _logsumexp_rows,
+    _transient_log_rows,
+    equilibrium,
+    transition_log_row,
+)
 
 HARMONICITY_TOL = 1e-8
 ROW_SUM_TOL = 1e-9
@@ -44,8 +51,6 @@ LOG_NEGLIGIBLE = -350.0
 LOG_SCALE_GAP = 100.0
 RESCALE_TOL = 1e-9
 RESCALE_PASSES = 8
-#: kernel rows built per call of transition_log_rows
-ROW_BLOCK = 64
 UNCONDITIONAL_N_CAP = 400
 
 METHOD_NATIVE = "dense-native"
@@ -253,7 +258,7 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
     with np.errstate(divide="ignore"):
         for k in range(m):
             log_row = np.log(A[k, k + 1 :]) + (s[k] - s[k + 1 :])
-            log_pivot[k] = logsumexp_1d(np.concatenate(([log_c[k] + s[k], top[k]], log_row)))
+            log_pivot[k] = _logsumexp_rows(np.concatenate(([log_c[k] + s[k], top[k]], log_row)))
             r = m - k - 1
             col = A[k + 1 :, k]
             np.multiply.outer(col, A[k, k + 1 :] / math.exp(log_pivot[k]), out=buf[:r, :r])
@@ -301,51 +306,8 @@ def _solve_logdomain(log_p: np.ndarray, log_top: np.ndarray) -> np.ndarray:
     raise SolverError(f"scaled GTH did not settle within {RESCALE_PASSES} passes")
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """logsumexp_1d of every row of a 2-d array, overwriting `a` as scratch."""
-    peak = a.max(axis=1)
-    shift = np.where(np.isneginf(peak), 0.0, peak)
-    a -= shift[:, None]
-    np.exp(a, out=a)
-    with np.errstate(divide="ignore"):
-        return np.log(a.sum(axis=1)) + shift
-
-
-def _log_row_blocks(params: ModelParams, u: int, y_lo: int, y_hi: int):
-    """transition_log_rows for x = 1..u-1 over y_lo..y_hi, ROW_BLOCK rows at a time.
-
-    Yields (first row index, block).  Blocks keep the builder's temporaries
-    small; all rows at once would hold two more arrays of the full size.
-    """
-    for lo in range(1, u, ROW_BLOCK):
-        yield lo - 1, transition_log_rows(params, range(lo, min(lo + ROW_BLOCK, u)), y_lo, y_hi)
-
-
-def _transient_log_rows(params: ModelParams, u: int) -> np.ndarray:
-    """log p(x, y) for x = 1..u-1 (rows) and y = 0..u-1 (columns)."""
-    rows = np.empty((u - 1, u))
-    for i, block in _log_row_blocks(params, u, 0, u - 1):
-        rows[i : i + block.shape[0]] = block
-    return rows
-
-
-def _log_top_masses(params: ModelParams, u: int) -> np.ndarray:
-    """log P_x[X_1 >= u] for x = 1..u-1, from each row's upper tail.
-
-    Summed as a log-sum over y >= u, never formed as 1 minus the mass
-    below u, which cancels to nothing once the tail falls below machine
-    epsilon.
-    """
-    top = np.empty(u - 1)
-    for i, block in _log_row_blocks(params, u, u, params.n):
-        top[i : i + block.shape[0]] = _logsumexp_rows(block)
-    return top
-
-
 def _harmonicity_residual(log_p: np.ndarray, log_phi: np.ndarray) -> float:
-    """max_x | logsumexp_y(log p(x,y) + log phi(y)) - log phi(x) |."""
-    if log_p.shape[0] == 0:
-        return 0.0
+    """max_x | logsumexp_y(log p(x,y) + log phi(y)) - log phi(x) |, over x = 1..u-1 (u >= 2)."""
     lhs = _logsumexp_rows(log_p + log_phi[None, :])
     return float(np.max(np.abs(lhs - log_phi[1:])))
 

@@ -239,6 +239,11 @@ class TestTiltedReferencePmf:
         with pytest.raises(ValueError):
             tilted_reference_pmf(ModelParams(2.0, 200), 5, 0.0)
 
+    def test_truncation_must_leave_mass(self):
+        for upper in (0, -1):
+            with pytest.raises(ValueError, match="upper must be at least 1"):
+                tilted_reference_pmf(ModelParams(2.0, 200), 5, 0.04, upper=upper)
+
 
 class TestTiltedDominance:
     def test_rows_sandwiched(self, profile_2_200_low):

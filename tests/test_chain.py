@@ -14,6 +14,7 @@ from barw import (
     transition_log_row,
     transition_log_rows,
 )
+from barw.chain import LOG_ZERO, _logsumexp_rows
 from barw.cli import ExperimentConfig, _resolve_u
 
 
@@ -174,6 +175,11 @@ class TestTransitionLogpmf:
         direct = direct + y * math.log(b) + (20 - y) * math.log1p(-b)
         np.testing.assert_allclose(rows[2], direct, rtol=1e-14, atol=0)
 
+    def test_no_rows(self):
+        rows = transition_log_rows(ModelParams(2.0, 20), [], 5, 12)
+        assert rows.shape == (0, 8)
+        assert transition_log_rows(ModelParams(2.0, 20), []).shape == (0, 21)
+
 
 class TestDriftFloor:
     @pytest.mark.parametrize("lam,n,eps", [(1.5, 1200, 0.05), (2.0, 500, 0.05)])
@@ -245,3 +251,12 @@ class TestLevelSpec:
             _resolve(2.0, 100, mode="custom", u=0)
         with pytest.raises(ValueError):
             _resolve(2.0, 100, mode="custom", u=101)
+
+
+class TestLogSumExp:
+    def test_all_neg_inf(self):
+        assert _logsumexp_rows(np.array([LOG_ZERO, LOG_ZERO])) == LOG_ZERO
+
+    def test_matches_direct(self):
+        a = np.array([-1.0, -2.0, -3.0])
+        assert abs(_logsumexp_rows(a.copy()) - math.log(np.exp(a).sum())) < 1e-14

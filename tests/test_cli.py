@@ -594,6 +594,21 @@ class TestExitCodes:
         assert run(argv + ["--out", str(out)]) == 2
         assert not (out / "phi.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc-hitting", "--lambda", "2", "--n", "50", "--u", "10", "--trials", "10",
+             "--seed", "1"],
+            ["figure1", "--lambda", "1.5", "--n", "100", "--epsilon", "0.9"],
+            ["profile", "--lambda", "0.5", "--n", "50", "--u", "10"],
+        ],
+        ids=["no-x0", "bad-epsilon", "bad-lambda"],
+    )
+    def test_refused_run_creates_no_out_directory(self, tmp_path, argv):
+        out = tmp_path / "never"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_validation_precedes_output(self, tmp_path):
         out = tmp_path / "never"
         assert (

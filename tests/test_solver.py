@@ -24,17 +24,14 @@ from barw import (
     write_profile,
 )
 from barw import solver
-from barw.logdomain import logsumexp_1d
+from barw.chain import _log_top_masses, _logsumexp_rows, _transient_log_rows
 from barw.solver import (
     HittingProfile,
     METHOD_LOGDOMAIN,
     METHOD_NATIVE,
     METHOD_VI,
-    _log_top_masses,
-    _logsumexp_rows,
     _path_floor,
     _solve_m_matrix,
-    _transient_log_rows,
 )
 
 
@@ -89,7 +86,7 @@ def _solve_gth_log(log_q: np.ndarray, log_c: np.ndarray, log_top: np.ndarray) ->
     log_pivot = np.empty(m)
     outer = np.empty((m, m))
     for k in range(m):
-        log_pivot[k] = logsumexp_1d(np.concatenate(([c[k], top[k]], L[k, k + 1 :])))
+        log_pivot[k] = _logsumexp_rows(np.concatenate(([c[k], top[k]], L[k, k + 1 :])))
         f = L[k + 1 :, k] - log_pivot[k]  # log Q_ik / (1 - Q_kk)
         r = f.size
         np.add.outer(f, L[k, k + 1 :], out=outer[:r, :r])
@@ -99,7 +96,8 @@ def _solve_gth_log(log_q: np.ndarray, log_c: np.ndarray, log_top: np.ndarray) ->
 
     x = np.empty(m)
     for i in range(m - 1, -1, -1):
-        x[i] = logsumexp_1d(np.concatenate(([c[i]], L[i, i + 1 :] + x[i + 1 :]))) - log_pivot[i]
+        terms = np.concatenate(([c[i]], L[i, i + 1 :] + x[i + 1 :]))
+        x[i] = _logsumexp_rows(terms) - log_pivot[i]
     return x
 
 
@@ -424,11 +422,15 @@ class TestConditionalExpectedExtinction:
 
 class TestLogsumexpRows:
     def test_matches_logsumexp_1d_bit_for_bit(self, profile_15_300_window):
+        # every row equals the 1-d call on it, and the 1-d call equals the
+        # plain formula max + log(sum(exp(row - max)))
         log_p = _transient_log_rows(profile_15_300_window.params, profile_15_300_window.u)
         a = log_p + profile_15_300_window.log_phi[None, :]
-        want = [logsumexp_1d(row) for row in a]
         a[0] = -np.inf  # an all-zero row sums to log 0
-        want[0] = -np.inf
+        want = [float(_logsumexp_rows(row.copy())) for row in a]
+        assert want[0] == -np.inf
+        assert want[1:] == [float(row.max() + np.log(np.sum(np.exp(row - row.max()))))
+                            for row in a[1:]]
         assert _logsumexp_rows(a).tolist() == want
 
 
