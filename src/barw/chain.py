@@ -4,8 +4,9 @@ On the complete graph the occupied-site count is a Markov chain: from x
 occupied sites each surviving site is kept independently with probability
 b(x) = (lam*x/n) * exp(-lam*x/n), so the next count is Bin(n, b(x)).
 This module holds the model parameters, the transition kernel in log
-domain, the equilibrium level, the threshold integerization and the
-Galton-Watson extinction-probability solver used throughout the bounds.
+domain with its log-factorial table, the equilibrium level, the threshold
+integerization and the Galton-Watson extinction-probability solver used
+throughout the bounds.
 
 Kernel rows are natural logs: hitting probabilities from high counts decay
 geometrically and fall below the smallest double long before the state
@@ -18,15 +19,32 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 LOG_ZERO = float("-inf")
 GW_MEAN_MARGIN = 1e-12
 GW_TOL = 1e-14
 #: kernel rows built per call of transition_log_rows
 ROW_BLOCK = 64
+
+# Cephes lgam (Moshier 1989), which scipy.special.gammaln evaluates: log of
+# sqrt(2*pi) and the Stirling-series coefficients in 1/x^2, highest power
+# first, for 13 <= x < 1000 and for 1000 <= x <= 1e8
+_LS2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_STIRLING_LARGE = (
+    7.9365079365079365079365e-4,
+    -2.7777777777777777777778e-3,
+    0.0833333333333333333333,
+)
 
 
 @dataclass(frozen=True)
@@ -96,14 +114,43 @@ def gw_extinction_prob(mean: float) -> float:
     return q
 
 
+@lru_cache(maxsize=8)
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n, read-only, equal bit for bit to scipy.special.gammaln(k + 1.0).
+
+    Ports the branches of Cephes lgam that x = k + 1 reaches: the log of
+    the exact factorial below 13, Stirling's series with a 5-term
+    polynomial below 1000 and a 3-term one up to 1e8, and no correction
+    above.  Each step is one IEEE operation in the same order, and the
+    logs are math.log, the libm log that Cephes calls.
+    """
+    lf = np.empty(n + 1)
+    small = min(n + 1, 12)
+    lf[:small] = [math.log(float(math.factorial(k))) for k in range(small)]
+    x = np.arange(13.0, n + 2.0)
+    q = (x - 0.5) * np.array([math.log(v) for v in x.tolist()]) - x + _LS2PI
+    p = 1.0 / (x * x)
+
+    def series(coeffs):
+        s = coeffs[0]
+        for c in coeffs[1:]:
+            s = s * p + c
+        return s
+
+    corr = np.where(x < 1000.0, series(_STIRLING), series(_STIRLING_LARGE)) / x
+    lf[small:] = np.where(x > 1.0e8, q, q + corr)
+    lf.flags.writeable = False
+    return lf
+
+
 def transition_log_rows(
     params: ModelParams, xs: Iterable[int], y_lo: int = 0, y_hi: int | None = None
 ) -> np.ndarray:
     """Natural logs of the Bin(n, b(x)) mass at y = y_lo..y_hi (default n), a row per x in xs.
 
-    Uses log-gamma for the binomial coefficients, computed once for all
-    rows, so n up to 1e4 poses no overflow risk.  Entries with zero mass
-    are -inf.  Every entry depends on its own x and y alone, so a row is
+    The binomial coefficients come from the log-factorial table, built
+    once per n and equal bit for bit to scipy.special.gammaln, so n up to
+    1e4 poses no overflow risk.  Entries with zero mass are -inf.  Every entry depends on its own x and y alone, so a row is
     the same whichever other rows are built with it.
     """
     n = params.n
@@ -114,10 +161,11 @@ def transition_log_rows(
     pairs = [(math.log(v) if v > 0.0 else 0.0, math.log1p(-v)) for v in b]
     logs = np.array(pairs).reshape(-1, 2)  # shape (0, 2) when xs is empty
     y = np.arange(y_lo, y_hi + 1)
+    lf = _log_factorials(n)
     rows = (
-        gammaln(n + 1.0)
-        - gammaln(y + 1.0)
-        - gammaln(n - y + 1.0)
+        lf[n]
+        - lf[y]
+        - lf[n - y]
         + y * logs[:, :1]
         + (n - y) * logs[:, 1:]
     )

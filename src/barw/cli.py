@@ -42,6 +42,7 @@ from .solver import (
     KernelConsistencyError,
     ProfileFormatError,
     SolverError,
+    _check_unconditional_cap,
     _g17,
     conditional_expected_extinction,
     conditional_occupation_time,
@@ -301,14 +302,18 @@ def _exp_uncond_time(config: ExperimentConfig, out: Path) -> dict:
     _require(config, "lam")
     if not config.n_sweep:
         raise ValueError("uncond-time: --n takes a comma-separated sweep, e.g. 20,30,40,50")
-    rows = []
+    starts = []  # every sweep entry is checked before the first solve
     for n in config.n_sweep:
         params = ModelParams(config.lam, n)
+        _check_unconditional_cap(n)
         x = config.x0 if config.x0 is not None else -(-n // 2)
         if not 1 <= x <= n:
             raise ValueError(f"--x0 must lie in [1, n={n}], got {x}")
+        starts.append((params, x))
+    rows = []
+    for params, x in starts:
         t = unconditional_expected_extinction(params).values
-        rows.append((n, x, t[x], math.log(t[x])))
+        rows.append((params.n, x, t[x], math.log(t[x])))
     _write_csv(out / "T.csv", ["n", "x", "expected_T0", "ln_expected_T0"], rows)
     return {"files": ["T.csv"], "constants": {"q": gw_extinction_prob(config.lam)}}
 

@@ -26,9 +26,8 @@ from pathlib import Path
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import gammaln
 
-from .chain import ModelParams, _transient_log_rows, transition_log_row
+from .chain import ModelParams, _log_factorials, _transient_log_rows, transition_log_row
 from .solver import TiltedKernel
 
 #: hard per-trial cap inside estimators; hitting it means the estimate
@@ -138,7 +137,7 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     """CDF of Poisson(lam) over k = 0..K, with K far enough out that the
     omitted tail lies below double resolution."""
     k = np.arange(int(lam + 12.0 * math.sqrt(lam) + 40.0))
-    cdf = np.cumsum(np.exp(k * math.log(lam) - lam - gammaln(k + 1.0)))
+    cdf = np.cumsum(np.exp(k * math.log(lam) - lam - _log_factorials(k.size - 1)))
     cdf.flags.writeable = False
     return cdf
 

@@ -422,6 +422,16 @@ def conditional_expected_extinction(kernel: TiltedKernel) -> TimeProfile:
     return _conditioned_time(kernel, np.ones(kernel.u - 1))
 
 
+def _check_unconditional_cap(n: int) -> None:
+    """Refuse an unconditional solve with n above UNCONDITIONAL_N_CAP."""
+    if n > UNCONDITIONAL_N_CAP:
+        raise ValueError(
+            f"n={n} exceeds the native-precision cap {UNCONDITIONAL_N_CAP}; the native "
+            "solve loses relative accuracy as n grows (log T off by 4.4e-3 at n=100, "
+            "lambda=2) long before expected times overflow doubles"
+        )
+
+
 def unconditional_expected_extinction(params: ModelParams) -> TimeProfile:
     """Expected absorption time of the raw chain from every state.
 
@@ -434,12 +444,7 @@ def unconditional_expected_extinction(params: ModelParams) -> TimeProfile:
     n is refused, and a non-finite entry raises SolveOverflowError.
     """
     n = params.n
-    if n > UNCONDITIONAL_N_CAP:
-        raise ValueError(
-            f"n={n} exceeds the native-precision cap {UNCONDITIONAL_N_CAP}; the native "
-            "solve loses relative accuracy as n grows (log T off by 4.4e-3 at n=100, "
-            "lambda=2) long before expected times overflow doubles"
-        )
+    _check_unconditional_cap(n)
     rows = np.exp(np.array([transition_log_row(params, x) for x in range(1, n + 1)]))
     t = _solve_m_matrix(rows[:, 1:], np.ones(n))
     bad = np.flatnonzero(~np.isfinite(t))

@@ -6,22 +6,33 @@ from pathlib import Path
 
 import barw
 
-#: imports barw step by step and records after each step whether
-#: scipy.stats has been loaded; argv[1] is a scratch output directory
+#: imports barw and runs experiments step by step, and records after each
+#: step which of scipy.special and scipy.stats have been loaded; argv[1] is
+#: a scratch output directory.  The runs cover the kernel rows, the
+#: unconditional solve and both samplers' binomial and Poisson tables
 IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
 
 loaded = {}
+def record(step):
+    loaded[step] = [name for name in ("scipy.special", "scipy.stats") if name in sys.modules]
+
 import barw
-loaded["import barw"] = "scipy.stats" in sys.modules
+record("import barw")
 import barw.cli as cli
-loaded["import barw.cli"] = "scipy.stats" in sys.modules
+record("import barw.cli")
 out = Path(sys.argv[1])
-for experiment, lam, n in [("bounds-report", 2.0, 300), ("figure1", 1.5, 200)]:
-    config = cli.ExperimentConfig(experiment, out / experiment, lam=lam, n=n, epsilon=0.05)
-    cli.run_experiment(config)
-    loaded[experiment] = "scipy.stats" in sys.modules
+runs = {
+    "bounds-report": dict(lam=2.0, n=300, epsilon=0.05),
+    "figure1": dict(lam=1.5, n=200, epsilon=0.05),
+    "uncond-time": dict(lam=2.0, n_sweep=(20, 30)),
+    "mc-hitting": dict(lam=2.0, n=50, u=10, x0=3, trials=200, seed=1),
+    "equivalence": dict(lam=2.0, n=30, x0=10, trials=200, seed=1),
+}
+for experiment, fields in runs.items():
+    cli.run_experiment(cli.ExperimentConfig(experiment, out / experiment, **fields))
+    record(experiment)
 print(json.dumps(loaded))
 """
 
@@ -35,8 +46,10 @@ def test_public_names_resolve_sorted_and_unique():
 
 def test_experiments_never_load_scipy_stats(tmp_path):
     # scipy.stats would more than double the time and memory of every
-    # process start, and only binomial_tail_bound needs it.  The test
-    # modules import it, so the check runs in a fresh interpreter
+    # process start, and only binomial_tail_bound needs it.  scipy.special
+    # alone would add about 0.3 s and 20 MB; the log-factorial table stands
+    # in for its gammaln.  The test modules import both, so the check runs
+    # in a fresh interpreter
     src = str(Path(barw.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -48,9 +61,6 @@ def test_experiments_never_load_scipy_stats(tmp_path):
         check=True,
     )
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded == {
-        "import barw": False,
-        "import barw.cli": False,
-        "bounds-report": False,
-        "figure1": False,
-    }
+    steps = ["import barw", "import barw.cli", "bounds-report", "figure1", "uncond-time",
+             "mc-hitting", "equivalence"]
+    assert loaded == {step: [] for step in steps}

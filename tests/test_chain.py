@@ -14,7 +14,8 @@ from barw import (
     transition_log_row,
     transition_log_rows,
 )
-from barw.chain import LOG_ZERO, _logsumexp_rows
+import barw.simulate as sim
+from barw.chain import LOG_ZERO, _log_factorials, _logsumexp_rows
 from barw.cli import ExperimentConfig, _resolve_u
 
 
@@ -179,6 +180,42 @@ class TestTransitionLogpmf:
         rows = transition_log_rows(ModelParams(2.0, 20), [], 5, 12)
         assert rows.shape == (0, 8)
         assert transition_log_rows(ModelParams(2.0, 20), []).shape == (0, 21)
+
+
+class TestLogFactorials:
+    """The log-factorial table against scipy.special.gammaln(k + 1.0), bit for bit."""
+
+    def test_matches_gammaln(self):
+        n = 200_000
+        assert _log_factorials(n).tobytes() == gammaln(np.arange(n + 1) + 1.0).tobytes()
+
+    # tables that end on each side of the branch edges of Cephes lgam at
+    # x = k + 1 = 13 and 1000
+    @pytest.mark.parametrize("n", [0, 1, 2, 11, 12, 13, 998, 999, 1000, 1001])
+    def test_branch_edges(self, n):
+        assert _log_factorials(n).tobytes() == gammaln(np.arange(n + 1) + 1.0).tobytes()
+
+    def test_cached_and_read_only(self):
+        lf = _log_factorials(40)
+        assert lf is _log_factorials(40)
+        assert not lf.flags.writeable
+
+    @pytest.mark.parametrize("x", [1, 1351, 5000])  # 1351 = floor(eq)
+    def test_kernel_rows_match_gammaln_formula(self, x):
+        # n = 5000 reaches the k >= 999 branch, which no pinned output does
+        params = ModelParams(1.5, 5000)
+        y = np.arange(5001)
+        b = branch_prob(params, x)
+        direct = gammaln(5001.0) - gammaln(y + 1.0) - gammaln(5000 - y + 1.0)
+        direct = direct + y * math.log(b) + (5000 - y) * math.log1p(-b)
+        assert transition_log_row(params, x).tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 8.0, 800.0])
+    def test_poisson_cdf_matches_gammaln_formula(self, lam):
+        cdf = sim._poisson_cdf(lam)
+        k = np.arange(cdf.size)
+        direct = np.cumsum(np.exp(k * math.log(lam) - lam - gammaln(k + 1.0)))
+        assert cdf.tobytes() == direct.tobytes()
 
 
 class TestDriftFloor:

@@ -16,6 +16,7 @@ from barw import (
     gw_extinction_prob,
     hitting_profile,
     threshold_u,
+    unconditional_expected_extinction,
 )
 from barw.cli import ExperimentConfig, cache_lookup, cache_path, cache_store, run_experiment
 
@@ -181,6 +182,23 @@ class TestTimeExperiments:
                         "--out", str(out)]) == 2
             assert "--x0" in capsys.readouterr().err
             assert not (out / "T.csv").exists()
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [["--n", "300,20", "--x0", "30"], ["--n", "20,300,401"], ["--n", "20,0"]],
+    )
+    def test_uncond_time_checks_whole_sweep_before_solving(self, tmp_path, monkeypatch, sweep):
+        solves = []
+
+        def counted(params):
+            solves.append(params.n)
+            return unconditional_expected_extinction(params)
+
+        monkeypatch.setattr(cli, "unconditional_expected_extinction", counted)
+        out = tmp_path / "T"
+        assert run(["uncond-time", "--lambda", "2", *sweep, "--out", str(out)]) == 2
+        assert solves == []
+        assert not out.exists()
 
     def test_occupation(self, tmp_path):
         out = tmp_path / "occ"

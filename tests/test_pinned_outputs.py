@@ -5,8 +5,10 @@ cond-time/occupation pair sharing one --cache directory, so the second run
 reads the profile the first one stored.  Every CSV, report.txt and cached
 profile file must hash to its pinned value.
 
-The pins hold for this numpy/scipy build: another build may round a last
-digit differently.  A change that moves a digit on purpose updates the
+The pins hold for this numpy build and this libm: the kernel's log-factorial
+table calls libm's log through math.log and does the rest in numpy, so
+another numpy or libm may round a last digit differently.  The scipy build
+does not enter: no experiment calls scipy.  A change that moves a digit on purpose updates the
 pins and records the old and new values in CHANGES.md.
 """
 
