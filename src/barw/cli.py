@@ -30,6 +30,7 @@ from .chain import ModelParams, equilibrium, gw_extinction_prob, threshold_u, tr
 from .simulate import (
     EstimateWithCI,
     TruncationError,
+    _check_seed,
     estimate_conditioned_length,
     estimate_hitting_prob,
     graph_from_name,
@@ -439,6 +440,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         raise ValueError(f"unknown experiment {config.experiment!r}")
     if config.workers < 1:
         raise ValueError("workers must be at least 1")
+    if config.seed is not None:
+        _check_seed(config.seed)
     started = time.perf_counter()
     out = Path(config.out_dir)
     summary = _EXPERIMENTS[config.experiment](config, out)

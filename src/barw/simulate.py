@@ -8,9 +8,11 @@ against the conditioned kernel, an offspring count against Poisson(lam), and
 a move as floor(U*k) into the k legal targets.  Sampling is exact up to the
 rounding of those CDF rows; there are no normal approximations.
 
-The estimators run all trials in lockstep, CHUNK trials at a time, and make
+The estimators run their trials in lockstep, a chunk at a time, and make
 their words with `philox_block`, a numpy-vectorized Philox that equals
-`trial_stream` bit for bit.  The one-trial functions (`step_meanfield`,
+`trial_stream` bit for bit.  CHUNK sizes every batch, and the count chains
+invert by bisection in their CDF table, so a step's memory does not grow
+with u.  The one-trial functions (`step_meanfield`,
 `sample_conditioned_path`, `step_particle`) are the reference: they read the
 same words from a `trial_stream` generator in the same order, so trial i of
 an estimator equals its one-trial run on `trial_stream(seed, i)`, and every
@@ -34,9 +36,10 @@ from .solver import TiltedKernel
 #: would be biased, which is an error rather than a silent truncation
 STEP_CAP = 10**7
 
-#: trials advanced together; keeps each chunk's transient arrays to a few MB.
-#: Results do not depend on it, because every trial has its own key.
-CHUNK = 1024
+#: the batching budget: count-chain trials per step, Philox blocks per kernel
+#: call (about 150 ns a block from 4096 up, twice that at 1024) and 4x the
+#: particle trials per step.  Results do not depend on it: every trial has its own key.
+CHUNK = 4096
 
 _MASK64 = (1 << 64) - 1
 
@@ -51,39 +54,45 @@ class TruncationError(RuntimeError):
     """A trial hit the internal step cap; the estimate would be biased."""
 
 
-def trial_stream(seed: int, trial: int) -> Generator:
-    """Independent generator for one trial, keyed by (seed, trial)."""
+def _check_seed(seed: int) -> None:
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
+def trial_stream(seed: int, trial: int) -> Generator:
+    """Independent generator for one trial, keyed by (seed, trial)."""
+    _check_seed(seed)
     if trial < 0:
         raise ValueError(f"trial index must be nonnegative, got {trial}")
     return Generator(Philox(key=(seed & _MASK64) | (trial << 64)))
 
 
 def _mulhilo(m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of m*b, with the high word from 32-bit halves."""
+    """High and low 64-bit words of m*b, from 32-bit halves whose sums never wrap."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    b_lo, b_hi = b & _LO32, b >> _SHIFT32
-    lh = b_hi * m_lo
-    hl = b_lo * m_hi
-    mid = ((b_lo * m_lo) >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
-    hi = b_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    b_lo, hi = b & _LO32, b >> _SHIFT32
+    t = ((b_lo * m_lo) >> _SHIFT32) + hi * m_lo
+    w = (t & _LO32) + b_lo * m_hi
+    hi *= m_hi
+    hi += (t >> _SHIFT32) + (w >> _SHIFT32)
     return hi, b * np.uint64(m)
 
 
-def _philox4x64_10(seed: int, trials: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """philox4x64_10(counter=(blocks+1, 0, 0, 0), key=(seed, trials)) on 1-D arrays."""
+def _philox4x64_10(seed: int, trials: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> None:
+    """out = philox4x64_10(counter=(blocks+1, 0, 0, 0), key=(seed, trials)), 1-D arrays."""
     c0 = blocks + np.uint64(1)
     c1 = c2 = c3 = np.zeros_like(c0)
-    k0, k1 = seed, trials
+    k0, k1 = seed, trials.copy()
     for r in range(10):
         if r:
             k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 = k1 + np.uint64(_PHILOX_W[1])
+            k1 += np.uint64(_PHILOX_W[1])
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=-1)
+        hi1 ^= c1 ^ np.uint64(k0)
+        hi0 ^= c3 ^ k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    np.stack([c0, c1, c2, c3], axis=-1, out=out)
 
 
 def philox_block(seed: int, trials, blocks) -> np.ndarray:
@@ -92,8 +101,8 @@ def philox_block(seed: int, trials, blocks) -> np.ndarray:
     numpy's Philox is Philox4x64-10 keyed by (seed, trial) and increments its
     counter before each block, so block j is philox4x64_10(counter=(j+1, 0, 0,
     0), key=(seed, trial)).  `trials` and `blocks` broadcast against each
-    other; word w of a trial is word w % 4 of its block w // 4.  The work
-    goes CHUNK blocks at a time, which bounds its temporaries.
+    other; word w of a trial is word w % 4 of its block w // 4.  The kernel
+    runs over CHUNK blocks at a time, which bounds its temporaries.
     """
     trials, blocks = np.broadcast_arrays(
         np.asarray(trials, dtype=np.uint64), np.asarray(blocks, dtype=np.uint64)
@@ -102,7 +111,7 @@ def philox_block(seed: int, trials, blocks) -> np.ndarray:
     flat_trials, flat_blocks, flat_out = trials.ravel(), blocks.ravel(), out.reshape(-1, 4)
     for lo in range(0, flat_trials.size, CHUNK):
         part = slice(lo, lo + CHUNK)
-        flat_out[part] = _philox4x64_10(seed, flat_trials[part], flat_blocks[part])
+        _philox4x64_10(seed, flat_trials[part], flat_blocks[part], flat_out[part])
     return out
 
 
@@ -114,14 +123,25 @@ def uniforms(words: np.ndarray) -> np.ndarray:
 
 
 def _invert(cdf: np.ndarray, u) -> np.ndarray:
-    """Inverse-CDF draw: how many entries of a nondecreasing CDF row are <= u.
+    """Inverse-CDF draw: how many entries of a nondecreasing CDF row are <= u."""
+    return np.searchsorted(cdf, u, side="right")
 
-    cdf is one row shared by every uniform in u, or one row per uniform
-    (shape (len(u), k)); both forms give np.searchsorted(row, u, side="right").
+
+def _invert_rows(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """_invert(table[rows[i]], u[i]) for every i, by bisection.
+
+    All rows have length k, so every search halves its range in step with the
+    others and reads ceil(log2 k) + 1 entries of the flat table, not a row.
     """
-    if cdf.ndim == 1:
-        return np.searchsorted(cdf, u, side="right")
-    return (cdf <= u[:, None]).sum(axis=1)
+    k = table.shape[1]
+    flat = table.reshape(-1)
+    pos = rows * k
+    n = k  # the count lies in [pos - rows * k, pos - rows * k + n]
+    while n > 1:
+        half = n // 2
+        pos += (flat[pos + half] <= u) * half
+        n -= half
+    return pos - rows * k + (flat[pos] <= u)
 
 
 @lru_cache(maxsize=256)
@@ -417,9 +437,9 @@ def sample_conditioned_path(kernel: TiltedKernel, x0: int, stream: Generator) ->
 class _Uniforms:
     """Successive uniforms of `trial_stream(seed, i)` for a shrinking set of trials.
 
-    Blocks are made ahead in one `philox_block` call, more of them as fewer
-    trials remain, so that a few long trials do not pay the call's overhead
-    every four steps.
+    Each `philox_block` call makes about CHUNK blocks, one per trial or, as
+    fewer trials remain, up to 64 ahead, so that a few long trials do not pay
+    the call's overhead every four steps; the buffer holds at most 4 * CHUNK uniforms.
     """
 
     def __init__(self, seed: int, trials: np.ndarray):
@@ -431,6 +451,7 @@ class _Uniforms:
 
     def next(self) -> np.ndarray:
         if self.col == self.buf.shape[1]:
+            self.buf = None  # spent: free it before the next one is made
             ahead = min(64, max(1, CHUNK // max(self.trials.size, 1)))
             blocks = self.block + np.arange(ahead)
             words = philox_block(self.seed, self.trials[:, None], blocks)
@@ -478,7 +499,7 @@ def _run_chains(
                 raise TruncationError(
                     f"trial {idx[live[0]]} exceeded {cap} steps; the estimate would be biased"
                 )
-            x = _invert(cdfs[x - 1], draws.next())
+            x = _invert_rows(cdfs, x - 1, draws.next())
             if clamp:
                 np.minimum(x, u - 1, out=x)
             t += 1
@@ -510,6 +531,7 @@ def estimate_hitting_prob(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_seed(seed)
     if not 0 <= x0 < u:
         raise ValueError(f"start {x0} must lie in [0, u={u})")
     cdfs = _transient_log_rows(params, u)
@@ -535,6 +557,7 @@ def estimate_conditioned_length(
     """Mean extinction time of the conditioned chain from x0, with its SE."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_seed(seed)
     if not 1 <= x0 < kernel.u:
         raise ValueError(f"start {x0} outside [1, {kernel.u - 1}]")
     # exact integer moments: nothing is rounded before the final division
@@ -596,14 +619,16 @@ def particle_step_counts(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_seed(seed)
     if not 0 <= start_count <= graph.vertex_count:
         raise ValueError("start_count outside the vertex range")
     if not lam > 0.0:
         raise ValueError(f"offspring mean must be positive, got {lam}")
     parents = np.arange(start_count)
     counts = np.empty(trials, dtype=np.int64)
-    for lo in range(0, trials, CHUNK):
-        idx = np.arange(lo, min(lo + CHUNK, trials), dtype=np.uint64)
+    chunk = max(1, CHUNK // 4)
+    for lo in range(0, trials, chunk):
+        idx = np.arange(lo, min(lo + chunk, trials), dtype=np.uint64)
         counts[lo : lo + idx.size] = _particle_chunk(graph, parents, lam, seed, idx)
     return counts
 

@@ -627,6 +627,24 @@ class TestExitCodes:
         assert run(argv + ["--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc-hitting", "--lambda", "2", "--n", "50", "--u", "10", "--x0", "3"],
+            ["mc-cond-path", "--lambda", "1.5", "--n", "300", "--epsilon", "0.05", "--x0", "20"],
+            ["equivalence", "--lambda", "2", "--n", "30", "--x0", "10"],
+        ],
+        ids=["mc-hitting", "mc-cond-path", "equivalence"],
+    )
+    def test_out_of_range_seed_exits_2_before_any_solve(self, tmp_path, monkeypatch, argv, seed):
+        solves = []
+        monkeypatch.setattr(cli, "hitting_profile", lambda *args: solves.append(args))
+        out = tmp_path / "never"
+        assert run(argv + ["--trials", "100", "--seed", seed, "--out", str(out)]) == 2
+        assert solves == []
+        assert not out.exists()
+
     def test_validation_precedes_output(self, tmp_path):
         out = tmp_path / "never"
         assert (

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ class TestTrialStream:
             trial_stream(1 << 64, 0)
         with pytest.raises(ValueError):
             trial_stream(1, -1)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_estimators_check_seed_range(self, kernel, seed):
+        # the ValueError trial_stream gives, not an OverflowError from the kernel
+        match = f"seed must be a 64-bit unsigned integer, got {seed}$"
+        with pytest.raises(ValueError, match=match):
+            estimate_hitting_prob(ModelParams(2.0, 50), 10, 3, 10, seed)
+        with pytest.raises(ValueError, match=match):
+            estimate_conditioned_length(kernel, 20, 10, seed)
+        with pytest.raises(ValueError, match=match):
+            sim.particle_step_counts(complete_graph(10), 3, 2.0, 10, seed)
 
 
 class TestStepMeanfield:
@@ -349,6 +361,75 @@ class TestPhiloxBlock:
             assert np.array_equal(sim.uniforms(words[i].ravel()), stream.random(4 * blocks))
 
 
+def searchsorted_rows(table, rows, u):
+    """np.searchsorted(table[r], u, side="right") for each (r, u) pair."""
+    out = np.empty(len(u), dtype=np.int64)
+    for r in np.unique(rows):
+        at = rows == r
+        out[at] = np.searchsorted(table[r], u[at], side="right")
+    return out
+
+
+@st.composite
+def cdf_table_draws(draw):
+    """(table, rows, u): nondecreasing rows of one length k >= 1, and draws.
+
+    Rows hold runs of equal entries (zeros among them), may be all zero, and
+    may end a few ulps above 1.0; many draws equal an entry or neighbour one.
+    """
+    k, m, size = draw(st.integers(1, 40)), draw(st.integers(1, 5)), draw(st.integers(1, 30))
+    mass = st.sampled_from([0.0, 0.0, 5e-324, 1e-17, 0.25]) | st.floats(0.0, 1.0)
+    table = np.cumsum(draw(st.lists(st.lists(mass, min_size=k, max_size=k), min_size=m,
+                                    max_size=m)), axis=1)
+    for row in table:
+        if row[-1] > 0.0:
+            row /= row[-1]
+            row *= 1.0 + draw(st.integers(0, 3)) * 2.0**-52
+    entry = st.sampled_from(table.ravel().tolist())
+    near = entry.flatmap(
+        lambda e: st.sampled_from([e, np.nextafter(e, -1.0), np.nextafter(e, 2.0)])
+    )
+    u = draw(st.lists(near | st.floats(0.0, 1.0), min_size=size, max_size=size))
+    rows = draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size))
+    return table, np.array(rows), np.array(u)
+
+
+def hitting_table(params, u):
+    """The CDF table estimate_hitting_prob steps against."""
+    return np.cumsum(np.exp(sim._transient_log_rows(params, u)), axis=1)
+
+
+class TestInvertRows:
+    @PROPERTY_SETTINGS
+    @given(cdf_table_draws())
+    def test_matches_searchsorted(self, case):
+        table, rows, u = case
+        assert np.array_equal(sim._invert_rows(table, rows, u), searchsorted_rows(table, rows, u))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.array([[0.0], [0.5], [1.0 + 2.0**-52]]),
+            lambda: np.array([[0.0, 0.0, 0.0, 0.3, 0.3, 1.0 + 2.0**-51], [0.0] * 5 + [1.0]]),
+            lambda: tilted_kernel(hitting_profile(ModelParams(1.5, 300), 66)).row_cdfs,
+            lambda: tilted_kernel(hitting_profile(ModelParams(2.0, 50), 10)).row_cdfs,
+            # large x: the low entries underflow to a run of zeros
+            lambda: hitting_table(ModelParams(2.0, 2000), 300),
+        ],
+        ids=["k=1", "zero-runs-above-one", "tilted-1.5-300", "tilted-2-50", "binomial-2-2000"],
+    )
+    def test_every_entry_of_a_table(self, make):
+        # exact ties at every entry, the doubles either side of it, and uniforms
+        table = make()
+        m, k = table.shape
+        rows = np.repeat(np.arange(m), k)
+        entries = table.ravel()
+        draws = trial_stream(5, 0).random(entries.size)
+        for u in (entries, np.nextafter(entries, -1.0), np.nextafter(entries, 2.0), draws):
+            got = sim._invert_rows(table, rows, u)
+            assert np.array_equal(got, searchsorted_rows(table, rows, u))
+
+
 @st.composite
 def chain_case(draw):
     """(lam, n, u, x0, seed) with 2 <= u <= eq, where trials end fast."""
@@ -469,12 +550,16 @@ class TestChunkInvariance:
             sim.particle_step_counts(complete_graph(12, False), 5, 3.0, 60, seed=17).tolist(),
         )
 
-    @pytest.mark.parametrize("chunk", [1, 7, sim.CHUNK])
+    # CHUNK sizes every batch: count-chain trials and Philox blocks per call at
+    # CHUNK, particle trials at max(1, CHUNK // 4), which 28 takes to 7
+    CHUNKS = [1, 7, 28, sim.CHUNK]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
     def test_results_do_not_depend_on_chunk(self, monkeypatch, kernel, reference, chunk):
         monkeypatch.setattr(sim, "CHUNK", chunk)
         assert self.run_all(kernel) == reference
 
-    @pytest.mark.parametrize("chunk", [1, 7, sim.CHUNK])
+    @pytest.mark.parametrize("chunk", CHUNKS)
     def test_truncation_names_lowest_truncated_trial(self, monkeypatch, chunk):
         # u above eq: a trial that does not die soon is trapped near eq.  Take
         # the first seed whose trial 0 dies in time, so that the lowest
@@ -493,3 +578,27 @@ class TestChunkInvariance:
         first = truncated.index(True)
         with pytest.raises(TruncationError, match=f"trial {first} exceeded {cap} steps"):
             estimate_hitting_prob(params, 40, 1, 20, seed=seed)
+
+
+class TestSamplerMemory:
+    def test_hitting_steps_hold_no_row_per_trial(self, monkeypatch):
+        # u far below eq (about 3466): every trial ends within a few steps
+        params, u, x0, seed = ModelParams(2.0, 10_000), 1000, 5, 3
+        estimate_hitting_prob(params, u, x0, 10, seed)  # fill the caches
+        run_chains = sim._run_chains
+
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()  # the table is built: measure the sampling
+            yield from run_chains(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "_run_chains", traced)
+        tracemalloc.start()
+        try:
+            est = estimate_hitting_prob(params, u, x0, sim.CHUNK + 100, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.steps_max < 30
+        # a CHUNK x u gather per step would alone take CHUNK * u * 8 B (32 MB)
+        beyond_table = peak - (u - 1) * u * 8
+        assert beyond_table < 1 << 20
