@@ -2,17 +2,15 @@
 
 Hitting probabilities phi_u(x) = P_x[hit 0 before reaching >= u] solve the
 first-step system phi(x) = p(x,0) + sum_{0<y<u} p(x,y) phi(y).  They decay
-geometrically in x, far below the smallest double.  Plain native
-elimination is used only when a rigorous floor certifies that phi stays
-representable and u lies at or below eq; otherwise the system is solved
-by subtraction-free (GTH) elimination on the rescaled matrix D^-1 Q D,
-D = diag(e^s) with s an estimate of log phi from below, in native
-doubles, while the O(u) vectors of masses and pivots stay in logs.  Where
-the estimate s falls far short, the solve is repeated, scaled by its own
-result, until it reaches a fixed point.  Conditioning on that
-hitting event is a Doob transform of the kernel by phi; expected
-absorption and occupation times under the conditioned chain are ordinary
-dense solves.
+geometrically in x, far below the smallest double, and above eq I - Q is
+nearly singular.  Every threshold is solved by subtraction-free (GTH)
+elimination on the rescaled matrix D^-1 Q D, D = diag(e^s) with s an
+estimate of log phi from below, in native doubles and in panels, while
+the O(u) vectors of masses and pivots stay in logs.  Where the estimate
+s falls far short, the solve is repeated, scaled by its own result, until
+it reaches a fixed point.  Conditioning on that hitting event is a Doob
+transform of the kernel by phi; expected absorption and occupation times
+under the conditioned chain are ordinary dense solves.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .chain import (
     _log_top_masses,
     _logsumexp_rows,
     _transient_log_rows,
-    equilibrium,
     transition_log_row,
 )
 
@@ -39,9 +36,6 @@ HARMONICITY_TOL = 1e-8
 ROW_SUM_TOL = 1e-9
 VI_TOL = 1e-13
 VI_MAX_SWEEPS = 10**6
-#: native-double solves are used only when every solution entry provably
-#: stays above this floor
-NATIVE_FLOOR = math.log(1e-280)
 #: scaled GTH zeroes entries below e^LOG_NEGLIGIBLE, so any product of two
 #: kept entries is a normal double (e^-700 > 2.2e-308)
 LOG_NEGLIGIBLE = -350.0
@@ -51,9 +45,10 @@ LOG_NEGLIGIBLE = -350.0
 LOG_SCALE_GAP = 100.0
 RESCALE_TOL = 1e-9
 RESCALE_PASSES = 8
+#: GTH eliminates this many pivots between two trailing matrix products
+_PANEL = 32
 UNCONDITIONAL_N_CAP = 400
 
-METHOD_NATIVE = "dense-native"
 METHOD_LOGDOMAIN = "dense-logdomain"
 METHOD_VI = "value-iteration"
 METHOD_CACHED = "cached"
@@ -227,6 +222,14 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
     native multiply-add; pivots, c and top (O(m) per step) stay in logs,
     as raw masses.
 
+    The elimination is the right-looking block LU (Golub and Van Loan,
+    Matrix Computations, 3.2): a panel of _PANEL pivots updates only its
+    own rows and columns, so each pivot sees its fully updated row, and
+    the trailing block then takes the panel's updates as one matrix
+    product.  Every term of that product is a product of nonnegatives, so
+    its summation order keeps GTH's entrywise relative accuracy
+    (O'Cinneide, Numer. Math. 65, 1993).
+
     Entries with log A below LOG_NEGLIGIBLE are set to 0, which keeps every
     product of two kept entries a normal double.  Where the scaling alone,
     e^(s_y - s_x), is below e^(LOG_NEGLIGIBLE / 2), phi(y) is negligible
@@ -250,22 +253,28 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
     np.copyto(buf, log_p[:, 1:], where=to_top)
     del to_top
     top = np.logaddexp(log_top, _logsumexp_rows(buf))
+    del buf
     np.exp(A, out=A)
     A[negligible] = 0.0
     del negligible
     log_c = log_p[:, 0] - s  # log of the scaled mass to 0
     log_pivot = np.empty(m)
     with np.errstate(divide="ignore"):
-        for k in range(m):
-            log_row = np.log(A[k, k + 1 :]) + (s[k] - s[k + 1 :])
-            log_pivot[k] = _logsumexp_rows(np.concatenate(([log_c[k] + s[k], top[k]], log_row)))
-            r = m - k - 1
-            col = A[k + 1 :, k]
-            np.multiply.outer(col, A[k, k + 1 :] / math.exp(log_pivot[k]), out=buf[:r, :r])
-            A[k + 1 :, k + 1 :] += buf[:r, :r]
-            f = np.log(col) - log_pivot[k]  # log(Q_ik / pivot) + s_k - s_i
-            np.logaddexp(log_c[k + 1 :], f + log_c[k], out=log_c[k + 1 :])
-            np.logaddexp(top[k + 1 :], f + (s[k + 1 :] - s[k] + top[k]), out=top[k + 1 :])
+        for k0 in range(0, m, _PANEL):
+            k1 = min(k0 + _PANEL, m)
+            for k in range(k0, k1):
+                log_row = np.log(A[k, k + 1 :]) + (s[k] - s[k + 1 :])
+                log_pivot[k] = _logsumexp_rows(np.concatenate(([log_c[k] + s[k], top[k]], log_row)))
+                col = A[k + 1 :, k]
+                col /= math.exp(log_pivot[k])  # column k now holds the multipliers
+                row = A[k, k + 1 :]
+                w = k1 - k - 1  # panel rows and columns after k
+                A[k + 1 : k1, k + 1 :] += np.multiply.outer(col[:w], row)
+                A[k1:, k + 1 : k1] += np.multiply.outer(col[w:], row[:w])
+                f = np.log(col)  # log(Q_ik / pivot) + s_k - s_i
+                np.logaddexp(log_c[k + 1 :], f + log_c[k], out=log_c[k + 1 :])
+                np.logaddexp(top[k + 1 :], f + (s[k + 1 :] - s[k] + top[k]), out=top[k + 1 :])
+            A[k1:, k1:] += A[k1:, k0:k1] @ A[k0:k1, k1:]
 
     psi = np.empty(m)
     c = np.exp(log_c)
@@ -312,50 +321,28 @@ def _harmonicity_residual(log_p: np.ndarray, log_phi: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - log_phi[1:])))
 
 
-def hitting_profile(params: ModelParams, u: int, method: str | None = None) -> HittingProfile:
+def hitting_profile(params: ModelParams, u: int, method: str = METHOD_LOGDOMAIN) -> HittingProfile:
     """Solve for phi_u(x) = P_x[hit 0 before reaching >= u], x = 0..u-1.
 
-    method=None picks dense-native when the one-step absorption masses
-    certify that every solution entry stays above the underflow floor
-    (phi(x) >= p(x,0)) and u <= eq, and dense-logdomain otherwise.  Above
-    eq, I - Q is nearly singular and the plain elimination loses digits
-    that the harmonicity check cannot see.  dense-logdomain is GTH
-    elimination on D^-1 Q D (see _solve_logdomain): it carries the
-    one-step masses to 0 and to >= u as two absorbing columns, never
-    subtracts, and keeps phi's relative accuracy however small it gets.
-    Pass an explicit method to force a path; "value-iteration" is the
-    independent cross-check, a monotone fixed-point iteration from phi = 0.
-    Forcing dense-native with u > eq raises ValueError, since its result
-    there can be wrong by several units of log phi.
+    The dense solve, dense-logdomain, is GTH elimination on D^-1 Q D (see
+    _solve_logdomain) at every threshold: it carries the one-step masses to
+    0 and to >= u as two absorbing columns, never subtracts, and keeps
+    phi's relative accuracy however small it gets, also above eq, where
+    I - Q is nearly singular.  method="value-iteration" is the independent
+    cross-check, a monotone fixed-point iteration from phi = 0.
     """
     if not 1 <= u <= params.n:
         raise ValueError(f"threshold {u} outside [1, {params.n}]")
-    if u == 1:
-        return HittingProfile(params, 1, np.zeros(1), 0.0, method or METHOD_NATIVE)
-
-    eq = equilibrium(params)
-    if method == METHOD_NATIVE and u > eq:
-        raise ValueError(
-            f"{METHOD_NATIVE} needs u <= eq, got u={u} above eq={eq:.6g}; use {METHOD_LOGDOMAIN}"
-        )
-    log_p = _transient_log_rows(params, u)
-    if method is None:
-        certified = log_p[:, 0].min() >= NATIVE_FLOOR and u <= eq
-        method = METHOD_NATIVE if certified else METHOD_LOGDOMAIN
-
-    if method == METHOD_NATIVE:
-        p = np.exp(log_p)
-        phi = _solve_m_matrix(p[:, 1:], p[:, 0])
-        if np.any(phi <= 0.0):
-            raise SolverError("native solve produced nonpositive probabilities")
-        log_phi = np.concatenate(([0.0], np.log(phi)))
-    elif method == METHOD_LOGDOMAIN:
-        log_phi_t = _solve_logdomain(log_p, _log_top_masses(params, u))
-        log_phi = np.concatenate(([0.0], log_phi_t))
-    elif method == METHOD_VI:
-        log_phi = _value_iteration(log_p, u)
-    else:
+    if method not in (METHOD_LOGDOMAIN, METHOD_VI):
         raise ValueError(f"unknown method {method!r}")
+    if u == 1:
+        return HittingProfile(params, 1, np.zeros(1), 0.0, method)
+
+    log_p = _transient_log_rows(params, u)
+    if method == METHOD_LOGDOMAIN:
+        log_phi = np.concatenate(([0.0], _solve_logdomain(log_p, _log_top_masses(params, u))))
+    else:
+        log_phi = _value_iteration(log_p, u)
 
     residual = _harmonicity_residual(log_p, log_phi)
     if not residual <= HARMONICITY_TOL:

@@ -533,7 +533,7 @@ class TestCache:
             run(args + ["--out", str(tmp_path / name)])
             solves.append(json.loads((tmp_path / name / "summary.json").read_text())["solve"])
         residual = hitting_profile(ModelParams(2.0, 50), 10).residual
-        assert solves[0] == {"u": 10, "m": 9, "method": "dense-native", "residual": residual}
+        assert solves[0] == {"u": 10, "m": 9, "method": "dense-logdomain", "residual": residual}
         assert solves[1] == dict(solves[0], method="cached")
 
     def test_run_refuses_mismatched_cache_file(self, tmp_path):

@@ -5,11 +5,14 @@ cond-time/occupation pair sharing one --cache directory, so the second run
 reads the profile the first one stored.  Every CSV, report.txt and cached
 profile file must hash to its pinned value.
 
-The pins hold for this numpy build and this libm: the kernel's log-factorial
-table calls libm's log through math.log and does the rest in numpy, so
-another numpy or libm may round a last digit differently.  The scipy build
-does not enter: no experiment calls scipy.  A change that moves a digit on purpose updates the
-pins and records the old and new values in CHANGES.md.
+The pins hold for this numpy build, its BLAS and this libm: the kernel's
+log-factorial table calls libm's log through math.log and does the rest in
+numpy, and the hitting solves of more than 32 states take BLAS matrix
+products (figure1, figure2 and the bounds-report window solve, m = 88, span
+2 to 3 panels), so another numpy, BLAS or libm may round a last digit
+differently.  The scipy build does not enter: no experiment calls scipy.  A
+change that moves a digit on purpose updates the pins and records the old
+and new values in CHANGES.md.
 """
 
 import hashlib
@@ -40,18 +43,18 @@ RUNS = {
 CACHED = ("cond-time", "occupation")
 
 PINS = {
-    "bounds-report/report.txt": "7a9d20a23be92c0864454a53989f27043cf7b502a8abcb8254096615c070d898",
-    "cache/profile_lambda1.5_n200_u45.txt": "7e4af03eb21409e23dcbf4ba1b8a01283659fd478b4ce999bd04474b21de3857",
-    "cached-cond-time/t.csv": "caf6fe36a0dcb5d589560df2b6b697806f10f2c478ec0ee8d0607eb9f6b2a79d",
-    "cached-occupation/h_occ.csv": "a29b1d1b6649f28154db2ef7a804437df54b26925ef65cc9a50440a46aff8ad1",
-    "cond-time/t.csv": "caf6fe36a0dcb5d589560df2b6b697806f10f2c478ec0ee8d0607eb9f6b2a79d",
+    "bounds-report/report.txt": "5c10d688f5b207b5b0645d5a83760d549c22b5215d2c1e9aa35e6a212940bc73",
+    "cache/profile_lambda1.5_n200_u45.txt": "017f0e87de77e1645fb2c3435a934bb987e6c4eb3218e202e2505857e2c11d77",
+    "cached-cond-time/t.csv": "bdb717b803148ef465eb408dd7c28546cf6b862ae0684375d89a5059e416681c",
+    "cached-occupation/h_occ.csv": "21b645df83cee969d492c69c41fd5661be6e4d468fbe888094332f37d41e99ce",
+    "cond-time/t.csv": "bdb717b803148ef465eb408dd7c28546cf6b862ae0684375d89a5059e416681c",
     "equivalence/tv.csv": "cd3c5e63ca67d655cfceb92b2c5ae6d93dcd9f61f26769d008d3c5277d970799",
-    "figure1/logh.csv": "217db3df238104a7b1dfd3ebd5516fa493d05d60a6457a67c83807bc5d3c6b38",
-    "figure2/kernel.csv": "af2710a3522be7e6f11b848806cef848c6454c0361dc5d3cbce311345e7be2cd",
+    "figure1/logh.csv": "f713494fc7f118d4d1cc3f3e37808ba1430c3c70a02ff3e501b31996660a6b6e",
+    "figure2/kernel.csv": "766c6d739734832df1ef6994490b1ef369ed0c7b3aa24f5de8b4d5062380012d",
     "mc-cond-path/est.csv": "59a9f12be8b19e18015b16523a543664467ef5e440ad55463c148040d28fe24a",
     "mc-hitting/est.csv": "5e0a0e5560adc493d4f76ecb92619454b537d6a68b9c3143598598a6043784ce",
-    "occupation/h_occ.csv": "a29b1d1b6649f28154db2ef7a804437df54b26925ef65cc9a50440a46aff8ad1",
-    "profile/phi.csv": "85b9f78545ea33c1e82ae7c1a9f8b10a8c551ef3daf1937ae53c801b3ca46bb6",
+    "occupation/h_occ.csv": "21b645df83cee969d492c69c41fd5661be6e4d468fbe888094332f37d41e99ce",
+    "profile/phi.csv": "af31922aae72c92ef78f9eb8420bb10881ed754ea9da8f229fb507b2f36124e2",
     "uncond-time/T.csv": "51761d4b6ee729f78bd500b1f9b9687f08283225e177be11d5e67f26322daf00",
 }
 

@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+import barw
 from barw import (
     KernelConsistencyError,
     ModelParams,
@@ -28,7 +34,6 @@ from barw.chain import _log_top_masses, _logsumexp_rows, _transient_log_rows
 from barw.solver import (
     HittingProfile,
     METHOD_LOGDOMAIN,
-    METHOD_NATIVE,
     METHOD_VI,
     _path_floor,
     _solve_m_matrix,
@@ -124,6 +129,7 @@ class TestHittingProfileSmall:
     def test_u_one_is_trivial(self):
         prof = hitting_profile(ModelParams(2.0, 10), 1)
         assert prof.u == 1
+        assert prof.method == METHOD_LOGDOMAIN
         assert prof.log_phi.tolist() == [0.0]
         assert prof.residual == 0.0
 
@@ -150,25 +156,21 @@ class TestHittingProfileSmall:
 
 
 class TestSolverMethods:
-    @pytest.mark.parametrize("lam,n,u", [(2.0, 50, 10), (1.5, 300, 67), (6.0, 120, 30)])
+    @pytest.mark.parametrize(
+        "lam,n,u",
+        [
+            (2.0, 50, 10),
+            (1.5, 300, 67),
+            (6.0, 120, 30),
+            (6.0, 1450, 250),  # p(x,0) = (1 - b(x))^n falls to e^-665 near x = 242
+        ],
+    )
     def test_methods_agree(self, lam, n, u):
         params = ModelParams(lam, n)
-        native = hitting_profile(params, u, method=METHOD_NATIVE)
-        logdom = hitting_profile(params, u, method=METHOD_LOGDOMAIN)
+        dense = hitting_profile(params, u)
         vi = hitting_profile(params, u, method=METHOD_VI)
-        np.testing.assert_allclose(native.log_phi, logdom.log_phi, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(native.log_phi, vi.log_phi, rtol=0, atol=1e-9)
-
-    def test_auto_selects_log_domain_when_floor_uncertified(self):
-        # min_x p(x,0) = (1 - b_max)^n drops below the certification floor
-        # once n * |log(1 - 1/e)| is large and the profile spans the peak
-        params = ModelParams(6.0, 1450)
-        prof = hitting_profile(params, 250)
-        assert prof.method == METHOD_LOGDOMAIN
-        forced = hitting_profile(params, 250, method=METHOD_NATIVE)
-        np.testing.assert_allclose(prof.log_phi, forced.log_phi, rtol=0, atol=1e-9)
-        vi = hitting_profile(params, 250, method=METHOD_VI)
-        np.testing.assert_allclose(prof.log_phi, vi.log_phi, rtol=0, atol=1e-9)
+        assert dense.method == METHOD_LOGDOMAIN
+        np.testing.assert_allclose(dense.log_phi, vi.log_phi, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("lam,n,u", [(2.0, 12, 3), (2.0, 30, 5), (6.0, 40, 12), (8.0, 16, 3)])
     def test_top_mass_from_tail_matches_complement(self, lam, n, u):
@@ -187,6 +189,8 @@ class TestSolverMethods:
             (2.0, 300, 300),  # trapped far above eq: subnormal pivot rows
             (2.0, 285, 166),
             (2.0, 2000, 594),  # phi down to e^-523: needs the rescaling
+            # m = u - 1 at and around the edges of the 32-pivot panels
+            *[(2.0, 300, m + 1) for m in (31, 32, 33, 64, 65)],
         ],
     )
     def test_scaled_solve_matches_log_domain_oracle(self, lam, n, u):
@@ -218,6 +222,14 @@ class TestSolverMethods:
         assert oracle.min() < -50
         np.testing.assert_allclose(prof.log_phi, oracle, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("lam,n,u", [(1.5, 1200, 265), (6.0, 1200, 299)])
+    def test_figure_profiles_match_oracle_to_1e12(self, lam, n, u):
+        # the README figure profiles, below eq; the subtracting native
+        # elimination once used here was off by 9.9e-12 and 1.8e-12
+        params = ModelParams(lam, n)
+        prof = hitting_profile(params, u)
+        np.testing.assert_allclose(prof.log_phi, oracle_log_phi(params, u), rtol=0, atol=1e-12)
+
     def test_trapped_chain_dies_surely(self):
         # hitting u = n needs every site occupied at once, probability at most
         # e^-n per step, so phi = 1 to double precision.  One pass scaled by
@@ -238,33 +250,51 @@ class TestSolverMethods:
 
     @pytest.mark.parametrize("lam,n,u", [(8.0, 300, 300), (2.0, 300, 150)])
     def test_forced_native_refused_above_equilibrium(self, lam, n, u):
-        # forced here, the native solve was off by 7.47 and 2.7e-6 in log phi
-        # against the oracle, with harmonicity residuals below 1e-14
-        with pytest.raises(ValueError, match=r"above eq=.*dense-logdomain"):
-            hitting_profile(ModelParams(lam, n), u, method=METHOD_NATIVE)
-
-    def test_auto_selects_native_when_certified(self):
-        prof = hitting_profile(ModelParams(2.0, 50), 10)
-        assert prof.method == METHOD_NATIVE
+        # a native elimination forced here was off by 7.47 and 2.7e-6 in
+        # log phi, with harmonicity residuals below 1e-14; no path takes it now
+        with pytest.raises(ValueError, match="unknown method 'dense-native'"):
+            hitting_profile(ModelParams(lam, n), u, method="dense-native")
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            hitting_profile(ModelParams(2.0, 50), 10, method="iterative-jacobi")
+        for method in ("iterative-jacobi", "dense-native"):
+            for u in (1, 10):
+                with pytest.raises(ValueError, match="unknown method"):
+                    hitting_profile(ModelParams(2.0, 50), u, method=method)
 
     def test_deterministic_bit_identical(self):
-        for params, u, method in [
-            (ModelParams(1.5, 300), 67, METHOD_NATIVE),
-            (ModelParams(6.0, 1450), 250, METHOD_LOGDOMAIN),
-        ]:
+        for params, u in [(ModelParams(1.5, 300), 67), (ModelParams(6.0, 1450), 250)]:
             a = hitting_profile(params, u)
             b = hitting_profile(params, u)
-            assert a.method == method
             assert a.log_phi.tobytes() == b.log_phi.tobytes()
             assert a.residual == b.residual
+
+    def test_bits_independent_of_blas_threads(self):
+        # the trailing updates are BLAS matrix products, 18 of them here, and
+        # OpenBLAS reads its thread count once, at start-up
+        script = (
+            "import sys; from barw import ModelParams, hitting_profile; "
+            "sys.stdout.buffer.write(hitting_profile(ModelParams(2.0, 2000), 594).log_phi.tobytes())"
+        )
+        src = str(Path(barw.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = {
+            hashlib.sha256(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                    capture_output=True,
+                    timeout=120,
+                    check=True,
+                ).stdout
+            ).hexdigest()
+            for threads in ("1", "2")
+        }
+        assert len(digests) == 1
 
     @pytest.mark.parametrize("lam,n,u", [(2.0, 50, 10), (1.5, 300, 67)])
     def test_harmonicity_contract(self, lam, n, u):
         prof = hitting_profile(ModelParams(lam, n), u)
+        assert prof.method == METHOD_LOGDOMAIN
         assert prof.residual <= 1e-8
         assert np.all(np.isfinite(prof.log_phi))
 
@@ -273,9 +303,8 @@ class TestSolverMethods:
 def below_equilibrium(draw):
     """(lam, n, u) with 2 <= u <= eq, where every solve path converges fast.
 
-    Above eq the chain is trapped for about e^{cn} steps: value iteration
-    needs that many sweeps, and the native solve of the near-singular
-    I - Q loses digits that the harmonicity check cannot see.
+    Above eq the chain is trapped for about e^{cn} steps, and value
+    iteration needs that many sweeps.
     """
     lam = draw(st.floats(1.2, 8.0))
     n = draw(st.integers(math.ceil(2.0 * lam / math.log(lam)), 300))
@@ -309,12 +338,9 @@ class TestSolverProperties:
     def test_paths_agree(self, case):
         lam, n, u = case
         params = ModelParams(lam, n)
-        native, logdom, vi = (
-            hitting_profile(params, u, method=m) for m in (METHOD_NATIVE, METHOD_LOGDOMAIN, METHOD_VI)
-        )
-        for prof in (native, logdom, vi):
+        logdom, vi = (hitting_profile(params, u, method=m) for m in (METHOD_LOGDOMAIN, METHOD_VI))
+        for prof in (logdom, vi):
             assert prof.residual <= 1e-8
-        np.testing.assert_allclose(logdom.log_phi, native.log_phi, rtol=0, atol=1e-9)
         np.testing.assert_allclose(logdom.log_phi, vi.log_phi, rtol=0, atol=1e-9)
 
     @PROPERTY_SETTINGS
