@@ -22,6 +22,7 @@ from .chain import (
     branch_prob,
     gw_extinction_prob,
     transition_log_row,
+    transition_log_rows,
 )
 from .solver import HittingProfile, TiltedKernel
 
@@ -277,11 +278,12 @@ def check_gamma_ratio(
     }
     violations = []
     max_log_ratio = -math.inf
-    for x in range(x_count):
-        y_top = int(math.floor((1.0 - bounds.alpha) * params.n * branch_prob(params, x)))
-        row_lo = transition_log_row(params, x, y_top)
-        row_hi = transition_log_row(params, x + 1, y_top)
-        d = row_hi - row_lo
+    scale = (1.0 - bounds.alpha) * params.n
+    y_tops = [math.floor(scale * branch_prob(params, x)) for x in range(x_count)]
+    # the rows of states 0..x_count, each built once and sliced for x and x+1
+    rows = transition_log_rows(params, range(x_count + 1), 0, max(y_tops, default=0))
+    for x, y_top in enumerate(y_tops):
+        d = rows[x + 1, : y_top + 1] - rows[x, : y_top + 1]
         max_log_ratio = max(max_log_ratio, float(d.max()))
         for y in np.flatnonzero(d > log_gamma):
             violations.append(f"x={x} y={int(y)} log_ratio={d[y]:.12g} exceeds log_gamma")

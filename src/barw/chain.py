@@ -197,6 +197,15 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
         return np.log(a.sum(axis=-1)) + shift
 
 
+def _cdf_rows(pmf: np.ndarray) -> np.ndarray:
+    """Read-only CDFs along the last axis of whole-support pmfs, clipped to end at exactly 1."""
+    cdf = np.cumsum(pmf, axis=-1)
+    cdf[..., -1] = 1.0
+    np.minimum(cdf, 1.0, out=cdf)
+    cdf.flags.writeable = False
+    return cdf
+
+
 def _log_row_blocks(params: ModelParams, u: int, y_lo: int, y_hi: int):
     """transition_log_rows for x = 1..u-1 over y_lo..y_hi, ROW_BLOCK rows at a time.
 

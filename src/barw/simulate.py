@@ -6,7 +6,9 @@ Every draw inverts one 53-bit uniform made from the next word against a CDF
 row held in doubles: a count-chain step against Bin(n, b(x)), a tilted step
 against the conditioned kernel, an offspring count against Poisson(lam), and
 a move as floor(U*k) into the k legal targets.  Sampling is exact up to the
-rounding of those CDF rows; there are no normal approximations.
+rounding of those CDF rows; there are no normal approximations.  A row that
+covers its distribution's whole support ends at exactly 1, so no uniform
+inverts past it.
 
 The estimators run their trials in lockstep, a chunk at a time, and make
 their words with `philox_block`, a numpy-vectorized Philox that equals
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .chain import ModelParams, _log_factorials, _transient_log_rows, transition_log_row
+from .chain import ModelParams, _cdf_rows, _log_factorials, _transient_log_rows, transition_log_row
 from .solver import TiltedKernel
 
 #: hard per-trial cap inside estimators; hitting it means the estimate
@@ -145,11 +147,9 @@ def _invert_rows(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarr
 
 
 @lru_cache(maxsize=256)
-def _binomial_cdf(params: ModelParams, x: int, y_hi: int) -> np.ndarray:
-    """CDF of Bin(n, b(x)) over y = 0..y_hi, from transition_log_row."""
-    cdf = np.cumsum(np.exp(transition_log_row(params, x, y_hi)))
-    cdf.flags.writeable = False
-    return cdf
+def _binomial_cdf(params: ModelParams, x: int) -> np.ndarray:
+    """CDF of Bin(n, b(x)) over y = 0..n, from transition_log_row, ending at exactly 1."""
+    return _cdf_rows(np.exp(transition_log_row(params, x)))
 
 
 @lru_cache(maxsize=64)
@@ -345,7 +345,7 @@ def step_meanfield(params: ModelParams, x: int, stream: Generator) -> int:
         raise ValueError(f"state {x} outside [0, {params.n}]")
     if x == 0:
         return 0
-    return min(int(_invert(_binomial_cdf(params, x, params.n), stream.random())), params.n)
+    return int(_invert(_binomial_cdf(params, x), stream.random()))
 
 
 def _move_targets(
@@ -419,17 +419,15 @@ def sample_conditioned_path(kernel: TiltedKernel, x0: int, stream: Generator) ->
     """Sample the conditioned chain from x0 until it dies.
 
     The tilted kernel puts no mass at or above u, so every sampled path
-    stays below u and ends at 0; a uniform above a row's rounded total
-    takes the top state u-1.
+    stays below u and ends at 0.
     """
     if not 1 <= x0 < kernel.u:
         raise ValueError(f"start {x0} outside [1, {kernel.u - 1}]")
     cdfs = kernel.row_cdfs
-    top = kernel.u - 1
     states = [x0]
     x = x0
     while x != 0:
-        x = min(int(_invert(cdfs[x - 1], stream.random())), top)
+        x = int(_invert(cdfs[x - 1], stream.random()))
         states.append(x)
     return Trajectory(states, True, False, kernel.u)
 
@@ -471,7 +469,6 @@ def _run_chains(
     x0: int,
     trials: int,
     seed: int,
-    clamp: bool,
     cap: int | None = None,
     history: list | None = None,
 ):
@@ -479,8 +476,8 @@ def _run_chains(
 
     Row x-1 of cdfs (shape (u-1, u)) is the CDF over 0..u-1 of the next
     state from x; step t of trial i inverts uniform t of trial_stream(seed,
-    i).  A count of u means the step left 0..u-1; with clamp it is the top
-    state u-1 instead.  A trial stops at 0 or u.  Yields, per chunk, the
+    i).  A count of u means the step left 0..u-1, a crossing, which a row
+    ending at 1 never gives.  A trial stops at 0 or u.  Yields, per chunk, the
     steps each trial took and its final state.  A trial still
     running after `cap` steps raises TruncationError.  history, if given,
     receives (trial indices, states) after every step.
@@ -500,8 +497,6 @@ def _run_chains(
                     f"trial {idx[live[0]]} exceeded {cap} steps; the estimate would be biased"
                 )
             x = _invert_rows(cdfs, x - 1, draws.next())
-            if clamp:
-                np.minimum(x, u - 1, out=x)
             t += 1
             if history is not None:
                 history.append((idx[live], x.copy()))
@@ -538,7 +533,7 @@ def estimate_hitting_prob(
     np.exp(cdfs, out=cdfs)
     np.cumsum(cdfs, axis=1, out=cdfs)
     deaths = steps_total = steps_max = 0
-    for steps, final in _run_chains(cdfs, x0, trials, seed, clamp=False, cap=STEP_CAP):
+    for steps, final in _run_chains(cdfs, x0, trials, seed, cap=STEP_CAP):
         deaths += int(np.count_nonzero(final == 0))
         steps_total += int(steps.sum())
         steps_max = max(steps_max, int(steps.max()))
@@ -562,7 +557,7 @@ def estimate_conditioned_length(
         raise ValueError(f"start {x0} outside [1, {kernel.u - 1}]")
     # exact integer moments: nothing is rounded before the final division
     total = sq = steps_max = 0
-    for steps, _ in _run_chains(kernel.row_cdfs, x0, trials, seed, clamp=True):
+    for steps, _ in _run_chains(kernel.row_cdfs, x0, trials, seed):
         total += int(steps.sum())
         sq += int(np.dot(steps, steps))
         steps_max = max(steps_max, int(steps.max()))

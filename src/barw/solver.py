@@ -26,10 +26,10 @@ import numpy as np
 from .chain import (
     LOG_ZERO,
     ModelParams,
+    _cdf_rows,
     _log_top_masses,
     _logsumexp_rows,
     _transient_log_rows,
-    transition_log_row,
 )
 
 HARMONICITY_TOL = 1e-8
@@ -64,14 +64,6 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class SolveOverflowError(SolverError):
-    """A native expected-time solve overflowed; `state` names the first bad entry."""
-
-    def __init__(self, message: str, state: int):
-        super().__init__(message)
-        self.state = state
 
 
 class KernelConsistencyError(RuntimeError):
@@ -139,10 +131,8 @@ class TiltedKernel:
 
     @cached_property
     def row_cdfs(self) -> np.ndarray:
-        """Per-row cumulative sums, for inverse-CDF sampling."""
-        c = np.cumsum(self.rows, axis=1)
-        c.flags.writeable = False
-        return c
+        """Per-row CDFs ending at exactly 1, for inverse-CDF sampling."""
+        return _cdf_rows(self.rows)
 
 
 @dataclass(frozen=True)
@@ -414,8 +404,9 @@ def _check_unconditional_cap(n: int) -> None:
     if n > UNCONDITIONAL_N_CAP:
         raise ValueError(
             f"n={n} exceeds the native-precision cap {UNCONDITIONAL_N_CAP}; the native "
-            "solve loses relative accuracy as n grows (log T off by 4.4e-3 at n=100, "
-            "lambda=2) long before expected times overflow doubles"
+            "solve loses relative accuracy as n grows (at n=100, log T is off by 4.4e-3 "
+            "at lambda=2, 8.4 at lambda=3 and 3.8 at lambda=4) long before expected "
+            "times overflow doubles"
         )
 
 
@@ -425,20 +416,21 @@ def unconditional_expected_extinction(params: ModelParams) -> TimeProfile:
     Solves (I - Q)T = 1 over the states 1..n by native elimination, which
     subtracts.  The chain leaves for 0 at a rate of about 1/T ~ e^(-cn), so
     I - Q is singular to within that rate and T loses relative accuracy as
-    n grows, with no error raised: at lam=2 log T is off by up to 2.5e-9 at
-    n=50 and 4.4e-3 at n=100 against a 60-digit solve.  Overflow is not the
-    limit, since T stays below e^110 for n <= UNCONDITIONAL_N_CAP; a larger
-    n is refused, and a non-finite entry raises SolveOverflowError.
+    n grows, with no error raised.  Against a 60-digit subtraction-free (GTH)
+    solve of the same rows, log T is off by up to 2.5e-9, 2.5e-7 and 4.4e-3
+    at lam=2 and n=50, 60, 100; 1.8e-6 and 8.4 at lam=3 and n=50, 100 (n=80
+    meets a nonpositive pivot); 3.8 at lam=4, n=100.  That solve waits for a
+    change of the benchmark's recorded values.  Overflow is not the limit: at
+    lam=2 T stays below e^110 for n <= UNCONDITIONAL_N_CAP.  A larger n is
+    refused, and a non-finite entry raises SolverError.
     """
     n = params.n
     _check_unconditional_cap(n)
-    rows = np.exp(np.array([transition_log_row(params, x) for x in range(1, n + 1)]))
+    rows = np.exp(_transient_log_rows(params, n + 1))
     t = _solve_m_matrix(rows[:, 1:], np.ones(n))
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
-        raise SolveOverflowError(
-            f"expected time from state {bad[0] + 1} overflowed", state=int(bad[0] + 1)
-        )
+        raise SolverError(f"expected time from state {bad[0] + 1} overflowed")
     return TimeProfile(np.concatenate(([0.0], t)), conditional=False)
 
 

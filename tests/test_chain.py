@@ -15,7 +15,7 @@ from barw import (
     transition_log_rows,
 )
 import barw.simulate as sim
-from barw.chain import LOG_ZERO, _log_factorials, _logsumexp_rows
+from barw.chain import LOG_ZERO, ROW_BLOCK, _log_factorials, _logsumexp_rows, _transient_log_rows
 from barw.cli import ExperimentConfig, _resolve_u
 
 
@@ -180,6 +180,15 @@ class TestTransitionLogpmf:
         rows = transition_log_rows(ModelParams(2.0, 20), [], 5, 12)
         assert rows.shape == (0, 8)
         assert transition_log_rows(ModelParams(2.0, 20), []).shape == (0, 21)
+
+    # the ROW_BLOCK edges: one block short of, at and past a full block
+    @pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2])
+    def test_blocked_full_rows_equal_single_rows(self, n):
+        # u = n + 1: the rows of every transient state over the whole support,
+        # as unconditional_expected_extinction builds them
+        params = ModelParams(2.0, n)
+        single = np.array([transition_log_row(params, x) for x in range(1, n + 1)])
+        assert _transient_log_rows(params, n + 1).tobytes() == single.tobytes()
 
 
 class TestLogFactorials:

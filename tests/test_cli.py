@@ -594,6 +594,10 @@ class TestExitCodes:
                  "--out", str(tmp_path / "x")]) == 3
         )
 
+    def test_unconditional_pivot_failure_maps_to_three(self, tmp_path):
+        # the native elimination meets a nonpositive pivot at lambda=3, n=80
+        assert run(["uncond-time", "--lambda", "3", "--n", "80", "--out", str(tmp_path / "x")]) == 3
+
     def test_truncation_maps_to_four(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise TruncationError("synthetic cap hit")

@@ -439,10 +439,10 @@ def chain_case(draw):
     return lam, n, u, draw(st.integers(0, u - 1)), draw(SEEDS)
 
 
-def batched_paths(cdfs, x0, trials, seed, clamp, cap=None):
+def batched_paths(cdfs, x0, trials, seed, cap=None):
     """Per-trial paths, steps and final states of sim._run_chains."""
     history = []
-    chunks = list(sim._run_chains(cdfs, x0, trials, seed, clamp, cap, history))
+    chunks = list(sim._run_chains(cdfs, x0, trials, seed, cap, history))
     steps = np.concatenate([c[0] for c in chunks])
     final = np.concatenate([c[1] for c in chunks])
     paths = [[x0] for _ in range(trials)]
@@ -453,7 +453,50 @@ def batched_paths(cdfs, x0, trials, seed, clamp, cap=None):
 
 
 def binomial_table(params, u):
-    return np.array([sim._binomial_cdf(params, x, u - 1) for x in range(1, u)]).reshape(u - 1, u)
+    return np.array([sim._binomial_cdf(params, x)[:u] for x in range(1, u)]).reshape(u - 1, u)
+
+
+#: (lam, n, u or None for the epsilon=0.05 window) of the pinned outputs and the README figures
+CDF_CASES = [(2.0, 50, 10), (1.5, 200, None), (6.0, 200, None), (1.5, 300, None),
+             (1.5, 1200, None), (6.0, 1200, None)]
+#: the largest uniform a 53-bit draw makes
+TOP_UNIFORM = 1.0 - 2.0**-53
+
+
+def check_cdf_rows(table):
+    """Rows nondecreasing, at most 1 and ending at exactly 1; the top uniform stays inside."""
+    assert np.all(np.diff(table, axis=1) >= 0.0)
+    assert np.all(table <= 1.0)
+    assert np.all(table[:, -1] == 1.0)
+    tops = [np.searchsorted(row, TOP_UNIFORM, side="right") for row in table]
+    assert max(tops) <= table.shape[1] - 1
+
+
+class TestCdfRowsEndAtOne:
+    """CDF rows over a whole support invert every uniform below 1 into it."""
+
+    @staticmethod
+    def tilted_cdfs(lam, n, u):
+        params = ModelParams(lam, n)
+        u = threshold_u(params, 0.05, "window") if u is None else u
+        return tilted_kernel(hitting_profile(params, u)).row_cdfs
+
+    @pytest.mark.parametrize("lam, n, u", CDF_CASES)
+    def test_tilted_rows(self, lam, n, u):
+        check_cdf_rows(self.tilted_cdfs(lam, n, u))
+
+    @pytest.mark.parametrize("lam, n", sorted({(lam, n) for lam, n, _ in CDF_CASES} | {(2.0, 30)}))
+    def test_binomial_rows(self, lam, n):
+        params = ModelParams(lam, n)
+        check_cdf_rows(np.array([sim._binomial_cdf(params, x) for x in range(1, n + 1)]))
+
+    @PROPERTY_SETTINGS
+    @given(chain_case())
+    def test_chain_cases(self, case):
+        lam, n, u, _, _ = case
+        params = ModelParams(lam, n)
+        check_cdf_rows(self.tilted_cdfs(lam, n, u))
+        check_cdf_rows(np.array([sim._binomial_cdf(params, x) for x in range(1, n + 1)]))
 
 
 class TestBatchedMatchesScalar:
@@ -464,7 +507,7 @@ class TestBatchedMatchesScalar:
     def test_count_chain(self, case):
         lam, n, u, x0, seed = case
         params = ModelParams(lam, n)
-        paths, steps, final = batched_paths(binomial_table(params, u), x0, self.TRIALS, seed, False)
+        paths, steps, final = batched_paths(binomial_table(params, u), x0, self.TRIALS, seed)
         refs = [
             run_to_absorption(params, x0, u, 10**6, trial_stream(seed, i))
             for i in range(self.TRIALS)
@@ -488,7 +531,7 @@ class TestBatchedMatchesScalar:
         lam, n, u, x0, seed = case
         kern = tilted_kernel(hitting_profile(ModelParams(lam, n), u))
         x0 = max(x0, 1)
-        paths, steps, final = batched_paths(kern.row_cdfs, x0, self.TRIALS, seed, True)
+        paths, steps, final = batched_paths(kern.row_cdfs, x0, self.TRIALS, seed)
         refs = [sample_conditioned_path(kern, x0, trial_stream(seed, i)) for i in range(self.TRIALS)]
         for i, ref in enumerate(refs):
             assert paths[i] == ref.states.tolist()

@@ -507,6 +507,11 @@ class TestUnconditionalExpectedExtinction:
         assert not t.conditional
         assert np.all(t.values[1:] >= 1.0)
 
+    def test_non_finite_time_is_a_solver_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "_solve_m_matrix", lambda Q, b: np.full(b.size, np.inf))
+        with pytest.raises(SolverError, match="expected time from state 1 overflowed"):
+            unconditional_expected_extinction(ModelParams(2.0, 5))
+
 
 class TestConditionalOccupationTime:
     def test_two_state_band_identity(self):
