@@ -4,9 +4,7 @@ Every experiment validates its configuration before touching the output
 directory, which its first write creates, writes a fixed set of CSV files
 plus a summary.json, and is bit-reproducible: the same configuration
 (including seed) always yields byte-identical CSVs.  Each subcommand takes
-only the flags its experiment reads.  The Monte Carlo ones accept --workers
-and check it, but it has no effect: their trials run in lockstep in one
-thread.
+only the flags its experiment reads.
 
 Exit codes: 0 success, 2 invalid configuration or cache refusal,
 3 solver failure, 4 simulation truncation.
@@ -31,9 +29,10 @@ from .simulate import (
     EstimateWithCI,
     TruncationError,
     _check_seed,
+    complete_graph,
     estimate_conditioned_length,
     estimate_hitting_prob,
-    graph_from_name,
+    parse_graph_file,
     particle_step_counts,
     tv_distance,
 )
@@ -81,8 +80,7 @@ class ExperimentConfig:
     trials: int | None = None
     seed: int | None = None
     graph: str | None = None
-    self_loops: bool = True
-    workers: int = 1  # validated, but it has no effect on how trials run
+    self_loops: bool | None = None  # K_n's convention; unset means with self-moves
     cache_dir: Path | None = None
 
 
@@ -147,11 +145,12 @@ def _params(config: ExperimentConfig) -> ModelParams:
     return ModelParams(config.lam, config.n)
 
 
-def _resolve_u(config: ExperimentConfig, params: ModelParams, default_mode: str) -> int:
-    """Threshold from --u (custom) or --mode/--epsilon, with a per-experiment default.
+def _resolve_u(config: ExperimentConfig, params: ModelParams, default_mode: str | None) -> int:
+    """Threshold from --u or --mode/--epsilon, with a per-experiment default mode.
 
     --mode low|window derives u from --epsilon, so an explicit --u with
-    either of them is a conflict, not an override.
+    either of them is a conflict, not an override.  Without a default mode
+    one of --u and --mode is required.
     """
     if config.u is not None:
         if config.mode in ("low", "window"):
@@ -160,8 +159,8 @@ def _resolve_u(config: ExperimentConfig, params: ModelParams, default_mode: str)
             raise ValueError(f"threshold {config.u} outside [1, {params.n}]")
         return config.u
     mode = config.mode or default_mode
-    if mode == "custom":
-        raise ValueError("mode=custom requires --u")
+    if mode is None:
+        raise ValueError(f"{config.experiment}: --u or --mode (low|window) is required")
     if config.epsilon is None:
         raise ValueError(f"mode={mode} requires --epsilon")
     return threshold_u(params, config.epsilon, mode)
@@ -248,7 +247,7 @@ def _constants(params: ModelParams, epsilon: float | None, u: int | None) -> dic
 
 
 def _profile_step(
-    config: ExperimentConfig, default_mode: str, *required: str
+    config: ExperimentConfig, default_mode: str | None, *required: str
 ) -> tuple[HittingProfile, dict]:
     """Check the flags, resolve u, get its profile; returns it and its summary fields."""
     params = _params(config)
@@ -264,7 +263,7 @@ def _profile_step(
 
 
 def _exp_profile(config: ExperimentConfig, out: Path) -> dict:
-    profile, summary = _profile_step(config, "custom")
+    profile, summary = _profile_step(config, None)
     rows = []
     for x, log_phi in enumerate(profile.log_phi.tolist()):
         v = math.exp(log_phi)
@@ -364,10 +363,14 @@ def _exp_mc_cond_path(config: ExperimentConfig, out: Path) -> dict:
 def _exp_equivalence(config: ExperimentConfig, out: Path) -> dict:
     _require(config, "lam", "x0", "trials", "seed")
     if config.graph is not None:
-        graph = graph_from_name(config.graph, config.self_loops)
+        if config.n is not None or config.self_loops is not None:
+            raise ValueError(
+                "equivalence: a graph file sets n and self_loops; do not pass --n or --self-loops"
+            )
+        graph = parse_graph_file(config.graph)
     else:
         _require(config, "n")
-        graph = graph_from_name(f"complete:{config.n}", config.self_loops)
+        graph = complete_graph(config.n, config.self_loops is not False)
     n = graph.vertex_count
     params = ModelParams(config.lam, n)
     counts = particle_step_counts(graph, config.x0, config.lam, config.trials, config.seed)
@@ -438,8 +441,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Run one experiment; returns the summary also written to summary.json."""
     if config.experiment not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {config.experiment!r}")
-    if config.workers < 1:
-        raise ValueError("workers must be at least 1")
     if config.seed is not None:
         _check_seed(config.seed)
     started = time.perf_counter()
@@ -479,17 +480,16 @@ _ARGUMENTS = {
     "--alpha": {"type": float},
     "--x0": {"type": int},
     "--u": {"type": int},
-    "--mode": {"choices": ["low", "window", "custom"]},
+    "--mode": {"choices": ["low", "window"]},
     "--trials": {"type": int},
     "--seed": {"type": int},
-    "--graph": {"type": str, "help": "graph file path or complete:<n>"},
-    "--self-loops": {"type": _zero_or_one, "default": True, "metavar": "{0,1}"},
-    "--workers": {"type": int, "default": 1, "help": "checked to be >= 1; has no effect"},
+    "--graph": {"type": str, "help": "graph file path"},
+    "--self-loops": {"type": _zero_or_one, "metavar": "{0,1}"},
     "--cache": {"dest": "cache_dir", "type": Path, "default": None},
 }
 
 _THRESHOLD = ("--lambda", "--n", "--epsilon", "--u", "--mode")
-_TRIALS = ("--x0", "--trials", "--seed", "--workers")
+_TRIALS = ("--x0", "--trials", "--seed")
 
 #: the flags each experiment reads, besides --out; any other flag is exit 2
 _FLAGS = {

@@ -7,8 +7,9 @@ row held in doubles: a count-chain step against Bin(n, b(x)), a tilted step
 against the conditioned kernel, an offspring count against Poisson(lam), and
 a move as floor(U*k) into the k legal targets.  Sampling is exact up to the
 rounding of those CDF rows; there are no normal approximations.  A row that
-covers its distribution's whole support ends at exactly 1, so no uniform
-inverts past it.
+covers its distribution's whole support ends at exactly 1 (the Poisson row
+folds its tail, below double resolution, into its last entry), so no
+uniform inverts past it.
 
 The estimators run their trials in lockstep, a chunk at a time, and make
 their words with `philox_block`, a numpy-vectorized Philox that equals
@@ -154,12 +155,10 @@ def _binomial_cdf(params: ModelParams, x: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _poisson_cdf(lam: float) -> np.ndarray:
-    """CDF of Poisson(lam) over k = 0..K, with K far enough out that the
-    omitted tail lies below double resolution."""
+    """CDF of Poisson(lam) over k = 0..K, ending at exactly 1, with K far
+    enough out that the tail folded into k = K lies below double resolution."""
     k = np.arange(int(lam + 12.0 * math.sqrt(lam) + 40.0))
-    cdf = np.cumsum(np.exp(k * math.log(lam) - lam - _log_factorials(k.size - 1)))
-    cdf.flags.writeable = False
-    return cdf
+    return _cdf_rows(np.exp(k * math.log(lam) - lam - _log_factorials(k.size - 1)))
 
 
 @dataclass(frozen=True)
@@ -261,13 +260,6 @@ def parse_graph_file(path: str | Path) -> GraphSpec:
         nbrs[a].append(b)
         nbrs[b].append(a)
     return GraphSpec(count, tuple(np.array(sorted(v), dtype=np.int64) for v in nbrs), allow_self)
-
-
-def graph_from_name(name: str, allow_self: bool = True) -> GraphSpec:
-    """Resolve `complete:<n>` to K_n, anything else to a graph file path."""
-    if name.startswith("complete:"):
-        return complete_graph(int(name.split(":", 1)[1]), allow_self)
-    return parse_graph_file(name)
 
 
 @dataclass(frozen=True)

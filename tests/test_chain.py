@@ -15,7 +15,14 @@ from barw import (
     transition_log_rows,
 )
 import barw.simulate as sim
-from barw.chain import LOG_ZERO, ROW_BLOCK, _log_factorials, _logsumexp_rows, _transient_log_rows
+from barw.chain import (
+    LOG_ZERO,
+    ROW_BLOCK,
+    _cdf_rows,
+    _log_factorials,
+    _logsumexp_rows,
+    _transient_log_rows,
+)
 from barw.cli import ExperimentConfig, _resolve_u
 
 
@@ -223,7 +230,7 @@ class TestLogFactorials:
     def test_poisson_cdf_matches_gammaln_formula(self, lam):
         cdf = sim._poisson_cdf(lam)
         k = np.arange(cdf.size)
-        direct = np.cumsum(np.exp(k * math.log(lam) - lam - gammaln(k + 1.0)))
+        direct = _cdf_rows(np.exp(k * math.log(lam) - lam - gammaln(k + 1.0)))
         assert cdf.tobytes() == direct.tobytes()
 
 
@@ -267,7 +274,7 @@ class TestThresholdU:
             threshold_u(ModelParams(2.0, 10), 0.1, "middle")
 
 
-def _resolve(lam, n, default_mode="custom", **flags):
+def _resolve(lam, n, default_mode=None, **flags):
     config = ExperimentConfig(experiment="profile", out_dir=Path("."), lam=lam, n=n, **flags)
     return _resolve_u(config, ModelParams(lam, n), default_mode)
 
@@ -276,11 +283,11 @@ class TestLevelSpec:
     """Threshold resolution from u, mode and epsilon (cli._resolve_u)."""
 
     def test_custom(self):
-        assert _resolve(2.0, 100, mode="custom", u=17) == 17
+        assert _resolve(2.0, 100, u=17) == 17
 
     def test_custom_requires_u(self):
         with pytest.raises(ValueError):
-            _resolve(2.0, 100, mode="custom")
+            _resolve(2.0, 100, epsilon=0.05)
 
     def test_low_derives(self):
         assert _resolve(2.0, 100, mode="low", epsilon=0.05) == 5
@@ -294,9 +301,9 @@ class TestLevelSpec:
 
     def test_custom_range_check(self):
         with pytest.raises(ValueError):
-            _resolve(2.0, 100, mode="custom", u=0)
+            _resolve(2.0, 100, u=0)
         with pytest.raises(ValueError):
-            _resolve(2.0, 100, mode="custom", u=101)
+            _resolve(2.0, 100, u=101)
 
 
 class TestLogSumExp:

@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -121,13 +122,18 @@ class TestFigureExperiments:
 class TestThresholdResolution:
     def test_custom(self, tmp_path):
         out = tmp_path / "out"
-        assert run(["profile", "--lambda", "2", "--n", "100", "--mode", "custom", "--u", "17",
+        assert run(["profile", "--lambda", "2", "--n", "100", "--u", "17",
                     "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["constants"]["u"] == 17
 
-    def test_custom_requires_u(self, tmp_path):
-        assert run(["profile", "--lambda", "2", "--n", "100", "--mode", "custom",
-                    "--out", str(tmp_path / "x")]) == 2
+    def test_custom_requires_u(self, tmp_path, capsys):
+        # profile has no default mode: without --u it needs --mode
+        out = tmp_path / "x"
+        assert run(["profile", "--lambda", "2", "--n", "100", "--epsilon", "0.05",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--u" in err and "--mode" in err
+        assert not out.exists()
 
     def test_custom_range_check(self, tmp_path):
         for u in ("0", "101"):
@@ -231,13 +237,13 @@ class TestStochasticExperiments:
         )
         assert code == 2
 
-    def test_worker_count_invisible_in_output(self, tmp_path):
+    def test_rerun_identical_output(self, tmp_path):
         outs = []
-        for i, workers in enumerate(("1", "3")):
-            out = tmp_path / f"w{i}"
+        for i in range(2):
+            out = tmp_path / f"r{i}"
             run(
                 ["mc-hitting", "--lambda", "2", "--n", "50", "--u", "10", "--x0", "3",
-                 "--trials", "3000", "--seed", "11", "--workers", workers, "--out", str(out)]
+                 "--trials", "3000", "--seed", "11", "--out", str(out)]
             )
             outs.append((out / "est.csv").read_bytes())
         assert outs[0] == outs[1]
@@ -263,15 +269,32 @@ class TestStochasticExperiments:
         assert lines[0] == "n,lambda,x,trials,tv_distance"
         assert lines[1].startswith("30,2,10,4000,")
 
-    def test_equivalence_named_graph(self, tmp_path):
+    @staticmethod
+    def cycle4(tmp_path) -> Path:
+        """The README's example graph file, the 4-cycle without self-moves."""
+        path = tmp_path / "cycle4.txt"
+        path.write_text("vertices=4 self_loops=0\n0 1\n1 2\n2 3\n3 0\n")
+        return path
+
+    def test_equivalence_graph_file(self, tmp_path):
         out = tmp_path / "eq2"
         code = run(
-            ["equivalence", "--lambda", "2", "--graph", "complete:20", "--x0", "5",
+            ["equivalence", "--lambda", "2", "--graph", str(self.cycle4(tmp_path)), "--x0", "2",
              "--trials", "2000", "--seed", "3", "--out", str(out)]
         )
         assert code == 0
-        assert (out / "tv.csv").read_text().splitlines()[1].startswith("20,")
+        assert (out / "tv.csv").read_text().splitlines()[1].startswith("4,2,2,2000,")
 
+    @pytest.mark.parametrize("flag", [["--n", "30"], ["--self-loops", "0"]],
+                             ids=["n", "self-loops"])
+    def test_equivalence_graph_file_refuses_what_it_fixes(self, tmp_path, capsys, flag):
+        # the file's header sets n and the self-move convention
+        out = tmp_path / "eq"
+        argv = ["equivalence", "--lambda", "2", "--graph", str(self.cycle4(tmp_path)), *flag,
+                "--x0", "2", "--trials", "200", "--seed", "3", "--out", str(out)]
+        assert run(argv) == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_equivalence_rejects_zero_trials(self, tmp_path):
         out = tmp_path / "eq"
@@ -319,12 +342,11 @@ class TestFlags:
         "--alpha": ("0.4", "alpha", 0.4),
         "--x0": ("7", "x0", 7),
         "--u": ("9", "u", 9),
-        "--mode": ("custom", "mode", "custom"),
+        "--mode": ("low", "mode", "low"),
         "--trials": ("123", "trials", 123),
         "--seed": ("5", "seed", 5),
-        "--graph": ("complete:8", "graph", "complete:8"),
+        "--graph": ("g.txt", "graph", "g.txt"),
         "--self-loops": ("0", "self_loops", False),
-        "--workers": ("3", "workers", 3),
         "--cache": ("d", "cache_dir", Path("d")),
     }
 
@@ -341,7 +363,8 @@ class TestFlags:
             want[field] = value
         config = cli._config_from_args(cli._build_parser().parse_args(argv))
         assert dataclasses.asdict(config) == want
-        assert type(config.self_loops) is bool
+        if "--self-loops" in cli._FLAGS[experiment]:
+            assert type(config.self_loops) is bool
 
     def test_unset_flags_keep_config_defaults(self):
         for argv in (["uncond-time", "--out", "o"], ["equivalence", "--out", "o"]):
@@ -360,6 +383,35 @@ class TestFlags:
             assert exit_code(argv + ["--out", str(out)]) == 2
             assert named in capsys.readouterr().err
             assert not (out / csv).exists()
+
+    def test_removed_spellings_exit_2_before_output(self, tmp_path):
+        trials = ["--x0", "10", "--trials", "100", "--seed", "1"]
+        cases = [
+            ["mc-hitting", "--lambda", "2", "--n", "50", "--u", "10", *trials, "--workers", "1"],
+            ["mc-cond-path", "--lambda", "1.5", "--n", "300", "--epsilon", "0.05", *trials,
+             "--workers", "1"],
+            ["equivalence", "--lambda", "2", "--n", "30", *trials, "--workers", "1"],
+            ["profile", "--lambda", "2", "--n", "100", "--mode", "custom", "--u", "17"],
+            ["equivalence", "--lambda", "2", "--graph", "complete:20", *trials],
+        ]
+        for i, argv in enumerate(cases):
+            out = tmp_path / str(i)
+            assert exit_code(argv + ["--out", str(out)]) == 2, argv
+            assert not out.exists()
+
+    def test_readme_flag_table_matches_flags(self):
+        # the table lists what each subcommand takes beyond --lambda, --n and --out
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        common = ("--lambda", "--n")
+        table = {}
+        for line in readme.read_text().splitlines():
+            row = re.fullmatch(r"\| (`[a-z0-9-]+`(?:, `[a-z0-9-]+`)*) \| (.+) \|", line)
+            if row:
+                flags = [f for f in re.findall(r"--[a-z0-9-]+", row[2]) if f not in common]
+                for name in re.findall(r"`([a-z0-9-]+)`", row[1]):
+                    table[name] = flags
+        want = {name: [f for f in flags if f not in common] for name, flags in cli._FLAGS.items()}
+        assert table == want
 
     def test_readme_commands_parse(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -662,13 +714,6 @@ class TestRunExperimentApi:
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(experiment="nope", out_dir=tmp_path))
-
-    def test_workers_validated(self, tmp_path):
-        cfg = ExperimentConfig(
-            experiment="profile", out_dir=tmp_path, lam=2.0, n=50, u=10, workers=0
-        )
-        with pytest.raises(ValueError):
-            run_experiment(cfg)
 
     def test_summary_returned_and_written(self, tmp_path):
         cfg = ExperimentConfig(experiment="profile", out_dir=tmp_path, lam=2.0, n=50, u=10)

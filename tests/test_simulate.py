@@ -18,7 +18,6 @@ from barw import (
     equilibrium,
     estimate_conditioned_length,
     estimate_hitting_prob,
-    graph_from_name,
     hitting_profile,
     parse_graph_file,
     run_to_absorption,
@@ -167,9 +166,9 @@ class TestGraphFile:
             parse_graph_file(self.write(tmp_path, "vertices=2 self_loops=1\n0 0\n"))
 
     def test_complete_name(self):
-        g = graph_from_name("complete:6")
+        g = complete_graph(6)
         assert g.vertex_count == 6 and g.allow_self and g.uniform_targets
-        g2 = graph_from_name("complete:6", allow_self=False)
+        g2 = complete_graph(6, allow_self=False)
         assert not g2.allow_self
 
 
@@ -489,6 +488,13 @@ class TestCdfRowsEndAtOne:
     def test_binomial_rows(self, lam, n):
         params = ModelParams(lam, n)
         check_cdf_rows(np.array([sim._binomial_cdf(params, x) for x in range(1, n + 1)]))
+
+    @pytest.mark.parametrize("lam", [2.0, 6.0, 800.0])
+    def test_poisson_row(self, lam):
+        cdf = sim._poisson_cdf(lam)
+        assert cdf[-1] == 1.0
+        assert sim._invert(cdf, TOP_UNIFORM) < len(cdf)
+        check_cdf_rows(cdf[np.newaxis])
 
     @PROPERTY_SETTINGS
     @given(chain_case())
