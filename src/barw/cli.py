@@ -176,11 +176,12 @@ def cache_path(cache_dir: str | Path, lam: float, n: int, u: int) -> Path:
 
 
 def cache_lookup(cache_dir: str | Path, lam: float, n: int, u: int) -> HittingProfile | None:
-    """Return the cached profile, or None on any mismatch (never silent reuse).
+    """Return the cached profile, or None when its file is absent.
 
-    A file that exists but fails to parse raises ProfileFormatError; a file
-    whose header disagrees with the requested key, or whose recorded
-    residual is out of contract, is a miss.
+    A file that exists is reused or refused, never overwritten: one that
+    fails to parse raises ProfileFormatError, and one whose header disagrees
+    with the requested key, or whose recorded residual is out of contract,
+    raises ValueError naming the file.
     """
     path = cache_path(cache_dir, lam, n, u)
     if not path.exists():
@@ -192,7 +193,10 @@ def cache_lookup(cache_dir: str | Path, lam: float, n: int, u: int) -> HittingPr
         or profile.u != u
         or not profile.residual <= HARMONICITY_TOL
     ):
-        return None
+        raise ValueError(
+            f"cache file {path} exists but does not match the requested "
+            "profile (key or residual); refusing to reuse or overwrite"
+        )
     return profile
 
 
@@ -205,20 +209,13 @@ def cache_store(cache_dir: str | Path, profile: HittingProfile) -> Path:
 
 
 def _get_profile(config: ExperimentConfig, params: ModelParams, u: int) -> HittingProfile:
-    """Compute, or reuse from cache; an existing-but-mismatched file is refused."""
+    """Look up, else solve and store; cache_lookup refuses a mismatched cache file."""
     if config.cache_dir is None:
         return hitting_profile(params, u)
-    path = cache_path(config.cache_dir, params.lam, params.n, u)
-    if path.exists():
-        cached = cache_lookup(config.cache_dir, params.lam, params.n, u)
-        if cached is None:
-            raise ValueError(
-                f"cache file {path} exists but does not match the requested "
-                "profile (key, version or residual); refusing to reuse or overwrite"
-            )
-        return cached
-    profile = hitting_profile(params, u)
-    cache_store(config.cache_dir, profile)
+    profile = cache_lookup(config.cache_dir, params.lam, params.n, u)
+    if profile is None:
+        profile = hitting_profile(params, u)
+        cache_store(config.cache_dir, profile)
     return profile
 
 

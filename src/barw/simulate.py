@@ -25,6 +25,7 @@ result depends only on (seed, trials).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -165,7 +166,8 @@ def _poisson_cdf(lam: float) -> np.ndarray:
 class GraphSpec:
     """A finite graph plus the convention for where offspring may move.
 
-    adjacency holds sorted neighbor arrays without duplicates; allow_self
+    adjacency holds sorted, in-range neighbor arrays without duplicates; no
+    vertex lists itself, since self-moves come only from allow_self, which
     adds the parent's own vertex to every legal-target set.  The mean-field
     convention is the complete graph with allow_self=True.
     """
@@ -182,6 +184,8 @@ class GraphSpec:
         frozen = []
         for v, nbrs in enumerate(self.adjacency):
             arr = np.asarray(nbrs, dtype=np.int64)
+            if np.any(arr == v):
+                raise ValueError(f"vertex {v} lists itself (self-moves come from allow_self)")
             if arr.size != np.unique(arr).size:
                 raise ValueError(f"duplicate neighbors at vertex {v}")
             if arr.size and (arr.min() < 0 or arr.max() >= self.vertex_count):
@@ -225,24 +229,20 @@ def complete_graph(n: int, allow_self: bool = True) -> GraphSpec:
 
 
 def parse_graph_file(path: str | Path) -> GraphSpec:
-    """Read the plain-text graph format.
+    """Read the plain-text graph format; GraphSpec judges the graph it holds.
 
-    First line: `vertices=<count> self_loops=<0|1>`; every further nonempty
-    line is an undirected edge `a b` with 0-based endpoints.  Duplicate
-    edges are rejected.
+    The first line is exactly `vertices=<count> self_loops=<0|1>`; every
+    further nonempty line is an undirected edge `a b`, two integer endpoints
+    in 0..count-1.  A self edge or a duplicate edge (in either order) leaves
+    a vertex listing itself or a neighbor twice, which GraphSpec refuses.
+    Every violation raises ValueError naming the file.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty graph file")
-    head = lines[0].split()
-    try:
-        fields = dict(part.split("=", 1) for part in head)
-        count = int(fields["vertices"])
-        allow_self = bool(int(fields["self_loops"]))
-    except (ValueError, KeyError):
-        raise ValueError(f"{path}: bad header line {lines[0]!r}") from None
-    seen = set()
+    lines = path.read_text().splitlines() or [""]
+    head = re.fullmatch(r"\s*vertices=([0-9]+)\s+self_loops=([01])\s*", lines[0])
+    if head is None:
+        raise ValueError(f"{path}: bad header line {lines[0]!r}")
+    count = int(head[1])
     nbrs: list[list[int]] = [[] for _ in range(count)]
     for line in lines[1:]:
         if not line.strip():
@@ -251,15 +251,14 @@ def parse_graph_file(path: str | Path) -> GraphSpec:
             a, b = (int(tok) for tok in line.split())
         except ValueError:
             raise ValueError(f"{path}: bad edge line {line!r}") from None
-        if a == b:
-            raise ValueError(f"{path}: self edge {a} {b} (use the self_loops flag)")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise ValueError(f"{path}: duplicate edge {a} {b}")
-        seen.add(key)
+        if not (0 <= a < count and 0 <= b < count):
+            raise ValueError(f"{path}: edge {line!r} has an endpoint outside 0..{count - 1}")
         nbrs[a].append(b)
         nbrs[b].append(a)
-    return GraphSpec(count, tuple(np.array(sorted(v), dtype=np.int64) for v in nbrs), allow_self)
+    try:
+        return GraphSpec(count, tuple(np.sort(v) for v in nbrs), head[2] == "1")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

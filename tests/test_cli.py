@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import barw.cli as cli
 from barw import (
@@ -317,6 +319,81 @@ class TestStochasticExperiments:
             assert summary["trials_per_s"] > 0
 
 
+@st.composite
+def graph_file_texts(draw):
+    """Graph files on at most 12 vertices, each with some subset (maybe
+    none) of the faults the format forbids."""
+    k = draw(st.integers(-2, 12))
+    faults = draw(st.sets(st.sampled_from(["header", "range", "self", "repeat", "junk"])))
+    head = f"vertices={k} self_loops={draw(st.sampled_from(['0', '1']))}"
+    if "header" in faults:  # a bad flag, a missing key or an extra one
+        loops = draw(st.sampled_from(["0", "1", "2", "-1", "x", ""]))
+        head = draw(st.sampled_from([f"vertices={k} self_loops={loops}", f"vertices={k}",
+                                     f"self_loops={loops}", f"{head} extra=1"]))
+    # a path through every vertex, so that most fault-free files run, plus random edges
+    inside = st.integers(0, max(k - 1, 0))
+    edges = {(a, a + 1) for a in range(k - 1)} | set(draw(st.lists(st.tuples(inside, inside))))
+    pairs = sorted({(min(e), max(e)) for e in edges if e[0] != e[1]})
+    anywhere = st.integers(-3, 14)
+    if "range" in faults:  # an endpoint below or above 0..k-1
+        outside = st.integers(-3, -1) | st.integers(max(k, 0), 14)
+        pairs += draw(st.lists(st.tuples(outside, anywhere) | st.tuples(anywhere, outside),
+                               min_size=1, max_size=2))
+    if "self" in faults:
+        pairs += [(a, a) for a in draw(st.lists(inside | anywhere, min_size=1, max_size=2))]
+    if "repeat" in faults and pairs:  # an edge again, in either order
+        repeats = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()),
+                                min_size=1, max_size=2))
+        pairs += [pair[::-1] if flip else pair for pair, flip in repeats]
+    lines = [f"{a} {b}" for a, b in pairs] + ["", "  "]
+    if "junk" in faults:  # non-integer tokens, or 1 or 3 of them
+        lines += draw(st.lists(st.sampled_from(["3", "0 1 2", "0 x", "1.5 2", "a"]),
+                               min_size=1, max_size=2))
+    return "\n".join([head, *draw(st.permutations(lines))]) + "\n"
+
+
+class TestGraphFiles:
+    """`equivalence --graph FILE` runs a good file and refuses a bad one with exit 2."""
+
+    @staticmethod
+    def argv(graph, out):
+        return ["equivalence", "--lambda", "2", "--graph", str(graph), "--x0", "0",
+                "--trials", "8", "--seed", "1", "--out", str(out)]
+
+    @pytest.fixture(scope="class")
+    def graph_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("graphs")
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(graph_file_texts())
+    def test_any_file_is_run_or_refused_before_output(self, graph_dir, text):
+        i = len(list(graph_dir.iterdir()))
+        graph, out = graph_dir / f"g{i}.txt", graph_dir / f"out{i}"
+        graph.write_text(text)
+        code = run(self.argv(graph, out))
+        assert code in (0, 2)
+        assert (out / "tv.csv").exists() if code == 0 else not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ("vertices=4 self_loops=0\n0 1\n1 2\n2 3\n1 7\n", "'1 7'"),
+            ("vertices=4 self_loops=0\n0 1\n1 2\n2 3\n3 -1\n", "'3 -1'"),
+            ("vertices=4 self_loops=2\n0 1\n1 2\n2 3\n3 0\n", "bad header"),
+            ("vertices=4 self_loops=1\n0 1\n1 2\n2 2\n", "vertex 2 lists itself"),
+            ("vertices=4 self_loops=0\n0 1\n1 2\n2 3\n1 0\n", "duplicate neighbors"),
+        ],
+        ids=["endpoint-above", "endpoint-negative", "self-loops-2", "self-edge", "duplicate-edge"],
+    )
+    def test_bad_file_is_exit_2_naming_the_fault(self, tmp_path, capsys, text, named):
+        graph, out = tmp_path / "g.txt", tmp_path / "out"
+        graph.write_text(text)
+        assert run(self.argv(graph, out)) == 2
+        err = capsys.readouterr().err
+        assert str(graph) in err and named in err
+        assert not out.exists()
+
+
 class TestFlags:
     def test_unused_flags_are_rejected(self, tmp_path, capsys):
         cases = [
@@ -530,20 +607,22 @@ class TestCache:
         assert back is not None
         assert back.log_phi.tobytes() == profile.log_phi.tobytes()
 
-    def test_tampered_key_is_miss(self, tmp_path):
+    def test_tampered_key_is_refused(self, tmp_path):
         profile = hitting_profile(ModelParams(2.0, 50), 10)
         path = cache_store(tmp_path, profile)
         text = path.read_text().replace("lambda=2", "lambda=2.5")
         path.write_text(text)
-        assert cache_lookup(tmp_path, 2.0, 50, 10) is None
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            cache_lookup(tmp_path, 2.0, 50, 10)
 
-    def test_out_of_contract_residual_is_miss(self, tmp_path):
+    def test_out_of_contract_residual_is_refused(self, tmp_path):
         profile = hitting_profile(ModelParams(2.0, 50), 10)
         path = cache_store(tmp_path, profile)
         lines = path.read_text().splitlines()
         lines[4] = "residual=0.001"
         path.write_text("\n".join(lines) + "\n")
-        assert cache_lookup(tmp_path, 2.0, 50, 10) is None
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            cache_lookup(tmp_path, 2.0, 50, 10)
 
     def test_interrupted_store_leaves_no_file(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -596,7 +675,9 @@ class TestCache:
         lines = path.read_text().splitlines()
         lines[4] = "residual=0.001"
         path.write_text("\n".join(lines) + "\n")
+        refused = path.read_bytes()
         assert run(args + ["--out", str(tmp_path / "b")]) == 2
+        assert path.read_bytes() == refused
 
     def test_version_one_cache_file_is_refused(self, tmp_path, capsys):
         # version 1 was written while u > eq could still take the native solve,

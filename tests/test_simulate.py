@@ -135,6 +135,11 @@ class TestGraphSpec:
         g = sim.GraphSpec(2, ([1], []), allow_self=True)
         assert np.array_equal(g.targets[1], np.array([1]))
 
+    def test_vertex_listing_itself_rejected(self):
+        # self-moves come only from allow_self; a listed self would double them
+        with pytest.raises(ValueError, match="vertex 0 lists itself"):
+            sim.GraphSpec(2, ([0, 1], [0]), allow_self=True)
+
 
 class TestGraphFile:
     def write(self, tmp_path, text):
@@ -156,6 +161,10 @@ class TestGraphFile:
     def test_bad_header(self, tmp_path):
         with pytest.raises(ValueError):
             parse_graph_file(self.write(tmp_path, "nodes=3\n0 1\n"))
+
+    def test_self_loops_flag_is_0_or_1(self, tmp_path):
+        with pytest.raises(ValueError, match="bad header"):
+            parse_graph_file(self.write(tmp_path, "vertices=2 self_loops=2\n0 1\n"))
 
     def test_duplicate_edge_rejected(self, tmp_path):
         with pytest.raises(ValueError):
