@@ -17,10 +17,10 @@ import numpy as np
 
 from .chain import (
     ModelParams,
-    _ceil_snapped,
     _logsumexp_rows,
     branch_prob,
     gw_extinction_prob,
+    threshold_u,
     transition_log_row,
     transition_log_rows,
 )
@@ -254,24 +254,23 @@ def check_ratio_beta(profile: HittingProfile) -> CheckReport:
     return CheckReport("ratio-beta", params, passed, extremes, violations)
 
 
-def check_gamma_ratio(
-    params: ModelParams, epsilon: float, alpha: float | None = None
-) -> CheckReport:
+def check_gamma_ratio(bounds: BoundSet) -> CheckReport:
     """Exhaustively verify p(x+1,y) <= gamma * p(x,y) on its stated grid.
 
-    The grid is 0 <= x < eps*n - 1 and 0 <= y <= (1-alpha)*n*b(x); the
-    ratio p(x+1,y)/p(x,y) is also checked to be increasing in y, which is
-    what pins its maximum at the right edge of the grid.
+    Needs bounds.gamma_ok (lam*eps < 1).  The grid is 0 <= x < eps*n - 1
+    (threshold_u's low u, less 1) and 0 <= y <= (1-alpha)*n*b(x); the
+    ratio p(x+1,y)/p(x,y) is also checked to be increasing in y, which
+    pins its maximum at the right edge of the grid.
     """
-    if not 0.0 < epsilon < 1.0 / params.lam:
-        raise ValueError(f"epsilon must lie in (0, 1/lam), got {epsilon}")
-    bounds = make_bound_set(params.lam, params.n, epsilon, alpha)
+    if not bounds.gamma_ok:
+        raise ValueError(f"epsilon must lie in (0, 1/lam), got {bounds.epsilon}")
+    params = ModelParams(bounds.lam, bounds.n)
     log_gamma = math.log(bounds.gamma)
-    x_count = _ceil_snapped(epsilon * params.n - 1.0)
+    x_count = threshold_u(params, bounds.epsilon, "low") - 1
     report_params = {
         "lambda": params.lam,
         "n": params.n,
-        "epsilon": epsilon,
+        "epsilon": bounds.epsilon,
         "alpha": bounds.alpha,
         "gamma": bounds.gamma,
         "x_grid": x_count,

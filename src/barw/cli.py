@@ -398,16 +398,12 @@ def _exp_bounds_report(config: ExperimentConfig, out: Path) -> dict:
         u_win = threshold_u(params, config.epsilon, "window")
         win_profile = _get_profile(config, params, u_win)
         solves["window"] = _solve_summary(win_profile)
-        # the geometric bound needs the drift factor to clear exp(lam*eps)
-        # at every transient state
-        if params.lam * math.exp(-params.lam * (u_win - 1) / params.n) >= math.exp(
-            params.lam * config.epsilon
-        ):
-            reports.append(bnd.check_geometric(win_profile, bset))
+        # u_win - 1 < eq - eps*n, so the drift factor clears exp(lam*eps) below u_win
+        reports.append(bnd.check_geometric(win_profile, bset))
         if bset.kappa_ok:
             reports.append(bnd.check_ratio_kappa(win_profile, bset))
     if bset.gamma_ok:
-        reports.append(bnd.check_gamma_ratio(params, config.epsilon, bset.alpha))
+        reports.append(bnd.check_gamma_ratio(bset))
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(bnd.render_reports(reports))
     return {

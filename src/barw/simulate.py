@@ -515,6 +515,8 @@ def estimate_hitting_prob(
     trials, so repeated runs agree bit for bit.  A trial that passes
     STEP_CAP steps raises TruncationError.
     """
+    if not 1 <= u <= params.n:
+        raise ValueError(f"threshold {u} outside [1, {params.n}]")
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_seed(seed)

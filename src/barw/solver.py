@@ -48,6 +48,8 @@ RESCALE_PASSES = 8
 #: GTH eliminates this many pivots between two trailing matrix products
 _PANEL = 32
 UNCONDITIONAL_N_CAP = 400
+#: largest n*eps*max(T), the estimated relative error of an unconditional solve, that is returned
+_UNCONDITIONAL_REL_TOL = 1e-6
 
 METHOD_LOGDOMAIN = "dense-logdomain"
 METHOD_VI = "value-iteration"
@@ -403,10 +405,7 @@ def _check_unconditional_cap(n: int) -> None:
     """Refuse an unconditional solve with n above UNCONDITIONAL_N_CAP."""
     if n > UNCONDITIONAL_N_CAP:
         raise ValueError(
-            f"n={n} exceeds the native-precision cap {UNCONDITIONAL_N_CAP}; the native "
-            "solve loses relative accuracy as n grows (at n=100, log T is off by 4.4e-3 "
-            "at lambda=2, 8.4 at lambda=3 and 3.8 at lambda=4) long before expected "
-            "times overflow doubles"
+            f"n={n} exceeds the size cap {UNCONDITIONAL_N_CAP} of the dense unconditional solve"
         )
 
 
@@ -416,13 +415,11 @@ def unconditional_expected_extinction(params: ModelParams) -> TimeProfile:
     Solves (I - Q)T = 1 over the states 1..n by native elimination, which
     subtracts.  The chain leaves for 0 at a rate of about 1/T ~ e^(-cn), so
     I - Q is singular to within that rate and T loses relative accuracy as
-    n grows, with no error raised.  Against a 60-digit subtraction-free (GTH)
-    solve of the same rows, log T is off by up to 2.5e-9, 2.5e-7 and 4.4e-3
-    at lam=2 and n=50, 60, 100; 1.8e-6 and 8.4 at lam=3 and n=50, 100 (n=80
-    meets a nonpositive pivot); 3.8 at lam=4, n=100.  That solve waits for a
-    change of the benchmark's recorded values.  Overflow is not the limit: at
-    lam=2 T stays below e^110 for n <= UNCONDITIONAL_N_CAP.  A larger n is
-    refused, and a non-finite entry raises SolverError.
+    n grows.  (I - Q)^-1 >= 0 has inf-norm max T, so n*eps*max T estimates
+    that loss; above _UNCONDITIONAL_REL_TOL, or for a non-finite T, the
+    solve raises SolverError.  The estimate is not a bound: a 60-digit
+    subtraction-free (GTH) solve finds log T off by up to 4 times it, and
+    by 2.5e-9 at lam=2, n=50.  An n above UNCONDITIONAL_N_CAP is refused.
     """
     n = params.n
     _check_unconditional_cap(n)
@@ -431,6 +428,12 @@ def unconditional_expected_extinction(params: ModelParams) -> TimeProfile:
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
         raise SolverError(f"expected time from state {bad[0] + 1} overflowed")
+    estimate = n * np.finfo(float).eps * float(np.abs(t).max())
+    if not estimate <= _UNCONDITIONAL_REL_TOL:
+        raise SolverError(
+            f"native solve's estimated relative error n*eps*max(T) = {estimate:.2g} exceeds "
+            f"{_UNCONDITIONAL_REL_TOL:.0e} at lambda={params.lam:g}, n={n}"
+        )
     return TimeProfile(np.concatenate(([0.0], t)), conditional=False)
 
 

@@ -204,7 +204,7 @@ def test_c10_kappa_ratio_floor():
 
 def test_c11_gamma_ratio_grid():
     with criterion(11, "p(x+1,y) <= gamma p(x,y) exhaustively on the grid", 60.0):
-        report = check_gamma_ratio(ModelParams(2.0, 500), 0.05, alpha=0.4233)
+        report = check_gamma_ratio(make_bound_set(2.0, 500, 0.05, alpha=0.4233))
         assert report.passed
         assert not report.violations
         assert report.extremes["max_ratio"] <= report.extremes["gamma"]

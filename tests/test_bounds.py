@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom, poisson
 
 from barw import (
@@ -147,6 +149,22 @@ class TestGeometricUpper:
         report = check_geometric(profile, make_bound_set(lam, n, eps))
         assert report.passed
 
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(
+        lam=st.floats(1.0, 20.0, exclude_min=True),
+        n=st.integers(1, 10**5),
+        share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_window_threshold_clears_drift(self, lam, n, share):
+        # bounds-report runs check_geometric on every window profile: its
+        # precondition must follow from threshold_u's integerization alone
+        eps = share * math.log(lam) / lam
+        try:
+            u = threshold_u(ModelParams(lam, n), eps, "window")
+        except ValueError:
+            return  # no window threshold in [1, n]
+        assert lam * math.exp(-lam * (u - 1) / n) >= math.exp(lam * eps)
+
 
 class TestRatioChecks:
     def test_kappa_no_violations(self, profile_2_50_u10):
@@ -178,18 +196,18 @@ class TestRatioChecks:
 
 class TestGammaRatio:
     def test_grid_clean(self):
-        report = check_gamma_ratio(ModelParams(2.0, 500), 0.05, 0.4233)
+        report = check_gamma_ratio(make_bound_set(2.0, 500, 0.05, 0.4233))
         assert report.passed
         assert report.extremes["max_ratio"] <= report.extremes["gamma"]
 
     def test_epsilon_range_enforced(self):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1/lam\)"):
+            check_gamma_ratio(make_bound_set(2.0, 500, 0.5))  # >= 1/lam
         with pytest.raises(ValueError):
-            check_gamma_ratio(ModelParams(2.0, 500), 0.5)  # >= 1/lam
-        with pytest.raises(ValueError):
-            check_gamma_ratio(ModelParams(2.0, 500), 0.0)
+            check_gamma_ratio(make_bound_set(2.0, 500, 0.0))
 
     def test_default_alpha_used(self):
-        report = check_gamma_ratio(ModelParams(2.0, 200), 0.05)
+        report = check_gamma_ratio(make_bound_set(2.0, 200, 0.05))
         assert report.params["alpha"] == pytest.approx(default_alpha(2.0), abs=0)
         assert report.passed
 

@@ -731,6 +731,14 @@ class TestExitCodes:
         # the native elimination meets a nonpositive pivot at lambda=3, n=80
         assert run(["uncond-time", "--lambda", "3", "--n", "80", "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("lam,n", [("2", "100"), ("2", "200"), ("3", "100"), ("4", "100")])
+    def test_unvouched_unconditional_time_maps_to_three(self, tmp_path, lam, n):
+        # the native solve's estimated relative error exceeds its tolerance,
+        # so T is refused before any output
+        out = tmp_path / "x"
+        assert run(["uncond-time", "--lambda", lam, "--n", n, "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_truncation_maps_to_four(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise TruncationError("synthetic cap hit")

@@ -319,6 +319,12 @@ class TestEstimateHittingProb:
         with pytest.raises(ValueError):
             estimate_hitting_prob(params, 10, 3, 0, seed=1)
 
+    @pytest.mark.parametrize("u", [0, 51, 52])
+    def test_threshold_outside_sites_refused(self, u):
+        # u = n + 1 would otherwise run every trial to absorption at 0
+        with pytest.raises(ValueError, match=rf"^threshold {u} outside \[1, 50\]$"):
+            estimate_hitting_prob(ModelParams(2.0, 50), u, 0, 10, seed=1)
+
     def test_step_cap_trips_truncation_error(self, monkeypatch):
         monkeypatch.setattr(sim, "STEP_CAP", 1)
         with pytest.raises(TruncationError):

@@ -512,6 +512,21 @@ class TestUnconditionalExpectedExtinction:
         with pytest.raises(SolverError, match="expected time from state 1 overflowed"):
             unconditional_expected_extinction(ModelParams(2.0, 5))
 
+    #: log T(ceil(n/2)) at lambda=2 from a 60-digit subtraction-free (GTH)
+    #: solve of the same rows
+    LOG_T_60_DIGITS = {50: 13.026728385752791, 100: 26.025449335503193, 200: 52.416115305192054}
+
+    def test_admitted_solve_within_known_error(self):
+        # the native solve's error at n=50 is 2.5e-9; its estimate n*eps*max T is 5.0e-9
+        t = unconditional_expected_extinction(ModelParams(2.0, 50)).values
+        assert abs(math.log(t[25]) - self.LOG_T_60_DIGITS[50]) <= 3e-9
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_inaccurate_solve_is_refused(self, n):
+        # the native log T is off by 4.4e-3 at n=100 and by 21.8 at n=200
+        with pytest.raises(SolverError, match="estimated relative error"):
+            unconditional_expected_extinction(ModelParams(2.0, n))
+
 
 class TestConditionalOccupationTime:
     def test_two_state_band_identity(self):
