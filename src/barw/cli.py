@@ -37,13 +37,11 @@ from .simulate import (
     tv_distance,
 )
 from .solver import (
-    HARMONICITY_TOL,
     HittingProfile,
     KernelConsistencyError,
     ProfileFormatError,
     SolverError,
     _check_unconditional_cap,
-    _g17,
     conditional_expected_extinction,
     conditional_occupation_time,
     hitting_profile,
@@ -82,6 +80,11 @@ class ExperimentConfig:
     graph: str | None = None
     self_loops: bool | None = None  # K_n's convention; unset means with self-moves
     cache_dir: Path | None = None
+
+
+def _g17(v: float) -> str:
+    # float() first: formatting a numpy scalar directly is slower, same text
+    return format(float(v), ".17g")
 
 
 def _cell(v) -> str:
@@ -172,30 +175,25 @@ def _resolve_u(config: ExperimentConfig, params: ModelParams, default_mode: str 
 
 
 def cache_path(cache_dir: str | Path, lam: float, n: int, u: int) -> Path:
-    return Path(cache_dir) / f"profile_lambda{_g17(lam)}_n{n}_u{u}.txt"
+    return Path(cache_dir) / f"profile_lambda{_g17(lam)}_n{n}_u{u}.json"
 
 
 def cache_lookup(cache_dir: str | Path, lam: float, n: int, u: int) -> HittingProfile | None:
     """Return the cached profile, or None when its file is absent.
 
     A file that exists is reused or refused, never overwritten: one that
-    fails to parse raises ProfileFormatError, and one whose header disagrees
-    with the requested key, or whose recorded residual is out of contract,
-    raises ValueError naming the file.
+    read_profile refuses (malformed, or not harmonic within the solve's
+    tolerance) raises ProfileFormatError, and one whose key disagrees with
+    the requested one raises ValueError naming the file.
     """
     path = cache_path(cache_dir, lam, n, u)
     if not path.exists():
         return None
     profile = read_profile(path)
-    if (
-        _g17(profile.params.lam) != _g17(lam)
-        or profile.params.n != n
-        or profile.u != u
-        or not profile.residual <= HARMONICITY_TOL
-    ):
+    if _g17(profile.params.lam) != _g17(lam) or profile.params.n != n or profile.u != u:
         raise ValueError(
-            f"cache file {path} exists but does not match the requested "
-            "profile (key or residual); refusing to reuse or overwrite"
+            f"cache file {path} exists but its key does not match the requested "
+            "profile; refusing to reuse or overwrite"
         )
     return profile
 

@@ -15,9 +15,10 @@ under the conditioned chain are ordinary dense solves.
 
 from __future__ import annotations
 
+import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -55,9 +56,8 @@ METHOD_LOGDOMAIN = "dense-logdomain"
 METHOD_VI = "value-iteration"
 METHOD_CACHED = "cached"
 
-#: version 2 keeps version 1's layout.  Version-1 files with u above eq may
-#: hold the plain native solve, which is wrong there, so they are refused.
-PROFILE_FORMAT_VERSION = 2
+#: version of the JSON profile record; earlier versions' .txt files are never read
+PROFILE_FORMAT_VERSION = 3
 
 
 class SolverError(RuntimeError):
@@ -73,7 +73,7 @@ class KernelConsistencyError(RuntimeError):
 
 
 class ProfileFormatError(ValueError):
-    """A profile text file could not be parsed; `path` names the file."""
+    """A profile file is malformed or fails the harmonicity check; `path` names the file."""
 
     def __init__(self, message: str, path: str):
         super().__init__(f"{path}: {message}")
@@ -103,7 +103,9 @@ class HittingProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "log_phi", _frozen(self.log_phi))
-        if self.u < 1 or len(self.log_phi) != self.u:
+        if not isinstance(self.u, int) or not 1 <= self.u <= self.params.n:
+            raise ValueError(f"u={self.u!r} must be an int in [1, n={self.params.n}]")
+        if len(self.log_phi) != self.u:
             raise ValueError(f"log_phi must hold exactly u={self.u} entries")
         if self.log_phi[0] != 0.0:
             raise ValueError("phi(0) must be 1 (log 0.0): absorption already happened")
@@ -308,9 +310,18 @@ def _solve_logdomain(log_p: np.ndarray, log_top: np.ndarray) -> np.ndarray:
 
 
 def _harmonicity_residual(log_p: np.ndarray, log_phi: np.ndarray) -> float:
-    """max_x | logsumexp_y(log p(x,y) + log phi(y)) - log phi(x) |, over x = 1..u-1 (u >= 2)."""
+    """max_x | logsumexp_y(log p(x,y) + log phi(y)) - log phi(x) |, over x = 1..u-1.
+
+    Raises SolverError above HARMONICITY_TOL; 0.0 for u = 1, with no rows.
+    """
     lhs = _logsumexp_rows(log_p + log_phi[None, :])
-    return float(np.max(np.abs(lhs - log_phi[1:])))
+    residual = float(np.max(np.abs(lhs - log_phi[1:]), initial=0.0))
+    if not residual <= HARMONICITY_TOL:
+        raise SolverError(
+            f"harmonicity residual {residual:.3e} exceeds {HARMONICITY_TOL:.0e}",
+            residual=residual,
+        )
+    return residual
 
 
 def hitting_profile(params: ModelParams, u: int, method: str = METHOD_LOGDOMAIN) -> HittingProfile:
@@ -336,13 +347,7 @@ def hitting_profile(params: ModelParams, u: int, method: str = METHOD_LOGDOMAIN)
     else:
         log_phi = _value_iteration(log_p, u)
 
-    residual = _harmonicity_residual(log_p, log_phi)
-    if not residual <= HARMONICITY_TOL:
-        raise SolverError(
-            f"harmonicity residual {residual:.3e} exceeds {HARMONICITY_TOL:.0e}",
-            residual=residual,
-        )
-    return HittingProfile(params, u, log_phi, residual, method)
+    return HittingProfile(params, u, log_phi, _harmonicity_residual(log_p, log_phi), method)
 
 
 def _value_iteration(log_p: np.ndarray, u: int) -> np.ndarray:
@@ -372,8 +377,6 @@ def tilted_kernel(profile: HittingProfile) -> TiltedKernel:
     rows are then renormalized exactly.  A larger deviation means the
     profile is inconsistent with the kernel and is reported as an error.
     """
-    if not profile.residual <= HARMONICITY_TOL:
-        raise ValueError(f"profile residual {profile.residual:.3e} out of contract")
     u = profile.u
     if u == 1:
         return TiltedKernel(1, np.zeros((0, 1)), profile)
@@ -451,87 +454,56 @@ def conditional_occupation_time(kernel: TiltedKernel, delta: float) -> TimeProfi
     return _conditioned_time(kernel, (x > delta * n).astype(float))
 
 
-# ---------------------------------------------------------------------------
-# profile text format (version 2)
-#
-#   version=2
-#   lambda=<17 significant digits>
-#   n=<int>
-#   u=<int>
-#   residual=<17 significant digits>
-#   <x> TAB <log_phi, 17 significant digits>      (one line per x, ascending)
-# ---------------------------------------------------------------------------
-
-
-def _g17(v: float) -> str:
-    # float() first: formatting a numpy scalar directly is slower, same text
-    return format(float(v), ".17g")
-
-
 def write_profile(profile: HittingProfile, path: str | Path) -> None:
-    """Write a version-2 profile file atomically.
+    """Write a profile as one JSON object {"version", "lambda", "n", "u", "log_phi"}, atomically.
 
-    The text goes to a temporary file beside `path`, which then replaces
-    `path` in one step, so an interrupted write leaves no partial file.
+    json.dumps writes each float's shortest round-trip text, so the values
+    read back exactly.  The text goes to a temporary file beside `path`,
+    which then replaces `path` in one step, so an interrupted write leaves
+    no partial file.
     """
     path = Path(path)
-    lines = [
-        f"version={PROFILE_FORMAT_VERSION}",
-        f"lambda={_g17(profile.params.lam)}",
-        f"n={profile.params.n}",
-        f"u={profile.u}",
-        f"residual={_g17(profile.residual)}",
-    ]
-    lines.extend(f"{x}\t{_g17(lp)}" for x, lp in enumerate(profile.log_phi))
+    record = {
+        "version": PROFILE_FORMAT_VERSION,
+        "lambda": profile.params.lam,
+        "n": profile.params.n,
+        "u": profile.u,
+        "log_phi": profile.log_phi.tolist(),
+    }
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n")
+        tmp.write_text(json.dumps(record) + "\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def read_profile(path: str | Path) -> HittingProfile:
-    """Parse a version-2 profile file; malformed content raises ProfileFormatError."""
+    """Load a profile file written by write_profile and check its harmonicity.
+
+    The residual is recomputed from the kernel rows of the stored (lambda,
+    n, u), as a solve computes it.  A file that is not a version-3 record,
+    or whose log phi fails the solve's HARMONICITY_TOL, raises
+    ProfileFormatError naming the file.
+    """
     path = Path(path)
-    text = path.read_text()
-    lines = text.splitlines()
-    if len(lines) < 6:
-        raise ProfileFormatError("truncated profile file", str(path))
-    header = {}
-    for key in ("version", "lambda", "n", "u", "residual"):
-        line = lines.pop(0)
-        if not line.startswith(key + "="):
-            raise ProfileFormatError(f"expected '{key}=' header line, got {line!r}", str(path))
-        header[key] = line.split("=", 1)[1]
     try:
-        version = int(header["version"])
-        lam = float(header["lambda"])
-        n = int(header["n"])
-        u = int(header["u"])
-        residual = float(header["residual"])
-    except ValueError as exc:
-        raise ProfileFormatError(f"bad header value: {exc}", str(path)) from None
-    if version != PROFILE_FORMAT_VERSION:
-        raise ProfileFormatError(
-            f"unsupported version {version}, expected {PROFILE_FORMAT_VERSION}", str(path)
-        )
-    body = [line for line in lines if line]
-    if len(body) != u:
-        raise ProfileFormatError(f"expected {u} data lines, found {len(body)}", str(path))
-    log_phi = np.empty(u)
-    for i, line in enumerate(body):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ProfileFormatError(f"malformed data line {line!r}", str(path))
-        try:
-            x, lp = int(parts[0]), float(parts[1])
-        except ValueError:
-            raise ProfileFormatError(f"malformed data line {line!r}", str(path)) from None
-        if x != i:
-            raise ProfileFormatError(f"data line out of order: expected x={i}, got {x}", str(path))
-        log_phi[i] = lp
-    try:
-        return HittingProfile(ModelParams(lam, n), u, log_phi, residual, METHOD_CACHED)
-    except ValueError as exc:
-        raise ProfileFormatError(f"inconsistent profile content: {exc}", str(path)) from None
+        record = json.loads(path.read_text())
+        if not isinstance(record, dict):
+            raise ValueError("not a JSON object")
+        if record.get("version") != PROFILE_FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported version {record.get('version')!r}, expected {PROFILE_FORMAT_VERSION}"
+            )
+        lam, n, u, log_phi = (record.get(k) for k in ("lambda", "n", "u", "log_phi"))
+        # exact types: json.loads gives bool for true/false, and bool subclasses int
+        if not (type(lam) in (int, float) and type(n) is int and type(u) is int):
+            raise ValueError("lambda must be a number, n and u integers")
+        if not (type(log_phi) is list and all(type(v) in (int, float) for v in log_phi)):
+            raise ValueError("log_phi must be a list of numbers")
+        params = ModelParams(float(lam), n)
+        loaded = HittingProfile(params, u, np.array(log_phi, dtype=float), math.nan, METHOD_CACHED)
+        residual = _harmonicity_residual(_transient_log_rows(params, u), loaded.log_phi)
+    except (ValueError, OverflowError, SolverError) as exc:
+        raise ProfileFormatError(str(exc), str(path)) from None
+    return replace(loaded, residual=residual)

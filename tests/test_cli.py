@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import barw.cli as cli
 from barw import (
     ModelParams,
+    ProfileFormatError,
     SolverError,
     TruncationError,
     equilibrium,
@@ -26,6 +27,19 @@ from barw.cli import ExperimentConfig, cache_lookup, cache_path, cache_store, ru
 
 def run(argv):
     return cli.main(argv)
+
+
+def edit_record(path, **fields):
+    """Overwrite fields of the cache record at path."""
+    record = json.loads(path.read_text())
+    record.update(fields)
+    path.write_text(json.dumps(record))
+
+
+def perturb_log_phi(path, by=0.5):
+    """Move the last log phi entry of the cache record at path by `by`."""
+    log_phi = json.loads(path.read_text())["log_phi"]
+    edit_record(path, log_phi=[*log_phi[:-1], log_phi[-1] + by])
 
 
 def exit_code(argv):
@@ -608,21 +622,23 @@ class TestCache:
         assert back.log_phi.tobytes() == profile.log_phi.tobytes()
 
     def test_tampered_key_is_refused(self, tmp_path):
+        # lambda moved by 1e-12 leaves log phi harmonic within 1e-8, so only the key check sees it
         profile = hitting_profile(ModelParams(2.0, 50), 10)
         path = cache_store(tmp_path, profile)
-        text = path.read_text().replace("lambda=2", "lambda=2.5")
-        path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        edit_record(path, **{"lambda": 2.0 + 1e-12})
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
             cache_lookup(tmp_path, 2.0, 50, 10)
+        assert not isinstance(err.value, ProfileFormatError)
 
     def test_out_of_contract_residual_is_refused(self, tmp_path):
         profile = hitting_profile(ModelParams(2.0, 50), 10)
         path = cache_store(tmp_path, profile)
-        lines = path.read_text().splitlines()
-        lines[4] = "residual=0.001"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        perturb_log_phi(path)
+        refused = path.read_bytes()
+        with pytest.raises(ProfileFormatError, match="harmonicity residual") as err:
             cache_lookup(tmp_path, 2.0, 50, 10)
+        assert err.value.path == str(path)
+        assert path.read_bytes() == refused
 
     def test_interrupted_store_leaves_no_file(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -667,32 +683,66 @@ class TestCache:
         assert solves[0] == {"u": 10, "m": 9, "method": "dense-logdomain", "residual": residual}
         assert solves[1] == dict(solves[0], method="cached")
 
-    def test_run_refuses_mismatched_cache_file(self, tmp_path):
+    def test_run_refuses_mismatched_cache_file(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         args = ["profile", "--lambda", "2", "--n", "50", "--u", "10", "--cache", str(cache)]
         run(args + ["--out", str(tmp_path / "a")])
         path = cache_path(cache, 2.0, 50, 10)
-        lines = path.read_text().splitlines()
-        lines[4] = "residual=0.001"
-        path.write_text("\n".join(lines) + "\n")
+        perturb_log_phi(path)
         refused = path.read_bytes()
+        capsys.readouterr()
         assert run(args + ["--out", str(tmp_path / "b")]) == 2
+        assert path.name in capsys.readouterr().err
         assert path.read_bytes() == refused
+        assert not (tmp_path / "b").exists()
+
+    # profile's case is test_run_refuses_mismatched_cache_file
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure1", "--lambda", "2", "--n", "50", "--u", "10"],
+            ["cond-time", "--lambda", "2", "--n", "50", "--u", "10"],
+            ["mc-cond-path", "--lambda", "2", "--n", "50", "--u", "10",
+             "--x0", "3", "--trials", "50", "--seed", "1"],
+            ["bounds-report", "--lambda", "2", "--n", "50", "--epsilon", "0.05"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_perturbed_profile_is_refused_before_output(self, tmp_path, capsys, argv):
+        cache = tmp_path / "cache"
+        assert run([*argv, "--cache", str(cache), "--out", str(tmp_path / "a")]) == 0
+        stored = sorted(cache.iterdir())
+        for path in stored:
+            perturb_log_phi(path)
+        refused = [p.read_bytes() for p in stored]
+        capsys.readouterr()
+        assert run([*argv, "--cache", str(cache), "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert any(p.name in err for p in stored)
+        assert not (tmp_path / "b").exists()
+        assert [p.read_bytes() for p in stored] == refused
 
     def test_version_one_cache_file_is_refused(self, tmp_path, capsys):
-        # version 1 was written while u > eq could still take the native solve,
-        # off by 7.5 in log phi here; such a file must not be reused as "cached"
         cache = tmp_path / "cache"
-        path = cache_store(cache, hitting_profile(ModelParams(8.0, 300), 300))
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(["version=1"] + lines[1:]) + "\n")
+        path = cache_store(cache, hitting_profile(ModelParams(2.0, 50), 10))
+        edit_record(path, version=1)
         code = run(
-            ["profile", "--lambda", "8", "--n", "300", "--u", "300",
+            ["profile", "--lambda", "2", "--n", "50", "--u", "10",
              "--cache", str(cache), "--out", str(tmp_path / "b")]
         )
         assert code == 2
         assert path.name in capsys.readouterr().err
-        assert not (tmp_path / "b" / "phi.csv").exists()
+        assert not (tmp_path / "b").exists()
+
+    def test_text_cache_files_are_ignored(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        old = cache / "profile_lambda2_n50_u10.txt"
+        old.write_text("version=2\nlambda=2\nn=50\nu=10\n")
+        args = ["profile", "--lambda", "2", "--n", "50", "--u", "10", "--cache", str(cache)]
+        assert run(args + ["--out", str(tmp_path / "a")]) == 0
+        assert old.read_text() == "version=2\nlambda=2\nn=50\nu=10\n"
+        assert cache_lookup(cache, 2.0, 50, 10).method == "cached"
 
     def test_corrupted_cache_is_parse_error_naming_file(self, tmp_path, capsys):
         cache = tmp_path / "cache"

@@ -3,7 +3,7 @@
 All ten experiments run at the benchmark's reduced ("small") sizes, plus a
 cond-time/occupation pair sharing one --cache directory, so the second run
 reads the profile the first one stored.  Every CSV, report.txt and cached
-profile file must hash to its pinned value.
+profile (JSON) file must hash to its pinned value.
 
 The pins hold for this numpy build, its BLAS and this libm: the kernel's
 log-factorial table calls libm's log through math.log and does the rest in
@@ -13,10 +13,26 @@ products (figure1, figure2 and the bounds-report window solve, m = 88, span
 differently.  The scipy build does not enter: no experiment calls scipy.  A
 change that moves a digit on purpose updates the pins and records the old
 and new values in CHANGES.md.
+
+An OpenBLAS built with DYNAMIC_ARCH picks its matrix-product kernel for
+the CPU at load time, and those kernels round products differently.  On
+x86-64 the runs are repeated in subprocesses forced, through
+OPENBLAS_CORETYPE, to the Prescott (SSE3) and the Sandybridge (AVX)
+kernels, which every x86-64 CPU with AVX runs; the bytes must not move.
+Newer kernels are not forced: on a CPU that lacks their instructions
+OpenBLAS dies with SIGILL.
 """
 
 import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import barw.cli as cli
 
@@ -44,7 +60,7 @@ CACHED = ("cond-time", "occupation")
 
 PINS = {
     "bounds-report/report.txt": "5c10d688f5b207b5b0645d5a83760d549c22b5215d2c1e9aa35e6a212940bc73",
-    "cache/profile_lambda1.5_n200_u45.txt": "017f0e87de77e1645fb2c3435a934bb987e6c4eb3218e202e2505857e2c11d77",
+    "cache/profile_lambda1.5_n200_u45.json": "97772e7b9a9d55df1d001f84ecafffdaba7658a207575d6bf30d78a84320f7c0",
     "cached-cond-time/t.csv": "bdb717b803148ef465eb408dd7c28546cf6b862ae0684375d89a5059e416681c",
     "cached-occupation/h_occ.csv": "21b645df83cee969d492c69c41fd5661be6e4d468fbe888094332f37d41e99ce",
     "cond-time/t.csv": "bdb717b803148ef465eb408dd7c28546cf6b862ae0684375d89a5059e416681c",
@@ -67,10 +83,48 @@ def _digests(root: Path) -> dict[str, str]:
     }
 
 
-def test_output_bytes_pinned(tmp_path):
+def _run_all(root: Path) -> dict[str, str]:
+    """Run RUNS, then the CACHED pair, under root; returns the digests of what they wrote."""
     for name, argv in RUNS.items():
-        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0, name
+        assert cli.main([*argv, "--out", str(root / name)]) == 0, name
     for name in CACHED:
-        argv = [*RUNS[name], "--cache", str(tmp_path / "cache")]
-        assert cli.main([*argv, "--out", str(tmp_path / f"cached-{name}")]) == 0, name
-    assert _digests(tmp_path) == PINS
+        argv = [*RUNS[name], "--cache", str(root / "cache")]
+        assert cli.main([*argv, "--out", str(root / f"cached-{name}")]) == 0, name
+    return _digests(root)
+
+
+def test_output_bytes_pinned(tmp_path):
+    assert _run_all(tmp_path) == PINS
+
+
+def _dynamic_arch_openblas_on_x86_64() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (
+        platform.machine() in ("x86_64", "AMD64")
+        and "openblas" in blas.get("name", "")
+        and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+    )
+
+
+@pytest.mark.skipif(
+    not _dynamic_arch_openblas_on_x86_64(),
+    reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH",
+)
+@pytest.mark.parametrize("coretype", ["Prescott", "Sandybridge"])
+def test_output_bytes_pinned_under_other_blas_kernels(tmp_path, coretype):
+    script = (
+        "import json, sys; from pathlib import Path; import test_pinned_outputs as t; "
+        "print(json.dumps(t._run_all(Path(sys.argv[1]))))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=coretype),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == PINS  # after the runs' own lines

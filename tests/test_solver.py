@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -446,6 +447,57 @@ class TestConditionalExpectedExtinction:
         assert math.isfinite(r.max() / r.min())
 
 
+def gw_extinction_and_times(lam, xs):
+    """Poisson(lam) Galton-Watson extinction probability q and E_x[tau | extinction] for x in xs.
+
+    Independent of the package: q is the limit of s <- e^(lam(s-1)) from 0.
+    Conditioned on extinction the process is Galton-Watson with generating
+    function f(s) = e^(lam q (s-1)), so E_x[tau] = sum_(k>=0) (1 - f_k(0)^x).
+    The sum runs on g_k = log f_k(0), g_(k+1) = lam q expm1(g_k), without
+    forming 1 - f_k(0) by subtraction.
+    """
+    q = 0.0
+    for _ in range(2000):
+        q = math.exp(lam * (q - 1.0))
+    x = np.asarray(xs, dtype=float)
+    total = np.ones(x.size)  # k = 0: f_0(0) = 0
+    g = -lam * q
+    while True:
+        term = -np.expm1(x * g)
+        total += term
+        if term.max() < 1e-17:
+            return q, total
+        g = lam * q * math.expm1(g)
+
+
+class TestGaltonWatsonLimit:
+    """At fixed x the chain conditioned to die below the window threshold tends,
+    as n grows, to the Galton-Watson process conditioned on extinction.
+
+    Finite n makes dying easier, so log phi(x) exceeds x log q and the
+    conditioned time t(x) exceeds the GW one.  Both gaps are of order 1/n:
+    from n = 300 to n = 1200 they shrink by 4.01 to 4.45 for t and by 4.02
+    to 4.09 for log phi (x = 1..10, lam = 1.5, 2, 3), so the band below
+    allows the next-order term and refuses any other power of n.
+    """
+
+    RATIO_BAND = (3.8, 4.6)
+
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+    def test_gaps_are_positive_and_shrink_as_one_over_n(self, lam):
+        x = np.arange(1, 11)
+        q, gw_times = gw_extinction_and_times(lam, x)
+        gaps = []
+        for n in (300, 1200):
+            profile = hitting_profile(ModelParams(lam, n), window_u(lam, n))
+            t = conditional_expected_extinction(tilted_kernel(profile)).values
+            gaps.append((t[x] - gw_times, profile.log_phi[x] - x * math.log(q)))
+        for small_n, large_n in zip(*gaps):
+            assert np.all(large_n > 0.0)
+            ratio = small_n / large_n
+            assert np.all((self.RATIO_BAND[0] < ratio) & (ratio < self.RATIO_BAND[1])), ratio
+
+
 class TestLogsumexpRows:
     def test_matches_logsumexp_1d_bit_for_bit(self, profile_15_300_window):
         # every row equals the 1-d call on it, and the 1-d call equals the
@@ -558,47 +610,100 @@ class TestConditionalOccupationTime:
         assert np.all(t.values >= 0.0)
 
 
+def _perturbed(log_phi, x, by):
+    return [v + by if i == x else v for i, v in enumerate(log_phi)]
+
+
 class TestProfileSerialization:
     def test_round_trip_is_exact(self, tmp_path, profile_2_50_u10):
-        path = tmp_path / "profile.txt"
-        write_profile(profile_2_50_u10, path)
-        back = read_profile(path)
-        assert back.params == profile_2_50_u10.params
-        assert back.u == profile_2_50_u10.u
-        assert back.residual == profile_2_50_u10.residual
-        assert back.log_phi.tobytes() == profile_2_50_u10.log_phi.tobytes()
-        assert back.method == "cached"
+        for profile in (profile_2_50_u10, hitting_profile(ModelParams(2.0, 50), 1)):
+            path = tmp_path / f"profile_u{profile.u}.json"
+            write_profile(profile, path)
+            back = read_profile(path)
+            assert back.params == profile.params
+            assert back.u == profile.u
+            assert back.residual == profile.residual  # recomputed, bit for bit
+            assert back.log_phi.tobytes() == profile.log_phi.tobytes()
+            assert back.method == "cached"
 
     def test_format_shape(self, tmp_path, profile_2_50_u10):
-        path = tmp_path / "profile.txt"
+        path = tmp_path / "profile.json"
         write_profile(profile_2_50_u10, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "version=2"
-        assert lines[1] == "lambda=2"
-        assert lines[2] == "n=50"
-        assert lines[3] == "u=10"
-        assert lines[5].split("\t")[0] == "0"
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        record = json.loads(text)
+        assert list(record) == ["version", "lambda", "n", "u", "log_phi"]
+        assert (record["version"], record["lambda"], record["n"], record["u"]) == (3, 2.0, 50, 10)
+        assert record["log_phi"] == profile_2_50_u10.log_phi.tolist()
 
     @pytest.mark.parametrize(
         "mutation",
         [
-            lambda lines: lines[1:],  # missing version header
-            lambda lines: ["version=7"] + lines[1:],  # unsupported version
-            lambda lines: lines[:-1],  # truncated data
-            lambda lines: lines + ["10\t0.5"],  # too many data lines
-            lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],  # out of order
-            lambda lines: lines[:5] + ["0\tnot-a-number"] + lines[6:],
-            lambda lines: lines[:5] + ["0 0.0"] + lines[6:],  # wrong separator
+            lambda r: {k: v for k, v in r.items() if k != "version"},  # missing version
+            lambda r: {**r, "version": 2},  # the text format's version
+            lambda r: {**r, "log_phi": r["log_phi"][:-1]},  # short log_phi
+            lambda r: {**r, "log_phi": r["log_phi"] + [-10.5]},  # long log_phi
+            lambda r: {**r, "log_phi": [0.0, "not-a-number", *r["log_phi"][2:]]},
+            lambda r: {**r, "log_phi": [0.0, 10**400, *r["log_phi"][2:]]},  # no double
+            lambda r: {**r, "log_phi": dict(enumerate(r["log_phi"]))},  # not a list
+            lambda r: {**r, "log_phi": _perturbed(r["log_phi"], 4, 0.5)},  # not harmonic
+            lambda r: {**r, "lambda": 10**400},
+            lambda r: {**r, "n": True},
+            lambda r: {**r, "u": 10.0},
+            lambda r: {**r, "u": 51},  # above n
+            lambda r: [r],  # not a JSON object
+            lambda r: "version=3\nlambda=2\nn=50\nu=10\n",  # not JSON
         ],
     )
     def test_corrupted_files_raise_named_error(self, tmp_path, profile_2_50_u10, mutation):
-        path = tmp_path / "bad.txt"
+        path = tmp_path / "bad.json"
         write_profile(profile_2_50_u10, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(mutation(lines)) + "\n")
+        bad = mutation(json.loads(path.read_text()))
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
         with pytest.raises(ProfileFormatError) as err:
             read_profile(path)
-        assert "bad.txt" in str(err.value)
+        assert "bad.json" in str(err.value)
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(st.sampled_from(["version", "lambda", "n", "u", "log_phi"]), st.data())
+    def test_any_field_value_is_read_back_or_refused(
+        self, tmp_path_factory, profile_2_50_u10, field, data
+    ):
+        # integers stay small: a record's n sizes the log-factorial table its check builds;
+        # the stored values, as ints and as floats, probe each field's type check
+        leaves = (
+            st.sampled_from([2, 2.0, 3, 3.0, 10, 10.0, 50, 50.0])
+            | st.none() | st.booleans() | st.integers(-100, 10**4)
+            | st.floats() | st.text(max_size=5)
+        )
+        json_values = st.recursive(
+            leaves,
+            lambda inner: st.lists(inner, max_size=12)
+            | st.dictionaries(st.text(max_size=3), inner),
+            max_leaves=15,
+        )
+        if field == "lambda":
+            # a lambda within about 3e-9 of 2 keeps the stored log phi harmonic
+            # within 1e-8: a valid profile of another key, which cache_lookup refuses
+            json_values = json_values.filter(
+                lambda v: isinstance(v, bool) or not isinstance(v, (int, float))
+                or v == 2.0 or not abs(v - 2.0) <= 1e-6
+            )
+        value = data.draw(json_values)
+        original = profile_2_50_u10
+        path = tmp_path_factory.mktemp("record") / "profile.json"
+        write_profile(original, path)
+        record = json.loads(path.read_text())
+        record[field] = value
+        path.write_text(json.dumps(record))
+        try:
+            back = read_profile(path)
+        except ProfileFormatError as exc:
+            assert exc.path == str(path)
+            return
+        assert back.params == original.params and back.u == original.u
+        assert back.log_phi.tobytes() == original.log_phi.tobytes()
+        assert back.residual == original.residual
 
     def test_residual_failure_carries_value(self):
         # value iteration bailing out reports the residual it reached
