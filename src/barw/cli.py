@@ -18,7 +18,8 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain, islice
+from functools import cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +43,11 @@ from .solver import (
     ProfileFormatError,
     SolverError,
     _check_unconditional_cap,
+    _checked_profile,
+    _parse_profile,
     conditional_expected_extinction,
     conditional_occupation_time,
     hitting_profile,
-    read_profile,
     tilted_kernel,
     unconditional_expected_extinction,
     write_profile,
@@ -95,35 +97,207 @@ def _cell(v) -> str:
     return _g17(v)
 
 
-#: printf conversions giving `_cell`'s text for a column of one plain type
-_CONVERSIONS = {float: "%.17g", int: "%d", str: "%s"}
+# Exact %.17g for float64 columns: with y = |v|·10^(16-k) for the decimal
+# exponent k, the 17 digits are round(y).  y is formed in double-double
+# (Dekker, Numer. Math. 18, 1971) from a table of 10^q = (hi + lo)·2^b,
+# with an absolute error below 2^-46; a cell whose rounding that error
+# could change, and NaN and ±inf, take `_cell` instead.  A cell's text is a
+# fixed row of byte slots and a mask of the slots it keeps: for a float,
+# sign, "0.000", the 17 digits, ".", digits 1..16 again, "e±ddd".
+_K_MIN, _K_MAX = -326, 310
+_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
+
+
+def _split(a):
+    """Dekker's split of a into halves of at most 26 bits each."""
+    c = 134217729.0 * a  # 2^27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _kept(k, last):
+    """Slots kept for decimal exponent k and last nonzero digit `last` (0..16)."""
+    fixed = (k >= -4) & (k < 17)
+    small = (fixed & (k < 0))[:, None]
+    point = np.where(fixed & (k >= 0), k, 0)[:, None]  # the digit the point follows
+    j, last = np.arange(17), last[:, None]
+    return np.hstack([
+        np.zeros_like(small),  # the sign is set per cell
+        small, small, small & (np.arange(3) < -k[:, None] - 1),
+        j <= np.where(small, last, point),
+        ~small & (last > point),
+        ~small & (j[1:] > point) & (j[1:] <= last),
+        ~fixed[:, None] & ((np.arange(5) != 2) | (np.abs(k)[:, None] >= 100)),
+    ])
+
+
+@cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """Lookup tables, built from exact integers on first use.
+
+    By k - _K_MIN: 10^(16-k) = (hi + lo)·2^b, "e±ddd" and 17 times the
+    layout class of k (k ≤ -100, -99..-5, each of -4..16, 17..99, ≥ 100);
+    the 4 ASCII digits of 0..9999 as one uint32; `_kept` by class and last.
+    """
+    pow10 = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        b = num.bit_length() - den.bit_length()
+        n = (num << max(0, 120 - b)) // (den << max(0, b - 120))
+        hi = math.ldexp(float(n), -120)
+        pow10.append((hi, *_split(hi), math.ldexp(float(n - int(float(n))), -120), b))
+    exp = "".join(f"e{k:+04d}" for k in range(_K_MIN, _K_MAX + 1)).encode()
+    digits = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    k = np.arange(_K_MIN, _K_MAX + 1)
+    tables = (
+        np.array(pow10).T,
+        np.frombuffer(exp, np.uint8).reshape(-1, 5),
+        (np.clip(k, -5, 17) + 6 - (k <= -100) + (k >= 100)) * 17,
+        digits.astype(np.uint8).view(np.uint32).ravel(),
+        _kept(np.repeat([-100, -5, *range(-4, 17), 17, 100], 17), np.tile(np.arange(17), 25)),
+    )
+    for table in tables:  # every later call reads these same arrays
+        table.setflags(write=False)
+    return tables
+
+
+def _scaled(m, e, k):
+    """m·2^e·10^(16-k) as a double-double (s, t), s an integer near 1e16..1e17."""
+    hi, hi_high, hi_low, lo, b = _tables()[0].take(k - _K_MIN, axis=1)
+    m_high, m_low = _split(m)
+    p = m * hi
+    err = ((m_high * hi_high - p) + m_high * hi_low + m_low * hi_high) + m_low * hi_low + m * lo
+    s = p + err
+    e = e + b.astype(np.int32)
+    return np.ldexp(s, e), np.ldexp(err - (s - p), e)
+
+
+def _decade_shift(s, t):
+    """+1 where y = s + t has 18 digits, -1 where it has 16, else 0.
+
+    y in [1e17 - 0.5, 1e17) at k and in [1e16 - 0.05, 1e16) at k + 1 give the
+    same 17 digits, so the margins need no exact test.
+    """
+    return ((s - 1e17) + t >= -0.25).astype(np.int64) - ((s - 1e16) + t < -0.025)
+
+
+def _digits(magnitude, count):
+    """ASCII of the 4·count lowest decimal digits of each integer in magnitude."""
+    groups = np.empty((len(magnitude), count), np.int64)
+    for i in range(count - 1, -1, -1):
+        q = magnitude // 10000
+        groups[:, i] = magnitude - q * 10000
+        magnitude = q
+    return _tables()[3].take(groups).view(np.uint8)
+
+
+def _float_slots(a: np.ndarray):
+    """Slots and keep mask of each cell's %.17g, and which cells are left undecided."""
+    v = np.abs(a)
+    zero = v == 0.0
+    odd = ~np.isfinite(v)
+    m, e = np.frexp(np.where(odd | zero, 1.0, v))
+    k = np.floor(np.log10(m) + e * math.log10(2.0)).astype(np.int64)  # off by at most 1
+    s, t = _scaled(m, e, k)
+    shift = _decade_shift(s, t)
+    redo = np.flatnonzero(shift)
+    if redo.size:
+        k[redo] += shift[redo]
+        s[redo], t[redo] = _scaled(m[redo], e[redo], k[redo])
+        shift = _decade_shift(s, t)
+    odd |= (shift != 0) | (np.abs(t - np.floor(t) - 0.5) < 2.0**-30)
+    d = np.where(odd | zero, 0, s.astype(np.int64) + np.floor(t + 0.5).astype(np.int64))
+    carry = d == 10**17
+    d[carry] = 10**16
+    k = np.where(zero, 0, k + carry) - _K_MIN
+    digits = _digits(d, 5)[:, 3:]
+    nonzero = digits != ord("0")
+    nonzero[:, 0] = True
+    last = 16 - np.argmax(nonzero[:, ::-1], axis=1)  # the last digit %g keeps
+    _, exponents, layouts, _, kept = _tables()
+    keep = kept.take(layouts.take(k) + last, axis=0)
+    keep[:, 0] = np.signbit(a)
+    slots = np.hstack([
+        np.broadcast_to(np.frombuffer(b"-0.000", np.uint8), (len(a), 6)),
+        digits, np.full((len(a), 1), ord("."), np.uint8), digits[:, 1:],
+        exponents.take(k, axis=0),
+    ])
+    return slots, keep, odd
+
+
+def _int_slots(a: np.ndarray):
+    """Slots and keep mask of each int64 cell's %d."""
+    negative = a < 0
+    magnitude = np.abs(a).astype(np.uint64)  # |-2^63| wraps to 2^63
+    length = np.maximum(1, np.searchsorted(_POWERS_OF_TEN, magnitude, "right")) + negative
+    count = (int(length.max()) + 3) // 4
+    slots, start = _digits(magnitude, count), 4 * count - length
+    slots[negative, start[negative]] = ord("-")
+    return slots, np.arange(4 * count) >= start[:, None]
+
+
+def _text_slots(texts: list[str]):
+    """Slots and keep mask of each text's UTF-8 bytes."""
+    data = [t.encode() for t in texts]
+    width = max(1, max(map(len, data)))
+    slots = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
+    return slots, np.arange(width) < np.array([len(d) for d in data])[:, None]
+
+
+def _column_slots(column):
+    """Slots and keep mask whose kept bytes, row by row, are `_cell` of each cell."""
+    odd = np.ones(len(column), bool)
+    slots, keep = np.zeros((len(column), 0), np.uint8), np.zeros((len(column), 0), bool)
+    a = np.asarray(column)
+    if a.dtype == np.float64:
+        slots, keep, odd = _float_slots(a)
+        if not isinstance(column, np.ndarray):
+            odd |= np.abs(a) >= 2.0**53  # an int in a list of floats may not survive float64
+    elif a.dtype.kind == "i":
+        slots, keep = _int_slots(a.astype(np.int64))
+        odd[:] = False
+    rows = np.flatnonzero(odd)
+    if rows.size:
+        text, text_keep = _text_slots([_cell(column[i]) for i in rows])
+        width = max(slots.shape[1], text.shape[1])
+        slots = np.hstack([slots, np.zeros((len(odd), width - slots.shape[1]), np.uint8)])
+        keep = np.hstack([keep, np.zeros((len(odd), width - keep.shape[1]), bool)])
+        keep[rows] = False
+        slots[rows, : text.shape[1]], keep[rows, : text.shape[1]] = text, text_keep
+    return slots, keep
+
+
+def _chunks(rows):
+    """CSV_CHUNK rows at a time, as columns: fields of a structured array, else tuples."""
+    if isinstance(rows, np.ndarray) and rows.dtype.names:
+        for i in range(0, len(rows), CSV_CHUNK):
+            yield [rows[name][i : i + CSV_CHUNK] for name in rows.dtype.names]
+    else:
+        rows = iter(rows)
+        while chunk := list(islice(rows, CSV_CHUNK)):
+            yield list(zip(*chunk, strict=True))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows as CSV, CSV_CHUNK rows per printf-style format call.
+    """Write rows as CSV, each cell's text equal to `_cell`'s.
 
-    A column whose cells in a chunk are all plain floats, ints or strings
-    is formatted by one conversion; any other column goes through `_cell`
-    cell by cell.  Either way the bytes equal those of `_cell` on every
-    cell, so pass Python numbers (from `.tolist()`) for speed.
+    rows is any iterable of rows, or a structured array whose fields are
+    the columns.  A float64 or signed-integer column of a chunk is
+    formatted by numpy; any other column goes through `_cell` cell by cell.
     """
-    rows = iter(rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        while chunk := list(islice(rows, CSV_CHUNK)):
-            width = len(chunk[0])
-            cells = list(chain.from_iterable(chunk))
-            conversions = []
-            for j in range(width):
-                kinds = set(map(type, cells[j::width]))
-                conversion = _CONVERSIONS.get(kinds.pop()) if len(kinds) == 1 else None
-                if conversion is None:
-                    cells[j::width] = map(_cell, cells[j::width])
-                    conversion = "%s"
-                conversions.append(conversion)
-            line = ",".join(conversions)
-            f.write("\n".join([line] * len(chunk)) % tuple(cells) + "\n")
+        for columns in _chunks(rows):
+            n = len(columns[0])
+            comma, newline = (
+                (np.full((n, 1), ord(c), np.uint8), np.ones((n, 1), bool)) for c in ",\n"
+            )
+            parts = [part for column in columns for part in (_column_slots(column), comma)]
+            parts[-1] = newline
+            slots = np.hstack([p[0] for p in parts])
+            keep = np.hstack([p[1] for p in parts])
+            f.write(slots[keep].tobytes().decode())
 
 
 def _solve_summary(profile: HittingProfile) -> dict:
@@ -181,21 +355,23 @@ def cache_path(cache_dir: str | Path, lam: float, n: int, u: int) -> Path:
 def cache_lookup(cache_dir: str | Path, lam: float, n: int, u: int) -> HittingProfile | None:
     """Return the cached profile, or None when its file is absent.
 
-    A file that exists is reused or refused, never overwritten: one that
-    read_profile refuses (malformed, or not harmonic within the solve's
-    tolerance) raises ProfileFormatError, and one whose key disagrees with
-    the requested one raises ValueError naming the file.
+    A file that exists is reused or refused, never overwritten.  A
+    malformed one raises ProfileFormatError.  One whose key disagrees with
+    the requested one raises ValueError naming the file, before any kernel
+    row is built, so a record's n costs nothing until it is the requested
+    one.  Last, one whose log phi is not harmonic within the solve's
+    tolerance raises ProfileFormatError, as read_profile does.
     """
     path = cache_path(cache_dir, lam, n, u)
     if not path.exists():
         return None
-    profile = read_profile(path)
+    profile = _parse_profile(path)
     if _g17(profile.params.lam) != _g17(lam) or profile.params.n != n or profile.u != u:
         raise ValueError(
             f"cache file {path} exists but its key does not match the requested "
             "profile; refusing to reuse or overwrite"
         )
-    return profile
+    return _checked_profile(profile, path)
 
 
 def cache_store(cache_dir: str | Path, profile: HittingProfile) -> Path:
@@ -277,10 +453,11 @@ def _exp_figure1(config: ExperimentConfig, out: Path) -> dict:
 def _exp_figure2(config: ExperimentConfig, out: Path) -> dict:
     profile, summary = _profile_step(config, "window")
     kernel = tilted_kernel(profile)
-    rows = (
-        (x, y, p) for x in range(1, profile.u) for y, p in enumerate(kernel.rows[x - 1].tolist())
-    )
-    _write_csv(out / "kernel.csv", ["x", "y", "p_phi"], rows)
+    table = np.empty(kernel.rows.shape, [("x", np.int64), ("y", np.int64), ("p_phi", np.float64)])
+    table["x"] = np.arange(1, profile.u)[:, None]
+    table["y"] = np.arange(profile.u)
+    table["p_phi"] = kernel.rows
+    _write_csv(out / "kernel.csv", ["x", "y", "p_phi"], table.ravel())
     return {"files": ["kernel.csv"], **summary}
 
 

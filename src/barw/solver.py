@@ -478,15 +478,11 @@ def write_profile(profile: HittingProfile, path: str | Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def read_profile(path: str | Path) -> HittingProfile:
-    """Load a profile file written by write_profile and check its harmonicity.
+def _parse_profile(path: Path) -> HittingProfile:
+    """The profile a version-3 record stores, with a NaN residual; builds no kernel rows.
 
-    The residual is recomputed from the kernel rows of the stored (lambda,
-    n, u), as a solve computes it.  A file that is not a version-3 record,
-    or whose log phi fails the solve's HARMONICITY_TOL, raises
-    ProfileFormatError naming the file.
+    A file that is not such a record raises ProfileFormatError naming it.
     """
-    path = Path(path)
     try:
         record = json.loads(path.read_text())
         if not isinstance(record, dict):
@@ -502,8 +498,29 @@ def read_profile(path: str | Path) -> HittingProfile:
         if not (type(log_phi) is list and all(type(v) in (int, float) for v in log_phi)):
             raise ValueError("log_phi must be a list of numbers")
         params = ModelParams(float(lam), n)
-        loaded = HittingProfile(params, u, np.array(log_phi, dtype=float), math.nan, METHOD_CACHED)
-        residual = _harmonicity_residual(_transient_log_rows(params, u), loaded.log_phi)
+        return HittingProfile(params, u, np.array(log_phi, dtype=float), math.nan, METHOD_CACHED)
+    except (ValueError, OverflowError) as exc:
+        raise ProfileFormatError(str(exc), str(path)) from None
+
+
+def _checked_profile(profile: HittingProfile, path: Path) -> HittingProfile:
+    """profile with its residual, recomputed from the kernel rows of its key as a
+    solve computes it; above HARMONICITY_TOL, ProfileFormatError naming path."""
+    try:
+        log_p = _transient_log_rows(profile.params, profile.u)
+        residual = _harmonicity_residual(log_p, profile.log_phi)
     except (ValueError, OverflowError, SolverError) as exc:
         raise ProfileFormatError(str(exc), str(path)) from None
-    return replace(loaded, residual=residual)
+    return replace(profile, residual=residual)
+
+
+def read_profile(path: str | Path) -> HittingProfile:
+    """Load a profile file written by write_profile and check its harmonicity.
+
+    The residual is recomputed from the kernel rows of the stored (lambda,
+    n, u), as a solve computes it.  A file that is not a version-3 record,
+    or whose log phi fails the solve's HARMONICITY_TOL, raises
+    ProfileFormatError naming the file.
+    """
+    path = Path(path)
+    return _checked_profile(_parse_profile(path), path)

@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barw.cli as cli
+import barw.solver as solver
 from barw import (
     ModelParams,
     ProfileFormatError,
@@ -565,27 +567,77 @@ class TestSummaryKeys:
             assert set(solve) == {"u", "m", "method", "residual"}
 
 
+def _per_cell(header, rows):
+    """The CSV text `_cell` gives cell by cell: what `_write_csv` must write."""
+    lines = [",".join(header)] + [",".join(cli._cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("chunk", [cli.CSV_CHUNK, 3])
     def test_column_formatting_matches_per_cell(self, tmp_path, monkeypatch, chunk):
         # with 3-row chunks column d mixes types in its first chunk only
         monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
         floats = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e300, -2.5, 1.0]
-        ints = list(range(-5, len(floats) - 5))
+        # decade edges, where the digit count and the notation change, and the extremes
+        floats += [9.9999999999999999e-5, 1e-4, 1e16, 1e17, -5e-324, 1.7976931348623157e308]
+        powers = [float(f"1e{q}") for q in range(-323, 309)]
+        floats += powers
+        floats += np.nextafter(powers, 0.0).tolist() + np.nextafter(powers, math.inf).tolist()
+        extremes = [2**63 - 1, -(2**63), 2**63, 2**64 - 1, 10**17 - 1, 10**17, 2**53 + 1]
+        ints = (extremes + list(range(-5, len(floats))))[: len(floats)]
+        int64s = [v if -(2**63) <= v < 2**63 else -v // 3 for v in ints]
         columns = [
             ints,
             floats,
             [np.float64(v) for v in floats],
             [v if i > 1 else "" for i, v in enumerate(floats)],
-            [np.int64(v) for v in ints],
+            [np.int64(v) for v in int64s],
             [""] * len(floats),
-            [v if i % 2 else i for i, v in enumerate(floats)],
+            [v if i % 2 else int64s[i] for i, v in enumerate(floats)],
+            int64s,
+            [np.uint64(v % 2**64) for v in ints],
+            [v % 3 == 0 for v in ints],
+            [np.bool_(v % 2) for v in ints],
         ]
         rows = list(zip(*columns))
-        header = ["a", "b", "c", "d", "e", "f", "g"]
+        header = [chr(ord("a") + j) for j in range(len(columns))]
         cli._write_csv(tmp_path / "t.csv", header, rows)
-        want = [",".join(header)] + [",".join(cli._cell(v) for v in row) for row in rows]
-        assert (tmp_path / "t.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+        assert (tmp_path / "t.csv").read_bytes() == _per_cell(header, rows)
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(), st.integers() | st.integers(-(2**63), 2**63 - 1)),
+            min_size=1, max_size=20,
+        )
+    )
+    def test_generated_floats_and_integers_match_per_cell(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        cli._write_csv(path, ["v", "i"], rows)
+        assert path.read_bytes() == _per_cell(["v", "i"], rows)
+
+    def test_random_bit_patterns_match_per_cell(self, tmp_path):
+        bits = np.random.default_rng(20261019).integers(0, 2**64, 10**5, dtype=np.uint64)
+        rows = [(v,) for v in bits.view(np.float64).tolist()]
+        cli._write_csv(tmp_path / "t.csv", ["v"], rows)
+        assert (tmp_path / "t.csv").read_bytes() == _per_cell(["v"], rows)
+
+    def test_rows_of_unequal_width_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2.0), (3,)])
+
+    @pytest.mark.parametrize("chunk", [cli.CSV_CHUNK, 3])
+    def test_structured_array_matches_rows(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
+        table = np.empty(8, [("x", np.int64), ("y", np.int64), ("p", np.float64)])
+        table["x"] = [1, 1, 2, 2, 3, -3, 2**62, -(2**63)]
+        table["y"] = np.arange(8)
+        table["p"] = [0.5, 1e-300, 0.0, -0.0, math.nan, 1 / 3, 1e22, 2.0**-1074]
+        cli._write_csv(tmp_path / "a.csv", ["x", "y", "p"], table)
+        cli._write_csv(tmp_path / "b.csv", ["x", "y", "p"], table.tolist())
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == _per_cell(["x", "y", "p"], table.tolist())
 
 
 class TestBoundsReport:
@@ -694,6 +746,28 @@ class TestCache:
         assert run(args + ["--out", str(tmp_path / "b")]) == 2
         assert path.name in capsys.readouterr().err
         assert path.read_bytes() == refused
+        assert not (tmp_path / "b").exists()
+
+    def test_key_is_compared_before_rows_are_built(self, tmp_path, capsys, monkeypatch):
+        # checking the harmonicity of a record of n = 10^8 would build rows for 10^8 sites
+        cache = tmp_path / "cache"
+        args = ["profile", "--lambda", "2", "--n", "50", "--u", "10", "--cache", str(cache)]
+        assert run(args + ["--out", str(tmp_path / "a")]) == 0
+        edit_record(cache_path(cache, 2.0, 50, 10), n=10**8)
+        built = []
+        rows = solver._transient_log_rows
+
+        def recording_rows(params, u):
+            built.append(params.n)
+            return rows(params, u)
+
+        monkeypatch.setattr(solver, "_transient_log_rows", recording_rows)
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert run(args + ["--out", str(tmp_path / "b")]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "its key does not match the requested profile" in capsys.readouterr().err
+        assert 10**8 not in built
         assert not (tmp_path / "b").exists()
 
     # profile's case is test_run_refuses_mismatched_cache_file
