@@ -40,7 +40,6 @@ from .simulate import (
 from .solver import (
     HittingProfile,
     KernelConsistencyError,
-    ProfileFormatError,
     SolverError,
     _check_unconditional_cap,
     _checked_profile,
@@ -98,10 +97,13 @@ def _cell(v) -> str:
 
 
 # Exact %.17g for float64 columns: with y = |v|·10^(16-k) for the decimal
-# exponent k, the 17 digits are round(y).  y is formed in double-double
-# (Dekker, Numer. Math. 18, 1971) from a table of 10^q = (hi + lo)·2^b,
-# with an absolute error below 2^-46; a cell whose rounding that error
-# could change, and NaN and ±inf, take `_cell` instead.  A cell's text is a
+# exponent k, the 17 digits are round(y).  k is estimated from log10, and y
+# is formed once in double-double (Dekker, Numer. Math. 18, 1971) from a
+# table of 10^q = (hi + lo)·2^b, with an absolute error below 2^-46.  One
+# pass settles a cell only when 10^16 ≤ y < 10^17 - 1/2 and y is not within
+# 2^-30 of a tie.  Every other cell takes `_cell`: NaN, ±inf, a decade the
+# estimate missed, a rounding up to 10^17 and a near-tie; so do negative
+# ints, ints outside int64 and every non-numeric column.  A cell's text is a
 # fixed row of byte slots and a mask of the slots it keeps: for a float,
 # sign, "0.000", the 17 digits, ".", digits 1..16 again, "e±ddd".
 _K_MIN, _K_MAX = -326, 310
@@ -172,15 +174,6 @@ def _scaled(m, e, k):
     return np.ldexp(s, e), np.ldexp(err - (s - p), e)
 
 
-def _decade_shift(s, t):
-    """+1 where y = s + t has 18 digits, -1 where it has 16, else 0.
-
-    y in [1e17 - 0.5, 1e17) at k and in [1e16 - 0.05, 1e16) at k + 1 give the
-    same 17 digits, so the margins need no exact test.
-    """
-    return ((s - 1e17) + t >= -0.25).astype(np.int64) - ((s - 1e16) + t < -0.025)
-
-
 def _digits(magnitude, count):
     """ASCII of the 4·count lowest decimal digits of each integer in magnitude."""
     groups = np.empty((len(magnitude), count), np.int64)
@@ -192,24 +185,22 @@ def _digits(magnitude, count):
 
 
 def _float_slots(a: np.ndarray):
-    """Slots and keep mask of each cell's %.17g, and which cells are left undecided."""
+    """Slots and keep mask of each cell's %.17g, and which cells are left to `_cell`.
+
+    Zero is settled as "0" or "-0"; a nonzero finite cell only when one pass
+    puts its y in [10^16, 10^17 - 1/2) away from a tie.
+    """
     v = np.abs(a)
     zero = v == 0.0
     odd = ~np.isfinite(v)
     m, e = np.frexp(np.where(odd | zero, 1.0, v))
     k = np.floor(np.log10(m) + e * math.log10(2.0)).astype(np.int64)  # off by at most 1
     s, t = _scaled(m, e, k)
-    shift = _decade_shift(s, t)
-    redo = np.flatnonzero(shift)
-    if redo.size:
-        k[redo] += shift[redo]
-        s[redo], t[redo] = _scaled(m[redo], e[redo], k[redo])
-        shift = _decade_shift(s, t)
-    odd |= (shift != 0) | (np.abs(t - np.floor(t) - 0.5) < 2.0**-30)
+    # a y whose error lifts it to 10^16 rounds to 10^16 at k - 1 too: no margin needed
+    outside = ((s - 1e16) + t < 0) | ((s - 1e17) + t >= -0.5)
+    odd |= ~zero & (outside | (np.abs(t - np.floor(t) - 0.5) < 2.0**-30))
     d = np.where(odd | zero, 0, s.astype(np.int64) + np.floor(t + 0.5).astype(np.int64))
-    carry = d == 10**17
-    d[carry] = 10**16
-    k = np.where(zero, 0, k + carry) - _K_MIN
+    k = np.where(zero, 0, k) - _K_MIN
     digits = _digits(d, 5)[:, 3:]
     nonzero = digits != ord("0")
     nonzero[:, 0] = True
@@ -226,14 +217,11 @@ def _float_slots(a: np.ndarray):
 
 
 def _int_slots(a: np.ndarray):
-    """Slots and keep mask of each int64 cell's %d."""
-    negative = a < 0
-    magnitude = np.abs(a).astype(np.uint64)  # |-2^63| wraps to 2^63
-    length = np.maximum(1, np.searchsorted(_POWERS_OF_TEN, magnitude, "right")) + negative
+    """Slots and keep mask of each cell's %d: a nonnegative int64 column only."""
+    a = a.astype(np.uint64)
+    length = np.maximum(1, np.searchsorted(_POWERS_OF_TEN, a, "right"))
     count = (int(length.max()) + 3) // 4
-    slots, start = _digits(magnitude, count), 4 * count - length
-    slots[negative, start[negative]] = ord("-")
-    return slots, np.arange(4 * count) >= start[:, None]
+    return _digits(a, count), np.arange(4 * count) >= (4 * count - length)[:, None]
 
 
 def _text_slots(texts: list[str]):
@@ -254,8 +242,8 @@ def _column_slots(column):
         if not isinstance(column, np.ndarray):
             odd |= np.abs(a) >= 2.0**53  # an int in a list of floats may not survive float64
     elif a.dtype.kind == "i":
-        slots, keep = _int_slots(a.astype(np.int64))
-        odd[:] = False
+        odd = a < 0
+        slots, keep = _int_slots(np.where(odd, 0, a))
     rows = np.flatnonzero(odd)
     if rows.size:
         text, text_keep = _text_slots([_cell(column[i]) for i in rows])
@@ -283,7 +271,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
     rows is any iterable of rows, or a structured array whose fields are
     the columns.  A float64 or signed-integer column of a chunk is
-    formatted by numpy; any other column goes through `_cell` cell by cell.
+    formatted by numpy, but for the cells it leaves to `_cell`; any other
+    column goes through `_cell` cell by cell.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
@@ -332,8 +321,6 @@ def _resolve_u(config: ExperimentConfig, params: ModelParams, default_mode: str 
     if config.u is not None:
         if config.mode in ("low", "window"):
             raise ValueError(f"mode={config.mode} derives u from --epsilon; do not pass --u")
-        if not 1 <= config.u <= params.n:
-            raise ValueError(f"threshold {config.u} outside [1, {params.n}]")
         return config.u
     mode = config.mode or default_mode
     if mode is None:
@@ -701,7 +688,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         summary = run_experiment(_config_from_args(args))
-    except (ValueError, ProfileFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, KernelConsistencyError) as exc:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +31,9 @@ from barw import (
     threshold_u,
     tilted_kernel,
     tilted_reference_pmf,
+    transition_log_row,
 )
+from barw import bounds
 
 E = math.e
 
@@ -325,3 +329,87 @@ class TestReportRendering:
         assert "result: PASS" in doc
         assert "violations: none" in doc
         assert doc.endswith("\n")
+
+
+def assert_fails(report, *named):
+    """report failed, has a violation starting with each of `named`, and renders so."""
+    assert not report.passed
+    for name in named:
+        assert any(v.startswith(name) for v in report.violations), (name, report.violations)
+    doc = render_reports([report])
+    assert "result: FAIL" in doc
+    assert "\n".join(["violations:", *(f"  - {v}" for v in report.violations)]) in doc
+
+
+class TestViolationsAreReported:
+    """Each check, given an input just past its bound, fails and names where."""
+
+    def test_envelope(self, profile_2_200_low):
+        bs = make_bound_set(2.0, 200, 0.05)
+        log_phi = profile_2_200_low.log_phi.copy()
+        log_phi[3] = envelope_log_bounds(bs, 3)[0] - 1e-6
+        log_phi[4] = envelope_log_bounds(bs, 4)[1] + 1e-6
+        report = check_envelope(dataclasses.replace(profile_2_200_low, log_phi=log_phi), bs)
+        assert_fails(report, "x=3 log_lower=", "x=4 log_phi=")
+        assert len(report.violations) == 2
+
+    def test_geometric(self, profile_15_300_window):
+        bs = make_bound_set(1.5, 300, 0.05)
+        log_phi = profile_15_300_window.log_phi.copy()
+        log_phi[5] = geometric_upper(bs, 5) + 1e-6
+        report = check_geometric(dataclasses.replace(profile_15_300_window, log_phi=log_phi), bs)
+        assert_fails(report, "x=5 log_phi=")
+        assert len(report.violations) == 1
+
+    def test_ratio_kappa(self, profile_2_50_u10):
+        bs = make_bound_set(2.0, 50, 0.05)
+        log_phi = profile_2_50_u10.log_phi.copy()
+        log_phi[7] = log_phi[6] + math.log(bs.kappa_n) - 1e-6
+        report = check_ratio_kappa(dataclasses.replace(profile_2_50_u10, log_phi=log_phi), bs)
+        assert_fails(report, "x=6 ratio=")
+        assert len(report.violations) == 1
+
+    def test_ratio_beta(self, profile_2_50_u10):
+        # log phi falls by log(lam) - 1e-6 per step, so lam * beta_hat = e^1e-6
+        log_phi = np.arange(profile_2_50_u10.u) * (1e-6 - math.log(2.0))
+        report = check_ratio_beta(dataclasses.replace(profile_2_50_u10, log_phi=log_phi))
+        assert_fails(report, "lambda*beta_hat=")
+        assert report.extremes["lambda_beta_hat"] == pytest.approx(math.exp(1e-6), rel=1e-12)
+
+    def test_gamma_ratio(self):
+        bs = make_bound_set(2.0, 200, 0.05)
+        gamma = check_gamma_ratio(bs).extremes["max_ratio"] * (1.0 - 1e-6)
+        report = check_gamma_ratio(dataclasses.replace(bs, gamma=gamma))
+        assert_fails(report, "x=")
+        params = ModelParams(2.0, 200)
+        for violation in report.violations:
+            x, y = map(int, re.match(r"x=(\d+) y=(\d+) log_ratio=", violation).groups())
+            log_ratio = transition_log_row(params, x + 1)[y] - transition_log_row(params, x)[y]
+            assert log_ratio > math.log(gamma)
+
+    def test_gamma_ratio_not_increasing(self, monkeypatch):
+        # p(6, 2) raised by e^0.5: the ratio p(6,y)/p(5,y) then falls from y=2 to 3
+        rows = bounds.transition_log_rows
+
+        def bumped(*args):
+            out = rows(*args)
+            out[6, 2] += 0.5
+            return out
+
+        monkeypatch.setattr(bounds, "transition_log_rows", bumped)
+        report = check_gamma_ratio(make_bound_set(2.0, 200, 0.05))
+        assert_fails(report, "x=5 ratio not increasing at y=2->3")
+
+    def test_tilted_dominance(self, profile_2_200_low):
+        # row x=3 moved up by one state and row x=5 down by one
+        kernel = tilted_kernel(profile_2_200_low)
+        beta_hat = check_ratio_beta(profile_2_200_low).extremes["beta_hat"]
+        rows = kernel.rows.copy()
+        up, down = rows[2].copy(), rows[4].copy()
+        rows[2] = np.concatenate(([0.0], up[:-2], [up[-2] + up[-1]]))
+        rows[4] = np.concatenate(([down[0] + down[1]], down[2:], [0.0]))
+        report = check_tilted_dominance(
+            dataclasses.replace(kernel, rows=rows), beta_hat, make_bound_set(2.0, 200, 0.05)
+        )
+        assert_fails(report, "x=3: tilted row not dominated", "x=5: tilted row does not dominate")
+        assert len(report.violations) == 2

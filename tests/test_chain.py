@@ -10,6 +10,7 @@ from barw import (
     branch_prob,
     equilibrium,
     gw_extinction_prob,
+    hitting_profile,
     threshold_u,
     transition_log_row,
     transition_log_rows,
@@ -300,10 +301,14 @@ class TestLevelSpec:
             _resolve(2.0, 100, mode="low", epsilon=0.05, u=5)
 
     def test_custom_range_check(self):
-        with pytest.raises(ValueError):
-            _resolve(2.0, 100, u=0)
-        with pytest.raises(ValueError):
-            _resolve(2.0, 100, u=101)
+        # an explicit u passes through; the solve and the sampler own its range
+        params = ModelParams(2.0, 100)
+        for u in (0, 101):
+            assert _resolve(2.0, 100, u=u) == u
+            with pytest.raises(ValueError, match=rf"threshold {u} outside \[1, 100\]"):
+                hitting_profile(params, u)
+            with pytest.raises(ValueError, match=rf"threshold {u} outside \[1, 100\]"):
+                sim.estimate_hitting_prob(params, u, 3, 10, 1)
 
 
 class TestLogSumExp:

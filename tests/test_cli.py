@@ -22,6 +22,7 @@ from barw import (
     gw_extinction_prob,
     hitting_profile,
     threshold_u,
+    tilted_kernel,
     unconditional_expected_extinction,
 )
 from barw.cli import ExperimentConfig, cache_lookup, cache_path, cache_store, run_experiment
@@ -153,10 +154,33 @@ class TestThresholdResolution:
         assert "--u" in err and "--mode" in err
         assert not out.exists()
 
-    def test_custom_range_check(self, tmp_path):
-        for u in ("0", "101"):
-            assert run(["profile", "--lambda", "2", "--n", "100", "--u", u,
-                        "--out", str(tmp_path / "x")]) == 2
+    def test_custom_range_check(self, tmp_path, capsys):
+        # every experiment that takes --u refuses one outside 1..n before any output
+        out, cache = tmp_path / "x", tmp_path / "c"
+        trials = ["--x0", "3", "--trials", "10", "--seed", "1"]
+        cases = [
+            ("profile", []),
+            ("figure1", []),
+            ("figure2", []),
+            ("cond-time", []),
+            ("occupation", ["--delta", "0.1"]),
+            ("mc-hitting", trials),
+            ("mc-cond-path", trials),
+        ]
+        cases += [(e, [*flags, "--cache", str(cache)]) for e, flags in cases if e != "mc-hitting"]
+        for experiment, flags in cases:
+            for u in ("0", "101"):
+                argv = [experiment, "--lambda", "2", "--n", "100", "--u", u, *flags]
+                assert run(argv + ["--out", str(out)]) == 2, argv
+                assert f"threshold {u} outside [1, 100]" in capsys.readouterr().err
+                assert not out.exists() and not cache.exists()
+
+    def test_derived_mode_requires_epsilon(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(["figure1", "--lambda", "2", "--n", "100", "--mode", "window",
+                    "--out", str(out)]) == 2
+        assert "mode=window requires --epsilon" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_derived_modes_reject_explicit_u(self, tmp_path):
         cases = [
@@ -584,6 +608,12 @@ class TestCsvWriter:
         powers = [float(f"1e{q}") for q in range(-323, 309)]
         floats += powers
         floats += np.nextafter(powers, 0.0).tolist() + np.nextafter(powers, math.inf).tolist()
+        # the 8 doubles on each side of 10^q, where the decade and 10^17 tests decide
+        for q in range(-30, 31):
+            below = above = float(f"1e{q}")
+            for _ in range(8):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                floats += [below, above]
         extremes = [2**63 - 1, -(2**63), 2**63, 2**64 - 1, 10**17 - 1, 10**17, 2**53 + 1]
         ints = (extremes + list(range(-5, len(floats))))[: len(floats)]
         int64s = [v if -(2**63) <= v < 2**63 else -v // 3 for v in ints]
@@ -622,6 +652,25 @@ class TestCsvWriter:
         rows = [(v,) for v in bits.view(np.float64).tolist()]
         cli._write_csv(tmp_path / "t.csv", ["v"], rows)
         assert (tmp_path / "t.csv").read_bytes() == _per_cell(["v"], rows)
+
+    def test_fast_path_settles_its_cells(self):
+        # the bytes would stay right with every cell sent to `_cell`, so this
+        # checks that the one-pass formatter keeps settling the cells it should
+        f1, f2 = ModelParams(1.5, 200), ModelParams(6.0, 200)
+        log10_h = hitting_profile(f1, threshold_u(f1, 0.05, "window")).log_phi / math.log(10.0)
+        kernel = tilted_kernel(hitting_profile(f2, threshold_u(f2, 0.05, "window")))
+        bits = np.random.default_rng(20261019).integers(0, 2**64, 10**5, dtype=np.uint64)
+        floats = bits.view(np.float64)
+        for values, share in [
+            (kernel.rows.ravel(), 0.0),
+            (log10_h, 0.0),
+            (floats[np.isfinite(floats)], 0.01),
+        ]:
+            slots, keep, odd = cli._float_slots(values)
+            assert np.count_nonzero(odd) <= share * len(values)
+            settled = np.flatnonzero(~odd)
+            texts = [slots[i][keep[i]].tobytes().decode() for i in settled]
+            assert texts == [format(v, ".17g") for v in values[settled].tolist()]
 
     def test_rows_of_unequal_width_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
@@ -850,6 +899,14 @@ class TestExitCodes:
             run(["profile", "--lambda", "2", "--n", "50", "--u", "10",
                  "--out", str(tmp_path / "x")]) == 3
         )
+
+    def test_unsettled_rescaling_maps_to_three(self, tmp_path, monkeypatch):
+        # lam=4, n=500, u=350 lies far above eq and needs a second scaled pass
+        monkeypatch.setattr(solver, "RESCALE_PASSES", 1)
+        out = tmp_path / "x"
+        assert run(["profile", "--lambda", "4", "--n", "500", "--u", "350",
+                    "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_unconditional_pivot_failure_maps_to_three(self, tmp_path):
         # the native elimination meets a nonpositive pivot at lambda=3, n=80

@@ -223,6 +223,23 @@ class TestSolverMethods:
         assert oracle.min() < -50
         np.testing.assert_allclose(prof.log_phi, oracle, rtol=0, atol=1e-10)
 
+    def test_unsettled_rescaling_is_a_solver_error(self, monkeypatch):
+        # lam=4, n=500, u=350 takes a second pass above; one pass may not return
+        monkeypatch.setattr(solver, "RESCALE_PASSES", 1)
+        with pytest.raises(SolverError, match="did not settle within 1 passes"):
+            hitting_profile(ModelParams(4.0, 500), 350)
+
+    def test_unconverged_value_iteration_carries_its_residual(self, monkeypatch):
+        # after 3 sweeps the iterate is phi_3, absorption within 3 steps, and
+        # the residual is its largest log move from phi_2
+        monkeypatch.setattr(solver, "VI_MAX_SWEEPS", 3)
+        with pytest.raises(SolverError, match="did not converge in 3 sweeps") as info:
+            hitting_profile(ModelParams(2.0, 50), 10, method=METHOD_VI)
+        phi_2, phi_3 = (dp_hitting_probability(2.0, 50, 10, k) for k in (2, 3))
+        reached = np.max(np.abs(np.log(phi_3 / phi_2)))
+        assert info.value.residual == pytest.approx(reached, rel=1e-9)
+        assert info.value.residual > solver.VI_TOL
+
     @pytest.mark.parametrize("lam,n,u", [(1.5, 1200, 265), (6.0, 1200, 299)])
     def test_figure_profiles_match_oracle_to_1e12(self, lam, n, u):
         # the README figure profiles, below eq; the subtracting native
