@@ -15,11 +15,13 @@ The estimators run their trials in lockstep, a chunk at a time, and make
 their words with `philox_block`, a numpy-vectorized Philox that equals
 `trial_stream` bit for bit.  CHUNK sizes every batch, and the count chains
 invert by bisection in their CDF table, so a step's memory does not grow
-with u.  The one-trial functions (`step_meanfield`,
-`sample_conditioned_path`, `step_particle`) are the reference: they read the
-same words from a `trial_stream` generator in the same order, so trial i of
-an estimator equals its one-trial run on `trial_stream(seed, i)`, and every
-result depends only on (seed, trials).
+with u.  Both count-chain estimators run in one loop, which stops a trial
+at STEP_CAP = 10^7 steps with TruncationError.  The one-trial functions
+(`step_meanfield`, `sample_conditioned_path`, `step_particle`) are the
+reference: they read the same words from a `trial_stream` generator in the
+same order, so trial i of an estimator equals its one-trial run on
+`trial_stream(seed, i)` (for a count chain, whenever that run ends within
+STEP_CAP steps), and every result depends only on (seed, trials).
 """
 
 from __future__ import annotations
@@ -392,18 +394,10 @@ def run_to_absorption(
         raise ValueError(f"state {x0} outside [0, {params.n}]")
     states = [x0]
     x = x0
-    if x == 0:
-        return Trajectory(states, True, False, u)
-    if u is not None and x >= u:
-        return Trajectory(states, False, True, u)
-    for _ in range(max_steps):
+    while x != 0 and (u is None or x < u) and len(states) <= max_steps:
         x = step_meanfield(params, x, stream)
         states.append(x)
-        if x == 0:
-            return Trajectory(states, True, False, u)
-        if u is not None and x >= u:
-            return Trajectory(states, False, True, u)
-    return Trajectory(states, False, False, u)
+    return Trajectory(states, x == 0, x != 0 and u is not None and x >= u, u)
 
 
 def sample_conditioned_path(kernel: TiltedKernel, x0: int, stream: Generator) -> Trajectory:
@@ -455,50 +449,43 @@ class _Uniforms:
         self.buf = self.buf[mask]
 
 
-def _run_chains(
-    cdfs: np.ndarray,
-    x0: int,
-    trials: int,
-    seed: int,
-    cap: int | None = None,
-    history: list | None = None,
-):
+def _run_chains(cdfs: np.ndarray, x0: int, trials: int, seed: int) -> tuple[int, int, int, int]:
     """Run trials 0..trials-1 of a count chain in lockstep, CHUNK at a time.
 
     Row x-1 of cdfs (shape (u-1, u)) is the CDF over 0..u-1 of the next
     state from x; step t of trial i inverts uniform t of trial_stream(seed,
     i).  A count of u means the step left 0..u-1, a crossing, which a row
-    ending at 1 never gives.  A trial stops at 0 or u.  Yields, per chunk, the
-    steps each trial took and its final state.  A trial still
-    running after `cap` steps raises TruncationError.  history, if given,
-    receives (trial indices, states) after every step.
+    ending at 1 never gives.  A trial stops at 0 or u, and one still running
+    after STEP_CAP steps raises TruncationError naming the lowest such trial.
+    Returns exact integer totals: the trials that ended at 0, and the sum,
+    sum of squares and maximum of the steps they took.
     """
-    u = cdfs.shape[1]
+    if not x0:
+        return trials, 0, 0, 0
+    u, cap = cdfs.shape[1], STEP_CAP
+    deaths = total = sq = longest = 0
     for lo in range(0, trials, CHUNK):
-        idx = np.arange(lo, min(lo + CHUNK, trials), dtype=np.uint64)
-        steps = np.zeros(idx.size, dtype=np.int64)
-        final = np.zeros(idx.size, dtype=np.int64)
-        live = np.arange(idx.size) if x0 else np.arange(0)
-        x = np.full(live.size, x0, dtype=np.int64)
-        draws = _Uniforms(seed, idx[live])
+        draws = _Uniforms(seed, np.arange(lo, min(lo + CHUNK, trials), dtype=np.uint64))
+        x = np.full(draws.trials.size, x0, dtype=np.int64)
         t = 0
-        while live.size:
+        while x.size:
             if t == cap:
                 raise TruncationError(
-                    f"trial {idx[live[0]]} exceeded {cap} steps; the estimate would be biased"
+                    f"trial {draws.trials[0]} exceeded {cap} steps; the estimate would be biased"
                 )
             x = _invert_rows(cdfs, x - 1, draws.next())
             t += 1
-            if history is not None:
-                history.append((idx[live], x.copy()))
             stop = (x == 0) | (x == u)
-            if stop.any():
-                steps[live[stop]] = t
-                final[live[stop]] = x[stop]
+            ended = int(np.count_nonzero(stop))
+            if ended:
+                deaths += int(np.count_nonzero(x == 0))
+                total += ended * t
+                sq += ended * t * t
+                longest = max(longest, t)
                 keep = ~stop
-                live, x = live[keep], x[keep]
+                x = x[keep]
                 draws.keep(keep)
-        yield steps, final
+    return deaths, total, sq, longest
 
 
 def estimate_hitting_prob(
@@ -525,14 +512,10 @@ def estimate_hitting_prob(
     cdfs = _transient_log_rows(params, u)
     np.exp(cdfs, out=cdfs)
     np.cumsum(cdfs, axis=1, out=cdfs)
-    deaths = steps_total = steps_max = 0
-    for steps, final in _run_chains(cdfs, x0, trials, seed, cap=STEP_CAP):
-        deaths += int(np.count_nonzero(final == 0))
-        steps_total += int(steps.sum())
-        steps_max = max(steps_max, int(steps.max()))
+    deaths, total, _, longest = _run_chains(cdfs, x0, trials, seed)
     mean = float(deaths) / trials
     return EstimateWithCI(
-        mean, math.sqrt(mean * (1.0 - mean) / trials), trials, seed, steps_total, steps_max
+        mean, math.sqrt(mean * (1.0 - mean) / trials), trials, seed, total, longest
     )
 
 
@@ -542,21 +525,21 @@ def estimate_conditioned_length(
     trials: int,
     seed: int,
 ) -> EstimateWithCI:
-    """Mean extinction time of the conditioned chain from x0, with its SE."""
+    """Mean extinction time of the conditioned chain from x0, with its SE.
+
+    A trial that passes STEP_CAP steps raises TruncationError: with u at or
+    above eq a conditioned chain lives about as long as the raw one.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_seed(seed)
     if not 1 <= x0 < kernel.u:
         raise ValueError(f"start {x0} outside [1, {kernel.u - 1}]")
     # exact integer moments: nothing is rounded before the final division
-    total = sq = steps_max = 0
-    for steps, _ in _run_chains(kernel.row_cdfs, x0, trials, seed):
-        total += int(steps.sum())
-        sq += int(np.dot(steps, steps))
-        steps_max = max(steps_max, int(steps.max()))
+    _, total, sq, longest = _run_chains(kernel.row_cdfs, x0, trials, seed)
     mean = float(total) / trials
     var = max(float(sq) / trials - mean * mean, 0.0)
-    return EstimateWithCI(mean, math.sqrt(var / trials), trials, seed, total, steps_max)
+    return EstimateWithCI(mean, math.sqrt(var / trials), trials, seed, total, longest)
 
 
 def _move_uniforms(seed: int, idx: np.ndarray, p: int, moves: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barw.cli as cli
+import barw.simulate as simulate
 import barw.solver as solver
 from barw import (
     ModelParams,
@@ -930,6 +931,17 @@ class TestExitCodes:
              "--trials", "10", "--seed", "1", "--out", str(tmp_path / "x")]
         )
         assert code == 4
+
+    def test_conditioned_truncation_maps_to_four(self, tmp_path, monkeypatch):
+        # u = n = 20 lies above eq: conditioned paths from 10 take hundreds of steps
+        monkeypatch.setattr(simulate, "STEP_CAP", 12)
+        out = tmp_path / "x"
+        code = run(
+            ["mc-cond-path", "--lambda", "2", "--n", "20", "--u", "20", "--x0", "10",
+             "--trials", "20", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 4
+        assert not out.exists()
 
     def test_bad_epsilon_with_explicit_u_writes_nothing(self, tmp_path):
         # the constants (and their --epsilon check) come before the solve

@@ -258,6 +258,39 @@ class TestRunToAbsorption:
         assert traj.truncated
         assert len(traj.states) == 4
 
+    @staticmethod
+    def first_path(params, dies):
+        """The first trial of seed 4 from x0 = 3 (u = 10) that dies, or
+        crosses, after at least two steps."""
+        for i in range(200):
+            traj = run_to_absorption(params, 3, 10, 10**6, trial_stream(4, i))
+            if traj.absorbed_at_zero == dies and traj.steps >= 2:
+                return i, traj
+        raise AssertionError(f"no trial {'dies' if dies else 'crosses'} after two steps")
+
+    @pytest.mark.parametrize("dies", [True, False])
+    def test_exit_on_the_last_allowed_step(self, dies):
+        params = ModelParams(2.0, 50)
+        i, ref = self.first_path(params, dies)
+        traj = run_to_absorption(params, 3, 10, ref.steps, trial_stream(4, i))
+        assert (traj.absorbed_at_zero, traj.crossed_u) == (dies, not dies)
+        assert traj.steps == ref.steps
+        assert traj.states.tolist() == ref.states.tolist()
+        # one step fewer leaves the same path one state short, truncated
+        short = run_to_absorption(params, 3, 10, ref.steps - 1, trial_stream(4, i))
+        assert short.truncated and short.steps == ref.steps - 1
+        assert short.states.tolist() == ref.states.tolist()[:-1]
+
+    @pytest.mark.parametrize(
+        "x0, u, exits",
+        [(0, 10, (True, False)), (10, 10, (False, True)), (12, 10, (False, True)),
+         (3, 10, (False, False)), (25, None, (False, False))],
+    )
+    def test_zero_max_steps_returns_the_start_exit(self, x0, u, exits):
+        traj = run_to_absorption(ModelParams(2.0, 50), x0, u, 0, trial_stream(0, 0))
+        assert traj.states.tolist() == [x0]
+        assert (traj.absorbed_at_zero, traj.crossed_u) == exits
+
     def test_absorption_fraction_matches_exact_phi(self):
         params = ModelParams(2.0, 50)
         phi3 = hitting_profile(params, 10).phi(3)
@@ -453,17 +486,47 @@ def chain_case(draw):
     return lam, n, u, draw(st.integers(0, u - 1)), draw(SEEDS)
 
 
-def batched_paths(cdfs, x0, trials, seed, cap=None):
-    """Per-trial paths, steps and final states of sim._run_chains."""
-    history = []
-    chunks = list(sim._run_chains(cdfs, x0, trials, seed, cap, history))
-    steps = np.concatenate([c[0] for c in chunks])
-    final = np.concatenate([c[1] for c in chunks])
+def batched_paths(cdfs, x0, trials, seed):
+    """Per-trial paths of sim._run_chains, and the totals it returns.
+
+    Each step asks `_Uniforms.next` for the live trials' uniforms and then
+    `_invert_rows` for their next states; wrapping both records the live
+    trial ids and the states of every step.  The patch is undone on return,
+    since the callers are hypothesis tests, which take no function fixtures.
+    """
+    live, states = [], []
+    next_uniforms, invert_rows = sim._Uniforms.next, sim._invert_rows
+
+    def recording_next(draws):
+        live.append(draws.trials.tolist())
+        return next_uniforms(draws)
+
+    def recording_invert(*args):
+        x = invert_rows(*args)
+        states.append(x.tolist())
+        return x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim._Uniforms, "next", recording_next)
+        mp.setattr(sim, "_invert_rows", recording_invert)
+        totals = sim._run_chains(cdfs, x0, trials, seed)
     paths = [[x0] for _ in range(trials)]
-    for idx, states in history:
-        for i, x in zip(idx.tolist(), states.tolist()):
+    for idx, xs in zip(live, states, strict=True):
+        for i, x in zip(idx, xs, strict=True):
             paths[i].append(x)
-    return paths, steps, final
+    return paths, totals
+
+
+def chain_totals(refs):
+    """What sim._run_chains returns for these one-trial runs: deaths, and the
+    sum, sum of squares and maximum of the steps."""
+    lengths = [r.steps for r in refs]
+    return (
+        sum(r.absorbed_at_zero for r in refs),
+        sum(lengths),
+        sum(k * k for k in lengths),
+        max(lengths),
+    )
 
 
 def binomial_table(params, u):
@@ -528,7 +591,7 @@ class TestBatchedMatchesScalar:
     def test_count_chain(self, case):
         lam, n, u, x0, seed = case
         params = ModelParams(lam, n)
-        paths, steps, final = batched_paths(binomial_table(params, u), x0, self.TRIALS, seed)
+        paths, totals = batched_paths(binomial_table(params, u), x0, self.TRIALS, seed)
         refs = [
             run_to_absorption(params, x0, u, 10**6, trial_stream(seed, i))
             for i in range(self.TRIALS)
@@ -538,9 +601,10 @@ class TestBatchedMatchesScalar:
             # the batched chain records a crossing as u; the reference keeps the state
             assert paths[i][:-1] == ref.states.tolist()[:-1]
             assert min(paths[i][-1], u) == min(int(ref.states[-1]), u)
-            assert steps[i] == ref.steps
-            assert (final[i] == 0) == ref.absorbed_at_zero
-            assert (final[i] == u) == ref.crossed_u
+            assert len(paths[i]) - 1 == ref.steps
+            assert (paths[i][-1] == 0) == ref.absorbed_at_zero
+            assert (paths[i][-1] == u) == ref.crossed_u
+        assert totals == chain_totals(refs)
         est = estimate_hitting_prob(params, u, x0, self.TRIALS, seed)
         assert est.mean == sum(r.absorbed_at_zero for r in refs) / self.TRIALS
         assert est.steps_total == sum(r.steps for r in refs)
@@ -552,12 +616,12 @@ class TestBatchedMatchesScalar:
         lam, n, u, x0, seed = case
         kern = tilted_kernel(hitting_profile(ModelParams(lam, n), u))
         x0 = max(x0, 1)
-        paths, steps, final = batched_paths(kern.row_cdfs, x0, self.TRIALS, seed)
+        paths, totals = batched_paths(kern.row_cdfs, x0, self.TRIALS, seed)
         refs = [sample_conditioned_path(kern, x0, trial_stream(seed, i)) for i in range(self.TRIALS)]
         for i, ref in enumerate(refs):
             assert paths[i] == ref.states.tolist()
-            assert steps[i] == ref.steps
-            assert final[i] == 0 and ref.absorbed_at_zero
+            assert paths[i][-1] == 0 and ref.absorbed_at_zero
+        assert totals == chain_totals(refs)
         est = estimate_conditioned_length(kern, x0, self.TRIALS, seed)
         lengths = [r.steps for r in refs]
         assert est.mean == sum(lengths) / self.TRIALS
@@ -643,6 +707,27 @@ class TestChunkInvariance:
         with pytest.raises(TruncationError, match=f"trial {first} exceeded {cap} steps"):
             estimate_hitting_prob(params, 40, 1, 20, seed=seed)
 
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_conditioned_truncation_names_lowest_truncated_trial(self, monkeypatch, chunk):
+        # u = n = 20 lies above eq (about 6.9), so the chain conditioned to
+        # die below u lives about as long as the raw one: a median of 208
+        # steps from x0 = 10.  Take the first seed whose trial 0 ends within
+        # the cap, so that the lowest truncated trial is not simply the first.
+        kern, cap = tilted_kernel(hitting_profile(ModelParams(2.0, 20), 20)), 12
+        for seed in range(100):
+            truncated = [
+                sample_conditioned_path(kern, 10, trial_stream(seed, i)).steps > cap
+                for i in range(20)
+            ]
+            if not truncated[0] and any(truncated):
+                break
+        assert not truncated[0] and any(truncated)
+        monkeypatch.setattr(sim, "CHUNK", chunk)
+        monkeypatch.setattr(sim, "STEP_CAP", cap)
+        first = truncated.index(True)
+        with pytest.raises(TruncationError, match=f"trial {first} exceeded {cap} steps"):
+            estimate_conditioned_length(kern, 10, 20, seed=seed)
+
 
 class TestSamplerMemory:
     def test_hitting_steps_hold_no_row_per_trial(self, monkeypatch):
@@ -653,7 +738,7 @@ class TestSamplerMemory:
 
         def traced(*args, **kwargs):
             tracemalloc.reset_peak()  # the table is built: measure the sampling
-            yield from run_chains(*args, **kwargs)
+            return run_chains(*args, **kwargs)
 
         monkeypatch.setattr(sim, "_run_chains", traced)
         tracemalloc.start()

@@ -544,6 +544,27 @@ class TestConditionedTimeSolve:
         assert x == pytest.approx(np.linalg.solve(np.eye(Q.shape[0]) - Q, b), rel=1e-12)
         assert Q.tobytes() == before[0].tobytes() and b.tobytes() == before[1].tobytes()
 
+    def test_matches_forty_digit_solve(self):
+        # both conditioned time solves at lambda=1.5, n=200 and its window
+        # threshold, against an LU solve of I - P on the same double rows in
+        # 40-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        params = ModelParams(1.5, 200)
+        kern = tilted_kernel(hitting_profile(params, threshold_u(params, 0.05, "window")))
+        assert kern.u == 45
+        x = np.arange(1, kern.u)
+        cases = [
+            (conditional_expected_extinction(kern), np.ones(x.size)),
+            (conditional_occupation_time(kern, 0.1), (x > 0.1 * params.n).astype(float)),
+        ]
+        with mpmath.workdps(40):
+            a = mpmath.eye(x.size) - mpmath.matrix(kern.rows[:, 1:].tolist())
+            for got, r in cases:
+                want = mpmath.lu_solve(a, mpmath.matrix(r.tolist()))
+                assert got.values[0] == 0.0
+                rel = max(abs(g / w - 1) for g, w in zip(got.values[1:].tolist(), want))
+                assert rel <= 1e-14, float(rel)
+
     def test_occupation_with_full_band_is_extinction_time(self, kernel_15_300_window):
         # every transient state lies above delta*n = 0.3, so r = 1 as for t
         t = conditional_expected_extinction(kernel_15_300_window).values
