@@ -1,10 +1,10 @@
 """Command-line front end: canned experiments emitting CSV data.
 
-Every experiment validates its configuration before touching the output
-directory, which its first write creates, writes a fixed set of CSV files
-plus a summary.json, and is bit-reproducible: the same configuration
-(including seed) always yields byte-identical CSVs.  Each subcommand takes
-only the flags its experiment reads.
+Every experiment refuses a bad configuration (exit 2) before any solve,
+sample, cache file or output; it writes a fixed set of CSV files plus a
+summary.json, creating the output directory on its first write, and is
+bit-reproducible: the same configuration (including seed) always yields
+byte-identical CSVs.  Each subcommand takes only the flags its experiment reads.
 
 Exit codes: 0 success, 2 invalid configuration or cache refusal,
 3 solver failure, 4 simulation truncation.
@@ -18,7 +18,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from pathlib import Path
 
@@ -29,6 +29,7 @@ from .chain import ModelParams, equilibrium, gw_extinction_prob, threshold_u, tr
 from .simulate import (
     EstimateWithCI,
     TruncationError,
+    _check_conditioned_run,
     _check_seed,
     complete_graph,
     estimate_conditioned_length,
@@ -41,6 +42,8 @@ from .solver import (
     HittingProfile,
     KernelConsistencyError,
     SolverError,
+    _check_band,
+    _check_threshold,
     _check_unconditional_cap,
     _checked_profile,
     _parse_profile,
@@ -101,11 +104,11 @@ def _cell(v) -> str:
 # is formed once in double-double (Dekker, Numer. Math. 18, 1971) from a
 # table of 10^q = (hi + lo)·2^b, with an absolute error below 2^-46.  One
 # pass settles a cell only when 10^16 ≤ y < 10^17 - 1/2 and y is not within
-# 2^-30 of a tie.  Every other cell takes `_cell`: NaN, ±inf, a decade the
-# estimate missed, a rounding up to 10^17 and a near-tie; so do negative
-# ints, ints outside int64 and every non-numeric column.  A cell's text is a
-# fixed row of byte slots and a mask of the slots it keeps: for a float,
-# sign, "0.000", the 17 digits, ".", digits 1..16 again, "e±ddd".
+# 2^-30 of a tie.  `_cell` writes any row holding an undecided cell: NaN,
+# ±inf, a decade the estimate missed, a rounding up to 10^17, a near-tie, a
+# negative int, an int outside int64 or any non-numeric cell.  A cell's text
+# is a fixed row of byte slots and a mask of the slots it keeps: for a
+# float, sign, "0.000", the 17 digits, ".", digits 1..16 again, "e±ddd".
 _K_MIN, _K_MAX = -326, 310
 _POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
 
@@ -208,12 +211,11 @@ def _float_slots(a: np.ndarray):
     _, exponents, layouts, _, kept = _tables()
     keep = kept.take(layouts.take(k) + last, axis=0)
     keep[:, 0] = np.signbit(a)
-    slots = np.hstack([
+    return np.hstack([
         np.broadcast_to(np.frombuffer(b"-0.000", np.uint8), (len(a), 6)),
         digits, np.full((len(a), 1), ord("."), np.uint8), digits[:, 1:],
         exponents.take(k, axis=0),
-    ])
-    return slots, keep, odd
+    ]), keep, odd
 
 
 def _int_slots(a: np.ndarray):
@@ -224,35 +226,18 @@ def _int_slots(a: np.ndarray):
     return _digits(a, count), np.arange(4 * count) >= (4 * count - length)[:, None]
 
 
-def _text_slots(texts: list[str]):
-    """Slots and keep mask of each text's UTF-8 bytes."""
-    data = [t.encode() for t in texts]
-    width = max(1, max(map(len, data)))
-    slots = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
-    return slots, np.arange(width) < np.array([len(d) for d in data])[:, None]
-
-
 def _column_slots(column):
-    """Slots and keep mask whose kept bytes, row by row, are `_cell` of each cell."""
-    odd = np.ones(len(column), bool)
-    slots, keep = np.zeros((len(column), 0), np.uint8), np.zeros((len(column), 0), bool)
+    """Slots, keep mask and undecided cells of a column; `_cell` writes any row holding one."""
     a = np.asarray(column)
     if a.dtype == np.float64:
         slots, keep, odd = _float_slots(a)
         if not isinstance(column, np.ndarray):
             odd |= np.abs(a) >= 2.0**53  # an int in a list of floats may not survive float64
-    elif a.dtype.kind == "i":
+        return slots, keep, odd
+    if a.dtype.kind == "i":
         odd = a < 0
-        slots, keep = _int_slots(np.where(odd, 0, a))
-    rows = np.flatnonzero(odd)
-    if rows.size:
-        text, text_keep = _text_slots([_cell(column[i]) for i in rows])
-        width = max(slots.shape[1], text.shape[1])
-        slots = np.hstack([slots, np.zeros((len(odd), width - slots.shape[1]), np.uint8)])
-        keep = np.hstack([keep, np.zeros((len(odd), width - keep.shape[1]), bool)])
-        keep[rows] = False
-        slots[rows, : text.shape[1]], keep[rows, : text.shape[1]] = text, text_keep
-    return slots, keep
+        return *_int_slots(np.where(odd, 0, a)), odd
+    return np.zeros((len(a), 0), np.uint8), np.zeros((len(a), 0), bool), np.ones(len(a), bool)
 
 
 def _chunks(rows):
@@ -271,22 +256,27 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
     rows is any iterable of rows, or a structured array whose fields are
     the columns.  A float64 or signed-integer column of a chunk is
-    formatted by numpy, but for the cells it leaves to `_cell`; any other
-    column goes through `_cell` cell by cell.
+    formatted by numpy; `_cell` writes each row that holds a cell numpy
+    leaves undecided, or a cell of any other column.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for columns in _chunks(rows):
-            n = len(columns[0])
-            comma, newline = (
-                (np.full((n, 1), ord(c), np.uint8), np.ones((n, 1), bool)) for c in ",\n"
-            )
-            parts = [part for column in columns for part in (_column_slots(column), comma)]
-            parts[-1] = newline
-            slots = np.hstack([p[0] for p in parts])
-            keep = np.hstack([p[1] for p in parts])
-            f.write(slots[keep].tobytes().decode())
+            cells = [_column_slots(column) for column in columns]
+            sep = np.full((len(columns[0]), 1), ord(","), np.uint8)
+            slots = np.hstack([part for s, _, _ in cells for part in (s, sep)])
+            slots[:, -1] = ord("\n")
+            keep = np.hstack([part for _, k, _ in cells for part in (k, np.ones_like(sep, bool))])
+            undecided = np.flatnonzero(np.any([odd for *_, odd in cells], axis=0))
+            keep[undecided, :-1] = False  # the row keeps only its newline
+            text = slots[keep].tobytes().decode()
+            if undecided.size:
+                lines = text.split("\n")
+                for i in undecided.tolist():
+                    lines[i] = ",".join(_cell(column[i]) for column in columns)
+                text = "\n".join(lines)
+            f.write(text)
 
 
 def _solve_summary(profile: HittingProfile) -> dict:
@@ -405,12 +395,14 @@ def _constants(params: ModelParams, epsilon: float | None, u: int | None) -> dic
 
 
 def _profile_step(
-    config: ExperimentConfig, default_mode: str | None, *required: str
+    config: ExperimentConfig, default_mode: str | None, *required: str, check=lambda u: None
 ) -> tuple[HittingProfile, dict]:
-    """Check the flags, resolve u, get its profile; returns it and its summary fields."""
+    """Check the flags, resolve u, `check(u)`, get u's profile; returns it and its summary fields."""
     params = _params(config)
     _require(config, *required)
     u = _resolve_u(config, params, default_mode)
+    _check_threshold(params, u)
+    check(u)
     constants = _constants(params, config.epsilon, u)
     profile = _get_profile(config, params, u)
     return profile, {
@@ -422,10 +414,7 @@ def _profile_step(
 
 def _exp_profile(config: ExperimentConfig, out: Path) -> dict:
     profile, summary = _profile_step(config, None)
-    rows = []
-    for x, log_phi in enumerate(profile.log_phi.tolist()):
-        v = math.exp(log_phi)
-        rows.append((x, log_phi, v if v > 0.0 else ""))
+    rows = [(x, v, math.exp(v) or "") for x, v in enumerate(profile.log_phi.tolist())]
     _write_csv(out / "phi.csv", ["x", "log_phi_natural", "phi_if_representable"], rows)
     return {"files": ["phi.csv"], "method": profile.method, **summary}
 
@@ -469,16 +458,18 @@ def _exp_uncond_time(config: ExperimentConfig, out: Path) -> dict:
         if not 1 <= x <= n:
             raise ValueError(f"--x0 must lie in [1, n={n}], got {x}")
         starts.append((params, x))
+    constants = {"q": gw_extinction_prob(config.lam)}
     rows = []
     for params, x in starts:
         t = unconditional_expected_extinction(params).values
         rows.append((params.n, x, t[x], math.log(t[x])))
     _write_csv(out / "T.csv", ["n", "x", "expected_T0", "ln_expected_T0"], rows)
-    return {"files": ["T.csv"], "constants": {"q": gw_extinction_prob(config.lam)}}
+    return {"files": ["T.csv"], "constants": constants}
 
 
 def _exp_occupation(config: ExperimentConfig, out: Path) -> dict:
-    profile, summary = _profile_step(config, "window", "delta")
+    check = partial(_check_band, config.delta, config.n)  # called with u
+    profile, summary = _profile_step(config, "window", "delta", check=check)
     t = conditional_occupation_time(tilted_kernel(profile), config.delta).values.tolist()
     _write_csv(out / "h_occ.csv", ["x", "expected_band_time"], enumerate(t))
     return {"files": ["h_occ.csv"], "delta": config.delta, **summary}
@@ -486,11 +477,8 @@ def _exp_occupation(config: ExperimentConfig, out: Path) -> dict:
 
 def _write_estimate(out: Path, est: EstimateWithCI, seconds: float, constants: dict) -> dict:
     """Write est.csv; the summary also gets the chain steps and the trial rate."""
-    _write_csv(
-        out / "est.csv",
-        ["estimate", "std_error", "trials", "seed"],
-        [(est.mean, est.std_error, est.trials, est.seed)],
-    )
+    row = (est.mean, est.std_error, est.trials, est.seed)
+    _write_csv(out / "est.csv", ["estimate", "std_error", "trials", "seed"], [row])
     return {
         "files": ["est.csv"],
         "constants": constants,
@@ -504,14 +492,16 @@ def _exp_mc_hitting(config: ExperimentConfig, out: Path) -> dict:
     params = _params(config)
     _require(config, "x0", "trials", "seed")
     u = _resolve_u(config, params, "low")
+    constants = _constants(params, config.epsilon, u)
     started = time.perf_counter()
     est = estimate_hitting_prob(params, u, config.x0, config.trials, config.seed)
     seconds = time.perf_counter() - started
-    return _write_estimate(out, est, seconds, _constants(params, config.epsilon, u))
+    return _write_estimate(out, est, seconds, constants)
 
 
 def _exp_mc_cond_path(config: ExperimentConfig, out: Path) -> dict:
-    profile, step = _profile_step(config, "window", "x0", "trials", "seed")
+    check = partial(_check_conditioned_run, config.x0, config.trials)  # called with u
+    profile, step = _profile_step(config, "window", "x0", "trials", "seed", check=check)
     kernel = tilted_kernel(profile)
     started = time.perf_counter()
     est = estimate_conditioned_length(kernel, config.x0, config.trials, config.seed)
@@ -532,6 +522,7 @@ def _exp_equivalence(config: ExperimentConfig, out: Path) -> dict:
         graph = complete_graph(config.n, config.self_loops is not False)
     n = graph.vertex_count
     params = ModelParams(config.lam, n)
+    constants = _constants(params, None, None)
     counts = particle_step_counts(graph, config.x0, config.lam, config.trials, config.seed)
     empirical = np.bincount(counts, minlength=n + 1)[: n + 1] / config.trials
     exact = np.exp(transition_log_row(params, config.x0))
@@ -541,7 +532,7 @@ def _exp_equivalence(config: ExperimentConfig, out: Path) -> dict:
         ["n", "lambda", "x", "trials", "tv_distance"],
         [(n, params.lam, config.x0, config.trials, tv)],
     )
-    return {"files": ["tv.csv"], "constants": _constants(params, None, None)}
+    return {"files": ["tv.csv"], "constants": constants}
 
 
 def _exp_bounds_report(config: ExperimentConfig, out: Path) -> dict:
@@ -684,8 +675,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         summary = run_experiment(_config_from_args(args))
     except (ValueError, OSError) as exc:

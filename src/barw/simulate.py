@@ -36,7 +36,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .chain import ModelParams, _cdf_rows, _log_factorials, _transient_log_rows, transition_log_row
-from .solver import TiltedKernel
+from .solver import TiltedKernel, _check_threshold
 
 #: hard per-trial cap inside estimators; hitting it means the estimate
 #: would be biased, which is an error rather than a silent truncation
@@ -502,8 +502,7 @@ def estimate_hitting_prob(
     trials, so repeated runs agree bit for bit.  A trial that passes
     STEP_CAP steps raises TruncationError.
     """
-    if not 1 <= u <= params.n:
-        raise ValueError(f"threshold {u} outside [1, {params.n}]")
+    _check_threshold(params, u)
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_seed(seed)
@@ -519,6 +518,13 @@ def estimate_hitting_prob(
     )
 
 
+def _check_conditioned_run(x0: int, trials: int, u: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if not 1 <= x0 < u:
+        raise ValueError(f"start {x0} outside [1, {u - 1}]")
+
+
 def estimate_conditioned_length(
     kernel: TiltedKernel,
     x0: int,
@@ -530,11 +536,8 @@ def estimate_conditioned_length(
     A trial that passes STEP_CAP steps raises TruncationError: with u at or
     above eq a conditioned chain lives about as long as the raw one.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_conditioned_run(x0, trials, kernel.u)
     _check_seed(seed)
-    if not 1 <= x0 < kernel.u:
-        raise ValueError(f"start {x0} outside [1, {kernel.u - 1}]")
     # exact integer moments: nothing is rounded before the final division
     _, total, sq, longest = _run_chains(kernel.row_cdfs, x0, trials, seed)
     mean = float(total) / trials

@@ -324,6 +324,11 @@ def _harmonicity_residual(log_p: np.ndarray, log_phi: np.ndarray) -> float:
     return residual
 
 
+def _check_threshold(params: ModelParams, u: int) -> None:
+    if not 1 <= u <= params.n:
+        raise ValueError(f"threshold {u} outside [1, {params.n}]")
+
+
 def hitting_profile(params: ModelParams, u: int, method: str = METHOD_LOGDOMAIN) -> HittingProfile:
     """Solve for phi_u(x) = P_x[hit 0 before reaching >= u], x = 0..u-1.
 
@@ -334,8 +339,7 @@ def hitting_profile(params: ModelParams, u: int, method: str = METHOD_LOGDOMAIN)
     I - Q is nearly singular.  method="value-iteration" is the independent
     cross-check, a monotone fixed-point iteration from phi = 0.
     """
-    if not 1 <= u <= params.n:
-        raise ValueError(f"threshold {u} outside [1, {params.n}]")
+    _check_threshold(params, u)
     if method not in (METHOD_LOGDOMAIN, METHOD_VI):
         raise ValueError(f"unknown method {method!r}")
     if u == 1:
@@ -440,18 +444,21 @@ def unconditional_expected_extinction(params: ModelParams) -> TimeProfile:
     return TimeProfile(np.concatenate(([0.0], t)), conditional=False)
 
 
+def _check_band(delta: float, n: int, u: int) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0,1), got {delta}")
+    if delta * n >= u:
+        raise ValueError(f"band floor delta*n={delta * n:.6g} must lie below u={u}")
+
+
 def conditional_occupation_time(kernel: TiltedKernel, delta: float) -> TimeProfile:
     """Expected conditioned time spent with delta*n < X < u, from every start.
 
     Solves t(x) = 1{delta*n < x < u} + sum_{0<y<u} p_phi(x,y) t(y).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
     n = kernel.source.params.n
-    if delta * n >= kernel.u:
-        raise ValueError(f"band floor delta*n={delta * n:.6g} must lie below u={kernel.u}")
-    x = np.arange(1, kernel.u)
-    return _conditioned_time(kernel, (x > delta * n).astype(float))
+    _check_band(delta, n, kernel.u)
+    return _conditioned_time(kernel, (np.arange(1, kernel.u) > delta * n).astype(float))
 
 
 def write_profile(profile: HittingProfile, path: str | Path) -> None:

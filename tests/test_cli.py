@@ -991,6 +991,55 @@ class TestExitCodes:
         )
         assert not (out / "est.csv").exists()
 
+    @pytest.mark.parametrize(
+        ("argv", "work", "message"),
+        [
+            (["mc-hitting", "--lambda", "2", "--n", "10", "--u", "2", "--epsilon", "0",
+              "--x0", "1", "--trials", "1", "--seed", "1"],
+             "estimate_hitting_prob", "epsilon must be positive"),
+            # ModelParams admits lambda = 1 + 1e-13; gw_extinction_prob refuses it
+            (["uncond-time", "--lambda", "1.0000000000001", "--n", "2"],
+             "unconditional_expected_extinction", "offspring mean must exceed 1"),
+            (["equivalence", "--lambda", "1.0000000000001", "--n", "2", "--x0", "1",
+              "--trials", "1", "--seed", "1"],
+             "particle_step_counts", "offspring mean must exceed 1"),
+        ],
+        ids=["mc-hitting", "uncond-time", "equivalence"],
+    )
+    def test_summary_constants_are_checked_before_any_work(
+        self, tmp_path, monkeypatch, capsys, argv, work, message
+    ):
+        def work_ran(*args):
+            raise AssertionError(f"{work} ran before the configuration was refused")
+
+        monkeypatch.setattr(cli, work, work_ran)
+        out = tmp_path / "never"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["occupation", "--delta", "0.5"], "band floor delta*n=25 must lie below u=10"),
+            (["occupation", "--delta", "1"], "delta must lie in (0,1)"),
+            (["mc-cond-path", "--x0", "10", "--trials", "1", "--seed", "1"], "start 10 outside [1, 9]"),
+            (["mc-cond-path", "--x0", "1", "--trials", "0", "--seed", "1"], "trials must be positive"),
+        ],
+        ids=["occupation-band", "occupation-delta", "mc-cond-path-x0", "mc-cond-path-trials"],
+    )
+    def test_flag_against_u_is_refused_before_the_solve(
+        self, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        solve, solves = cli.hitting_profile, []
+        monkeypatch.setattr(cli, "hitting_profile", lambda *args: solves.append(args) or solve(*args))
+        out, cache = tmp_path / "never", tmp_path / "cache"
+        argv = [flags[0], "--lambda", "2", "--n", "50", "--u", "10", *flags[1:]]
+        assert run(argv + ["--cache", str(cache), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert solves == []
+        assert not out.exists() and not list(cache.glob("profile_*.json"))
+
 
 class TestRunExperimentApi:
     def test_unknown_experiment(self, tmp_path):
