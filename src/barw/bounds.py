@@ -77,15 +77,12 @@ def make_bound_set(lam: float, n: int, epsilon: float, alpha: float | None = Non
     """Compute every derived constant, flagging inapplicable ones.
 
     The envelope needs eps < 1/(2*lam) and lam*exp(-lam*eps) > 1; kappa_n
-    needs e*lam/((e-1)*n) < 1; gamma needs lam*eps < 1.  theta and q2 are
-    always defined for lam > 1.
+    needs e*lam/((e-1)*n) < 1; gamma needs lam*eps < 1.  An eps whose q2 or
+    theta has no representable fixed point is refused, naming eps.
     """
-    if not lam > 1.0:
-        raise ValueError(f"offspring mean must exceed 1, got {lam}")
-    if n < 1:
-        raise ValueError(f"site count must be positive, got {n}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    ModelParams(lam, n)  # refuses a bad lam or n
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     lo, hi = math.log(lam) / lam, 1.0 - 1.0 / lam
     if alpha is None:
         alpha = default_alpha(lam)
@@ -94,9 +91,12 @@ def make_bound_set(lam: float, n: int, epsilon: float, alpha: float | None = Non
 
     lam1 = lam * math.exp(-lam * epsilon)
     envelope_ok = epsilon < 1.0 / (2.0 * lam) and lam1 > 1.0
-    q1 = gw_extinction_prob(lam1) if lam1 > 1.0 + 1e-12 else math.nan
-    q2 = gw_extinction_prob(lam * (1.0 + 2.0 * lam * epsilon))
-    theta = gw_extinction_prob(math.exp(lam * epsilon))
+    try:  # a q2 that exists keeps lam*eps below 373, so exp(lam*eps) is finite
+        q1 = gw_extinction_prob(lam1) if lam1 > 1.0 + 1e-12 else math.nan
+        q2 = gw_extinction_prob(lam * (1.0 + 2.0 * lam * epsilon))
+        theta = gw_extinction_prob(math.exp(lam * epsilon))
+    except ValueError as exc:
+        raise ValueError(f"epsilon={epsilon} gives no bound set at lambda={lam}: {exc}") from None
 
     kappa_n = kappa_floor(lam, n)
     kappa_ok = not math.isnan(kappa_n)

@@ -49,14 +49,14 @@ _STIRLING_LARGE = (
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Offspring mean lam (> 1) and number of sites n for the count chain."""
+    """Offspring mean lam (finite, > 1) and number of sites n for the count chain."""
 
     lam: float
     n: int
 
     def __post_init__(self):
-        if not (self.lam > 1.0):
-            raise ValueError(f"offspring mean must exceed 1, got {self.lam}")
+        if not 1.0 < self.lam < math.inf:
+            raise ValueError(f"offspring mean must be finite and must exceed 1, got {self.lam}")
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError(f"site count must be a positive integer, got {self.n}")
 
@@ -82,10 +82,14 @@ def gw_extinction_prob(mean: float) -> float:
 
     Returns the unique fixed point q of s = exp(-mean*(1-s)) in (0, 1),
     located by bisection and polished by Newton steps.  The residual
-    |q - exp(-mean*(1-q))| is at most 1e-14.
+    |q - exp(-mean*(1-q))| is at most 1e-14.  Above about 745.13, where
+    exp(-mean) underflows to 0, q is not representable and is refused.
     """
-    if not mean > 1.0 + GW_MEAN_MARGIN:
-        raise ValueError(f"offspring mean must exceed 1 (got {mean}); the fixed point is 1")
+    if not (mean > 1.0 + GW_MEAN_MARGIN and math.exp(-mean) > 0.0):
+        raise ValueError(
+            f"offspring mean must exceed 1 and stay below about 745.13 (got {mean}); "
+            "the fixed point is 1 or underflows"
+        )
 
     def f(s: float) -> float:
         return s - math.exp(-mean * (1.0 - s))
@@ -250,6 +254,11 @@ def _ceil_snapped(v: float) -> int:
     return math.ceil(v)
 
 
+def _check_threshold(params: ModelParams, u: int) -> None:
+    if not 1 <= u <= params.n:
+        raise ValueError(f"threshold {u} outside [1, {params.n}]")
+
+
 def threshold_u(params: ModelParams, epsilon: float, mode: str) -> int:
     """Integer threshold for upper-passage events.
 
@@ -270,7 +279,6 @@ def threshold_u(params: ModelParams, epsilon: float, mode: str) -> int:
         v = equilibrium(params) - epsilon * params.n
     else:
         raise ValueError(f"mode must be 'low' or 'window', got {mode!r}")
-    u = _ceil_snapped(v)
-    if not 1 <= u <= params.n:
-        raise ValueError(f"threshold {u} outside [1, {params.n}]")
+    u = _ceil_snapped(v) if v < math.inf else v  # eps*n may overflow to inf
+    _check_threshold(params, u)
     return u

@@ -65,6 +65,11 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be positive")
+
+
 def trial_stream(seed: int, trial: int) -> Generator:
     """Independent generator for one trial, keyed by (seed, trial)."""
     _check_seed(seed)
@@ -326,16 +331,13 @@ class EstimateWithCI:
     steps_max: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        _check_trials(self.trials)
         if self.std_error < 0.0:
             raise ValueError("standard error cannot be negative")
 
 
 def step_meanfield(params: ModelParams, x: int, stream: Generator) -> int:
     """One exact Bin(n, b(x)) transition of the count chain, by inversion."""
-    if not 0 <= x <= params.n:
-        raise ValueError(f"state {x} outside [0, {params.n}]")
     if x == 0:
         return 0
     return int(_invert(_binomial_cdf(params, x), stream.random()))
@@ -503,8 +505,7 @@ def estimate_hitting_prob(
     STEP_CAP steps raises TruncationError.
     """
     _check_threshold(params, u)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_trials(trials)
     _check_seed(seed)
     if not 0 <= x0 < u:
         raise ValueError(f"start {x0} must lie in [0, u={u})")
@@ -519,8 +520,7 @@ def estimate_hitting_prob(
 
 
 def _check_conditioned_run(x0: int, trials: int, u: int) -> None:
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_trials(trials)
     if not 1 <= x0 < u:
         raise ValueError(f"start {x0} outside [1, {u - 1}]")
 
@@ -591,8 +591,7 @@ def particle_step_counts(
     transitive graph the choice is immaterial.  Returns one count per trial;
     trial i equals step_particle on trial_stream(seed, i).
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_trials(trials)
     _check_seed(seed)
     if not 0 <= start_count <= graph.vertex_count:
         raise ValueError("start_count outside the vertex range")

@@ -28,6 +28,7 @@ from .chain import (
     LOG_ZERO,
     ModelParams,
     _cdf_rows,
+    _check_threshold,
     _log_top_masses,
     _logsumexp_rows,
     _transient_log_rows,
@@ -322,11 +323,6 @@ def _harmonicity_residual(log_p: np.ndarray, log_phi: np.ndarray) -> float:
             residual=residual,
         )
     return residual
-
-
-def _check_threshold(params: ModelParams, u: int) -> None:
-    if not 1 <= u <= params.n:
-        raise ValueError(f"threshold {u} outside [1, {params.n}]")
 
 
 def hitting_profile(params: ModelParams, u: int, method: str = METHOD_LOGDOMAIN) -> HittingProfile:

@@ -89,6 +89,25 @@ class TestMakeBoundSet:
         with pytest.raises(ValueError):
             make_bound_set(2.0, 100, 0.0)
 
+    @pytest.mark.parametrize(
+        ("lam", "n", "message"),
+        [(math.inf, 100, "offspring mean must be finite"), (2.0, 0, "site count must be")],
+    )
+    def test_lambda_and_n_are_checked_as_model_params(self, lam, n, message):
+        with pytest.raises(ValueError, match=message):
+            make_bound_set(lam, n, 0.05)
+
+    def test_infinite_epsilon_is_refused(self):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite, got inf"):
+            make_bound_set(2.0, 300, math.inf)
+
+    @pytest.mark.parametrize("epsilon", [4.0, 1e-14, 1e308])
+    def test_epsilon_without_q2_or_theta_is_refused_naming_it(self, epsilon):
+        # theta = q(exp(2*eps)) underflows at eps = 4, and its mean is within 1e-12
+        # of 1 at eps = 1e-14; q2 = q(2 + 8*eps) has an infinite mean at eps = 1e308
+        with pytest.raises(ValueError, match=re.escape(f"epsilon={epsilon} gives no bound set")):
+            make_bound_set(2.0, 300, epsilon)
+
 
 class TestEnvelope:
     def test_both_bounds_equal_one_at_zero(self):

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,11 @@ class TestModelParams:
         for lam in (1.0, 0.5, -2.0):
             with pytest.raises(ValueError):
                 ModelParams(lam, 10)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_rejects_nonfinite_mean(self, lam):
+        with pytest.raises(ValueError, match="must be finite"):
+            ModelParams(lam, 10)
 
     def test_rejects_bad_site_count(self):
         with pytest.raises(ValueError):
@@ -125,6 +131,13 @@ class TestGwExtinctionProb:
     def test_domain_error(self):
         for mean in (1.0, 0.9, 1.0 + 1e-13):
             with pytest.raises(ValueError):
+                gw_extinction_prob(mean)
+
+    def test_underflowing_q_is_refused_naming_the_mean(self):
+        # exp(-mean) is 0 from about 745.133 on, so q has no representable value
+        assert 0.0 < gw_extinction_prob(745.13) < 1e-300
+        for mean in (745.14, 746.0, 1e308, math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"(got {mean})")):
                 gw_extinction_prob(mean)
 
 
@@ -269,6 +282,11 @@ class TestThresholdU:
     def test_out_of_range_threshold(self):
         with pytest.raises(ValueError):
             threshold_u(ModelParams(2.0, 10), 1.5, "low")
+
+    @pytest.mark.parametrize("epsilon", [1e308, math.inf])
+    def test_overflowing_low_threshold_is_out_of_range(self, epsilon):
+        with pytest.raises(ValueError, match=r"^threshold inf outside \[1, 50\]$"):
+            threshold_u(ModelParams(2.0, 50), epsilon, "low")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

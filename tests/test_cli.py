@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import barw.cli as cli
@@ -433,6 +433,51 @@ class TestGraphFiles:
         err = capsys.readouterr().err
         assert str(graph) in err and named in err
         assert not out.exists()
+
+
+#: the flags besides --lambda, --n and --out of each run in TestFloatFlags, and
+#: whether it also takes the drawn --epsilon.  No Monte Carlo run takes one: an
+#: eps near 1 puts u far above eq, where a trial can live for minutes.
+_FLOAT_RUNS = {
+    "profile": (["--u", "10"], True),
+    "figure1": ([], True),
+    "bounds-report": ([], True),
+    "uncond-time": ([], False),
+    "equivalence": (["--x0", "3", "--trials", "20", "--seed", "1"], False),
+    "mc-hitting": (["--u", "10", "--x0", "3", "--trials", "20", "--seed", "1"], False),
+}
+
+
+class TestFloatFlags:
+    """Any float for --lambda and --epsilon, NaN and the infinities too, ends in
+    exit 0, 2, 3 or 4, and an exit 2 leaves no --out directory."""
+
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("floats")
+
+    # the second branch of each float draw reaches the solves and the samplers
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(
+        st.sampled_from(sorted(_FLOAT_RUNS)),
+        st.floats() | st.floats(1.0, 30.0),
+        st.floats() | st.floats(0.0, 1.0),
+        st.integers(1, 50),
+    )
+    @example("profile", math.inf, 0.05, 50)
+    @example("figure1", 746.0, 0.001, 50)
+    @example("bounds-report", 1e308, 0.001, 50)
+    @example("mc-hitting", 1e308, 0.05, 50)
+    def test_any_float_exits_0_2_3_or_4(self, out_dir, experiment, lam, epsilon, n):
+        flags, takes_epsilon = _FLOAT_RUNS[experiment]
+        out = out_dir / f"out{len(list(out_dir.iterdir()))}"
+        # the = form: argparse reads a lone "-inf" or "-1e-05" as a flag
+        argv = [experiment, f"--lambda={lam!r}", "--n", str(n), *flags, "--out", str(out)]
+        if takes_epsilon:
+            argv.append(f"--epsilon={epsilon!r}")
+        code = run(argv)
+        assert code in (0, 2, 3, 4)
+        assert code != 2 or not out.exists()
 
 
 class TestFlags:
@@ -957,12 +1002,55 @@ class TestExitCodes:
              "--seed", "1"],
             ["figure1", "--lambda", "1.5", "--n", "100", "--epsilon", "0.9"],
             ["profile", "--lambda", "0.5", "--n", "50", "--u", "10"],
+            # eps*n overflows to inf: no threshold, and no bound set
+            ["mc-hitting", "--lambda", "2", "--n", "50", "--x0", "3", "--trials", "10",
+             "--seed", "1", "--epsilon", "1e308"],
+            ["figure1", "--lambda", "2", "--n", "50", "--epsilon", "inf", "--mode", "low"],
+            ["bounds-report", "--lambda", "2", "--n", "300", "--epsilon", "inf"],
         ],
-        ids=["no-x0", "bad-epsilon", "bad-lambda"],
+        ids=["no-x0", "bad-epsilon", "bad-lambda", "mc-hitting-eps-1e308", "figure1-eps-inf",
+             "bounds-report-eps-inf"],
     )
     def test_refused_run_creates_no_out_directory(self, tmp_path, argv):
         out = tmp_path / "never"
         assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lam", ["746", "1e308", "inf"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["profile", "--n", "300", "--u", "10", "--cache"],
+            ["figure1", "--n", "300", "--u", "10", "--cache"],
+            ["figure2", "--n", "300", "--epsilon", "0.001", "--cache"],
+            ["cond-time", "--n", "300", "--u", "10", "--cache"],
+            ["occupation", "--n", "300", "--u", "10", "--delta", "0.01", "--cache"],
+            ["mc-cond-path", "--n", "300", "--u", "10", "--x0", "3", "--trials", "10",
+             "--seed", "1", "--cache"],
+            ["bounds-report", "--n", "300", "--epsilon", "0.001", "--cache"],
+            ["uncond-time", "--n", "20,30"],
+            ["mc-hitting", "--n", "50", "--u", "10", "--x0", "3", "--trials", "10", "--seed", "1"],
+            ["equivalence", "--n", "30", "--x0", "3", "--trials", "10", "--seed", "1"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_lambda_without_representable_q_exits_2(self, tmp_path, flags, lam):
+        # q = q(lam) underflows from lam = 745.13 on; window mode refuses eps = 0.001
+        # at lam = 1e308 by itself, so figure2 takes the q refusal at 746 only
+        out, cache = tmp_path / "never", tmp_path / "cache"
+        argv = [flags[0], "--lambda", lam, *flags[1:]]
+        if argv[-1] == "--cache":
+            argv.append(str(cache))
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists() and not cache.exists()
+
+    @pytest.mark.parametrize("epsilon", ["4", "1e-14"])
+    def test_bound_set_refusal_names_epsilon(self, tmp_path, capsys, epsilon):
+        # theta = q(exp(2*eps)) has no representable fixed point at either eps
+        out = tmp_path / "never"
+        argv = ["bounds-report", "--lambda", "2", "--n", "300", "--epsilon", epsilon]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert f"epsilon={float(epsilon)} gives no bound set" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
