@@ -19,7 +19,6 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +105,9 @@ def _cell(v) -> str:
 # pass settles a cell only when 10^16 ≤ y < 10^17 - 1/2 and y is not within
 # 2^-30 of a tie.  `_cell` writes any row holding an undecided cell: NaN,
 # ±inf, a decade the estimate missed, a rounding up to 10^17, a near-tie, a
-# negative int, an int outside int64 or any non-numeric cell.  A cell's text
-# is a fixed row of byte slots and a mask of the slots it keeps: for a
-# float, sign, "0.000", the 17 digits, ".", digits 1..16 again, "e±ddd".
+# negative int or a cell of any other dtype.  A cell's text is a fixed row of
+# byte slots and a mask of the slots it keeps: for a float, sign, "0.000",
+# the 17 digits, ".", digits 1..16 again, "e±ddd".
 _K_MIN, _K_MAX = -326, 310
 _POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
 
@@ -226,43 +225,40 @@ def _int_slots(a: np.ndarray):
     return _digits(a, count), np.arange(4 * count) >= (4 * count - length)[:, None]
 
 
-def _column_slots(column):
+def _column_slots(a: np.ndarray):
     """Slots, keep mask and undecided cells of a column; `_cell` writes any row holding one."""
-    a = np.asarray(column)
     if a.dtype == np.float64:
-        slots, keep, odd = _float_slots(a)
-        if not isinstance(column, np.ndarray):
-            odd |= np.abs(a) >= 2.0**53  # an int in a list of floats may not survive float64
-        return slots, keep, odd
+        return _float_slots(a)
     if a.dtype.kind == "i":
         odd = a < 0
         return *_int_slots(np.where(odd, 0, a)), odd
     return np.zeros((len(a), 0), np.uint8), np.zeros((len(a), 0), bool), np.ones(len(a), bool)
 
 
-def _chunks(rows):
-    """CSV_CHUNK rows at a time, as columns: fields of a structured array, else tuples."""
-    if isinstance(rows, np.ndarray) and rows.dtype.names:
-        for i in range(0, len(rows), CSV_CHUNK):
-            yield [rows[name][i : i + CSV_CHUNK] for name in rows.dtype.names]
-    else:
-        rows = iter(rows)
-        while chunk := list(islice(rows, CSV_CHUNK)):
-            yield list(zip(*chunk, strict=True))
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write rows as CSV, each cell's text equal to `_cell`'s.
 
-    rows is any iterable of rows, or a structured array whose fields are
-    the columns.  A float64 or signed-integer column of a chunk is
-    formatted by numpy; `_cell` writes each row that holds a cell numpy
-    leaves undecided, or a cell of any other column.
+    rows is a structured array whose fields are the columns, or any other
+    iterable of rows.  numpy formats a structured array CSV_CHUNK rows at a
+    time, its float64 and signed-integer fields column by column, and
+    `_cell` writes each row that holds a cell numpy leaves undecided.
+    `_cell` writes every row of any other input.  A field count or row
+    width other than len(header) raises ValueError.
     """
+    names = rows.dtype.names if isinstance(rows, np.ndarray) else None
+    if names and len(names) != len(header):
+        raise ValueError(f"{len(names)} fields under {len(header)} header names")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for columns in _chunks(rows):
+        if not names:
+            for row in rows:
+                if len(row) != len(header):
+                    raise ValueError(f"a row of {len(row)} cells under {len(header)} header names")
+                f.write(",".join(map(_cell, row)) + "\n")
+            return
+        for start in range(0, len(rows), CSV_CHUNK):
+            columns = [rows[name][start : start + CSV_CHUNK] for name in names]
             cells = [_column_slots(column) for column in columns]
             sep = np.full((len(columns[0]), 1), ord(","), np.uint8)
             slots = np.hstack([part for s, _, _ in cells for part in (s, sep)])
@@ -421,8 +417,8 @@ def _exp_profile(config: ExperimentConfig, out: Path) -> dict:
 
 def _exp_figure1(config: ExperimentConfig, out: Path) -> dict:
     profile, summary = _profile_step(config, "window")
-    log10_h = (profile.log_phi / math.log(10.0)).tolist()
-    _write_csv(out / "logh.csv", ["x", "log10_h"], enumerate(log10_h))
+    log10_h = np.rec.fromarrays([np.arange(profile.u), profile.log_phi / math.log(10.0)])
+    _write_csv(out / "logh.csv", ["x", "log10_h"], log10_h)
     return {"files": ["logh.csv"], **summary}
 
 
@@ -470,8 +466,9 @@ def _exp_uncond_time(config: ExperimentConfig, out: Path) -> dict:
 def _exp_occupation(config: ExperimentConfig, out: Path) -> dict:
     check = partial(_check_band, config.delta, config.n)  # called with u
     profile, summary = _profile_step(config, "window", "delta", check=check)
-    t = conditional_occupation_time(tilted_kernel(profile), config.delta).values.tolist()
-    _write_csv(out / "h_occ.csv", ["x", "expected_band_time"], enumerate(t))
+    t = conditional_occupation_time(tilted_kernel(profile), config.delta).values
+    table = np.rec.fromarrays([np.arange(profile.u), t])
+    _write_csv(out / "h_occ.csv", ["x", "expected_band_time"], table)
     return {"files": ["h_occ.csv"], "delta": config.delta, **summary}
 
 

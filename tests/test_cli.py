@@ -646,7 +646,7 @@ def _per_cell(header, rows):
 class TestCsvWriter:
     @pytest.mark.parametrize("chunk", [cli.CSV_CHUNK, 3])
     def test_column_formatting_matches_per_cell(self, tmp_path, monkeypatch, chunk):
-        # with 3-row chunks column d mixes types in its first chunk only
+        # 3-row chunks split the table at many boundaries, undecided rows among them
         monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
         floats = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e300, -2.5, 1.0]
         # decade edges, where the digit count and the notation change, and the extremes
@@ -660,18 +660,26 @@ class TestCsvWriter:
             for _ in range(8):
                 below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
                 floats += [below, above]
-        extremes = [2**63 - 1, -(2**63), 2**63, 2**64 - 1, 10**17 - 1, 10**17, 2**53 + 1]
-        ints = (extremes + list(range(-5, len(floats))))[: len(floats)]
-        int64s = [v if -(2**63) <= v < 2**63 else -v // 3 for v in ints]
+        extremes = [2**63 - 1, -(2**63), 10**17 - 1, 10**17, 2**53 + 1]
+        int64s = np.array((extremes + list(range(-5, len(floats))))[: len(floats)], np.int64)
+        table = np.rec.fromarrays([int64s, np.array(floats)])
+        cli._write_csv(tmp_path / "t.csv", ["a", "b"], table)
+        assert (tmp_path / "t.csv").read_bytes() == _per_cell(["a", "b"], table.tolist())
+        # a field of any other dtype leaves every row to `_cell`
+        table = np.rec.fromarrays([int64s.astype(np.uint64), int64s % 3 == 0, int64s])
+        cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+        assert (tmp_path / "t.csv").read_bytes() == _per_cell(["a", "b", "c"], table.tolist())
+
+    def test_rows_of_mixed_cells_match_per_cell(self, tmp_path):
+        ints = [2**63 - 1, -(2**63), 2**63, 2**64 - 1, 2**53 + 1, -7, 0, 10**30, -(10**30)]
+        floats = [0.1, -0.0, math.nan, math.inf, 5e-324, 1e300, -2.5, 1.0, 1e17]
         columns = [
             ints,
             floats,
             [np.float64(v) for v in floats],
             [v if i > 1 else "" for i, v in enumerate(floats)],
-            [np.int64(v) for v in int64s],
+            [np.int64(v % 2**63) for v in ints],
             [""] * len(floats),
-            [v if i % 2 else int64s[i] for i, v in enumerate(floats)],
-            int64s,
             [np.uint64(v % 2**64) for v in ints],
             [v % 3 == 0 for v in ints],
             [np.bool_(v % 2) for v in ints],
@@ -683,20 +691,18 @@ class TestCsvWriter:
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(
-        st.lists(
-            st.tuples(st.floats(), st.integers() | st.integers(-(2**63), 2**63 - 1)),
-            min_size=1, max_size=20,
-        )
+        st.lists(st.tuples(st.floats(), st.integers(-(2**63), 2**63 - 1)), min_size=1, max_size=20)
     )
     def test_generated_floats_and_integers_match_per_cell(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("csv") / "t.csv"
-        cli._write_csv(path, ["v", "i"], rows)
+        cli._write_csv(path, ["v", "i"], np.array(rows, [("v", np.float64), ("i", np.int64)]))
         assert path.read_bytes() == _per_cell(["v", "i"], rows)
 
     def test_random_bit_patterns_match_per_cell(self, tmp_path):
         bits = np.random.default_rng(20261019).integers(0, 2**64, 10**5, dtype=np.uint64)
-        rows = [(v,) for v in bits.view(np.float64).tolist()]
-        cli._write_csv(tmp_path / "t.csv", ["v"], rows)
+        floats = bits.view(np.float64)
+        cli._write_csv(tmp_path / "t.csv", ["v"], np.rec.fromarrays([floats]))
+        rows = [(v,) for v in floats.tolist()]
         assert (tmp_path / "t.csv").read_bytes() == _per_cell(["v"], rows)
 
     def test_fast_path_settles_its_cells(self):
@@ -721,6 +727,11 @@ class TestCsvWriter:
     def test_rows_of_unequal_width_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
             cli._write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2.0), (3,)])
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "t.csv", ["a"], [(1, 2.5)])
+        table = np.zeros(2, [("x", np.int64), ("p", np.float64)])
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "t.csv", ["x", "p", "q"], table)
 
     @pytest.mark.parametrize("chunk", [cli.CSV_CHUNK, 3])
     def test_structured_array_matches_rows(self, tmp_path, monkeypatch, chunk):
