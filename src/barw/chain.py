@@ -81,9 +81,12 @@ def gw_extinction_prob(mean: float) -> float:
     """Extinction probability of a Galton-Watson process with Poisson(mean) offspring.
 
     Returns the unique fixed point q of s = exp(-mean*(1-s)) in (0, 1),
-    located by bisection and polished by Newton steps.  The residual
-    |q - exp(-mean*(1-q))| is at most 1e-14.  Above about 745.13, where
-    exp(-mean) underflows to 0, q is not representable and is refused.
+    located by bisection and polished by Newton steps.  For s >= 1/2 the
+    residual is taken as -(d + expm1(-mean*d)) with d = 1 - s exact, so a
+    root just below 1, where mean is just above 1, is not lost to the
+    rounding of exp.  The residual at q is at most 1e-14.  Above about
+    745.13, where exp(-mean) underflows to 0, q is not representable and is
+    refused.
     """
     if not (mean > 1.0 + GW_MEAN_MARGIN and math.exp(-mean) > 0.0):
         raise ValueError(
@@ -92,12 +95,12 @@ def gw_extinction_prob(mean: float) -> float:
         )
 
     def f(s: float) -> float:
-        return s - math.exp(-mean * (1.0 - s))
+        if s < 0.5:
+            return s - math.exp(-mean * (1.0 - s))
+        d = 1.0 - s
+        return -(d + math.expm1(-mean * d))
 
-    lo, hi = 0.0, 1.0 - 1e-9
-    if f(hi) <= 0.0:
-        # mean barely supercritical: the root sits inside (1-1e-9, 1)
-        hi = 1.0 - GW_MEAN_MARGIN
+    lo, hi = 0.0, 1.0 - 2.0**-53
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -108,12 +111,11 @@ def gw_extinction_prob(mean: float) -> float:
             hi = mid
     q = 0.5 * (lo + hi)
     for _ in range(4):
-        e = math.exp(-mean * (1.0 - q))
-        deriv = 1.0 - mean * e
+        deriv = 1.0 - mean * math.exp(-mean * (1.0 - q))
         if deriv == 0.0:
             break
-        q -= (q - e) / deriv
-    if not (0.0 < q < 1.0) or abs(q - math.exp(-mean * (1.0 - q))) > GW_TOL:
+        q -= f(q) / deriv
+    if not (0.0 < q < 1.0) or abs(f(q)) > GW_TOL:
         raise ArithmeticError(f"fixed-point refinement failed for mean={mean}")
     return q
 

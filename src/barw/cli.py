@@ -44,11 +44,10 @@ from .solver import (
     _check_band,
     _check_threshold,
     _check_unconditional_cap,
-    _checked_profile,
-    _parse_profile,
     conditional_expected_extinction,
     conditional_occupation_time,
     hitting_profile,
+    read_profile,
     tilted_kernel,
     unconditional_expected_extinction,
     write_profile,
@@ -326,25 +325,13 @@ def cache_path(cache_dir: str | Path, lam: float, n: int, u: int) -> Path:
 
 
 def cache_lookup(cache_dir: str | Path, lam: float, n: int, u: int) -> HittingProfile | None:
-    """Return the cached profile, or None when its file is absent.
+    """The cached profile of (lam, n, u), or None when its file is absent.
 
-    A file that exists is reused or refused, never overwritten.  A
-    malformed one raises ProfileFormatError.  One whose key disagrees with
-    the requested one raises ValueError naming the file, before any kernel
-    row is built, so a record's n costs nothing until it is the requested
-    one.  Last, one whose log phi is not harmonic within the solve's
-    tolerance raises ProfileFormatError, as read_profile does.
+    A file that exists is reused or refused by read_profile, never
+    overwritten.
     """
     path = cache_path(cache_dir, lam, n, u)
-    if not path.exists():
-        return None
-    profile = _parse_profile(path)
-    if _g17(profile.params.lam) != _g17(lam) or profile.params.n != n or profile.u != u:
-        raise ValueError(
-            f"cache file {path} exists but its key does not match the requested "
-            "profile; refusing to reuse or overwrite"
-        )
-    return _checked_profile(profile, path)
+    return read_profile(path, ModelParams(lam, n), u) if path.exists() else None
 
 
 def cache_store(cache_dir: str | Path, profile: HittingProfile) -> Path:

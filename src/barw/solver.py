@@ -481,11 +481,17 @@ def write_profile(profile: HittingProfile, path: str | Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _parse_profile(path: Path) -> HittingProfile:
-    """The profile a version-3 record stores, with a NaN residual; builds no kernel rows.
+def read_profile(path: str | Path, params: ModelParams, u: int) -> HittingProfile:
+    """Load the profile of (params, u) that write_profile stored at path.
 
-    A file that is not such a record raises ProfileFormatError naming it.
+    A file that is not a version-3 record raises ProfileFormatError naming
+    it.  A record of another (lambda, n, u) raises ValueError naming it,
+    before any kernel row is built, so a record's n costs nothing until it
+    is the requested one.  Last, the residual is recomputed from the kernel
+    rows of the key, as a solve computes it; above HARMONICITY_TOL it
+    raises ProfileFormatError naming the file.
     """
+    path = Path(path)
     try:
         record = json.loads(path.read_text())
         if not isinstance(record, dict):
@@ -494,36 +500,22 @@ def _parse_profile(path: Path) -> HittingProfile:
             raise ValueError(
                 f"unsupported version {record.get('version')!r}, expected {PROFILE_FORMAT_VERSION}"
             )
-        lam, n, u, log_phi = (record.get(k) for k in ("lambda", "n", "u", "log_phi"))
+        lam, n, stored_u, log_phi = (record.get(k) for k in ("lambda", "n", "u", "log_phi"))
         # exact types: json.loads gives bool for true/false, and bool subclasses int
-        if not (type(lam) in (int, float) and type(n) is int and type(u) is int):
+        if not (type(lam) in (int, float) and type(n) is int and type(stored_u) is int):
             raise ValueError("lambda must be a number, n and u integers")
         if not (type(log_phi) is list and all(type(v) in (int, float) for v in log_phi)):
             raise ValueError("log_phi must be a list of numbers")
-        params = ModelParams(float(lam), n)
-        return HittingProfile(params, u, np.array(log_phi, dtype=float), math.nan, METHOD_CACHED)
+        profile = HittingProfile(
+            ModelParams(float(lam), n), stored_u, np.array(log_phi, dtype=float),
+            math.nan, METHOD_CACHED,
+        )
     except (ValueError, OverflowError) as exc:
         raise ProfileFormatError(str(exc), str(path)) from None
-
-
-def _checked_profile(profile: HittingProfile, path: Path) -> HittingProfile:
-    """profile with its residual, recomputed from the kernel rows of its key as a
-    solve computes it; above HARMONICITY_TOL, ProfileFormatError naming path."""
+    if (profile.params, profile.u) != (params, u):
+        raise ValueError(f"{path}: its key does not match the requested profile")
     try:
-        log_p = _transient_log_rows(profile.params, profile.u)
-        residual = _harmonicity_residual(log_p, profile.log_phi)
-    except (ValueError, OverflowError, SolverError) as exc:
+        residual = _harmonicity_residual(_transient_log_rows(params, u), profile.log_phi)
+    except SolverError as exc:
         raise ProfileFormatError(str(exc), str(path)) from None
     return replace(profile, residual=residual)
-
-
-def read_profile(path: str | Path) -> HittingProfile:
-    """Load a profile file written by write_profile and check its harmonicity.
-
-    The residual is recomputed from the kernel rows of the stored (lambda,
-    n, u), as a solve computes it.  A file that is not a version-3 record,
-    or whose log phi fails the solve's HARMONICITY_TOL, raises
-    ProfileFormatError naming the file.
-    """
-    path = Path(path)
-    return _checked_profile(_parse_profile(path), path)

@@ -123,6 +123,21 @@ class TestGwExtinctionProb:
         assert 0.0 < q < 1.0
         assert abs(q - math.exp(-mean * (1.0 - q))) <= 1e-14
 
+    @pytest.mark.parametrize(
+        "mean", [1 + 2e-12, 1 + 1e-11, 1 + 1e-9, 1 + 1e-6, 1.001, math.exp(0.1), 1.5, 2.0, 6.0]
+    )
+    def test_within_4_ulp_of_50_digit_root(self, mean):
+        # just above mean 1, q lies about 2(mean - 1) below 1, where
+        # s - exp(-mean*(1-s)) is smaller than the rounding of exp
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            m = mpmath.mpf(mean)
+            d = mpmath.findroot(lambda d: d + mpmath.expm1(-m * d), 2 * (m - 1) / m)
+            assert 0 < d < 1
+            want = 1 - d
+        q = gw_extinction_prob(mean)
+        assert abs(q - want) <= 4 * math.ulp(q)
+
     def test_strictly_decreasing(self):
         grid = np.linspace(1.01, 30.0, 120)
         qs = [gw_extinction_prob(m) for m in grid]

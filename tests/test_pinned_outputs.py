@@ -59,7 +59,7 @@ RUNS = {
 CACHED = ("cond-time", "occupation")
 
 PINS = {
-    "bounds-report/report.txt": "5c10d688f5b207b5b0645d5a83760d549c22b5215d2c1e9aa35e6a212940bc73",
+    "bounds-report/report.txt": "7c373992ef45e7d469c8c4535abf93b12c257ab32e83957e704a4d55350a4f8e",
     "cache/profile_lambda1.5_n200_u45.json": "97772e7b9a9d55df1d001f84ecafffdaba7658a207575d6bf30d78a84320f7c0",
     "cached-cond-time/t.csv": "bdb717b803148ef465eb408dd7c28546cf6b862ae0684375d89a5059e416681c",
     "cached-occupation/h_occ.csv": "21b645df83cee969d492c69c41fd5661be6e4d468fbe888094332f37d41e99ce",
