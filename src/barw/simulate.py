@@ -173,10 +173,10 @@ def _poisson_cdf(lam: float) -> np.ndarray:
 class GraphSpec:
     """A finite graph plus the convention for where offspring may move.
 
-    adjacency holds sorted, in-range neighbor arrays without duplicates; no
-    vertex lists itself, since self-moves come only from allow_self, which
-    adds the parent's own vertex to every legal-target set.  The mean-field
-    convention is the complete graph with allow_self=True.
+    adjacency holds ascending, in-range integer neighbor arrays without
+    duplicates; no vertex lists itself, since self-moves come only from
+    allow_self, which adds the parent's own vertex to every legal-target set.
+    The mean-field convention is the complete graph with allow_self=True.
     """
 
     vertex_count: int
@@ -190,12 +190,18 @@ class GraphSpec:
             raise ValueError("adjacency must list every vertex")
         frozen = []
         for v, nbrs in enumerate(self.adjacency):
-            arr = np.asarray(nbrs, dtype=np.int64)
+            arr = np.asarray(nbrs)
+            if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):  # [] is float64
+                raise ValueError(f"neighbors of vertex {v} must be a 1-D integer array")
+            arr = arr.astype(np.int64, copy=False)
             if np.any(arr == v):
                 raise ValueError(f"vertex {v} lists itself (self-moves come from allow_self)")
-            if arr.size != np.unique(arr).size:
+            steps = np.diff(arr)
+            if np.any(steps == 0):
                 raise ValueError(f"duplicate neighbors at vertex {v}")
-            if arr.size and (arr.min() < 0 or arr.max() >= self.vertex_count):
+            if np.any(steps < 0):
+                raise ValueError(f"neighbors of vertex {v} are not in ascending order")
+            if arr.size and (arr[0] < 0 or arr[-1] >= self.vertex_count):
                 raise ValueError(f"neighbor out of range at vertex {v}")
             if arr.size == 0 and not self.allow_self:
                 raise ValueError(f"vertex {v} has no legal move target")
@@ -204,35 +210,23 @@ class GraphSpec:
         object.__setattr__(self, "adjacency", tuple(frozen))
 
     @cached_property
-    def targets(self) -> tuple:
-        """Legal move targets per vertex (neighbors, plus self if allowed)."""
-        out = []
-        for v, nbrs in enumerate(self.adjacency):
-            t = np.sort(np.append(nbrs, v)) if self.allow_self else nbrs
-            t.flags.writeable = False
-            out.append(t)
-        return tuple(out)
+    def _complete(self) -> bool:
+        """True on K_n: every vertex neighbors all n - 1 others."""
+        return all(nbrs.size == self.vertex_count - 1 for nbrs in self.adjacency)
 
     @cached_property
     def _target_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Targets flattened: (start, size, flat), vertex v's set is
-        flat[start[v]:start[v] + size[v]]."""
-        size = np.array([t.size for t in self.targets], dtype=np.int64)
-        start = np.concatenate(([0], np.cumsum(size)[:-1]))
-        return start, size, np.concatenate(self.targets)
-
-    @cached_property
-    def uniform_targets(self) -> bool:
-        """True when every vertex may move anywhere (complete graph with self)."""
-        return self.allow_self and all(
-            len(nbrs) == self.vertex_count - 1 for nbrs in self.adjacency
-        )
+        """Legal targets flattened: (start, size, flat); vertex v's ascending targets
+        (its neighbors, and v under allow_self) are flat[start[v]:start[v] + size[v]]."""
+        adj = self.adjacency
+        targets = [np.union1d(a, [v]) for v, a in enumerate(adj)] if self.allow_self else adj
+        size = np.array([t.size for t in targets], dtype=np.int64)
+        return np.cumsum(size) - size, size, np.concatenate(targets)
 
 
 def complete_graph(n: int, allow_self: bool = True) -> GraphSpec:
     """K_n; with allow_self=True this is the mean-field movement convention."""
-    adjacency = [np.delete(np.arange(n), v) for v in range(n)]
-    return GraphSpec(n, tuple(adjacency), allow_self)
+    return GraphSpec(n, tuple(np.delete(np.arange(n), v) for v in range(n)), allow_self)
 
 
 def parse_graph_file(path: str | Path) -> GraphSpec:
@@ -346,14 +340,18 @@ def step_meanfield(params: ModelParams, x: int, stream: Generator) -> int:
 def _move_targets(
     graph: GraphSpec, parents: np.ndarray, offspring: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """Where each offspring lands: floor(u*k) into its parent's k legal targets.
+    """Where each offspring lands: floor(u*k) into its parent's k ascending legal targets.
 
     parents[j] has offspring[j] offspring, which take the uniforms of u in turn.
+    On K_n target m is vertex m, or without self-moves m + (m >= parent).
     """
-    if graph.uniform_targets:
-        n = graph.vertex_count
-        moves = (u * n).astype(np.int64)
-        return np.minimum(moves, n - 1, out=moves)
+    if graph._complete:
+        k = graph.vertex_count - (not graph.allow_self)
+        m = (u * k).astype(np.int64)
+        np.minimum(m, k - 1, out=m)
+        if not graph.allow_self:
+            m += m >= np.repeat(parents, offspring)
+        return m
     start, size, flat = graph._target_table
     movers = np.repeat(parents, offspring)
     k = size[movers]

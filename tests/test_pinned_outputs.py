@@ -21,6 +21,12 @@ OPENBLAS_CORETYPE, to the Prescott (SSE3) and the Sandybridge (AVX)
 kernels, which every x86-64 CPU with AVX runs; the bytes must not move.
 Newer kernels are not forced: on a CPU that lacks their instructions
 OpenBLAS dies with SIGILL.
+
+The pins also depend on numpy's SIMD dispatch: np.exp and np.log round
+differently in their AVX-512 and AVX2 loops.  Under
+NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4" all three tests
+here fail, so a runner without AVX-512 loops fails tier-1 until the
+value-determining exp and log are made portable (ROADMAP item 3).
 """
 
 import hashlib

@@ -115,13 +115,12 @@ class TestGraphSpec:
         g = complete_graph(5, allow_self=True)
         assert g.vertex_count == 5
         assert all(len(a) == 4 for a in g.adjacency)
-        assert g.uniform_targets
-        assert np.array_equal(g.targets[2], np.arange(5))
+        assert g._complete
 
     def test_without_self_moves(self):
         g = complete_graph(4, allow_self=False)
-        assert not g.uniform_targets
-        assert np.array_equal(g.targets[1], np.array([0, 2, 3]))
+        assert g._complete and not g.allow_self
+        assert np.array_equal(g.adjacency[1], np.array([0, 2, 3]))
 
     def test_duplicate_neighbors_rejected(self):
         with pytest.raises(ValueError):
@@ -133,12 +132,46 @@ class TestGraphSpec:
 
     def test_isolated_vertex_ok_with_self(self):
         g = sim.GraphSpec(2, ([1], []), allow_self=True)
-        assert np.array_equal(g.targets[1], np.array([1]))
+        assert not g._complete
+        start, size, flat = g._target_table
+        assert start.tolist() == [0, 2] and size.tolist() == [2, 1]
+        assert flat.tolist() == [0, 1, 1]
 
     def test_vertex_listing_itself_rejected(self):
         # self-moves come only from allow_self; a listed self would double them
         with pytest.raises(ValueError, match="vertex 0 lists itself"):
             sim.GraphSpec(2, ([0, 1], [0]), allow_self=True)
+
+    @pytest.mark.parametrize(
+        "nbrs,match",
+        [
+            ([1.7], "must be a 1-D integer array"),
+            ([True], "must be a 1-D integer array"),
+            ([[1]], "must be a 1-D integer array"),
+            ([2, 1], "are not in ascending order"),
+        ],
+    )
+    def test_malformed_neighbor_list_rejected(self, nbrs, match):
+        # none may be cast or reordered into a different graph
+        with pytest.raises(ValueError, match=f"neighbors of vertex 0 {match}"):
+            sim.GraphSpec(3, (nbrs, [0], [0]), allow_self=False)
+
+
+class TestCompleteGraphTargets:
+    @pytest.mark.parametrize("allow_self", [True, False])
+    def test_closed_form_matches_explicit_targets(self, allow_self):
+        n = 7
+        g = complete_graph(n, allow_self)
+        k = n if allow_self else n - 1
+        j = np.arange(1, k) / k
+        u = np.concatenate(([0.0], j, np.nextafter(j, 0.0), [1.0 - 2.0**-53]))
+        got = sim._move_targets(g, np.arange(n), np.full(n, u.size), np.tile(u, n))
+        pick = np.minimum(np.floor(u * k).astype(np.int64), k - 1)
+        for v, row in enumerate(got.reshape(n, u.size)):
+            targets_v = np.arange(n) if allow_self else np.delete(np.arange(n), v)
+            assert row.tolist() == targets_v[pick].tolist()
+        sim.particle_step_counts(g, 3, 2.0, 50, seed=3)
+        assert "_target_table" not in g.__dict__
 
 
 class TestGraphFile:
@@ -176,9 +209,9 @@ class TestGraphFile:
 
     def test_complete_name(self):
         g = complete_graph(6)
-        assert g.vertex_count == 6 and g.allow_self and g.uniform_targets
+        assert g.vertex_count == 6 and g.allow_self and g._complete
         g2 = complete_graph(6, allow_self=False)
-        assert not g2.allow_self
+        assert not g2.allow_self and g2._complete
 
 
 class TestStepParticle:
