@@ -173,24 +173,29 @@ def _poisson_cdf(lam: float) -> np.ndarray:
 class GraphSpec:
     """A finite graph plus the convention for where offspring may move.
 
-    adjacency holds ascending, in-range integer neighbor arrays without
-    duplicates; no vertex lists itself, since self-moves come only from
-    allow_self, which adds the parent's own vertex to every legal-target set.
-    The mean-field convention is the complete graph with allow_self=True.
+    adjacency is None for K_n, or GraphSpec's own copies of ascending, in-range
+    integer neighbor arrays without duplicates; no vertex lists itself, since
+    self-moves come only from allow_self, which adds the parent's own vertex to
+    every legal-target set.  The mean-field convention is K_n with allow_self=True.
     """
 
     vertex_count: int
-    adjacency: tuple
+    adjacency: tuple | None
     allow_self: bool
 
     def __post_init__(self):
-        if self.vertex_count < 1:
-            raise ValueError("graph needs at least one vertex")
-        if len(self.adjacency) != self.vertex_count:
+        n = self.vertex_count
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"vertex count must be an integer >= 1, got {n!r}")
+        if self.adjacency is None:
+            if n == 1 and not self.allow_self:
+                raise ValueError("vertex 0 has no legal move target")
+            return
+        if len(self.adjacency) != n:
             raise ValueError("adjacency must list every vertex")
         frozen = []
         for v, nbrs in enumerate(self.adjacency):
-            arr = np.asarray(nbrs)
+            arr = np.array(nbrs)
             if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):  # [] is float64
                 raise ValueError(f"neighbors of vertex {v} must be a 1-D integer array")
             arr = arr.astype(np.int64, copy=False)
@@ -201,18 +206,13 @@ class GraphSpec:
                 raise ValueError(f"duplicate neighbors at vertex {v}")
             if np.any(steps < 0):
                 raise ValueError(f"neighbors of vertex {v} are not in ascending order")
-            if arr.size and (arr[0] < 0 or arr[-1] >= self.vertex_count):
+            if arr.size and (arr[0] < 0 or arr[-1] >= n):
                 raise ValueError(f"neighbor out of range at vertex {v}")
             if arr.size == 0 and not self.allow_self:
                 raise ValueError(f"vertex {v} has no legal move target")
             arr.flags.writeable = False
             frozen.append(arr)
         object.__setattr__(self, "adjacency", tuple(frozen))
-
-    @cached_property
-    def _complete(self) -> bool:
-        """True on K_n: every vertex neighbors all n - 1 others."""
-        return all(nbrs.size == self.vertex_count - 1 for nbrs in self.adjacency)
 
     @cached_property
     def _target_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,8 +225,8 @@ class GraphSpec:
 
 
 def complete_graph(n: int, allow_self: bool = True) -> GraphSpec:
-    """K_n; with allow_self=True this is the mean-field movement convention."""
-    return GraphSpec(n, tuple(np.delete(np.arange(n), v) for v in range(n)), allow_self)
+    """K_n, stored as its size; with allow_self=True this is the mean-field movement convention."""
+    return GraphSpec(n, None, allow_self)
 
 
 def parse_graph_file(path: str | Path) -> GraphSpec:
@@ -343,9 +343,9 @@ def _move_targets(
     """Where each offspring lands: floor(u*k) into its parent's k ascending legal targets.
 
     parents[j] has offspring[j] offspring, which take the uniforms of u in turn.
-    On K_n target m is vertex m, or without self-moves m + (m >= parent).
+    On K_n (adjacency None) target m is vertex m, or without self-moves m + (m >= parent).
     """
-    if graph._complete:
+    if graph.adjacency is None:
         k = graph.vertex_count - (not graph.allow_self)
         m = (u * k).astype(np.int64)
         np.minimum(m, k - 1, out=m)

@@ -114,13 +114,37 @@ class TestGraphSpec:
     def test_complete_graph_structure(self):
         g = complete_graph(5, allow_self=True)
         assert g.vertex_count == 5
-        assert all(len(a) == 4 for a in g.adjacency)
-        assert g._complete
+        assert g.adjacency is None
 
     def test_without_self_moves(self):
         g = complete_graph(4, allow_self=False)
-        assert g._complete and not g.allow_self
-        assert np.array_equal(g.adjacency[1], np.array([0, 2, 3]))
+        assert g.adjacency is None and not g.allow_self
+        # vertex 1 moves to 0, 2 or 3
+        got = sim._move_targets(g, np.array([1]), np.array([3]), np.array([0.0, 0.5, 0.9]))
+        assert got.tolist() == [0, 2, 3]
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, "3", None])
+    def test_vertex_count_must_be_positive_integer(self, n):
+        with pytest.raises(ValueError, match="vertex count must be an integer >= 1"):
+            complete_graph(n)
+
+    def test_single_vertex(self):
+        g = complete_graph(1)
+        assert g.vertex_count == 1 and g.allow_self
+        assert sim.particle_step_counts(g, 1, 2.0, 5, seed=1).tolist() == (
+            sim.particle_step_counts(sim.GraphSpec(1, ([],), True), 1, 2.0, 5, seed=1).tolist()
+        )
+        with pytest.raises(ValueError, match="vertex 0 has no legal move target"):
+            complete_graph(1, allow_self=False)
+        assert complete_graph(np.int64(3)).vertex_count == 3
+
+    def test_caller_arrays_stay_the_callers(self):
+        a = np.array([1])
+        g = sim.GraphSpec(2, (a, np.array([0])), allow_self=False)
+        a[0] = 0  # the caller's array stays writable
+        assert g.adjacency[0] is not a
+        assert g.adjacency[0].tolist() == [1]
+        assert not g.adjacency[0].flags.writeable
 
     def test_duplicate_neighbors_rejected(self):
         with pytest.raises(ValueError):
@@ -132,7 +156,7 @@ class TestGraphSpec:
 
     def test_isolated_vertex_ok_with_self(self):
         g = sim.GraphSpec(2, ([1], []), allow_self=True)
-        assert not g._complete
+        assert g.adjacency is not None
         start, size, flat = g._target_table
         assert start.tolist() == [0, 2] and size.tolist() == [2, 1]
         assert flat.tolist() == [0, 1, 1]
@@ -170,8 +194,23 @@ class TestCompleteGraphTargets:
         for v, row in enumerate(got.reshape(n, u.size)):
             targets_v = np.arange(n) if allow_self else np.delete(np.arange(n), v)
             assert row.tolist() == targets_v[pick].tolist()
-        sim.particle_step_counts(g, 3, 2.0, 50, seed=3)
+        counts = sim.particle_step_counts(g, 3, 2.0, 50, seed=3)
         assert "_target_table" not in g.__dict__
+        # an explicit complete adjacency reads the target table and draws the same
+        adjacency = tuple(np.delete(np.arange(n), v) for v in range(n))
+        explicit = sim.GraphSpec(n, adjacency, allow_self)
+        table = sim._move_targets(explicit, np.arange(n), np.full(n, u.size), np.tile(u, n))
+        assert "_target_table" in explicit.__dict__
+        assert table.tolist() == got.tolist()
+        assert sim.particle_step_counts(explicit, 3, 2.0, 50, seed=3).tolist() == counts.tolist()
+
+    def test_large_complete_graph(self):
+        # K_n stores no adjacency, so n = 10^5 takes milliseconds under both conventions
+        a, b = (
+            sim.particle_step_counts(complete_graph(10**5, s), 3, 2.0, 16, seed=1)
+            for s in (True, False)
+        )
+        assert a.shape == (16,) and a.tolist() == b.tolist()
 
 
 class TestGraphFile:
@@ -209,9 +248,9 @@ class TestGraphFile:
 
     def test_complete_name(self):
         g = complete_graph(6)
-        assert g.vertex_count == 6 and g.allow_self and g._complete
+        assert g.vertex_count == 6 and g.allow_self and g.adjacency is None
         g2 = complete_graph(6, allow_self=False)
-        assert not g2.allow_self and g2._complete
+        assert not g2.allow_self and g2.adjacency is None
 
 
 class TestStepParticle:
