@@ -38,6 +38,7 @@ from barw.solver import (
     METHOD_VI,
     _conditioned_time,
     _path_floor,
+    _solve_gth_rhs,
     _solve_m_matrix,
 )
 
@@ -561,7 +562,68 @@ class TestLogsumexpRows:
         assert _logsumexp_rows(a).tolist() == want
 
 
+@st.composite
+def absorbing_rows(draw):
+    """(rows, r): rows [c | Q] over m states, each summing to 1, from which every state exits; r >= 0.
+
+    m sits at the panel edges.  Many rows have no exit mass c_k; state k
+    always reaches k + 1 and the last state always exits, and a small exit
+    scale makes the times long and I - Q ill-conditioned.
+    """
+    m = draw(st.sampled_from([1, 31, 32, 33, 64, 65]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random((m, m + 1)) * (rng.random((m, m + 1)) < draw(st.floats(0.05, 1.0)))
+    c = rng.random(m) * (rng.random(m) < draw(st.floats(0.0, 0.9)))
+    c[-1] += 1.0
+    w[:, 0] = c * 10.0 ** -draw(st.integers(0, 12))
+    k = np.arange(m - 1)
+    w[k, k + 2] += 1.0
+    r = rng.random(m) * (rng.random(m) < draw(st.floats(0.1, 1.0)))
+    return w / w.sum(axis=1, keepdims=True), r
+
+
+def _mp_solve_absorbing(mpmath, rows, r):
+    """t = r + Q t in mpmath, by Gaussian elimination on [I - Q | r] in natural order.
+
+    1 - Q_kk is taken as c_k plus the masses to the other states, as rows
+    that sum to 1 define it.  I - Q is then a nonsingular M-matrix, so no
+    pivoting is needed.  mpmath.lu_solve, which pivots, agrees to about 28
+    digits and takes about three times as long.
+    """
+    m = r.size
+    a = [[-mpmath.mpf(q) for q in row[1:]] + [mpmath.mpf(b)] for row, b in zip(rows.tolist(), r.tolist())]
+    for k in range(m):
+        a[k][k] = mpmath.fsum([rows[k, 0], *(rows[k, j + 1] for j in range(m) if j != k)])
+    for k in range(m):
+        for i in range(k + 1, m):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, m + 1):
+                a[i][j] -= f * a[k][j]
+    t = [mpmath.mpf(0)] * m
+    for k in range(m - 1, -1, -1):
+        t[k] = (a[k][m] - mpmath.fsum(a[k][j] * t[j] for j in range(k + 1, m))) / a[k][k]
+    return t
+
+
 class TestConditionedTimeSolve:
+    @settings(derandomize=True, deadline=None, max_examples=15, database=None)
+    @given(absorbing_rows())
+    def test_gth_rhs_matches_forty_digit_solve(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        rows, r = case
+        before = rows.tobytes(), r.tobytes()
+        got = _solve_gth_rhs(rows, r)
+        assert (rows.tobytes(), r.tobytes()) == before
+        with mpmath.workdps(40):
+            want = _mp_solve_absorbing(mpmath, rows, r)
+        for g, w in zip(got.tolist(), want):
+            assert (g == 0.0) if w == 0 else abs(g / w - 1) <= 1e-13, (g, w)
+
+    def test_gth_rhs_refuses_a_state_that_never_exits(self):
+        rows = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])  # state 1 moves to 2, which loops
+        with pytest.raises(SolverError, match="state 2 never reaches the exit"):
+            _solve_gth_rhs(rows, np.ones(2))
+
     def test_u_one_gives_t_zero(self):
         kern = tilted_kernel(hitting_profile(ModelParams(2.0, 10), 1))
         for t in (conditional_expected_extinction(kern), conditional_occupation_time(kern, 0.05)):
