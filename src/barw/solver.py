@@ -194,13 +194,12 @@ def _solve_gth_rhs(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
     Each row of `rows` sums to 1: c_k plus state k's masses Q_k.  As in
     _solve_gth_scaled, every pivot is the sum of state k's remaining
     outgoing masses, c_k + sum_(j>k) A_kj, never 1 - A_kk (the diagonal is
-    never read), and the
-    multipliers fold c and r into the later rows exactly as they fold A, so
-    nothing is ever subtracted and t keeps GTH's entrywise relative
-    accuracy.  c and r ride as two extra columns of the one m x (m + 2)
-    working array; rows and r are left as they are.  The blocking is
-    _solve_gth_scaled's, but the trailing update is an einsum, not a BLAS
-    product, so t's bytes do not depend on the BLAS kernel.
+    never read), and the multipliers fold c and r into the later rows
+    exactly as they fold A, so nothing is ever subtracted and t keeps GTH's
+    entrywise relative accuracy.  c and r ride as two extra columns of the
+    one m x (m + 2) working array; rows and r are left as they are.  The
+    blocking is _solve_gth_scaled's, but the trailing update is an einsum,
+    not a BLAS product, so t's bytes do not depend on the BLAS kernel.
     """
     m = r.size
     W = np.empty((m, m + 2))
