@@ -1,27 +1,26 @@
 """Monte Carlo engines for the count chain and the particle system.
 
-Randomness is counter-based: trial i of a run with seed s reads the words of
-one Philox4x64-10 stream keyed by (s, i), which is `trial_stream(s, i)`.
-Every draw inverts one 53-bit uniform made from the next word against a CDF
-row held in doubles: a count-chain step against Bin(n, b(x)), a tilted step
-against the conditioned kernel, an offspring count against Poisson(lam), and
-a move as floor(U*k) into the k legal targets.  Sampling is exact up to the
-rounding of those CDF rows; there are no normal approximations.  A row that
-covers its distribution's whole support ends at exactly 1 (the Poisson row
-folds its tail, below double resolution, into its last entry), so no
-uniform inverts past it.
+Randomness is counter-based: trial i of a run with seed s reads, word by
+word, the Philox4x64-10 stream keyed by (s, i), which is the stream of numpy's
+`Generator(Philox(key=s | i << 64))`.  Every draw inverts one 53-bit uniform
+made from the next word against a CDF row held in doubles: a count-chain step
+against Bin(n, b(x)), a tilted step against the conditioned kernel, an
+offspring count against Poisson(lam), and a move as floor(U*k) into the k
+legal targets.  Sampling is exact up to the rounding of those CDF rows; there
+are no normal approximations.  A row that covers its distribution's whole
+support ends at exactly 1 (the Poisson row folds its tail, below double
+resolution, into its last entry), so no uniform inverts past it.
 
 The estimators run their trials in lockstep, a chunk at a time, and make
 their words with `philox_block`, a numpy-vectorized Philox that equals
-`trial_stream` bit for bit.  CHUNK sizes every batch, and the count chains
-invert by bisection in their CDF table, so a step's memory does not grow
-with u.  Both count-chain estimators run in one loop, which stops a trial
-at STEP_CAP = 10^7 steps with TruncationError.  The one-trial functions
-(`step_meanfield`, `sample_conditioned_path`, `step_particle`) are the
-reference: they read the same words from a `trial_stream` generator in the
-same order, so trial i of an estimator equals its one-trial run on
-`trial_stream(seed, i)` (for a count chain, whenever that run ends within
-STEP_CAP steps), and every result depends only on (seed, trials).
+numpy's bit for bit.  CHUNK sizes every batch, and the count chains invert
+by bisection in their CDF table, so a step's memory does not grow with u.
+Both count-chain estimators run in one loop, which stops a trial at
+STEP_CAP = 10^7 steps with TruncationError.  A count-chain trial takes one
+word per step.  A particle step takes one word per parent, in ascending
+vertex order, for its offspring count, and then one per offspring, parent by
+parent, for its move.  So trial i of an estimator draws what it would draw
+run alone on its own stream, and every result depends only on (seed, trials).
 """
 
 from __future__ import annotations
@@ -33,9 +32,8 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Generator, Philox
 
-from .chain import ModelParams, _cdf_rows, _log_factorials, _transient_log_rows, transition_log_row
+from .chain import ModelParams, _cdf_rows, _log_factorials, _transient_log_rows
 from .solver import TiltedKernel, _check_threshold
 
 #: hard per-trial cap inside estimators; hitting it means the estimate
@@ -70,14 +68,6 @@ def _check_trials(trials: int) -> None:
         raise ValueError("trials must be positive")
 
 
-def trial_stream(seed: int, trial: int) -> Generator:
-    """Independent generator for one trial, keyed by (seed, trial)."""
-    _check_seed(seed)
-    if trial < 0:
-        raise ValueError(f"trial index must be nonnegative, got {trial}")
-    return Generator(Philox(key=(seed & _MASK64) | (trial << 64)))
-
-
 def _mulhilo(m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of m*b, from 32-bit halves whose sums never wrap."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
@@ -107,13 +97,14 @@ def _philox4x64_10(seed: int, trials: np.ndarray, blocks: np.ndarray, out: np.nd
 
 
 def philox_block(seed: int, trials, blocks) -> np.ndarray:
-    """Block `blocks` of `trial_stream(seed, trials)`: uint64 words, shape (..., 4).
+    """Block `blocks` of the streams of trials `trials`: uint64 words, shape (..., 4).
 
-    numpy's Philox is Philox4x64-10 keyed by (seed, trial) and increments its
-    counter before each block, so block j is philox4x64_10(counter=(j+1, 0, 0,
-    0), key=(seed, trial)).  `trials` and `blocks` broadcast against each
-    other; word w of a trial is word w % 4 of its block w // 4.  The kernel
-    runs over CHUNK blocks at a time, which bounds its temporaries.
+    Trial i's stream is numpy's `Philox(key=seed | i << 64)`: Philox4x64-10
+    keyed by (seed, i), which increments its counter before each block, so
+    block j is philox4x64_10(counter=(j+1, 0, 0, 0), key=(seed, i)).
+    `trials` and `blocks` broadcast against each other; word w of a trial is
+    word w % 4 of its block w // 4.  The kernel runs over CHUNK blocks at a
+    time, which bounds its temporaries.
     """
     trials, blocks = np.broadcast_arrays(
         np.asarray(trials, dtype=np.uint64), np.asarray(blocks, dtype=np.uint64)
@@ -127,7 +118,7 @@ def philox_block(seed: int, trials, blocks) -> np.ndarray:
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:
-    """53-bit uniforms on [0, 1) from 64-bit words, as `Generator.random` makes them."""
+    """53-bit uniforms on [0, 1) from 64-bit words, as numpy's `Generator.random` makes them."""
     u = (words >> np.uint64(11)).astype(np.float64)
     u *= 2.0**-53
     return u
@@ -153,12 +144,6 @@ def _invert_rows(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarr
         pos += (flat[pos + half] <= u) * half
         n -= half
     return pos - rows * k + (flat[pos] <= u)
-
-
-@lru_cache(maxsize=256)
-def _binomial_cdf(params: ModelParams, x: int) -> np.ndarray:
-    """CDF of Bin(n, b(x)) over y = 0..n, from transition_log_row, ending at exactly 1."""
-    return _cdf_rows(np.exp(transition_log_row(params, x)))
 
 
 @lru_cache(maxsize=64)
@@ -263,56 +248,6 @@ def parse_graph_file(path: str | Path) -> GraphSpec:
 
 
 @dataclass(frozen=True)
-class ParticleState:
-    """Occupied-site indicator vector and the current time step."""
-
-    occupied: np.ndarray
-    time: int = 0
-
-    def __post_init__(self):
-        occ = np.asarray(self.occupied, dtype=bool).copy()
-        occ.flags.writeable = False
-        object.__setattr__(self, "occupied", occ)
-
-    @property
-    def count(self) -> int:
-        return int(np.count_nonzero(self.occupied))
-
-
-def single_origin_state(graph: GraphSpec, origin: int = 0) -> ParticleState:
-    occ = np.zeros(graph.vertex_count, dtype=bool)
-    occ[origin] = True
-    return ParticleState(occ, 0)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A sample path of the count chain, with its exit flags."""
-
-    states: np.ndarray
-    absorbed_at_zero: bool
-    crossed_u: bool
-    u: int | None = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.states, dtype=np.int64).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "states", arr)
-        if self.absorbed_at_zero and self.crossed_u:
-            raise ValueError("a path cannot both die and cross the threshold")
-        if self.absorbed_at_zero != (self.states[-1] == 0):
-            raise ValueError("absorbed_at_zero must match a terminal state of 0")
-
-    @property
-    def truncated(self) -> bool:
-        return not self.absorbed_at_zero and not self.crossed_u
-
-    @property
-    def steps(self) -> int:
-        return len(self.states) - 1
-
-
-@dataclass(frozen=True)
 class EstimateWithCI:
     """A Monte Carlo estimate with its standard error and provenance."""
 
@@ -328,13 +263,6 @@ class EstimateWithCI:
         _check_trials(self.trials)
         if self.std_error < 0.0:
             raise ValueError("standard error cannot be negative")
-
-
-def step_meanfield(params: ModelParams, x: int, stream: Generator) -> int:
-    """One exact Bin(n, b(x)) transition of the count chain, by inversion."""
-    if x == 0:
-        return 0
-    return int(_invert(_binomial_cdf(params, x), stream.random()))
 
 
 def _move_targets(
@@ -358,67 +286,8 @@ def _move_targets(
     return flat[start[movers] + np.minimum((u * k).astype(np.int64), k - 1)]
 
 
-def step_particle(
-    graph: GraphSpec, state: ParticleState, lam: float, stream: Generator
-) -> ParticleState:
-    """One step of the particle system on a graph.
-
-    Every occupied vertex, in ascending order, spawns a Poisson(lam) number
-    of offspring (one word each); then each offspring, parent by parent,
-    moves to a uniform legal target (one word each).  Vertices receiving
-    exactly one arrival are occupied next.
-    """
-    if not lam > 0.0:
-        raise ValueError(f"offspring mean must be positive, got {lam}")
-    parents = np.flatnonzero(state.occupied)
-    offspring = _invert(_poisson_cdf(lam), stream.random(parents.size))
-    targets = _move_targets(graph, parents, offspring, stream.random(offspring.sum()))
-    arrivals = np.bincount(targets, minlength=graph.vertex_count)
-    return ParticleState(arrivals == 1, state.time + 1)
-
-
-def run_to_absorption(
-    params: ModelParams,
-    x0: int,
-    u: int | None,
-    max_steps: int,
-    stream: Generator,
-) -> Trajectory:
-    """Run the count chain until it dies, reaches >= u, or exhausts max_steps.
-
-    The upper-passage time is inf{t >= 0: X_t >= u}, so a start at or above
-    u crosses immediately at time 0.  Hitting max_steps yields a truncated
-    trajectory, flagged but not an error.
-    """
-    if not 0 <= x0 <= params.n:
-        raise ValueError(f"state {x0} outside [0, {params.n}]")
-    states = [x0]
-    x = x0
-    while x != 0 and (u is None or x < u) and len(states) <= max_steps:
-        x = step_meanfield(params, x, stream)
-        states.append(x)
-    return Trajectory(states, x == 0, x != 0 and u is not None and x >= u, u)
-
-
-def sample_conditioned_path(kernel: TiltedKernel, x0: int, stream: Generator) -> Trajectory:
-    """Sample the conditioned chain from x0 until it dies.
-
-    The tilted kernel puts no mass at or above u, so every sampled path
-    stays below u and ends at 0.
-    """
-    if not 1 <= x0 < kernel.u:
-        raise ValueError(f"start {x0} outside [1, {kernel.u - 1}]")
-    cdfs = kernel.row_cdfs
-    states = [x0]
-    x = x0
-    while x != 0:
-        x = int(_invert(cdfs[x - 1], stream.random()))
-        states.append(x)
-    return Trajectory(states, True, False, kernel.u)
-
-
 class _Uniforms:
-    """Successive uniforms of `trial_stream(seed, i)` for a shrinking set of trials.
+    """Successive uniforms of the streams of a shrinking set of trials.
 
     Each `philox_block` call makes about CHUNK blocks, one per trial or, as
     fewer trials remain, up to 64 ahead, so that a few long trials do not pay
@@ -453,9 +322,9 @@ def _run_chains(cdfs: np.ndarray, x0: int, trials: int, seed: int) -> tuple[int,
     """Run trials 0..trials-1 of a count chain in lockstep, CHUNK at a time.
 
     Row x-1 of cdfs (shape (u-1, u)) is the CDF over 0..u-1 of the next
-    state from x; step t of trial i inverts uniform t of trial_stream(seed,
-    i).  A count of u means the step left 0..u-1, a crossing, which a row
-    ending at 1 never gives.  A trial stops at 0 or u, and one still running
+    state from x; step t of trial i inverts uniform t of trial i's stream.
+    A count of u means the step left 0..u-1, a crossing, which a row ending
+    at 1 never gives.  A trial stops at 0 or u, and one still running
     after STEP_CAP steps raises TruncationError naming the lowest such trial.
     Returns exact integer totals: the trials that ended at 0, and the sum,
     sum of squares and maximum of the steps they took.
@@ -544,7 +413,7 @@ def estimate_conditioned_length(
 
 
 def _move_uniforms(seed: int, idx: np.ndarray, p: int, moves: np.ndarray) -> np.ndarray:
-    """Uniforms p .. p+moves_i-1 of trial_stream(seed, idx_i), trial after trial."""
+    """Uniforms p .. p+moves_i-1 of trial idx_i's stream, trial after trial."""
     nblocks = np.where(moves > 0, (p + moves - 1) // 4 - p // 4 + 1, 0)
     first = np.cumsum(nblocks) - nblocks  # each trial's first block in the list
     owner = np.repeat(np.arange(idx.size), nblocks)
@@ -560,8 +429,10 @@ def _particle_chunk(
 ) -> np.ndarray:
     """Occupied counts after one step of trials idx, all from the same parents.
 
-    Trial i reads the words step_particle reads from trial_stream(seed, i):
-    words 0..P-1 are the parents' offspring counts, the next ones the moves.
+    Words 0..P-1 of a trial's stream are the parents' offspring counts, the
+    next ones the moves.  A vertex is occupied next when exactly one offspring
+    lands on it: once the keys trial * n + vertex are sorted, those equal to
+    neither neighbour are counted per trial.
     """
     p = parents.size
     first = -(-p // 4)  # blocks holding the count words
@@ -572,8 +443,12 @@ def _particle_chunk(
     key = _move_targets(graph, np.tile(parents, idx.size), offspring.reshape(-1), u)
     n = graph.vertex_count
     key += np.repeat(np.arange(idx.size) * n, moves)
-    arrivals = np.bincount(key, minlength=idx.size * n).reshape(idx.size, n)
-    return (arrivals == 1).sum(axis=1)
+    key.sort()
+    same = key[1:] == key[:-1]
+    lone = np.ones(key.size, dtype=bool)
+    lone[1:] = ~same
+    lone[:-1] &= ~same
+    return np.bincount(key[lone] // n, minlength=idx.size)
 
 
 def particle_step_counts(
@@ -586,8 +461,7 @@ def particle_step_counts(
     """Occupied-site counts after one particle step from a fixed-size start.
 
     The starting set is the first start_count vertices; on a vertex-
-    transitive graph the choice is immaterial.  Returns one count per trial;
-    trial i equals step_particle on trial_stream(seed, i).
+    transitive graph the choice is immaterial.  Returns one count per trial.
     """
     _check_trials(trials)
     _check_seed(seed)

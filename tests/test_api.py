@@ -7,16 +7,18 @@ from pathlib import Path
 import barw
 
 #: imports barw and runs experiments step by step, and records after each
-#: step which of scipy.special and scipy.stats have been loaded; argv[1] is
-#: a scratch output directory.  The runs cover the kernel rows, the
-#: unconditional solve and both samplers' binomial and Poisson tables
+#: step which of scipy.special, scipy.stats and numpy.random have been
+#: loaded; argv[1] is a scratch output directory.  The runs cover the kernel
+#: rows, the unconditional solve and both samplers' binomial and Poisson tables
 IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
 
 loaded = {}
 def record(step):
-    loaded[step] = [name for name in ("scipy.special", "scipy.stats") if name in sys.modules]
+    loaded[step] = [
+        name for name in ("scipy.special", "scipy.stats", "numpy.random") if name in sys.modules
+    ]
 
 import barw
 record("import barw")
@@ -48,8 +50,9 @@ def test_experiments_never_load_scipy_stats(tmp_path):
     # scipy.stats would more than double the time and memory of every
     # process start, and only binomial_tail_bound needs it.  scipy.special
     # alone would add about 0.3 s and 20 MB; the log-factorial table stands
-    # in for its gammaln.  The test modules import both, so the check runs
-    # in a fresh interpreter
+    # in for its gammaln.  The samplers make their own Philox words, so
+    # numpy.random (about 11 ms) stays unloaded too.  The test modules import
+    # all three, so the check runs in a fresh interpreter
     src = str(Path(barw.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 from scipy.stats import poisson
 
 import barw.simulate as sim
@@ -20,43 +22,70 @@ from barw import (
     estimate_hitting_prob,
     hitting_profile,
     parse_graph_file,
-    run_to_absorption,
-    sample_conditioned_path,
-    single_origin_state,
-    step_meanfield,
-    step_particle,
     threshold_u,
     tilted_kernel,
     transition_log_row,
-    trial_stream,
     tv_distance,
 )
-from barw.simulate import ParticleState, Trajectory
+from barw.chain import _cdf_rows
+
+# ---------------------------------------------------------------------------
+# the one-trial oracle: trial i of an estimator is one trial run alone on
+# trial_stream(seed, i), reading its words in the same order
+# ---------------------------------------------------------------------------
+
+
+def trial_stream(seed, i):
+    """Trial i's stream: numpy's Philox4x64-10 keyed by (seed, i)."""
+    return Generator(Philox(key=seed | i << 64))
+
+
+def binomial_cdf(params, x):
+    """The CDF of one count-chain step from x, Bin(n, b(x)) over 0..n."""
+    return _cdf_rows(np.exp(transition_log_row(params, x)))
+
+
+def walk(cdfs, x0, u, stream, cap=10**6):
+    """States of one count chain from x0 until it reaches 0 or >= u, or has
+    taken cap steps; a step from x inverts one uniform against cdfs[x - 1]."""
+    states = [x0]
+    while 0 < states[-1] < u and len(states) <= cap:
+        states.append(int(np.searchsorted(cdfs[states[-1] - 1], stream.random(), side="right")))
+    return states
+
+
+def particle_count(graph, start, lam, stream):
+    """Occupied vertices after one particle step from vertices 0..start-1.
+
+    Each parent draws its offspring count; then each offspring, parent by
+    parent, takes floor(U*k) of its parent's k ascending legal targets.
+    """
+    offspring = np.searchsorted(sim._poisson_cdf(lam), stream.random(start), side="right")
+    arrivals = Counter()
+    for v, kids in enumerate(offspring):
+        if graph.adjacency is None:
+            targets = [w for w in range(graph.vertex_count) if graph.allow_self or w != v]
+        else:
+            targets = sorted(graph.adjacency[v].tolist() + [v] * graph.allow_self)
+        for u in stream.random(kids):
+            arrivals[targets[min(int(u * len(targets)), len(targets) - 1)]] += 1
+    return sum(c == 1 for c in arrivals.values())
 
 
 class TestTrialStream:
     def test_deterministic_per_key(self):
-        a = trial_stream(42, 7).random(4)
-        b = trial_stream(42, 7).random(4)
+        a, b = (sim.philox_block(42, 7, np.arange(4)) for _ in range(2))
         assert np.array_equal(a, b)
 
     def test_distinct_trials_distinct_streams(self):
-        assert not np.array_equal(trial_stream(42, 0).random(4), trial_stream(42, 1).random(4))
+        assert not np.array_equal(sim.philox_block(42, 0, 0), sim.philox_block(42, 1, 0))
 
     def test_distinct_seeds_distinct_streams(self):
-        assert not np.array_equal(trial_stream(1, 0).random(4), trial_stream(2, 0).random(4))
-
-    def test_seed_range_validated(self):
-        with pytest.raises(ValueError):
-            trial_stream(-1, 0)
-        with pytest.raises(ValueError):
-            trial_stream(1 << 64, 0)
-        with pytest.raises(ValueError):
-            trial_stream(1, -1)
+        assert not np.array_equal(sim.philox_block(1, 0, 0), sim.philox_block(2, 0, 0))
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
     def test_estimators_check_seed_range(self, kernel, seed):
-        # the ValueError trial_stream gives, not an OverflowError from the kernel
+        # a ValueError, not an OverflowError from the kernel
         match = f"seed must be a 64-bit unsigned integer, got {seed}$"
         with pytest.raises(ValueError, match=match):
             estimate_hitting_prob(ModelParams(2.0, 50), 10, 3, 10, seed)
@@ -68,30 +97,23 @@ class TestTrialStream:
 
 class TestStepMeanfield:
     def test_zero_is_absorbing(self):
-        stream = trial_stream(0, 0)
-        assert all(step_meanfield(ModelParams(2.0, 50), 0, stream) == 0 for _ in range(100))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            step_meanfield(ModelParams(2.0, 50), 51, trial_stream(0, 0))
+        # every uniform inverts to 0 against the row from 0
+        assert binomial_cdf(ModelParams(2.0, 50), 0).tolist() == [1.0] * 51
 
     def test_mean_matches_n_b(self):
         params = ModelParams(2.0, 50)
-        stream = trial_stream(101, 0)
         trials = 100_000
-        total = sum(step_meanfield(params, 10, stream) for _ in range(trials))
-        mean = total / trials
+        draws = trial_stream(101, 0).random(trials)
+        mean = np.searchsorted(binomial_cdf(params, 10), draws, side="right").sum() / trials
         expect = 50 * branch_prob(params, 10)  # = 13.4064...
         sigma = math.sqrt(50 * branch_prob(params, 10) * (1 - branch_prob(params, 10)) / trials)
         assert abs(mean - expect) <= 4 * sigma
 
     def test_empirical_pmf_close_in_tv(self):
         params = ModelParams(2.0, 50)
-        stream = trial_stream(202, 0)
         trials = 200_000
-        samples = np.fromiter(
-            (step_meanfield(params, 10, stream) for _ in range(trials)), dtype=np.int64
-        )
+        draws = trial_stream(202, 0).random(trials)
+        samples = np.searchsorted(binomial_cdf(params, 10), draws, side="right")
         empirical = np.bincount(samples, minlength=51)[:51] / trials
         exact = np.exp(transition_log_row(params, 10))
         assert tv_distance(empirical, exact) <= 0.01
@@ -256,27 +278,23 @@ class TestGraphFile:
 class TestStepParticle:
     def test_empty_stays_empty(self):
         g = complete_graph(5)
-        state = ParticleState(np.zeros(5, dtype=bool), 3)
-        nxt = step_particle(g, state, 2.0, trial_stream(0, 0))
-        assert nxt.count == 0
-        assert nxt.time == 4
+        assert sim.particle_step_counts(g, 0, 2.0, 5, seed=0).tolist() == [0] * 5
+        assert particle_count(g, 0, 2.0, trial_stream(0, 0)) == 0
 
     def test_single_vertex_self_loop_survival(self):
         # one vertex whose only target is itself: survives iff Poisson(2) == 1
         g = sim.GraphSpec(1, ([],), allow_self=True)
         trials = 100_000
         counts = sim.particle_step_counts(g, 1, 2.0, trials, seed=404)
-        state = single_origin_state(g)
-        scalar = [step_particle(g, state, 2.0, trial_stream(404, i)).count for i in range(1000)]
+        scalar = [particle_count(g, 1, 2.0, trial_stream(404, i)) for i in range(1000)]
         assert scalar == counts[:1000].tolist()
         p = 2 * math.exp(-2)
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(counts.sum() / trials - p) <= 4 * sigma
 
     def test_requires_positive_mean(self):
-        g = complete_graph(3)
-        with pytest.raises(ValueError):
-            step_particle(g, single_origin_state(g), 0.0, trial_stream(0, 0))
+        with pytest.raises(ValueError, match="offspring mean must be positive, got 0.0"):
+            sim.particle_step_counts(complete_graph(3), 1, 0.0, 5, seed=0)
 
     @pytest.mark.parametrize("n,lam,x", [(30, 2.0, 10), (30, 6.0, 5), (50, 1.5, 20)])
     def test_meanfield_equivalence(self, n, lam, x):
@@ -289,88 +307,44 @@ class TestStepParticle:
         assert tv_distance(empirical, exact) <= 0.01
 
 
-class TestTrajectory:
-    def test_flags_must_be_consistent(self):
-        with pytest.raises(ValueError):
-            Trajectory([3, 0], absorbed_at_zero=True, crossed_u=True, u=5)
-        with pytest.raises(ValueError):
-            Trajectory([3, 2], absorbed_at_zero=True, crossed_u=False, u=5)
-
-    def test_truncated_property(self):
-        t = Trajectory([3, 2], absorbed_at_zero=False, crossed_u=False, u=5)
-        assert t.truncated and t.steps == 1
-
-
 class TestRunToAbsorption:
-    def test_start_at_zero(self):
-        traj = run_to_absorption(ModelParams(2.0, 50), 0, 10, 100, trial_stream(0, 0))
-        assert traj.absorbed_at_zero
-        assert traj.states.tolist() == [0]
+    ROWS = [binomial_cdf(ModelParams(2.0, 50), x) for x in range(1, 10)]  # u = 10
 
-    def test_start_at_or_above_u_crosses_immediately(self):
-        traj = run_to_absorption(ModelParams(2.0, 50), 10, 10, 100, trial_stream(0, 0))
-        assert traj.crossed_u and traj.steps == 0
-        traj = run_to_absorption(ModelParams(2.0, 50), 12, 10, 100, trial_stream(0, 0))
-        assert traj.crossed_u and traj.steps == 0
+    def test_start_at_zero(self):
+        est = estimate_hitting_prob(ModelParams(2.0, 50), 10, 0, 100, seed=1)
+        assert (est.mean, est.steps_total, est.steps_max) == (1.0, 0, 0)
 
     def test_exit_flags_partition(self):
-        params = ModelParams(2.0, 50)
-        for i in range(200):
-            traj = run_to_absorption(params, 3, 10, 10_000, trial_stream(1, i))
-            assert traj.absorbed_at_zero != traj.crossed_u
-            if traj.absorbed_at_zero:
-                assert traj.states[-1] == 0
-            else:
-                assert traj.states[-1] >= 10
-
-    def test_truncation_flagged_not_raised(self):
-        params = ModelParams(2.0, 50)
-        traj = run_to_absorption(params, 25, None, 3, trial_stream(2, 0))
-        # from the middle with no threshold, three steps never reach 0
-        assert traj.truncated
-        assert len(traj.states) == 4
-
-    @staticmethod
-    def first_path(params, dies):
-        """The first trial of seed 4 from x0 = 3 (u = 10) that dies, or
-        crosses, after at least two steps."""
-        for i in range(200):
-            traj = run_to_absorption(params, 3, 10, 10**6, trial_stream(4, i))
-            if traj.absorbed_at_zero == dies and traj.steps >= 2:
-                return i, traj
-        raise AssertionError(f"no trial {'dies' if dies else 'crosses'} after two steps")
+        paths, _ = batched_paths(hitting_table(ModelParams(2.0, 50), 10), 3, 200, seed=1)
+        for path in paths:
+            assert path[-1] in (0, 10)
+            assert all(0 < x < 10 for x in path[:-1])
 
     @pytest.mark.parametrize("dies", [True, False])
-    def test_exit_on_the_last_allowed_step(self, dies):
+    def test_exit_on_the_last_allowed_step(self, monkeypatch, dies):
+        # the first seed whose longest of 10 trials from x0 = 3 dies, or
+        # crosses, after at least two steps: a STEP_CAP of exactly its steps
+        # admits it, and one step fewer truncates it
         params = ModelParams(2.0, 50)
-        i, ref = self.first_path(params, dies)
-        traj = run_to_absorption(params, 3, 10, ref.steps, trial_stream(4, i))
-        assert (traj.absorbed_at_zero, traj.crossed_u) == (dies, not dies)
-        assert traj.steps == ref.steps
-        assert traj.states.tolist() == ref.states.tolist()
-        # one step fewer leaves the same path one state short, truncated
-        short = run_to_absorption(params, 3, 10, ref.steps - 1, trial_stream(4, i))
-        assert short.truncated and short.steps == ref.steps - 1
-        assert short.states.tolist() == ref.states.tolist()[:-1]
-
-    @pytest.mark.parametrize(
-        "x0, u, exits",
-        [(0, 10, (True, False)), (10, 10, (False, True)), (12, 10, (False, True)),
-         (3, 10, (False, False)), (25, None, (False, False))],
-    )
-    def test_zero_max_steps_returns_the_start_exit(self, x0, u, exits):
-        traj = run_to_absorption(ModelParams(2.0, 50), x0, u, 0, trial_stream(0, 0))
-        assert traj.states.tolist() == [x0]
-        assert (traj.absorbed_at_zero, traj.crossed_u) == exits
+        for seed in range(100):
+            refs = [walk(self.ROWS, 3, 10, trial_stream(seed, i)) for i in range(10)]
+            lengths = [len(ref) - 1 for ref in refs]
+            steps, first = max(lengths), lengths.index(max(lengths))
+            if steps >= 2 and (refs[first][-1] == 0) == dies:
+                break
+        assert steps >= 2 and (refs[first][-1] == 0) == dies
+        monkeypatch.setattr(sim, "STEP_CAP", steps)
+        est = estimate_hitting_prob(params, 10, 3, 10, seed)
+        assert (est.mean, est.steps_max) == (sum(ref[-1] == 0 for ref in refs) / 10, steps)
+        monkeypatch.setattr(sim, "STEP_CAP", steps - 1)
+        with pytest.raises(TruncationError, match=f"trial {first} exceeded {steps - 1} steps"):
+            estimate_hitting_prob(params, 10, 3, 10, seed)
 
     def test_absorption_fraction_matches_exact_phi(self):
         params = ModelParams(2.0, 50)
         phi3 = hitting_profile(params, 10).phi(3)
         trials = 20_000
-        absorbed = sum(
-            run_to_absorption(params, 3, 10, 10**6, trial_stream(606, i)).absorbed_at_zero
-            for i in range(trials)
-        )
+        absorbed = sum(walk(self.ROWS, 3, 10, trial_stream(606, i))[-1] == 0 for i in range(trials))
         p_hat = absorbed / trials
         se = math.sqrt(p_hat * (1 - p_hat) / trials)
         assert abs(p_hat - phi3) <= 4 * se
@@ -385,19 +359,18 @@ def kernel():
 class TestSampleConditionedPath:
     def test_paths_stay_below_u_and_die(self, kernel):
         for i in range(2000):
-            traj = sample_conditioned_path(kernel, 20, trial_stream(707, i))
-            assert traj.absorbed_at_zero
-            assert traj.states.max() < kernel.u
+            states = walk(kernel.row_cdfs, 20, kernel.u, trial_stream(707, i))
+            assert states[-1] == 0
+            assert max(states) < kernel.u
 
     def test_minimum_one_step(self, kernel):
-        for i in range(200):
-            assert sample_conditioned_path(kernel, 1, trial_stream(808, i)).steps >= 1
+        paths, _ = batched_paths(kernel.row_cdfs, 1, 200, seed=808)
+        assert min(len(path) for path in paths) >= 2
 
     def test_start_range_validated(self, kernel):
-        with pytest.raises(ValueError):
-            sample_conditioned_path(kernel, 0, trial_stream(0, 0))
-        with pytest.raises(ValueError):
-            sample_conditioned_path(kernel, kernel.u, trial_stream(0, 0))
+        for x0 in (0, kernel.u):
+            with pytest.raises(ValueError, match=f"start {x0} outside"):
+                estimate_conditioned_length(kernel, x0, 10, seed=0)
 
     def test_mean_length_matches_exact_solve(self, kernel):
         t = conditional_expected_extinction(kernel).values
@@ -455,7 +428,7 @@ class TestEstimateWithCI:
 
 
 # ---------------------------------------------------------------------------
-# batched samplers against the one-trial reference
+# batched samplers against the one-trial oracle
 # ---------------------------------------------------------------------------
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -592,17 +565,13 @@ def batched_paths(cdfs, x0, trials, seed):
 def chain_totals(refs):
     """What sim._run_chains returns for these one-trial runs: deaths, and the
     sum, sum of squares and maximum of the steps."""
-    lengths = [r.steps for r in refs]
+    lengths = [len(r) - 1 for r in refs]
     return (
-        sum(r.absorbed_at_zero for r in refs),
+        sum(r[-1] == 0 for r in refs),
         sum(lengths),
         sum(k * k for k in lengths),
         max(lengths),
     )
-
-
-def binomial_table(params, u):
-    return np.array([sim._binomial_cdf(params, x)[:u] for x in range(1, u)]).reshape(u - 1, u)
 
 
 #: (lam, n, u or None for the epsilon=0.05 window) of the pinned outputs and the README figures
@@ -637,7 +606,7 @@ class TestCdfRowsEndAtOne:
     @pytest.mark.parametrize("lam, n", sorted({(lam, n) for lam, n, _ in CDF_CASES} | {(2.0, 30)}))
     def test_binomial_rows(self, lam, n):
         params = ModelParams(lam, n)
-        check_cdf_rows(np.array([sim._binomial_cdf(params, x) for x in range(1, n + 1)]))
+        check_cdf_rows(np.array([binomial_cdf(params, x) for x in range(1, n + 1)]))
 
     @pytest.mark.parametrize("lam", [2.0, 6.0, 800.0])
     def test_poisson_row(self, lam):
@@ -652,7 +621,7 @@ class TestCdfRowsEndAtOne:
         lam, n, u, _, _ = case
         params = ModelParams(lam, n)
         check_cdf_rows(self.tilted_cdfs(lam, n, u))
-        check_cdf_rows(np.array([sim._binomial_cdf(params, x) for x in range(1, n + 1)]))
+        check_cdf_rows(np.array([binomial_cdf(params, x) for x in range(1, n + 1)]))
 
 
 class TestBatchedMatchesScalar:
@@ -663,24 +632,22 @@ class TestBatchedMatchesScalar:
     def test_count_chain(self, case):
         lam, n, u, x0, seed = case
         params = ModelParams(lam, n)
-        paths, totals = batched_paths(binomial_table(params, u), x0, self.TRIALS, seed)
-        refs = [
-            run_to_absorption(params, x0, u, 10**6, trial_stream(seed, i))
-            for i in range(self.TRIALS)
-        ]
+        rows = [binomial_cdf(params, x) for x in range(1, u)]
+        paths, totals = batched_paths(np.array([r[:u] for r in rows]), x0, self.TRIALS, seed)
+        refs = [walk(rows, x0, u, trial_stream(seed, i)) for i in range(self.TRIALS)]
         for i, ref in enumerate(refs):
-            assert not ref.truncated
+            assert ref[-1] == 0 or ref[-1] >= u  # not truncated
             # the batched chain records a crossing as u; the reference keeps the state
-            assert paths[i][:-1] == ref.states.tolist()[:-1]
-            assert min(paths[i][-1], u) == min(int(ref.states[-1]), u)
-            assert len(paths[i]) - 1 == ref.steps
-            assert (paths[i][-1] == 0) == ref.absorbed_at_zero
-            assert (paths[i][-1] == u) == ref.crossed_u
+            assert paths[i][:-1] == ref[:-1]
+            assert min(paths[i][-1], u) == min(ref[-1], u)
+            assert len(paths[i]) == len(ref)
+            assert (paths[i][-1] == 0) == (ref[-1] == 0)
+            assert (paths[i][-1] == u) == (ref[-1] >= u)
         assert totals == chain_totals(refs)
         est = estimate_hitting_prob(params, u, x0, self.TRIALS, seed)
-        assert est.mean == sum(r.absorbed_at_zero for r in refs) / self.TRIALS
-        assert est.steps_total == sum(r.steps for r in refs)
-        assert est.steps_max == max(r.steps for r in refs)
+        assert est.mean == sum(r[-1] == 0 for r in refs) / self.TRIALS
+        assert est.steps_total == sum(len(r) - 1 for r in refs)
+        assert est.steps_max == max(len(r) - 1 for r in refs)
 
     @PROPERTY_SETTINGS
     @given(chain_case())
@@ -689,13 +656,13 @@ class TestBatchedMatchesScalar:
         kern = tilted_kernel(hitting_profile(ModelParams(lam, n), u))
         x0 = max(x0, 1)
         paths, totals = batched_paths(kern.row_cdfs, x0, self.TRIALS, seed)
-        refs = [sample_conditioned_path(kern, x0, trial_stream(seed, i)) for i in range(self.TRIALS)]
+        refs = [walk(kern.row_cdfs, x0, u, trial_stream(seed, i)) for i in range(self.TRIALS)]
         for i, ref in enumerate(refs):
-            assert paths[i] == ref.states.tolist()
-            assert paths[i][-1] == 0 and ref.absorbed_at_zero
+            assert paths[i] == ref
+            assert paths[i][-1] == 0
         assert totals == chain_totals(refs)
         est = estimate_conditioned_length(kern, x0, self.TRIALS, seed)
-        lengths = [r.steps for r in refs]
+        lengths = [len(r) - 1 for r in refs]
         assert est.mean == sum(lengths) / self.TRIALS
         assert (est.steps_total, est.steps_max) == (sum(lengths), max(lengths))
 
@@ -731,9 +698,8 @@ class TestBatchedMatchesScalar:
 
     def check_particle(self, graph, start, lam, seed):
         counts = sim.particle_step_counts(graph, start, lam, self.TRIALS, seed)
-        state = ParticleState(np.arange(graph.vertex_count) < start)
         for i in range(self.TRIALS):
-            assert counts[i] == step_particle(graph, state, lam, trial_stream(seed, i)).count
+            assert counts[i] == particle_count(graph, start, lam, trial_stream(seed, i))
 
 
 class TestChunkInvariance:
@@ -765,10 +731,10 @@ class TestChunkInvariance:
         # the first seed whose trial 0 dies in time, so that the lowest
         # truncated trial is not simply the first one.
         params, cap = ModelParams(2.0, 50), 12
+        rows = [binomial_cdf(params, x) for x in range(1, 40)]
         for seed in range(100):
             truncated = [
-                run_to_absorption(params, 1, 40, cap, trial_stream(seed, i)).truncated
-                for i in range(20)
+                0 < walk(rows, 1, 40, trial_stream(seed, i), cap)[-1] < 40 for i in range(20)
             ]
             if not truncated[0] and any(truncated):
                 break
@@ -788,7 +754,7 @@ class TestChunkInvariance:
         kern, cap = tilted_kernel(hitting_profile(ModelParams(2.0, 20), 20)), 12
         for seed in range(100):
             truncated = [
-                sample_conditioned_path(kern, 10, trial_stream(seed, i)).steps > cap
+                walk(kern.row_cdfs, 10, kern.u, trial_stream(seed, i), cap)[-1] > 0
                 for i in range(20)
             ]
             if not truncated[0] and any(truncated):
@@ -823,3 +789,16 @@ class TestSamplerMemory:
         # a CHUNK x u gather per step would alone take CHUNK * u * 8 B (32 MB)
         beyond_table = peak - (u - 1) * u * 8
         assert beyond_table < 1 << 20
+
+    def test_particle_arrivals_hold_no_row_per_trial(self):
+        # a trials x n arrival table would alone take 64 * 10^6 * 8 B (512 MB)
+        graph, trials = complete_graph(10**6), 64
+        sim.particle_step_counts(graph, 10, 2.0, 1, seed=1)  # fill the Poisson row's cache
+        tracemalloc.start()
+        try:
+            counts = sim.particle_step_counts(graph, 10, 2.0, trials, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (trials,) and counts.sum() > 0
+        assert peak < 4 << 20
