@@ -1,8 +1,9 @@
 """Command-line front end: canned experiments emitting CSV data.
 
 Every experiment refuses a bad configuration (exit 2) before any solve,
-sample, cache file or output; it writes a fixed set of CSV files plus a
-summary.json, creating the output directory on its first write, and is
+sample, cache file or output.  It returns its outputs, a fixed set of CSV
+tables (or bounds-report's text), and its summary; `run_experiment` alone
+creates the output directory and writes them plus a summary.json.  Runs are
 bit-reproducible: the same configuration (including seed) always yields
 byte-identical CSVs.  Each subcommand takes only the flags its experiment reads.
 
@@ -247,7 +248,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     names = rows.dtype.names if isinstance(rows, np.ndarray) else None
     if names and len(names) != len(header):
         raise ValueError(f"{len(names)} fields under {len(header)} header names")
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         if not names:
@@ -342,15 +342,21 @@ def cache_store(cache_dir: str | Path, profile: HittingProfile) -> Path:
     return path
 
 
-def _get_profile(config: ExperimentConfig, params: ModelParams, u: int) -> HittingProfile:
-    """Look up, else solve and store; cache_lookup refuses a mismatched cache file."""
-    if config.cache_dir is None:
-        return hitting_profile(params, u)
-    profile = cache_lookup(config.cache_dir, params.lam, params.n, u)
-    if profile is None:
-        profile = hitting_profile(params, u)
-        cache_store(config.cache_dir, profile)
-    return profile
+def _get_profiles(config: ExperimentConfig, params: ModelParams, *us: int) -> list[HittingProfile]:
+    """The profile of each u, every u looked up before any is solved.
+
+    cache_lookup refuses a mismatched cache file before any solve; each
+    missing u is then solved, in order, and stored once.
+    """
+    found = dict.fromkeys(us)
+    if config.cache_dir is not None:
+        found = {u: cache_lookup(config.cache_dir, params.lam, params.n, u) for u in found}
+    for u, profile in found.items():
+        if profile is None:
+            found[u] = hitting_profile(params, u)
+            if config.cache_dir is not None:
+                cache_store(config.cache_dir, found[u])
+    return [found[u] for u in us]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +393,7 @@ def _profile_step(
     _check_threshold(params, u)
     check(u)
     constants = _constants(params, config.epsilon, u)
-    profile = _get_profile(config, params, u)
+    (profile,) = _get_profiles(config, params, u)
     return profile, {
         "constants": constants,
         "residual": profile.residual,
@@ -395,41 +401,38 @@ def _profile_step(
     }
 
 
-def _exp_profile(config: ExperimentConfig, out: Path) -> dict:
+def _exp_profile(config: ExperimentConfig) -> tuple[dict, dict]:
     profile, summary = _profile_step(config, None)
     rows = [(x, v, math.exp(v) or "") for x, v in enumerate(profile.log_phi.tolist())]
-    _write_csv(out / "phi.csv", ["x", "log_phi_natural", "phi_if_representable"], rows)
-    return {"files": ["phi.csv"], "method": profile.method, **summary}
+    header = ["x", "log_phi_natural", "phi_if_representable"]
+    return {"phi.csv": (header, rows)}, {"method": profile.method, **summary}
 
 
-def _exp_figure1(config: ExperimentConfig, out: Path) -> dict:
+def _exp_figure1(config: ExperimentConfig) -> tuple[dict, dict]:
     profile, summary = _profile_step(config, "window")
     log10_h = np.rec.fromarrays([np.arange(profile.u), profile.log_phi / math.log(10.0)])
-    _write_csv(out / "logh.csv", ["x", "log10_h"], log10_h)
-    return {"files": ["logh.csv"], **summary}
+    return {"logh.csv": (["x", "log10_h"], log10_h)}, summary
 
 
-def _exp_figure2(config: ExperimentConfig, out: Path) -> dict:
+def _exp_figure2(config: ExperimentConfig) -> tuple[dict, dict]:
     profile, summary = _profile_step(config, "window")
     kernel = tilted_kernel(profile)
     table = np.empty(kernel.rows.shape, [("x", np.int64), ("y", np.int64), ("p_phi", np.float64)])
     table["x"] = np.arange(1, profile.u)[:, None]
     table["y"] = np.arange(profile.u)
     table["p_phi"] = kernel.rows
-    _write_csv(out / "kernel.csv", ["x", "y", "p_phi"], table.ravel())
-    return {"files": ["kernel.csv"], **summary}
+    return {"kernel.csv": (["x", "y", "p_phi"], table.ravel())}, summary
 
 
-def _exp_cond_time(config: ExperimentConfig, out: Path) -> dict:
+def _exp_cond_time(config: ExperimentConfig) -> tuple[dict, dict]:
     profile, summary = _profile_step(config, "window")
     t = conditional_expected_extinction(tilted_kernel(profile)).values.tolist()
     rows = [(0, 0.0, "")]
     rows.extend((x, t[x], t[x] / math.log1p(x)) for x in range(1, profile.u))
-    _write_csv(out / "t.csv", ["x", "t", "t_over_log1p"], rows)
-    return {"files": ["t.csv"], **summary}
+    return {"t.csv": (["x", "t", "t_over_log1p"], rows)}, summary
 
 
-def _exp_uncond_time(config: ExperimentConfig, out: Path) -> dict:
+def _exp_uncond_time(config: ExperimentConfig) -> tuple[dict, dict]:
     _require(config, "lam")
     if not config.n_sweep:
         raise ValueError("uncond-time: --n takes a comma-separated sweep, e.g. 20,30,40,50")
@@ -446,25 +449,21 @@ def _exp_uncond_time(config: ExperimentConfig, out: Path) -> dict:
     for params, x in starts:
         t = unconditional_expected_extinction(params).values
         rows.append((params.n, x, t[x], math.log(t[x])))
-    _write_csv(out / "T.csv", ["n", "x", "expected_T0", "ln_expected_T0"], rows)
-    return {"files": ["T.csv"], "constants": constants}
+    return {"T.csv": (["n", "x", "expected_T0", "ln_expected_T0"], rows)}, {"constants": constants}
 
 
-def _exp_occupation(config: ExperimentConfig, out: Path) -> dict:
+def _exp_occupation(config: ExperimentConfig) -> tuple[dict, dict]:
     check = partial(_check_band, config.delta, config.n)  # called with u
     profile, summary = _profile_step(config, "window", "delta", check=check)
     t = conditional_occupation_time(tilted_kernel(profile), config.delta).values
     table = np.rec.fromarrays([np.arange(profile.u), t])
-    _write_csv(out / "h_occ.csv", ["x", "expected_band_time"], table)
-    return {"files": ["h_occ.csv"], "delta": config.delta, **summary}
+    return {"h_occ.csv": (["x", "expected_band_time"], table)}, {"delta": config.delta, **summary}
 
 
-def _write_estimate(out: Path, est: EstimateWithCI, seconds: float, constants: dict) -> dict:
-    """Write est.csv; the summary also gets the chain steps and the trial rate."""
+def _estimate_outputs(est: EstimateWithCI, seconds: float, constants: dict) -> tuple[dict, dict]:
+    """An estimate's CSV row and summary, which also gets the chain steps and trial rate."""
     row = (est.mean, est.std_error, est.trials, est.seed)
-    _write_csv(out / "est.csv", ["estimate", "std_error", "trials", "seed"], [row])
-    return {
-        "files": ["est.csv"],
+    return {"est.csv": (["estimate", "std_error", "trials", "seed"], [row])}, {
         "constants": constants,
         "steps_total": est.steps_total,
         "steps_max": est.steps_max,
@@ -472,7 +471,7 @@ def _write_estimate(out: Path, est: EstimateWithCI, seconds: float, constants: d
     }
 
 
-def _exp_mc_hitting(config: ExperimentConfig, out: Path) -> dict:
+def _exp_mc_hitting(config: ExperimentConfig) -> tuple[dict, dict]:
     params = _params(config)
     _require(config, "x0", "trials", "seed")
     u = _resolve_u(config, params, "low")
@@ -480,20 +479,21 @@ def _exp_mc_hitting(config: ExperimentConfig, out: Path) -> dict:
     started = time.perf_counter()
     est = estimate_hitting_prob(params, u, config.x0, config.trials, config.seed)
     seconds = time.perf_counter() - started
-    return _write_estimate(out, est, seconds, constants)
+    return _estimate_outputs(est, seconds, constants)
 
 
-def _exp_mc_cond_path(config: ExperimentConfig, out: Path) -> dict:
+def _exp_mc_cond_path(config: ExperimentConfig) -> tuple[dict, dict]:
     check = partial(_check_conditioned_run, config.x0, config.trials)  # called with u
     profile, step = _profile_step(config, "window", "x0", "trials", "seed", check=check)
     kernel = tilted_kernel(profile)
     started = time.perf_counter()
     est = estimate_conditioned_length(kernel, config.x0, config.trials, config.seed)
     seconds = time.perf_counter() - started
-    return {**_write_estimate(out, est, seconds, step["constants"]), "solve": step["solve"]}
+    outputs, summary = _estimate_outputs(est, seconds, step["constants"])
+    return outputs, {**summary, "solve": step["solve"]}
 
 
-def _exp_equivalence(config: ExperimentConfig, out: Path) -> dict:
+def _exp_equivalence(config: ExperimentConfig) -> tuple[dict, dict]:
     _require(config, "lam", "x0", "trials", "seed")
     if config.graph is not None:
         if config.n is not None or config.self_loops is not None:
@@ -510,41 +510,31 @@ def _exp_equivalence(config: ExperimentConfig, out: Path) -> dict:
     counts = particle_step_counts(graph, config.x0, config.lam, config.trials, config.seed)
     empirical = np.bincount(counts, minlength=n + 1)[: n + 1] / config.trials
     exact = np.exp(transition_log_row(params, config.x0))
-    tv = tv_distance(empirical, exact)
-    _write_csv(
-        out / "tv.csv",
-        ["n", "lambda", "x", "trials", "tv_distance"],
-        [(n, params.lam, config.x0, config.trials, tv)],
-    )
-    return {"files": ["tv.csv"], "constants": constants}
+    row = (n, params.lam, config.x0, config.trials, tv_distance(empirical, exact))
+    header = ["n", "lambda", "x", "trials", "tv_distance"]
+    return {"tv.csv": (header, [row])}, {"constants": constants}
 
 
-def _exp_bounds_report(config: ExperimentConfig, out: Path) -> dict:
+def _exp_bounds_report(config: ExperimentConfig) -> tuple[dict, dict]:
     params = _params(config)
     _require(config, "epsilon")
     bset = bnd.make_bound_set(params.lam, params.n, config.epsilon, config.alpha)
     reports = []
-    u_low = threshold_u(params, config.epsilon, "low")
-    low_profile = _get_profile(config, params, u_low)
-    solves = {"low": _solve_summary(low_profile)}
+    modes = ["low", "window"] if config.epsilon < math.log(params.lam) / params.lam else ["low"]
+    us = [threshold_u(params, config.epsilon, mode) for mode in modes]
+    profiles = dict(zip(modes, _get_profiles(config, params, *us)))
+    solves = {mode: _solve_summary(profile) for mode, profile in profiles.items()}
     if bset.envelope_ok:
-        reports.append(bnd.check_envelope(low_profile, bset))
-    reports.append(bnd.check_ratio_beta(low_profile))
-    eq_rate = math.log(params.lam) / params.lam
-    if config.epsilon < eq_rate:
-        u_win = threshold_u(params, config.epsilon, "window")
-        win_profile = _get_profile(config, params, u_win)
-        solves["window"] = _solve_summary(win_profile)
+        reports.append(bnd.check_envelope(profiles["low"], bset))
+    reports.append(bnd.check_ratio_beta(profiles["low"]))
+    if "window" in profiles:
         # u_win - 1 < eq - eps*n, so the drift factor clears exp(lam*eps) below u_win
-        reports.append(bnd.check_geometric(win_profile, bset))
+        reports.append(bnd.check_geometric(profiles["window"], bset))
         if bset.kappa_ok:
-            reports.append(bnd.check_ratio_kappa(win_profile, bset))
+            reports.append(bnd.check_ratio_kappa(profiles["window"], bset))
     if bset.gamma_ok:
         reports.append(bnd.check_gamma_ratio(bset))
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(bnd.render_reports(reports))
-    return {
-        "files": ["report.txt"],
+    return {"report.txt": bnd.render_reports(reports)}, {
         "constants": _constants(params, config.epsilon, None),
         "alpha": bset.alpha,
         "gamma": None if math.isnan(bset.gamma) else bset.gamma,
@@ -568,14 +558,28 @@ _EXPERIMENTS = {
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run one experiment; returns the summary also written to summary.json."""
+    """Run one experiment, write its outputs and summary.json to --out; return the summary."""
     if config.experiment not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {config.experiment!r}")
     if config.seed is not None:
         _check_seed(config.seed)
+    for flag, path in (("--out", config.out_dir), ("--cache", config.cache_dir)):
+        if path is None:
+            continue
+        # the nearest of path and its ancestors that exists, or is a link, must be a directory
+        nearest = next(p for p in (Path(path), *Path(path).parents) if p.exists() or p.is_symlink())
+        if not nearest.is_dir():
+            raise ValueError(f"{flag} {path}: {nearest} is not a directory")
     started = time.perf_counter()
+    outputs, summary = _EXPERIMENTS[config.experiment](config)
     out = Path(config.out_dir)
-    summary = _EXPERIMENTS[config.experiment](config, out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, output in outputs.items():
+        if isinstance(output, str):
+            (out / name).write_text(output)
+        else:
+            _write_csv(out / name, *output)
+    summary["files"] = list(outputs)
     summary["experiment"] = config.experiment
     summary["elapsed_seconds"] = time.perf_counter() - started
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -671,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
     except TruncationError as exc:
         print(f"simulation truncated: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
-    files = ", ".join(summary.get("files", []))
+    files = ", ".join(summary["files"])
     print(f"{summary['experiment']}: wrote {files} and summary.json to {args.out_dir}")
     return EXIT_OK
 

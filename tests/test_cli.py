@@ -628,6 +628,7 @@ class TestSummaryKeys:
         assert run([experiment, *flags, "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert set(summary) == keys
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*summary["files"], "summary.json"])
         assert set(summary["constants"]) == constants
         if experiment == "bounds-report":
             solves = list(summary["solve"].values())
@@ -902,6 +903,38 @@ class TestCache:
         assert not (tmp_path / "b").exists()
         assert [p.read_bytes() for p in stored] == refused
 
+    def test_bounds_report_reads_both_records_before_solving(self, tmp_path, capsys, monkeypatch):
+        params = ModelParams(2.0, 300)
+        u_low, u_win = (threshold_u(params, 0.05, mode) for mode in ("low", "window"))
+        cache = tmp_path / "cache"
+        window = cache_store(cache, hitting_profile(params, u_win))
+        perturb_log_phi(window)
+        solve, solves = cli.hitting_profile, []
+        monkeypatch.setattr(cli, "hitting_profile", lambda *args: solves.append(args) or solve(*args))
+        argv = ["bounds-report", "--lambda", "2", "--n", "300", "--epsilon", "0.05",
+                "--cache", str(cache), "--out", str(tmp_path / "b")]
+        assert run(argv) == 2
+        assert window.name in capsys.readouterr().err
+        assert solves == []
+        assert not cache_path(cache, 2.0, 300, u_low).exists()
+        assert not (tmp_path / "b").exists()
+
+    def test_bounds_report_solves_and_stores_a_shared_threshold_once(self, tmp_path, monkeypatch):
+        # at lam = 35.8, n = 300, eps = 0.05 the low and window thresholds are both u = 15
+        params = ModelParams(35.8, 300)
+        assert threshold_u(params, 0.05, "low") == threshold_u(params, 0.05, "window") == 15
+        solve, solves = cli.hitting_profile, []
+        monkeypatch.setattr(cli, "hitting_profile", lambda *args: solves.append(args) or solve(*args))
+        cache = tmp_path / "cache"
+        argv = ["bounds-report", "--lambda", "35.8", "--n", "300", "--epsilon", "0.05",
+                "--cache", str(cache), "--out", str(tmp_path / "b")]
+        assert run(argv) == 0
+        assert solves == [(params, 15)]
+        assert [p.name for p in cache.iterdir()] == [cache_path(cache, 35.8, 300, 15).name]
+        solve = json.loads((tmp_path / "b" / "summary.json").read_text())["solve"]
+        assert solve["window"] == solve["low"]
+        assert solve["low"]["method"] == "dense-logdomain"
+
     def test_version_one_cache_file_is_refused(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         path = cache_store(cache, hitting_profile(ModelParams(2.0, 50), 10))
@@ -1138,6 +1171,38 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert solves == []
         assert not out.exists() and not list(cache.glob("profile_*.json"))
+
+    @pytest.mark.parametrize(
+        ("argv", "flag", "out", "cache"),
+        [
+            (["figure1", "--lambda", "2", "--n", "50", "--u", "10"], "--cache", "out", "file"),
+            (["figure1", "--lambda", "2", "--n", "50", "--u", "10"], "--cache", "out", "file/c"),
+            (["figure1", "--lambda", "2", "--n", "50", "--u", "10"], "--out", "file", "cache"),
+            (["figure1", "--lambda", "2", "--n", "50", "--u", "10"], "--out", "link", "cache"),
+            (["mc-hitting", "--lambda", "2", "--n", "50", "--u", "10", "--x0", "3",
+              "--trials", "100", "--seed", "1"], "--out", "file/sub", None),
+        ],
+        ids=["figure1-cache-file", "figure1-cache-under-file", "figure1-out-file",
+             "figure1-out-dangling-link", "mc-hitting-out-under-file"],
+    )
+    def test_unusable_out_or_cache_is_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys, argv, flag, out, cache
+    ):
+        work = []
+        for name in ("hitting_profile", "estimate_hitting_prob"):
+            call = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, call=call: work.append(args) or call(*args))
+        (tmp_path / "file").write_text("kept\n")
+        (tmp_path / "link").symlink_to(tmp_path / "missing" / "out")
+        argv = [*argv, "--out", str(tmp_path / out)]
+        if cache is not None:
+            argv += ["--cache", str(tmp_path / cache)]
+        assert run(argv) == 2
+        named = out if flag == "--out" else cache
+        assert f"{flag} {tmp_path / named}" in capsys.readouterr().err
+        assert work == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "link"]
+        assert (tmp_path / "file").read_text() == "kept\n"
 
 
 class TestRunExperimentApi:
