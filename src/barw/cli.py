@@ -1,9 +1,9 @@
 """Command-line front end: canned experiments emitting CSV data.
 
 Every experiment refuses a bad configuration (exit 2) before any solve,
-sample, cache file or output.  It returns its outputs, a fixed set of CSV
-tables (or bounds-report's text), and its summary; `run_experiment` alone
-creates the output directory and writes them plus a summary.json.  Runs are
+sample, cache file or output.  It returns one output, a CSV table (or
+bounds-report's text), and its summary; `_EXPERIMENTS` names the output's
+file, which `run_experiment` alone writes, with a summary.json.  Runs are
 bit-reproducible: the same configuration (including seed) always yields
 byte-identical CSVs.  Each subcommand takes only the flags its experiment reads.
 
@@ -27,7 +27,6 @@ import numpy as np
 from . import bounds as bnd
 from .chain import ModelParams, equilibrium, gw_extinction_prob, threshold_u, transition_log_row
 from .simulate import (
-    EstimateWithCI,
     TruncationError,
     _check_conditioned_run,
     _check_seed,
@@ -401,38 +400,38 @@ def _profile_step(
     }
 
 
-def _exp_profile(config: ExperimentConfig) -> tuple[dict, dict]:
+def _exp_profile(config: ExperimentConfig) -> tuple[tuple, dict]:
     profile, summary = _profile_step(config, None)
     rows = [(x, v, math.exp(v) or "") for x, v in enumerate(profile.log_phi.tolist())]
     header = ["x", "log_phi_natural", "phi_if_representable"]
-    return {"phi.csv": (header, rows)}, {"method": profile.method, **summary}
+    return (header, rows), {"method": profile.method, **summary}
 
 
-def _exp_figure1(config: ExperimentConfig) -> tuple[dict, dict]:
+def _exp_figure1(config: ExperimentConfig) -> tuple[tuple, dict]:
     profile, summary = _profile_step(config, "window")
     log10_h = np.rec.fromarrays([np.arange(profile.u), profile.log_phi / math.log(10.0)])
-    return {"logh.csv": (["x", "log10_h"], log10_h)}, summary
+    return (["x", "log10_h"], log10_h), summary
 
 
-def _exp_figure2(config: ExperimentConfig) -> tuple[dict, dict]:
+def _exp_figure2(config: ExperimentConfig) -> tuple[tuple, dict]:
     profile, summary = _profile_step(config, "window")
     kernel = tilted_kernel(profile)
     table = np.empty(kernel.rows.shape, [("x", np.int64), ("y", np.int64), ("p_phi", np.float64)])
     table["x"] = np.arange(1, profile.u)[:, None]
     table["y"] = np.arange(profile.u)
     table["p_phi"] = kernel.rows
-    return {"kernel.csv": (["x", "y", "p_phi"], table.ravel())}, summary
+    return (["x", "y", "p_phi"], table.ravel()), summary
 
 
-def _exp_cond_time(config: ExperimentConfig) -> tuple[dict, dict]:
+def _exp_cond_time(config: ExperimentConfig) -> tuple[tuple, dict]:
     profile, summary = _profile_step(config, "window")
     t = conditional_expected_extinction(tilted_kernel(profile)).values.tolist()
     rows = [(0, 0.0, "")]
     rows.extend((x, t[x], t[x] / math.log1p(x)) for x in range(1, profile.u))
-    return {"t.csv": (["x", "t", "t_over_log1p"], rows)}, summary
+    return (["x", "t", "t_over_log1p"], rows), summary
 
 
-def _exp_uncond_time(config: ExperimentConfig) -> tuple[dict, dict]:
+def _exp_uncond_time(config: ExperimentConfig) -> tuple[tuple, dict]:
     _require(config, "lam")
     if not config.n_sweep:
         raise ValueError("uncond-time: --n takes a comma-separated sweep, e.g. 20,30,40,50")
@@ -449,51 +448,49 @@ def _exp_uncond_time(config: ExperimentConfig) -> tuple[dict, dict]:
     for params, x in starts:
         t = unconditional_expected_extinction(params).values
         rows.append((params.n, x, t[x], math.log(t[x])))
-    return {"T.csv": (["n", "x", "expected_T0", "ln_expected_T0"], rows)}, {"constants": constants}
+    return (["n", "x", "expected_T0", "ln_expected_T0"], rows), {"constants": constants}
 
 
-def _exp_occupation(config: ExperimentConfig) -> tuple[dict, dict]:
+def _exp_occupation(config: ExperimentConfig) -> tuple[tuple, dict]:
     check = partial(_check_band, config.delta, config.n)  # called with u
     profile, summary = _profile_step(config, "window", "delta", check=check)
     t = conditional_occupation_time(tilted_kernel(profile), config.delta).values
     table = np.rec.fromarrays([np.arange(profile.u), t])
-    return {"h_occ.csv": (["x", "expected_band_time"], table)}, {"delta": config.delta, **summary}
+    return (["x", "expected_band_time"], table), {"delta": config.delta, **summary}
 
 
-def _estimate_outputs(est: EstimateWithCI, seconds: float, constants: dict) -> tuple[dict, dict]:
-    """An estimate's CSV row and summary, which also gets the chain steps and trial rate."""
+def _estimate_outputs(estimate, summary: dict) -> tuple[tuple, dict]:
+    """Time `estimate()`; its CSV row, and summary with the chain steps and trial rate."""
+    started = time.perf_counter()
+    est = estimate()
+    seconds = time.perf_counter() - started
     row = (est.mean, est.std_error, est.trials, est.seed)
-    return {"est.csv": (["estimate", "std_error", "trials", "seed"], [row])}, {
-        "constants": constants,
+    return (["estimate", "std_error", "trials", "seed"], [row]), {
+        **summary,
         "steps_total": est.steps_total,
         "steps_max": est.steps_max,
         "trials_per_s": est.trials / seconds,
     }
 
 
-def _exp_mc_hitting(config: ExperimentConfig) -> tuple[dict, dict]:
+def _exp_mc_hitting(config: ExperimentConfig) -> tuple[tuple, dict]:
     params = _params(config)
     _require(config, "x0", "trials", "seed")
     u = _resolve_u(config, params, "low")
     constants = _constants(params, config.epsilon, u)
-    started = time.perf_counter()
-    est = estimate_hitting_prob(params, u, config.x0, config.trials, config.seed)
-    seconds = time.perf_counter() - started
-    return _estimate_outputs(est, seconds, constants)
+    run = partial(estimate_hitting_prob, params, u, config.x0, config.trials, config.seed)
+    return _estimate_outputs(run, {"constants": constants})
 
 
-def _exp_mc_cond_path(config: ExperimentConfig) -> tuple[dict, dict]:
+def _exp_mc_cond_path(config: ExperimentConfig) -> tuple[tuple, dict]:
     check = partial(_check_conditioned_run, config.x0, config.trials)  # called with u
     profile, step = _profile_step(config, "window", "x0", "trials", "seed", check=check)
     kernel = tilted_kernel(profile)
-    started = time.perf_counter()
-    est = estimate_conditioned_length(kernel, config.x0, config.trials, config.seed)
-    seconds = time.perf_counter() - started
-    outputs, summary = _estimate_outputs(est, seconds, step["constants"])
-    return outputs, {**summary, "solve": step["solve"]}
+    run = partial(estimate_conditioned_length, kernel, config.x0, config.trials, config.seed)
+    return _estimate_outputs(run, step)
 
 
-def _exp_equivalence(config: ExperimentConfig) -> tuple[dict, dict]:
+def _exp_equivalence(config: ExperimentConfig) -> tuple[tuple, dict]:
     _require(config, "lam", "x0", "trials", "seed")
     if config.graph is not None:
         if config.n is not None or config.self_loops is not None:
@@ -512,10 +509,10 @@ def _exp_equivalence(config: ExperimentConfig) -> tuple[dict, dict]:
     exact = np.exp(transition_log_row(params, config.x0))
     row = (n, params.lam, config.x0, config.trials, tv_distance(empirical, exact))
     header = ["n", "lambda", "x", "trials", "tv_distance"]
-    return {"tv.csv": (header, [row])}, {"constants": constants}
+    return (header, [row]), {"constants": constants}
 
 
-def _exp_bounds_report(config: ExperimentConfig) -> tuple[dict, dict]:
+def _exp_bounds_report(config: ExperimentConfig) -> tuple[str, dict]:
     params = _params(config)
     _require(config, "epsilon")
     bset = bnd.make_bound_set(params.lam, params.n, config.epsilon, config.alpha)
@@ -534,7 +531,7 @@ def _exp_bounds_report(config: ExperimentConfig) -> tuple[dict, dict]:
             reports.append(bnd.check_ratio_kappa(profiles["window"], bset))
     if bset.gamma_ok:
         reports.append(bnd.check_gamma_ratio(bset))
-    return {"report.txt": bnd.render_reports(reports)}, {
+    return bnd.render_reports(reports), {
         "constants": _constants(params, config.epsilon, None),
         "alpha": bset.alpha,
         "gamma": None if math.isnan(bset.gamma) else bset.gamma,
@@ -543,24 +540,11 @@ def _exp_bounds_report(config: ExperimentConfig) -> tuple[dict, dict]:
     }
 
 
-_EXPERIMENTS = {
-    "profile": _exp_profile,
-    "figure1": _exp_figure1,
-    "figure2": _exp_figure2,
-    "cond-time": _exp_cond_time,
-    "uncond-time": _exp_uncond_time,
-    "occupation": _exp_occupation,
-    "mc-hitting": _exp_mc_hitting,
-    "mc-cond-path": _exp_mc_cond_path,
-    "equivalence": _exp_equivalence,
-    "bounds-report": _exp_bounds_report,
-}
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run one experiment, write its outputs and summary.json to --out; return the summary."""
+    """Run one experiment, write its output and summary.json to --out; return the summary."""
     if config.experiment not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {config.experiment!r}")
+    experiment, name, _ = _EXPERIMENTS[config.experiment]
     if config.seed is not None:
         _check_seed(config.seed)
     for flag, path in (("--out", config.out_dir), ("--cache", config.cache_dir)):
@@ -570,16 +554,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
         nearest = next(p for p in (Path(path), *Path(path).parents) if p.exists() or p.is_symlink())
         if not nearest.is_dir():
             raise ValueError(f"{flag} {path}: {nearest} is not a directory")
-    started = time.perf_counter()
-    outputs, summary = _EXPERIMENTS[config.experiment](config)
     out = Path(config.out_dir)
+    for path in (out / name, out / "summary.json"):
+        if path.is_dir():
+            raise ValueError(f"--out {out}: {path} is a directory")
+    started = time.perf_counter()
+    output, summary = experiment(config)
     out.mkdir(parents=True, exist_ok=True)
-    for name, output in outputs.items():
-        if isinstance(output, str):
-            (out / name).write_text(output)
-        else:
-            _write_csv(out / name, *output)
-    summary["files"] = list(outputs)
+    if isinstance(output, str):
+        (out / name).write_text(output)
+    else:
+        _write_csv(out / name, *output)
+    summary["files"] = [name]
     summary["experiment"] = config.experiment
     summary["elapsed_seconds"] = time.perf_counter() - started
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -625,18 +611,21 @@ _ARGUMENTS = {
 _THRESHOLD = ("--lambda", "--n", "--epsilon", "--u", "--mode")
 _TRIALS = ("--x0", "--trials", "--seed")
 
-#: the flags each experiment reads, besides --out; any other flag is exit 2
-_FLAGS = {
-    "profile": (*_THRESHOLD, "--cache"),
-    "figure1": (*_THRESHOLD, "--cache"),
-    "figure2": (*_THRESHOLD, "--cache"),
-    "cond-time": (*_THRESHOLD, "--cache"),
-    "uncond-time": ("--lambda", "--n", "--x0"),
-    "occupation": (*_THRESHOLD, "--delta", "--cache"),
-    "mc-hitting": (*_THRESHOLD, *_TRIALS),
-    "mc-cond-path": (*_THRESHOLD, *_TRIALS, "--cache"),
-    "equivalence": ("--lambda", "--n", "--graph", "--self-loops", *_TRIALS),
-    "bounds-report": ("--lambda", "--n", "--epsilon", "--alpha", "--cache"),
+#: each experiment's function, its one output file and the flags it reads
+#: besides --out; any other flag is exit 2
+_EXPERIMENTS = {
+    "profile": (_exp_profile, "phi.csv", (*_THRESHOLD, "--cache")),
+    "figure1": (_exp_figure1, "logh.csv", (*_THRESHOLD, "--cache")),
+    "figure2": (_exp_figure2, "kernel.csv", (*_THRESHOLD, "--cache")),
+    "cond-time": (_exp_cond_time, "t.csv", (*_THRESHOLD, "--cache")),
+    "uncond-time": (_exp_uncond_time, "T.csv", ("--lambda", "--n", "--x0")),
+    "occupation": (_exp_occupation, "h_occ.csv", (*_THRESHOLD, "--delta", "--cache")),
+    "mc-hitting": (_exp_mc_hitting, "est.csv", (*_THRESHOLD, *_TRIALS)),
+    "mc-cond-path": (_exp_mc_cond_path, "est.csv", (*_THRESHOLD, *_TRIALS, "--cache")),
+    "equivalence": (_exp_equivalence, "tv.csv",
+                    ("--lambda", "--n", "--graph", "--self-loops", *_TRIALS)),
+    "bounds-report": (_exp_bounds_report, "report.txt",
+                      ("--lambda", "--n", "--epsilon", "--alpha", "--cache")),
 }
 
 
@@ -646,9 +635,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact analysis and simulation of mean-field branching-annihilating random walk.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in _EXPERIMENTS:
+    for name, (_, _, flags) in _EXPERIMENTS.items():
         sp = sub.add_parser(name)
-        for flag in _FLAGS[name]:
+        for flag in flags:
             settings = _ARGUMENTS[flag]
             if name == "uncond-time" and flag == "--n":
                 sweep = "comma-separated site counts, e.g. 20,30,40,50"

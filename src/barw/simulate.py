@@ -63,7 +63,13 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
+def _check_int(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_trials(trials: int) -> None:
+    _check_int("trials", trials)
     if trials < 1:
         raise ValueError("trials must be positive")
 
@@ -374,6 +380,7 @@ def estimate_hitting_prob(
     _check_threshold(params, u)
     _check_trials(trials)
     _check_seed(seed)
+    _check_int("start", x0)
     if not 0 <= x0 < u:
         raise ValueError(f"start {x0} must lie in [0, u={u})")
     cdfs = _transient_log_rows(params, u)
@@ -388,6 +395,7 @@ def estimate_hitting_prob(
 
 def _check_conditioned_run(x0: int, trials: int, u: int) -> None:
     _check_trials(trials)
+    _check_int("start", x0)
     if not 1 <= x0 < u:
         raise ValueError(f"start {x0} outside [1, {u - 1}]")
 
@@ -465,6 +473,7 @@ def particle_step_counts(
     """
     _check_trials(trials)
     _check_seed(seed)
+    _check_int("start_count", start_count)
     if not 0 <= start_count <= graph.vertex_count:
         raise ValueError("start_count outside the vertex range")
     if not lam > 0.0:

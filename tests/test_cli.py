@@ -517,7 +517,8 @@ class TestFlags:
     def test_every_flag_fills_its_config_field(self, experiment):
         argv = [experiment, "--out", "o"]
         want = dataclasses.asdict(ExperimentConfig(experiment=experiment, out_dir=Path("o")))
-        for flag in cli._FLAGS[experiment]:
+        _, _, flags = cli._EXPERIMENTS[experiment]
+        for flag in flags:
             text, field, value = self.NON_DEFAULT[flag]
             if experiment == "uncond-time" and flag == "--n":
                 text, field, value = "20,30", "n_sweep", (20, 30)
@@ -526,7 +527,7 @@ class TestFlags:
             want[field] = value
         config = cli._config_from_args(cli._build_parser().parse_args(argv))
         assert dataclasses.asdict(config) == want
-        if "--self-loops" in cli._FLAGS[experiment]:
+        if "--self-loops" in flags:
             assert type(config.self_loops) is bool
 
     def test_unset_flags_keep_config_defaults(self):
@@ -573,7 +574,8 @@ class TestFlags:
                 flags = [f for f in re.findall(r"--[a-z0-9-]+", row[2]) if f not in common]
                 for name in re.findall(r"`([a-z0-9-]+)`", row[1]):
                     table[name] = flags
-        want = {name: [f for f in flags if f not in common] for name, flags in cli._FLAGS.items()}
+        want = {name: [f for f in flags if f not in common]
+                for name, (_, _, flags) in cli._EXPERIMENTS.items()}
         assert table == want
 
     def test_readme_commands_parse(self):
@@ -608,7 +610,7 @@ class TestSummaryKeys:
                         "--trials", "200", "--seed", "1"],
                        ESTIMATE, {"eq", "q", "kappa_n", "u"}),
         "mc-cond-path": ([*THRESHOLD, "--x0", "5", "--trials", "200", "--seed", "1"],
-                         ESTIMATE | {"solve"}, BOUNDS | {"u"}),
+                         ESTIMATE | {"residual", "solve"}, BOUNDS | {"u"}),
         "equivalence": (["--lambda", "2", "--n", "20", "--x0", "5", "--trials", "200",
                          "--seed", "1"],
                         {"constants", "files", "experiment", "elapsed_seconds"},
@@ -1203,6 +1205,38 @@ class TestExitCodes:
         assert work == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "link"]
         assert (tmp_path / "file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        ("argv", "name"),
+        [
+            (["profile", "--lambda", "2", "--n", "50", "--u", "10", "--cache", "C"], "phi.csv"),
+            (["figure1", "--lambda", "1.5", "--n", "200", "--epsilon", "0.05", "--cache", "C"],
+             "summary.json"),
+            (["mc-hitting", "--lambda", "2", "--n", "50", "--u", "10", "--x0", "3",
+              "--trials", "100", "--seed", "1"], "est.csv"),
+        ],
+        ids=["profile-phi-csv", "figure1-summary-json", "mc-hitting-est-csv-link"],
+    )
+    def test_output_file_that_is_a_directory_is_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys, argv, name
+    ):
+        work = []
+        for attr in ("hitting_profile", "estimate_hitting_prob"):
+            call = getattr(cli, attr)
+            monkeypatch.setattr(cli, attr, lambda *args, call=call: work.append(args) or call(*args))
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        argv = [str(cache) if a == "C" else a for a in argv]
+        out.mkdir()
+        if name == "est.csv":  # a link to a directory is refused as the directory is
+            (tmp_path / "dir").mkdir()
+            (out / name).symlink_to(tmp_path / "dir")
+        else:
+            (out / name).mkdir()
+        assert run([*argv, "--out", str(out)]) == 2
+        assert f"{out / name} is a directory" in capsys.readouterr().err
+        assert work == []
+        assert not list(cache.glob("profile_*.json"))
+        assert [p.name for p in out.iterdir()] == [name]
 
 
 class TestRunExperimentApi:

@@ -427,6 +427,41 @@ class TestEstimateWithCI:
         assert (est.steps_total, est.steps_max) == (0, 0)
 
 
+class TestIntegerArguments:
+    """A start or trial count must be an int or numpy integer, and not a bool."""
+
+    RUNS = {
+        "hitting": lambda kernel, x0, trials: estimate_hitting_prob(
+            ModelParams(2.0, 50), 10, x0, trials, 1
+        ),
+        "conditioned": lambda kernel, x0, trials: estimate_conditioned_length(kernel, x0, trials, 1),
+        "particle": lambda kernel, x0, trials: sim.particle_step_counts(
+            complete_graph(30), x0, 2.0, trials, 1
+        ),
+    }
+
+    @pytest.mark.parametrize("estimator", list(RUNS))
+    @pytest.mark.parametrize(
+        ("x0", "trials", "named"),
+        [(3.5, 100, "start"), (True, 100, "start"), (3, 100.0, "trials"), (3, True, "trials")],
+        ids=["float-start", "bool-start", "float-trials", "bool-trials"],
+    )
+    def test_non_integer_is_refused(self, kernel, estimator, x0, trials, named):
+        # a float start or count was truncated, and trials=True ran one trial
+        bad = x0 if named == "start" else trials
+        with pytest.raises(ValueError, match=rf"^{named}\w* must be an integer, got {bad}$"):
+            self.RUNS[estimator](kernel, x0, trials)
+
+    @pytest.mark.parametrize("estimator", list(RUNS))
+    def test_numpy_integers_are_accepted(self, kernel, estimator):
+        want = self.RUNS[estimator](kernel, 3, 100)
+        got = self.RUNS[estimator](kernel, np.int64(3), np.int32(100))
+        if estimator == "particle":
+            assert got.tolist() == want.tolist()
+        else:
+            assert got == want
+
+
 # ---------------------------------------------------------------------------
 # batched samplers against the one-trial oracle
 # ---------------------------------------------------------------------------
