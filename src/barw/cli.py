@@ -558,6 +558,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for path in (out / name, out / "summary.json"):
         if path.is_dir():
             raise ValueError(f"--out {out}: {path} is a directory")
+        if path.is_symlink() and not path.exists():
+            raise ValueError(f"--out {out}: {path} is a dangling link")
     started = time.perf_counter()
     output, summary = experiment(config)
     out.mkdir(parents=True, exist_ok=True)

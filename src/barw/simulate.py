@@ -13,8 +13,10 @@ resolution, into its last entry), so no uniform inverts past it.
 
 The estimators run their trials in lockstep, a chunk at a time, and make
 their words with `philox_block`, a numpy-vectorized Philox that equals
-numpy's bit for bit.  CHUNK sizes every batch, and the count chains invert
-by bisection in their CDF table, so a step's memory does not grow with u.
+numpy's bit for bit and makes up to 4 * CHUNK blocks per kernel call, so a
+particle chunk's moves take one call.  CHUNK sizes every batch, and the
+count chains invert by bisection in their CDF table, so a step's memory
+does not grow with u.
 Both count-chain estimators run in one loop, which stops a trial at
 STEP_CAP = 10^7 steps with TruncationError.  A count-chain trial takes one
 word per step.  A particle step takes one word per parent, in ascending
@@ -40,15 +42,20 @@ from .solver import TiltedKernel, _check_threshold
 #: would be biased, which is an error rather than a silent truncation
 STEP_CAP = 10**7
 
-#: the batching budget: count-chain trials per step, Philox blocks per kernel
-#: call (about 150 ns a block from 4096 up, twice that at 1024) and 4x the
-#: particle trials per step.  Results do not depend on it: every trial has its own key.
+#: the batching budget: count-chain trials per step, a quarter of the Philox
+#: blocks per kernel call (a call takes about 180 us plus 80-90 ns a block on
+#: a 2-vCPU Xeon) and 4x the particle trials per step.  Results do not depend
+#: on it: every trial has its own key.
 CHUNK = 4096
 
 _MASK64 = (1 << 64) - 1
 
-# Philox4x64 round multipliers and key increments (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+# Philox4x64 round multipliers, each with its 32-bit halves, and key
+# increments (Salmon et al., SC'11)
+_PHILOX_M = tuple(
+    (np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
+    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -74,32 +81,68 @@ def _check_trials(trials: int) -> None:
         raise ValueError("trials must be positive")
 
 
-def _mulhilo(m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of m*b, from 32-bit halves whose sums never wrap."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    b_lo, hi = b & _LO32, b >> _SHIFT32
-    t = ((b_lo * m_lo) >> _SHIFT32) + hi * m_lo
-    w = (t & _LO32) + b_lo * m_hi
+def _mulhilo(m: tuple, b, hi, lo, t, w) -> None:
+    """hi, lo = high and low 64-bit words of m*b, from 32-bit halves whose sums never wrap.
+
+    m is a `_PHILOX_M` entry; b is spent, t and w are scratch, and all five
+    arrays are distinct.
+    """
+    m, m_lo, m_hi = m
+    np.multiply(b, m, out=lo)
+    np.bitwise_and(b, _LO32, out=t)
+    np.multiply(t, m_hi, out=w)
+    t *= m_lo
+    t >>= _SHIFT32
+    np.right_shift(b, _SHIFT32, out=hi)
+    np.multiply(hi, m_lo, out=b)
+    t += b
+    np.bitwise_and(t, _LO32, out=b)
+    w += b
     hi *= m_hi
-    hi += (t >> _SHIFT32) + (w >> _SHIFT32)
-    return hi, b * np.uint64(m)
+    t >>= _SHIFT32
+    hi += t
+    w >>= _SHIFT32
+    hi += w
 
 
 def _philox4x64_10(seed: int, trials: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> None:
-    """out = philox4x64_10(counter=(blocks+1, 0, 0, 0), key=(seed, trials)), 1-D arrays."""
-    c0 = blocks + np.uint64(1)
-    c1 = c2 = c3 = np.zeros_like(c0)
-    k0, k1 = seed, trials.copy()
-    for r in range(10):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 += np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        hi1 ^= c1 ^ np.uint64(k0)
-        hi0 ^= c3 ^ k1
-        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-    np.stack([c0, c1, c2, c3], axis=-1, out=out)
+    """out = philox4x64_10(counter=(blocks+1, 0, 0, 0), key=(seed, trials)), 1-D arrays.
+
+    A round maps (c0, c1, c2, c3) to (hi(M1*c2) ^ c1 ^ k0, lo(M1*c2),
+    hi(M0*c0) ^ c3 ^ k1, lo(M0*c0)).  With c1 = c2 = c3 = 0, round 0 makes
+    one array product and leaves c0 = seed, so round 1's M0*c0 is one Python
+    product: 18 array products in all, not 20.  Eight rows are allocated once
+    and renamed from round to round, and the last round writes into out.
+    """
+    m0, m1 = _PHILOX_M
+    t, w, c0, c1, c2, c3, f0, f1 = np.empty((8, trials.size), dtype=np.uint64)
+    # round 0 on (blocks + 1, 0, 0, 0) gives (seed, 0, c2, c3)
+    np.add(blocks, np.uint64(1), out=c0)
+    _mulhilo(m0, c0, c2, c3, t, w)
+    c2 ^= trials
+    # round 1 gives (c0, c1, c3 ^ k1 ^ hi(M0*seed), lo(M0*seed))
+    k0, k1 = (seed + _PHILOX_W[0]) & _MASK64, _PHILOX_W[1]
+    hi, lo = divmod(int(m0[0]) * seed, 1 << 64)
+    _mulhilo(m1, c2, c0, c1, t, w)
+    c0 ^= np.uint64(k0)
+    np.add(trials, np.uint64(k1), out=c2)
+    c3 ^= c2
+    c3 ^= np.uint64(hi)
+    c2, c3, f0 = c3, f0, c2
+    c3.fill(lo)
+    # rounds 2..9; f0 and f1 are free rows
+    for r in range(2, 10):
+        last = r == 9
+        k0 = (k0 + _PHILOX_W[0]) & _MASK64
+        k1 = (k1 + _PHILOX_W[1]) & _MASK64
+        _mulhilo(m0, c0, f0, out[:, 3] if last else f1, t, w)
+        np.add(trials, np.uint64(k1), out=c0)
+        f0 ^= c3
+        np.bitwise_xor(f0, c0, out=out[:, 2] if last else f0)
+        _mulhilo(m1, c2, c0, out[:, 1] if last else c3, t, w)
+        c0 ^= c1
+        np.bitwise_xor(c0, np.uint64(k0), out=out[:, 0] if last else c0)
+        c1, c2, c3, f0, f1 = c3, f0, f1, c1, c2
 
 
 def philox_block(seed: int, trials, blocks) -> np.ndarray:
@@ -109,16 +152,17 @@ def philox_block(seed: int, trials, blocks) -> np.ndarray:
     keyed by (seed, i), which increments its counter before each block, so
     block j is philox4x64_10(counter=(j+1, 0, 0, 0), key=(seed, i)).
     `trials` and `blocks` broadcast against each other; word w of a trial is
-    word w % 4 of its block w // 4.  The kernel runs over CHUNK blocks at a
-    time, which bounds its temporaries.
+    word w % 4 of its block w // 4.  The kernel runs over up to 4 * CHUNK
+    blocks at a time, which bounds its eight scratch rows.
     """
     trials, blocks = np.broadcast_arrays(
         np.asarray(trials, dtype=np.uint64), np.asarray(blocks, dtype=np.uint64)
     )
     out = np.empty(trials.shape + (4,), dtype=np.uint64)
     flat_trials, flat_blocks, flat_out = trials.ravel(), blocks.ravel(), out.reshape(-1, 4)
-    for lo in range(0, flat_trials.size, CHUNK):
-        part = slice(lo, lo + CHUNK)
+    batch = 4 * CHUNK
+    for lo in range(0, flat_trials.size, batch):
+        part = slice(lo, lo + batch)
         _philox4x64_10(seed, flat_trials[part], flat_blocks[part], flat_out[part])
     return out
 

@@ -1238,6 +1238,24 @@ class TestExitCodes:
         assert not list(cache.glob("profile_*.json"))
         assert [p.name for p in out.iterdir()] == [name]
 
+    @pytest.mark.parametrize("name", ["phi.csv", "summary.json"])
+    def test_output_file_that_is_a_dangling_link_is_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys, name
+    ):
+        work = []
+        call = cli.hitting_profile
+        monkeypatch.setattr(cli, "hitting_profile", lambda *args: work.append(args) or call(*args))
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        out.mkdir()
+        (out / name).symlink_to(tmp_path / "missing" / name)
+        argv = ["profile", "--lambda", "2", "--n", "50", "--u", "10", "--cache", str(cache)]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert f"{out / name} is a dangling link" in capsys.readouterr().err
+        assert work == []
+        assert not list(cache.glob("profile_*.json"))
+        assert [p.name for p in out.iterdir()] == [name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
 
 class TestRunExperimentApi:
     def test_unknown_experiment(self, tmp_path):

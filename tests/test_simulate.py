@@ -487,6 +487,24 @@ class TestPhiloxBlock:
             stream = trial_stream(seed, trial)
             assert np.array_equal(sim.uniforms(words[i].ravel()), stream.random(4 * blocks))
 
+    @PROPERTY_SETTINGS
+    @given(SEEDS, SEEDS, st.integers(0, 1 << 63))
+    def test_words_match_philox_over_whole_key_and_counter_range(self, seed, trial, block):
+        # block + 1 reaches past 2**32, so the first round's product has a high half
+        raw = Philox(counter=block, key=seed | trial << 64).random_raw(4)
+        assert np.array_equal(sim.philox_block(seed, trial, block), raw)
+
+    def test_kernel_batches_that_split_a_trials_blocks(self, monkeypatch):
+        monkeypatch.setattr(sim, "CHUNK", 1)  # kernel batches of 4 blocks
+        seed = (1 << 64) - 12345
+        trials = np.array([3, (1 << 64) - 1, 1 << 40], dtype=np.uint64)
+        blocks = np.array([0, 1, 2, 1 << 32, (1 << 63) + 5], dtype=np.uint64)
+        words = sim.philox_block(seed, trials[:, None], blocks)  # 15 blocks in 4 batches
+        for i, trial in enumerate(trials.tolist()):
+            for j, block in enumerate(blocks.tolist()):
+                raw = Philox(counter=block, key=seed | trial << 64).random_raw(4)
+                assert np.array_equal(words[i, j], raw)
+
 
 def searchsorted_rows(table, rows, u):
     """np.searchsorted(table[r], u, side="right") for each (r, u) pair."""
@@ -751,8 +769,9 @@ class TestChunkInvariance:
             sim.particle_step_counts(complete_graph(12, False), 5, 3.0, 60, seed=17).tolist(),
         )
 
-    # CHUNK sizes every batch: count-chain trials and Philox blocks per call at
-    # CHUNK, particle trials at max(1, CHUNK // 4), which 28 takes to 7
+    # CHUNK sizes every batch: count-chain trials at CHUNK, Philox blocks per
+    # kernel batch at 4 * CHUNK, particle trials at max(1, CHUNK // 4), which
+    # 28 takes to 7
     CHUNKS = [1, 7, 28, sim.CHUNK]
 
     @pytest.mark.parametrize("chunk", CHUNKS)
