@@ -1,10 +1,10 @@
-"""Analytic constants, bound envelopes and dominance checks.
+"""Analytic constants, bound envelopes and the checks bounds-report runs.
 
 The Galton-Watson extinction probability at three tilted offspring means
 gives the closed-form envelope around hitting probabilities, a geometric
 upper bound theta^x, and a uniform adjacent-state ratio floor kappa_n.
 The checks here compare those closed forms against exactly solved
-profiles and kernels, in log domain, and collect any violations into
+profiles and kernel rows, in log domain, and collect any violations into
 plain-text reports.
 """
 
@@ -16,21 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
+    GW_MEAN_MARGIN,
     ModelParams,
-    _logsumexp_rows,
     branch_prob,
     gw_extinction_prob,
     threshold_u,
-    transition_log_row,
     transition_log_rows,
 )
-from .solver import HittingProfile, TiltedKernel
+from .solver import HittingProfile
 
-#: slack for CDF comparisons; absorbs roundoff at probability-1 boundaries
-DOMINANCE_SLACK = 1e-12
 #: slack for log-domain bound comparisons at exact-equality boundaries (x=0)
 LOG_SLACK = 1e-12
-PMF_SUM_TOL = 1e-9
 
 _E = math.e
 
@@ -65,20 +61,27 @@ def default_alpha(lam: float) -> float:
     return 0.5 * (math.log(lam) / lam + 1.0 - 1.0 / lam)
 
 
+def log_kappa_floor(lam: float, n: int) -> float:
+    """log kappa_n = n*log1p(-e*lam/((e-1)*n)), NaN when undefined.
+
+    It stays finite where kappa_n itself underflows to 0 (large lam).
+    """
+    z = _E * lam / ((_E - 1.0) * n)
+    return n * math.log1p(-z) if z < 1.0 else math.nan
+
+
 def kappa_floor(lam: float, n: int) -> float:
     """The adjacent-ratio floor (1 - e*lam/((e-1)*n))^n, NaN when undefined."""
-    z = _E * lam / ((_E - 1.0) * n)
-    if z >= 1.0:
-        return math.nan
-    return math.exp(n * math.log1p(-z))
+    return math.exp(log_kappa_floor(lam, n))
 
 
 def make_bound_set(lam: float, n: int, epsilon: float, alpha: float | None = None) -> BoundSet:
     """Compute every derived constant, flagging inapplicable ones.
 
-    The envelope needs eps < 1/(2*lam) and lam*exp(-lam*eps) > 1; kappa_n
-    needs e*lam/((e-1)*n) < 1; gamma needs lam*eps < 1.  An eps whose q2 or
-    theta has no representable fixed point is refused, naming eps.
+    The envelope needs eps < 1/(2*lam) and a q1, which exists once
+    lam*exp(-lam*eps) exceeds 1 by GW_MEAN_MARGIN; kappa_n needs
+    e*lam/((e-1)*n) < 1; gamma needs lam*eps < 1.  An eps whose q2 or theta
+    has no representable fixed point is refused, naming eps.
     """
     ModelParams(lam, n)  # refuses a bad lam or n
     if not 0.0 < epsilon < math.inf:
@@ -90,13 +93,13 @@ def make_bound_set(lam: float, n: int, epsilon: float, alpha: float | None = Non
         raise ValueError(f"alpha must lie in ({lo:.6g}, {hi:.6g}), got {alpha}")
 
     lam1 = lam * math.exp(-lam * epsilon)
-    envelope_ok = epsilon < 1.0 / (2.0 * lam) and lam1 > 1.0
     try:  # a q2 that exists keeps lam*eps below 373, so exp(lam*eps) is finite
-        q1 = gw_extinction_prob(lam1) if lam1 > 1.0 + 1e-12 else math.nan
+        q1 = gw_extinction_prob(lam1) if lam1 > 1.0 + GW_MEAN_MARGIN else math.nan
         q2 = gw_extinction_prob(lam * (1.0 + 2.0 * lam * epsilon))
         theta = gw_extinction_prob(math.exp(lam * epsilon))
     except ValueError as exc:
         raise ValueError(f"epsilon={epsilon} gives no bound set at lambda={lam}: {exc}") from None
+    envelope_ok = epsilon < 1.0 / (2.0 * lam) and not math.isnan(q1)
 
     kappa_n = kappa_floor(lam, n)
     kappa_ok = not math.isnan(kappa_n)
@@ -130,19 +133,6 @@ def envelope_log_bounds(bounds: BoundSet, x: int) -> tuple[float, float]:
         -math.exp(en * lq2)
     )
     return lower, upper
-
-
-def envelope_bounds(bounds: BoundSet, x: int) -> tuple[float, float]:
-    """The envelope values themselves (may underflow to 0 for large x)."""
-    lower, upper = envelope_log_bounds(bounds, x)
-    return math.exp(lower), math.exp(upper)
-
-
-def geometric_upper(bounds: BoundSet, x: int) -> float:
-    """Natural log of the geometric bound theta^x, i.e. x*log(theta)."""
-    if x < 0:
-        raise ValueError(f"state must be nonnegative, got {x}")
-    return x * math.log(bounds.theta)
 
 
 @dataclass(frozen=True)
@@ -220,14 +210,14 @@ def check_geometric(profile: HittingProfile, bounds: BoundSet) -> CheckReport:
 
 
 def check_ratio_kappa(profile: HittingProfile, bounds: BoundSet) -> CheckReport:
-    """Verify phi(x+1)/phi(x) >= kappa_n for every adjacent pair."""
+    """Verify phi(x+1)/phi(x) >= kappa_n for every adjacent pair, in logs."""
     if not bounds.kappa_ok:
         raise ValueError("kappa_n is undefined: e*lam/((e-1)*n) >= 1")
     params = {"lambda": bounds.lam, "n": bounds.n, "u": profile.u, "kappa_n": bounds.kappa_n}
     if profile.u < 2:
         return CheckReport("ratio-kappa", params, True, {}, ())
     diffs = np.diff(profile.log_phi)
-    log_kappa = math.log(bounds.kappa_n)
+    log_kappa = log_kappa_floor(bounds.lam, bounds.n)
     bad = np.flatnonzero(diffs < log_kappa)
     violations = tuple(
         f"x={int(i)} ratio={math.exp(diffs[i]):.12g} below kappa_n" for i in bad
@@ -291,113 +281,3 @@ def check_gamma_ratio(bounds: BoundSet) -> CheckReport:
             violations.append(f"x={x} ratio not increasing at y={int(y)}->{int(y) + 1}")
     extremes = {"max_ratio": math.exp(max_log_ratio), "gamma": bounds.gamma}
     return CheckReport("ratio-gamma", report_params, not violations, extremes, tuple(violations))
-
-
-def stochastic_dominance(pmf_a: np.ndarray, pmf_b: np.ndarray) -> bool:
-    """True iff a <=_st b: the CDF of a is pointwise >= the CDF of b.
-
-    Inputs must be nonnegative and sum to 1 within 1e-9; the shorter is
-    zero-padded.  Comparisons carry a 1e-12 slack for roundoff.
-    """
-    a = np.asarray(pmf_a, dtype=float)
-    b = np.asarray(pmf_b, dtype=float)
-    for name, v in (("first", a), ("second", b)):
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError(f"{name} pmf must be a nonempty vector")
-        if np.any(v < 0.0):
-            raise ValueError(f"{name} pmf has negative entries")
-        if abs(v.sum() - 1.0) > PMF_SUM_TOL:
-            raise ValueError(f"{name} pmf sums to {v.sum():.12g}, not 1")
-    k = max(a.size, b.size)
-    ca = np.zeros(k)
-    cb = np.zeros(k)
-    ca[: a.size] = a
-    cb[: b.size] = b
-    return bool(np.all(np.cumsum(ca) >= np.cumsum(cb) - DOMINANCE_SLACK))
-
-
-def tilted_reference_pmf(
-    params: ModelParams, x: int, factor: float, upper: int | None = None
-) -> np.ndarray:
-    """The normalized measure proportional to factor^y * p(x, y).
-
-    With upper given, mass is restricted to y < upper first.  Weights span
-    hundreds of orders of magnitude, so normalization happens in logs.
-    """
-    if not factor > 0.0:
-        raise ValueError(f"tilt factor must be positive, got {factor}")
-    if upper is not None and upper < 1:
-        raise ValueError(f"upper must be at least 1, or no mass is left; got {upper}")
-    log_row = transition_log_row(params, x)
-    y = np.arange(params.n + 1)
-    log_w = y * math.log(factor) + log_row
-    if upper is not None:
-        log_w = log_w[:upper]
-    pmf = np.zeros(params.n + 1)
-    pmf[: log_w.size] = np.exp(log_w - _logsumexp_rows(log_w.copy()))
-    return pmf
-
-
-def check_tilted_dominance(
-    kernel: TiltedKernel, beta_hat: float, bounds: BoundSet
-) -> CheckReport:
-    """Sandwich every tilted row between its two reference tilts.
-
-    Each row p_phi(x, .) must be dominated by the beta_hat-tilted kernel
-    row and must dominate the kappa_n-tilted row truncated below u.
-    """
-    if not bounds.kappa_ok:
-        raise ValueError("kappa_n is undefined: e*lam/((e-1)*n) >= 1")
-    params = {
-        "lambda": bounds.lam,
-        "n": bounds.n,
-        "u": kernel.u,
-        "beta_hat": beta_hat,
-        "kappa_n": bounds.kappa_n,
-    }
-    model = kernel.source.params
-    violations = []
-    for x in range(1, kernel.u):
-        row = np.zeros(model.n + 1)
-        row[: kernel.u] = kernel.rows[x - 1]
-        mu = tilted_reference_pmf(model, x, beta_hat)
-        nu = tilted_reference_pmf(model, x, bounds.kappa_n, upper=kernel.u)
-        if not stochastic_dominance(row, mu):
-            violations.append(f"x={x}: tilted row not dominated by beta_hat tilt")
-        if not stochastic_dominance(nu, row):
-            violations.append(f"x={x}: tilted row does not dominate kappa_n tilt")
-    return CheckReport(
-        "tilted-dominance", params, not violations, {"rows": kernel.u - 1}, tuple(violations)
-    )
-
-
-def binomial_tail_bound(n: int, b: float, xi: float) -> tuple[float, float]:
-    """Closed-form lower-tail bound for Bin(n, b) below xi*n*b, and the exact value.
-
-    Returns (exp(-n*b*(1-xi)^2/4), P[Bin(n,b) < xi*n*b]); the bound always
-    dominates the exact probability.
-    """
-    # importing scipy.stats more than doubles the time and memory of
-    # `import barw`, and no experiment calls this function, so it is loaded
-    # on the first call only
-    from scipy.stats import binom
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"success probability must lie in (0,1), got {b}")
-    if not 0.0 < xi < 1.0:
-        raise ValueError(f"xi must lie in (0,1), got {xi}")
-    bound = math.exp(-n * b * (1.0 - xi) ** 2 / 4.0)
-    k = math.ceil(xi * n * b) - 1
-    exact = float(binom.cdf(k, n, b)) if k >= 0 else 0.0
-    return bound, exact
-
-
-def coupling_offspring_mean(lam: float, epsilon: float, beta: float) -> float:
-    """Offspring mean beta*lam/(1-lam*eps) * (1 + 2*lam*eps/(1-lam*eps)).
-
-    The dominating branching process for the conditioned chain uses this
-    mean; it is only useful when the caller's beta makes it less than 1.
-    """
-    le = lam * epsilon
-    if not le < 1.0:
-        raise ValueError(f"requires lam*epsilon < 1, got {le}")
-    return beta * lam / (1.0 - le) * (1.0 + 2.0 * le / (1.0 - le))

@@ -18,7 +18,6 @@ from barw import (
     check_gamma_ratio,
     check_ratio_beta,
     check_ratio_kappa,
-    check_tilted_dominance,
     conditional_expected_extinction,
     conditional_occupation_time,
     envelope_log_bounds,
@@ -26,9 +25,9 @@ from barw import (
     gw_extinction_prob,
     hitting_profile,
     make_bound_set,
-    stochastic_dominance,
     threshold_u,
     tilted_kernel,
+    transition_log_row,
     unconditional_expected_extinction,
 )
 from barw.cli import ExperimentConfig, run_experiment
@@ -210,6 +209,21 @@ def test_c11_gamma_ratio_grid():
         assert report.extremes["max_ratio"] <= report.extremes["gamma"]
 
 
+def dominated(a, b):
+    """a <=_st b: the CDF of a is pointwise at least that of b, within 1e-12."""
+    k = max(len(a), len(b))
+    cdf_a = np.cumsum(np.pad(a, (0, k - len(a))))
+    cdf_b = np.cumsum(np.pad(b, (0, k - len(b))))
+    return bool(np.all(cdf_a >= cdf_b - 1e-12))
+
+
+def tilt(params, x, factor, upper):
+    """The pmf proportional to factor^y p(x, y) on y < upper, normalized in logs."""
+    log_w = transition_log_row(params, x)[:upper] + np.arange(upper) * math.log(factor)
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
+
+
 def test_c12_stochastic_dominance_suite():
     with criterion(12, "dominance: Bin/Poi grid, conditioned pairs, tilted rows", 120.0):
         # binomial below its matched Poisson
@@ -219,7 +233,7 @@ def test_c12_stochastic_dominance_suite():
                 mean = -n * math.log1p(-p)
                 hi = int(poisson.ppf(1.0 - 1e-15, mean)) + 10
                 b = poisson.pmf(np.arange(hi), mean)
-                assert stochastic_dominance(a, b / b.sum())
+                assert dominated(a, b / b.sum())
 
         # conditioned binomials stay ordered
         for m in (5, 10, 20):
@@ -228,16 +242,23 @@ def test_c12_stochastic_dominance_suite():
             lo[k > m] = 0.0
             hi = binom.pmf(k, 30, 0.4)
             hi[k > m] = 0.0
-            assert stochastic_dominance(lo / lo.sum(), hi / hi.sum())
+            assert dominated(lo / lo.sum(), hi / hi.sum())
 
-        # every tilted row sits between its two reference tilts
+        # every tilted row sits between its beta_hat tilt and its kappa_n tilt below u
         params = ModelParams(2.0, 200)
         u = threshold_u(params, 0.05, "low")
         prof = hitting_profile(params, u)
-        kernel = tilted_kernel(prof)
+        rows = tilted_kernel(prof).rows
         beta_hat = check_ratio_beta(prof).extremes["beta_hat"]
-        report = check_tilted_dominance(kernel, beta_hat, make_bound_set(2.0, 200, 0.05))
-        assert report.passed and not report.violations
+        kappa_n = make_bound_set(2.0, 200, 0.05).kappa_n
+        for x in range(1, u):
+            assert dominated(rows[x - 1], tilt(params, x, beta_hat, params.n + 1))
+            assert dominated(tilt(params, x, kappa_n, u), rows[x - 1])
+
+        # row x = 3 moved up by one state is no longer below its beta_hat tilt
+        row = rows[2]
+        shifted = np.concatenate(([0.0], row[:-2], [row[-2] + row[-1]]))
+        assert not dominated(shifted, tilt(params, 3, beta_hat, params.n + 1))
 
 
 def test_c13_meanfield_equivalence():

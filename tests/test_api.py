@@ -6,19 +6,19 @@ from pathlib import Path
 
 import barw
 
-#: imports barw and runs experiments step by step, and records after each
-#: step which of scipy.special, scipy.stats and numpy.random have been
-#: loaded; argv[1] is a scratch output directory.  The runs cover the kernel
-#: rows, the unconditional solve and both samplers' binomial and Poisson tables
+#: blocks scipy, imports barw, runs every experiment step by step and
+#: records after each step whether numpy.random has been loaded; argv[1] is
+#: a scratch output directory.  The runs cover the kernel rows, every solve
+#: and tilt, the bound checks and the samplers' binomial, tilted and Poisson
+#: tables
 IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
 
+sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
 loaded = {}
 def record(step):
-    loaded[step] = [
-        name for name in ("scipy.special", "scipy.stats", "numpy.random") if name in sys.modules
-    ]
+    loaded[step] = "numpy.random" in sys.modules
 
 import barw
 record("import barw")
@@ -26,10 +26,15 @@ import barw.cli as cli
 record("import barw.cli")
 out = Path(sys.argv[1])
 runs = {
-    "bounds-report": dict(lam=2.0, n=300, epsilon=0.05),
+    "profile": dict(lam=2.0, n=50, u=10),
     "figure1": dict(lam=1.5, n=200, epsilon=0.05),
+    "figure2": dict(lam=6.0, n=200, epsilon=0.05),
+    "cond-time": dict(lam=1.5, n=200, epsilon=0.05),
+    "occupation": dict(lam=1.5, n=200, epsilon=0.05, delta=0.1),
     "uncond-time": dict(lam=2.0, n_sweep=(20, 30)),
+    "bounds-report": dict(lam=2.0, n=300, epsilon=0.05),
     "mc-hitting": dict(lam=2.0, n=50, u=10, x0=3, trials=200, seed=1),
+    "mc-cond-path": dict(lam=1.5, n=200, epsilon=0.05, x0=20, trials=200, seed=1),
     "equivalence": dict(lam=2.0, n=30, x0=10, trials=200, seed=1),
 }
 for experiment, fields in runs.items():
@@ -46,13 +51,11 @@ def test_public_names_resolve_sorted_and_unique():
     assert [name for name in names if not hasattr(barw, name)] == []
 
 
-def test_experiments_never_load_scipy_stats(tmp_path):
-    # scipy.stats would more than double the time and memory of every
-    # process start, and only binomial_tail_bound needs it.  scipy.special
-    # alone would add about 0.3 s and 20 MB; the log-factorial table stands
-    # in for its gammaln.  The samplers make their own Philox words, so
-    # numpy.random (about 11 ms) stays unloaded too.  The test modules import
-    # all three, so the check runs in a fresh interpreter
+def test_experiments_run_without_scipy_or_numpy_random(tmp_path):
+    # numpy is the only runtime dependency: scipy is blocked in the probe, so
+    # an experiment that imports it fails.  The samplers make their own
+    # Philox words, so numpy.random (about 11 ms) stays unloaded too.  The
+    # test modules import both, so the check runs in a fresh interpreter
     src = str(Path(barw.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -64,6 +67,7 @@ def test_experiments_never_load_scipy_stats(tmp_path):
         check=True,
     )
     loaded = json.loads(done.stdout.splitlines()[-1])
-    steps = ["import barw", "import barw.cli", "bounds-report", "figure1", "uncond-time",
-             "mc-hitting", "equivalence"]
-    assert loaded == {step: [] for step in steps}
+    steps = ["import barw", "import barw.cli", "profile", "figure1", "figure2", "cond-time",
+             "occupation", "uncond-time", "bounds-report", "mc-hitting", "mc-cond-path",
+             "equivalence"]
+    assert loaded == dict.fromkeys(steps, False)

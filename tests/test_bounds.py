@@ -4,33 +4,24 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom, poisson
 
 from barw import (
+    HittingProfile,
     ModelParams,
-    binomial_tail_bound,
-    branch_prob,
     check_envelope,
     check_gamma_ratio,
     check_geometric,
     check_ratio_beta,
     check_ratio_kappa,
-    check_tilted_dominance,
-    coupling_offspring_mean,
     default_alpha,
-    envelope_bounds,
     envelope_log_bounds,
-    geometric_upper,
     gw_extinction_prob,
     hitting_profile,
     make_bound_set,
     render_reports,
-    stochastic_dominance,
     threshold_u,
-    tilted_kernel,
-    tilted_reference_pmf,
     transition_log_row,
 )
 from barw import bounds
@@ -108,13 +99,41 @@ class TestMakeBoundSet:
         with pytest.raises(ValueError, match=re.escape(f"epsilon={epsilon} gives no bound set")):
             make_bound_set(2.0, 300, epsilon)
 
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(
+        lam=st.floats(1.0, 1000.0, exclude_min=True),
+        n=st.integers(1, 10**4),
+        epsilon=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    # lam*exp(-lam*eps) lies within GW_MEAN_MARGIN above 1, so q1 does not exist
+    @example(lam=1.5, n=2000, epsilon=0.2703100720715096)
+    # kappa_n = (1 - 500e/((e-1)*1000))^1000 underflows to 0
+    @example(lam=500.0, n=1000, epsilon=0.0004)
+    def test_each_flag_gives_finite_constants_and_a_verdict(self, lam, n, epsilon):
+        try:
+            bs = make_bound_set(lam, n, epsilon)
+        except ValueError:
+            return
+        params = ModelParams(lam, n)
+        if bs.envelope_ok:
+            assert 0.0 < bs.q1 < 1.0 and 0.0 < bs.q2 < 1.0
+            # the low profile's states all lie below eps*n
+            u = min(math.ceil(epsilon * n), 4)
+            profile = HittingProfile(params, u, -np.arange(u, dtype=float), 0.0, "synthetic")
+            assert isinstance(check_envelope(profile, bs).passed, bool)
+        if bs.kappa_ok:
+            u = min(n, 4)
+            profile = HittingProfile(params, u, -np.arange(u, dtype=float), 0.0, "synthetic")
+            assert isinstance(check_ratio_kappa(profile, bs).passed, bool)
+            assert math.isfinite(bounds.log_kappa_floor(lam, n))
+        if bs.gamma_ok:
+            assert 0.0 < bs.gamma <= 1.0
+
 
 class TestEnvelope:
     def test_both_bounds_equal_one_at_zero(self):
         bs = make_bound_set(2.0, 2000, 0.05)
-        lower, upper = envelope_bounds(bs, 0)
-        assert lower == 1.0
-        assert upper == 1.0
+        assert envelope_log_bounds(bs, 0) == (0.0, 0.0)
 
     def test_upper_strictly_decreasing(self):
         bs = make_bound_set(2.0, 2000, 0.05)
@@ -148,8 +167,11 @@ class TestEnvelope:
 
 class TestGeometricUpper:
     def test_at_zero(self):
-        bs = make_bound_set(2.0, 100, 0.05)
-        assert geometric_upper(bs, 0) == 0.0
+        # phi(0) = 1 = theta^0, so the bound is met with equality at x = 0
+        profile = hitting_profile(ModelParams(2.0, 100), 1)
+        report = check_geometric(profile, make_bound_set(2.0, 100, 0.05))
+        assert report.passed
+        assert report.extremes["max_log_phi_minus_bound"] == 0.0
 
     def test_theta_fixed_point_residual(self):
         bs = make_bound_set(1.5, 1200, 0.05)
@@ -235,108 +257,6 @@ class TestGammaRatio:
         assert report.passed
 
 
-class TestStochasticDominance:
-    def test_reflexive(self):
-        p = binom.pmf(np.arange(21), 20, 0.3)
-        assert stochastic_dominance(p, p)
-
-    def test_binomial_below_matched_poisson(self):
-        n, p = 20, 0.3
-        a = binom.pmf(np.arange(n + 1), n, p)
-        mean = -n * math.log1p(-p)
-        hi = 80
-        b = poisson.pmf(np.arange(hi), mean)
-        b = b / b.sum()
-        assert stochastic_dominance(a, b)
-        assert not stochastic_dominance(b, a)
-
-    def test_binomial_ordering_in_p(self):
-        lo = binom.pmf(np.arange(31), 30, 0.2)
-        hi = binom.pmf(np.arange(31), 30, 0.4)
-        assert stochastic_dominance(lo, hi)
-        assert not stochastic_dominance(hi, lo)
-
-    def test_non_normalized_rejected(self):
-        with pytest.raises(ValueError):
-            stochastic_dominance(np.array([0.5, 0.4]), np.array([0.5, 0.5]))
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            stochastic_dominance(np.array([1.1, -0.1]), np.array([0.5, 0.5]))
-
-
-class TestTiltedReferencePmf:
-    def test_normalized(self):
-        pmf = tilted_reference_pmf(ModelParams(2.0, 200), 5, 0.25)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(pmf >= 0.0)
-
-    def test_truncation(self):
-        pmf = tilted_reference_pmf(ModelParams(2.0, 200), 5, 0.04, upper=10)
-        assert np.all(pmf[10:] == 0.0)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_positive_factor_required(self):
-        with pytest.raises(ValueError):
-            tilted_reference_pmf(ModelParams(2.0, 200), 5, 0.0)
-
-    def test_truncation_must_leave_mass(self):
-        for upper in (0, -1):
-            with pytest.raises(ValueError, match="upper must be at least 1"):
-                tilted_reference_pmf(ModelParams(2.0, 200), 5, 0.04, upper=upper)
-
-
-class TestTiltedDominance:
-    def test_rows_sandwiched(self, profile_2_200_low):
-        kernel = tilted_kernel(profile_2_200_low)
-        beta_hat = check_ratio_beta(profile_2_200_low).extremes["beta_hat"]
-        bs = make_bound_set(2.0, 200, 0.05)
-        report = check_tilted_dominance(kernel, beta_hat, bs)
-        assert report.passed
-        assert not report.violations
-
-
-class TestBinomialTailBound:
-    def test_xi_near_one_bound_trivial(self):
-        bound, exact = binomial_tail_bound(100, 0.1, 0.999999)
-        assert bound > 0.999
-        assert exact <= bound
-
-    def test_direct_evaluation(self):
-        bound, exact = binomial_tail_bound(100, 0.1, 0.5)
-        assert bound == pytest.approx(math.exp(-0.625), abs=1e-15)
-        assert exact == pytest.approx(float(binom.cdf(4, 100, 0.1)), abs=0)
-        assert exact <= bound
-
-    def test_chain_rate_example(self):
-        b10 = branch_prob(ModelParams(2.0, 50), 10)
-        bound, exact = binomial_tail_bound(50, b10, math.exp(-0.05))
-        assert exact <= bound
-
-    def test_strict_inequality_interpretation(self):
-        # P[X < 2] must be P[X <= 1] when the cut lands on an integer
-        bound, exact = binomial_tail_bound(4, 0.5, 1.0 - 1e-12)
-        assert exact == pytest.approx(float(binom.cdf(1, 4, 0.5)), abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binomial_tail_bound(10, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            binomial_tail_bound(10, 0.5, 1.0)
-
-
-class TestCouplingOffspringMean:
-    def test_formula(self):
-        lam, eps, beta = 2.0, 0.05, 0.25
-        got = coupling_offspring_mean(lam, eps, beta)
-        le = lam * eps
-        assert got == pytest.approx(beta * lam / (1 - le) * (1 + 2 * le / (1 - le)), abs=1e-15)
-
-    def test_requires_lam_eps_below_one(self):
-        with pytest.raises(ValueError):
-            coupling_offspring_mean(4.0, 0.3, 0.2)
-
-
 class TestReportRendering:
     def test_document_structure(self, profile_2_50_u10):
         bs = make_bound_set(2.0, 50, 0.05)
@@ -375,7 +295,7 @@ class TestViolationsAreReported:
     def test_geometric(self, profile_15_300_window):
         bs = make_bound_set(1.5, 300, 0.05)
         log_phi = profile_15_300_window.log_phi.copy()
-        log_phi[5] = geometric_upper(bs, 5) + 1e-6
+        log_phi[5] = 5 * math.log(bs.theta) + 1e-6
         report = check_geometric(dataclasses.replace(profile_15_300_window, log_phi=log_phi), bs)
         assert_fails(report, "x=5 log_phi=")
         assert len(report.violations) == 1
@@ -418,17 +338,3 @@ class TestViolationsAreReported:
         monkeypatch.setattr(bounds, "transition_log_rows", bumped)
         report = check_gamma_ratio(make_bound_set(2.0, 200, 0.05))
         assert_fails(report, "x=5 ratio not increasing at y=2->3")
-
-    def test_tilted_dominance(self, profile_2_200_low):
-        # row x=3 moved up by one state and row x=5 down by one
-        kernel = tilted_kernel(profile_2_200_low)
-        beta_hat = check_ratio_beta(profile_2_200_low).extremes["beta_hat"]
-        rows = kernel.rows.copy()
-        up, down = rows[2].copy(), rows[4].copy()
-        rows[2] = np.concatenate(([0.0], up[:-2], [up[-2] + up[-1]]))
-        rows[4] = np.concatenate(([down[0] + down[1]], down[2:], [0.0]))
-        report = check_tilted_dominance(
-            dataclasses.replace(kernel, rows=rows), beta_hat, make_bound_set(2.0, 200, 0.05)
-        )
-        assert_fails(report, "x=3: tilted row not dominated", "x=5: tilted row does not dominate")
-        assert len(report.violations) == 2

@@ -770,6 +770,28 @@ class TestBoundsReport:
             assert solve["method"] == hitting_profile(params, u).method
             assert 0.0 <= solve["residual"] <= 1e-8
 
+    def test_no_envelope_without_q1(self, tmp_path):
+        # 1.5*exp(-1.5*eps) exceeds 1 by less than GW_MEAN_MARGIN: q1 does not exist
+        out = tmp_path / "br"
+        argv = ["bounds-report", "--lambda", "1.5", "--n", "2000",
+                "--epsilon", "0.2703100720715096", "--out", str(out)]
+        assert run(argv) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["constants"]["q1"] is None
+        assert "envelope" not in summary["checks"]
+        assert "check: envelope" not in (out / "report.txt").read_text()
+
+    def test_ratio_kappa_where_kappa_n_underflows(self, tmp_path):
+        # kappa_n = (1 - 500e/((e-1)*1000))^1000 underflows to 0; its log, about -1565, does not
+        out = tmp_path / "br"
+        argv = ["bounds-report", "--lambda", "500", "--n", "1000", "--epsilon", "0.0004",
+                "--out", str(out)]
+        assert run(argv) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["checks"] == dict.fromkeys(
+            ["envelope", "ratio-beta", "geometric-upper", "ratio-kappa", "ratio-gamma"], True
+        )
+
 
 class TestCache:
     def test_lookup_miss_on_empty_dir(self, tmp_path):

@@ -25,7 +25,7 @@ OpenBLAS dies with SIGILL.
 
 The pins also depend on numpy's SIMD dispatch: np.exp and np.log round
 differently in their AVX-512 and AVX2 loops.  Under
-NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4" all three tests
+NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4" all 5 test cases
 here fail, so a runner without AVX-512 loops fails tier-1 until the
 value-determining exp and log are made portable (ROADMAP item 3).
 """
