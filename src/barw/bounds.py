@@ -265,6 +265,8 @@ def check_gamma_ratio(bounds: BoundSet) -> CheckReport:
         "gamma": bounds.gamma,
         "x_grid": x_count,
     }
+    if x_count == 0:
+        return CheckReport("ratio-gamma", report_params, True, {}, ())
     violations = []
     max_log_ratio = -math.inf
     scale = (1.0 - bounds.alpha) * params.n

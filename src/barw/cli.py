@@ -370,15 +370,18 @@ def _constants(params: ModelParams, epsilon: float | None, u: int | None) -> dic
     }
     if u is not None:
         out["u"] = u
-    b = bnd.make_bound_set(params.lam, params.n, epsilon) if epsilon is not None else None
-    if b is not None:
-        out["q1"] = None if math.isnan(b.q1) else b.q1
-        out["q2"] = b.q2
-        out["theta"] = b.theta
-        out["kappa_n"] = None if math.isnan(b.kappa_n) else b.kappa_n
-    else:
-        kappa = bnd.kappa_floor(params.lam, params.n)
-        out["kappa_n"] = None if math.isnan(kappa) else kappa
+    if epsilon is not None:
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        try:
+            b = bnd.make_bound_set(params.lam, params.n, epsilon)
+            consts = (b.q1, b.q2, b.theta)
+        except ValueError:  # no q2 or theta at this eps; only bounds-report needs them
+            consts = (math.nan,) * 3
+        for name, v in zip(("q1", "q2", "theta"), consts):
+            out[name] = None if math.isnan(v) else v
+    kappa = bnd.kappa_floor(params.lam, params.n)
+    out["kappa_n"] = None if math.isnan(kappa) else kappa
     return out
 
 
@@ -404,7 +407,7 @@ def _exp_profile(config: ExperimentConfig) -> tuple[tuple, dict]:
     profile, summary = _profile_step(config, None)
     rows = [(x, v, math.exp(v) or "") for x, v in enumerate(profile.log_phi.tolist())]
     header = ["x", "log_phi_natural", "phi_if_representable"]
-    return (header, rows), {"method": profile.method, **summary}
+    return (header, rows), summary
 
 
 def _exp_figure1(config: ExperimentConfig) -> tuple[tuple, dict]:

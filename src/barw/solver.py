@@ -3,7 +3,7 @@
 Hitting probabilities phi_u(x) = P_x[hit 0 before reaching >= u] solve the
 first-step system phi(x) = p(x,0) + sum_{0<y<u} p(x,y) phi(y).  They decay
 geometrically in x, far below the smallest double, and above eq I - Q is
-nearly singular.  Every threshold is solved by subtraction-free (GTH)
+nearly singular.  Every threshold takes the one solve, subtraction-free (GTH)
 elimination on the rescaled matrix D^-1 Q D, D = diag(e^s) with s an
 estimate of log phi from below, in native doubles and in panels, while
 the O(u) vectors of masses and pivots stay in logs.  Where the estimate
@@ -38,8 +38,6 @@ from .chain import (
 
 HARMONICITY_TOL = 1e-8
 ROW_SUM_TOL = 1e-9
-VI_TOL = 1e-13
-VI_MAX_SWEEPS = 10**6
 #: scaled GTH zeroes entries below e^LOG_NEGLIGIBLE, so any product of two
 #: kept entries is a normal double (e^-700 > 2.2e-308)
 LOG_NEGLIGIBLE = -350.0
@@ -56,7 +54,6 @@ UNCONDITIONAL_N_CAP = 400
 _UNCONDITIONAL_REL_TOL = 1e-6
 
 METHOD_LOGDOMAIN = "dense-logdomain"
-METHOD_VI = "value-iteration"
 METHOD_CACHED = "cached"
 
 #: version of the JSON profile record; earlier versions' .txt files are never read
@@ -389,49 +386,22 @@ def _harmonicity_residual(log_p: np.ndarray, log_phi: np.ndarray) -> float:
     return residual
 
 
-def hitting_profile(params: ModelParams, u: int, method: str = METHOD_LOGDOMAIN) -> HittingProfile:
+def hitting_profile(params: ModelParams, u: int) -> HittingProfile:
     """Solve for phi_u(x) = P_x[hit 0 before reaching >= u], x = 0..u-1.
 
-    The dense solve, dense-logdomain, is GTH elimination on D^-1 Q D (see
+    The one solve, dense-logdomain, is GTH elimination on D^-1 Q D (see
     _solve_logdomain) at every threshold: it carries the one-step masses to
     0 and to >= u as two absorbing columns, never subtracts, and keeps
     phi's relative accuracy however small it gets, also above eq, where
-    I - Q is nearly singular.  method="value-iteration" is the independent
-    cross-check, a monotone fixed-point iteration from phi = 0.
+    I - Q is nearly singular.
     """
     _check_threshold(params, u)
-    if method not in (METHOD_LOGDOMAIN, METHOD_VI):
-        raise ValueError(f"unknown method {method!r}")
     if u == 1:
-        return HittingProfile(params, 1, np.zeros(1), 0.0, method)
+        return HittingProfile(params, 1, np.zeros(1), 0.0, METHOD_LOGDOMAIN)
 
     log_p = _transient_log_rows(params, u)
-    if method == METHOD_LOGDOMAIN:
-        log_phi = np.concatenate(([0.0], _solve_logdomain(log_p, _log_top_masses(params, u))))
-    else:
-        log_phi = _value_iteration(log_p, u)
-
-    return HittingProfile(params, u, log_phi, _harmonicity_residual(log_p, log_phi), method)
-
-
-def _value_iteration(log_p: np.ndarray, u: int) -> np.ndarray:
-    """Monotone iteration phi_{k+1}(x) = p(x,0) + sum p(x,y) phi_k(y), in logs.
-
-    phi_k(x) is the probability of absorption within k steps while staying
-    below u, so the iterates increase to the true phi.
-    """
-    log_phi = np.full(u, LOG_ZERO)
-    log_phi[0] = 0.0
-    for _ in range(VI_MAX_SWEEPS):
-        nxt = np.concatenate(([0.0], _logsumexp_rows(log_p + log_phi[None, :])))
-        change = np.max(np.abs(nxt - log_phi))
-        log_phi = nxt
-        if change < VI_TOL:
-            return log_phi
-    raise SolverError(
-        f"value iteration did not converge in {VI_MAX_SWEEPS} sweeps",
-        residual=float(change),
-    )
+    log_phi = np.concatenate(([0.0], _solve_logdomain(log_p, _log_top_masses(params, u))))
+    return HittingProfile(params, u, log_phi, _harmonicity_residual(log_p, log_phi), METHOD_LOGDOMAIN)
 
 
 def tilted_kernel(profile: HittingProfile) -> TiltedKernel:

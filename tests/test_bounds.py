@@ -256,6 +256,13 @@ class TestGammaRatio:
         assert report.params["alpha"] == pytest.approx(default_alpha(2.0), abs=0)
         assert report.passed
 
+    def test_empty_grid_reports_no_ratio(self):
+        # eps*n = 0.4 puts the low threshold at 1, so the x grid is empty
+        report = check_gamma_ratio(make_bound_set(500.0, 1000, 0.0004))
+        assert report.params["x_grid"] == 0
+        assert report.passed
+        assert report.extremes == {}
+
 
 class TestReportRendering:
     def test_document_structure(self, profile_2_50_u10):

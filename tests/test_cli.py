@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import barw.bounds as bounds
 import barw.cli as cli
 import barw.simulate as simulate
 import barw.solver as solver
@@ -599,7 +600,7 @@ class TestSummaryKeys:
     BOUNDS = {"eq", "q", "q1", "q2", "theta", "kappa_n"}
     RUNS = {
         "profile": (["--lambda", "2", "--n", "50", "--u", "10"],
-                    PROFILE | {"method"}, {"eq", "q", "kappa_n", "u"}),
+                    PROFILE, {"eq", "q", "kappa_n", "u"}),
         "figure1": (THRESHOLD, PROFILE, BOUNDS | {"u"}),
         "figure2": (THRESHOLD, PROFILE, BOUNDS | {"u"}),
         "cond-time": (THRESHOLD, PROFILE, BOUNDS | {"u"}),
@@ -791,6 +792,9 @@ class TestBoundsReport:
         assert summary["checks"] == dict.fromkeys(
             ["envelope", "ratio-beta", "geometric-upper", "ratio-kappa", "ratio-gamma"], True
         )
+        # the low threshold is 1, so ratio-gamma has no x to check and no ratio to report
+        gamma = (out / "report.txt").read_text().split("check: ratio-gamma\n")[1]
+        assert "x_grid=0" in gamma and "max_ratio" not in gamma
 
 
 class TestCache:
@@ -1120,6 +1124,26 @@ class TestExitCodes:
         assert run(argv + ["--out", str(out)]) == 2
         assert f"epsilon={float(epsilon)} gives no bound set" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["figure1"],
+            ["cond-time"],
+            ["occupation", "--delta", "0.001"],
+            ["mc-hitting", "--mode", "window", "--x0", "3", "--trials", "100", "--seed", "1"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_epsilon_without_bound_set_runs_where_unchecked(self, tmp_path, flags):
+        # eps = 0.04 < log(100)/100 gives a window u = 13, but q2 = q(900) does
+        # not exist: only bounds-report checks q2, so these record it as null
+        argv = [flags[0], "--lambda", "100", "--n", "2000", "--epsilon", "0.04", *flags[1:]]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        constants = json.loads((tmp_path / "summary.json").read_text())["constants"]
+        assert constants["u"] == 13
+        assert constants["q1"] is None and constants["q2"] is None and constants["theta"] is None
+        assert constants["kappa_n"] == bounds.kappa_floor(100.0, 2000)
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     @pytest.mark.parametrize(

@@ -31,11 +31,10 @@ from barw import (
     write_profile,
 )
 from barw import solver
-from barw.chain import _log_top_masses, _logsumexp_rows, _transient_log_rows
+from barw.chain import LOG_ZERO, _log_top_masses, _logsumexp_rows, _transient_log_rows
 from barw.solver import (
     HittingProfile,
     METHOD_LOGDOMAIN,
-    METHOD_VI,
     _conditioned_time,
     _path_floor,
     _solve_gth_rhs,
@@ -116,6 +115,25 @@ def oracle_log_phi(params, u):
     return np.concatenate(([0.0], x))
 
 
+def vi_log_phi(params, u):
+    """log phi_u(x), x = 0..u-1, by monotone value iteration in logs.
+
+    The k-th iterate is the probability of absorption within k steps while
+    staying below u, so the iterates rise to phi; they stop once a sweep
+    moves log phi by less than 1e-13, and fail the test after 10^6 sweeps.
+    """
+    log_p = _transient_log_rows(params, u)
+    log_phi = np.full(u, LOG_ZERO)
+    log_phi[0] = 0.0
+    for _ in range(10**6):
+        nxt = np.concatenate(([0.0], _logsumexp_rows(log_p + log_phi[None, :])))
+        change = np.max(np.abs(nxt - log_phi))
+        log_phi = nxt
+        if change < 1e-13:
+            return log_phi
+    pytest.fail(f"value iteration still moved log phi by {change:.3e} after 10^6 sweeps")
+
+
 def window_u(lam, n):
     return threshold_u(ModelParams(lam, n), 0.05, "window")
 
@@ -171,9 +189,22 @@ class TestSolverMethods:
     def test_methods_agree(self, lam, n, u):
         params = ModelParams(lam, n)
         dense = hitting_profile(params, u)
-        vi = hitting_profile(params, u, method=METHOD_VI)
         assert dense.method == METHOD_LOGDOMAIN
-        np.testing.assert_allclose(dense.log_phi, vi.log_phi, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(dense.log_phi, vi_log_phi(params, u), rtol=0, atol=1e-9)
+
+    def test_value_iteration_matches_dp_and_oracle(self):
+        # vi_log_phi is the cross-check above, so it is checked itself first;
+        # 200 steps of the scipy-kernel DP already agree with it to 4e-16
+        params, u = ModelParams(2.0, 50), 10
+        vi = vi_log_phi(params, u)
+        dp = dp_hitting_probability(2.0, 50, u, horizon=200)
+        np.testing.assert_allclose(np.exp(vi), dp, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vi, oracle_log_phi(params, u), rtol=0, atol=1e-12)
+
+    def test_no_method_keyword(self):
+        # there is one solve: a caller cannot ask for another
+        with pytest.raises(TypeError):
+            hitting_profile(ModelParams(2.0, 50), 10, method="dense-logdomain")
 
     @pytest.mark.parametrize("lam,n,u", [(2.0, 12, 3), (2.0, 30, 5), (6.0, 40, 12), (8.0, 16, 3)])
     def test_top_mass_from_tail_matches_complement(self, lam, n, u):
@@ -198,7 +229,7 @@ class TestSolverMethods:
     )
     def test_scaled_solve_matches_log_domain_oracle(self, lam, n, u):
         params = ModelParams(lam, n)
-        prof = hitting_profile(params, u, method=METHOD_LOGDOMAIN)
+        prof = hitting_profile(params, u)
         assert prof.residual <= 1e-8
         np.testing.assert_allclose(prof.log_phi, oracle_log_phi(params, u), rtol=0, atol=1e-10)
 
@@ -231,17 +262,6 @@ class TestSolverMethods:
         with pytest.raises(SolverError, match="did not settle within 1 passes"):
             hitting_profile(ModelParams(4.0, 500), 350)
 
-    def test_unconverged_value_iteration_carries_its_residual(self, monkeypatch):
-        # after 3 sweeps the iterate is phi_3, absorption within 3 steps, and
-        # the residual is its largest log move from phi_2
-        monkeypatch.setattr(solver, "VI_MAX_SWEEPS", 3)
-        with pytest.raises(SolverError, match="did not converge in 3 sweeps") as info:
-            hitting_profile(ModelParams(2.0, 50), 10, method=METHOD_VI)
-        phi_2, phi_3 = (dp_hitting_probability(2.0, 50, 10, k) for k in (2, 3))
-        reached = np.max(np.abs(np.log(phi_3 / phi_2)))
-        assert info.value.residual == pytest.approx(reached, rel=1e-9)
-        assert info.value.residual > solver.VI_TOL
-
     @pytest.mark.parametrize("lam,n,u", [(1.5, 1200, 265), (6.0, 1200, 299)])
     def test_figure_profiles_match_oracle_to_1e12(self, lam, n, u):
         # the README figure profiles, below eq; the subtracting native
@@ -267,19 +287,6 @@ class TestSolverMethods:
         prof = hitting_profile(params, 300)
         assert prof.method == METHOD_LOGDOMAIN
         np.testing.assert_allclose(prof.log_phi, oracle_log_phi(params, 300), rtol=0, atol=1e-10)
-
-    @pytest.mark.parametrize("lam,n,u", [(8.0, 300, 300), (2.0, 300, 150)])
-    def test_forced_native_refused_above_equilibrium(self, lam, n, u):
-        # a native elimination forced here was off by 7.47 and 2.7e-6 in
-        # log phi, with harmonicity residuals below 1e-14; no path takes it now
-        with pytest.raises(ValueError, match="unknown method 'dense-native'"):
-            hitting_profile(ModelParams(lam, n), u, method="dense-native")
-
-    def test_unknown_method(self):
-        for method in ("iterative-jacobi", "dense-native"):
-            for u in (1, 10):
-                with pytest.raises(ValueError, match="unknown method"):
-                    hitting_profile(ModelParams(2.0, 50), u, method=method)
 
     def test_deterministic_bit_identical(self):
         for params, u in [(ModelParams(1.5, 300), 67), (ModelParams(6.0, 1450), 250)]:
@@ -358,10 +365,9 @@ class TestSolverProperties:
     def test_paths_agree(self, case):
         lam, n, u = case
         params = ModelParams(lam, n)
-        logdom, vi = (hitting_profile(params, u, method=m) for m in (METHOD_LOGDOMAIN, METHOD_VI))
-        for prof in (logdom, vi):
-            assert prof.residual <= 1e-8
-        np.testing.assert_allclose(logdom.log_phi, vi.log_phi, rtol=0, atol=1e-9)
+        prof = hitting_profile(params, u)
+        assert prof.residual <= 1e-8
+        np.testing.assert_allclose(prof.log_phi, vi_log_phi(params, u), rtol=0, atol=1e-9)
 
     @PROPERTY_SETTINGS
     @given(any_threshold_pair())
@@ -369,8 +375,8 @@ class TestSolverProperties:
         # a higher bar is harder to escape to, so dying first gets likelier
         lam, n, u, u2 = case
         params = ModelParams(lam, n)
-        low = hitting_profile(params, u, method=METHOD_LOGDOMAIN)
-        high = hitting_profile(params, u2, method=METHOD_LOGDOMAIN)
+        low = hitting_profile(params, u)
+        high = hitting_profile(params, u2)
         assert low.residual <= 1e-8 and high.residual <= 1e-8
         assert np.all(low.log_phi <= high.log_phi[:u] + 1e-9)
 
@@ -379,7 +385,7 @@ class TestSolverProperties:
     def test_scaled_solve_matches_log_domain_oracle(self, case):
         lam, n, u = case
         params = ModelParams(lam, n)
-        prof = hitting_profile(params, u, method=METHOD_LOGDOMAIN)
+        prof = hitting_profile(params, u)
         assert prof.residual <= 1e-8
         np.testing.assert_allclose(prof.log_phi, oracle_log_phi(params, u), rtol=0, atol=1e-10)
 
@@ -850,6 +856,6 @@ class TestProfileSerialization:
         assert back.residual == original.residual
 
     def test_residual_failure_carries_value(self):
-        # value iteration bailing out reports the residual it reached
+        # a solve that misses its harmonicity gate reports the residual it reached
         err = SolverError("no", residual=0.25)
         assert err.residual == 0.25
