@@ -380,8 +380,10 @@ def _constants(params: ModelParams, epsilon: float | None, u: int | None) -> dic
             consts = (math.nan,) * 3
         for name, v in zip(("q1", "q2", "theta"), consts):
             out[name] = None if math.isnan(v) else v
-    kappa = bnd.kappa_floor(params.lam, params.n)
-    out["kappa_n"] = None if math.isnan(kappa) else kappa
+    # kappa_n underflows to 0 for large lam; its log is the floor that check_ratio_kappa compares
+    log_kappa = bnd.log_kappa_floor(params.lam, params.n)
+    out["kappa_n"] = None if math.isnan(log_kappa) else math.exp(log_kappa)
+    out["log_kappa_n"] = None if math.isnan(log_kappa) else log_kappa
     return out
 
 

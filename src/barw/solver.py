@@ -8,11 +8,15 @@ elimination on the rescaled matrix D^-1 Q D, D = diag(e^s) with s an
 estimate of log phi from below, in native doubles and in panels, while
 the O(u) vectors of masses and pivots stay in logs.  Where the estimate
 s falls far short, the solve is repeated, scaled by its own result, until
-it reaches a fixed point.  Conditioning on that hitting event is a Doob
-transform of the kernel by phi.  Expected absorption and occupation times
-under the conditioned chain are GTH solves too, unscaled and carrying the
-right-hand side, in panels whose trailing update is an einsum.  The
-unconditional expected time is still a native elimination that subtracts.
+it reaches a fixed point.  With m = u - 1, a profile solve holds about
+1.2-1.4 m^2 doubles at its peak: each pass writes the scaled matrix over
+the m x u kernel rows, which are built again for each further pass and,
+a block at a time, for the harmonicity residual.  Conditioning on that
+hitting event is a Doob transform of the kernel by phi.  Expected
+absorption and occupation times under the conditioned chain are GTH
+solves too, unscaled and carrying the right-hand side, in panels whose
+trailing update is an einsum.  The unconditional expected time is still
+a native elimination that subtracts.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ import numpy as np
 
 from .chain import (
     LOG_ZERO,
+    ROW_BLOCK,
     ModelParams,
     _cdf_rows,
     _check_threshold,
+    _log_row_blocks,
     _log_top_masses,
     _logsumexp_rows,
     _transient_log_rows,
@@ -81,8 +87,15 @@ class ProfileFormatError(ValueError):
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
-    arr.flags.writeable = False
+    """arr as a read-only float array, copied unless it is one already that owns its data.
+
+    A writable array is copied, so the caller's array stays writable and
+    later writes to it do not reach the frozen one.
+    """
+    owned = isinstance(arr, np.ndarray) and arr.dtype == float and arr.flags.owndata
+    if not owned or arr.flags.writeable:
+        arr = np.array(arr, dtype=float)
+        arr.flags.writeable = False
     return arr
 
 
@@ -264,13 +277,19 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
     native multiply-add; pivots, c and top (O(m) per step) stay in logs,
     as raw masses.
 
+    The solve spends log_p: A is written in place of log_p[:, 1:], a
+    ROW_BLOCK of rows at a time, with the masks below made per block, so
+    the pass holds about 1.2-1.4 m^2 doubles at its peak, log_p itself
+    and block-sized scratch.  A caller that needs the rows again rebuilds
+    them.
+
     The elimination is the right-looking block LU (Golub and Van Loan,
     Matrix Computations, 3.2): a panel of _PANEL pivots updates only its
     own rows and columns, so each pivot sees its fully updated row, and
-    the trailing block then takes the panel's updates as one matrix
-    product.  Every term of that product is a product of nonnegatives, so
-    its summation order keeps GTH's entrywise relative accuracy
-    (O'Cinneide, Numer. Math. 65, 1993).
+    the trailing block then takes the panel's updates as matrix products,
+    a ROW_BLOCK of rows each.  Every term of those products is a product
+    of nonnegatives, so its summation order keeps GTH's entrywise relative
+    accuracy (O'Cinneide, Numer. Math. 65, 1993).
 
     Entries with log A below LOG_NEGLIGIBLE are set to 0, which keeps every
     product of two kept entries a normal double.  Where the scaling alone,
@@ -285,21 +304,24 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
     true phi / e^s, which the pass itself cannot see (see _solve_logdomain).
     """
     m = s.size
-    A = np.add(log_p[:, 1:], s[None, :])
-    A -= s[:, None]
-    negligible = A < LOG_NEGLIGIBLE
-    np.fill_diagonal(negligible, False)  # the diagonal is never a pivot mass
-    buf = np.subtract(s[None, :], s[:, None])
-    to_top = negligible & (buf < LOG_NEGLIGIBLE / 2)
-    buf.fill(LOG_ZERO)
-    np.copyto(buf, log_p[:, 1:], where=to_top)
-    del to_top
-    top = np.logaddexp(log_top, _logsumexp_rows(buf))
-    del buf
-    np.exp(A, out=A)
-    A[negligible] = 0.0
-    del negligible
     log_c = log_p[:, 0] - s  # log of the scaled mass to 0
+    A = log_p[:, 1:]
+    log_moved = np.empty(m)  # log of each row's raw mass moved to top
+    for i in range(0, m, ROW_BLOCK):
+        rows = A[i : i + ROW_BLOCK]
+        s_x = s[i : i + ROW_BLOCK, None]
+        block = np.add(rows, s[None, :])
+        block -= s_x
+        negligible = block < LOG_NEGLIGIBLE
+        np.fill_diagonal(negligible[:, i:], False)  # the diagonal is never a pivot mass
+        buf = np.subtract(s[None, :], s_x)
+        to_top = negligible & (buf < LOG_NEGLIGIBLE / 2)
+        buf.fill(LOG_ZERO)
+        np.copyto(buf, rows, where=to_top)
+        log_moved[i : i + ROW_BLOCK] = _logsumexp_rows(buf)
+        np.exp(block, out=rows)
+        rows[negligible] = 0.0
+    top = np.logaddexp(log_top, log_moved)
     log_pivot = np.empty(m)
     terms = np.empty(m + 1)  # the log masses that sum to a pivot
     with np.errstate(divide="ignore"):
@@ -330,7 +352,8 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
                 f += log_c[k]
                 np.logaddexp(log_c[k + 1 :], f, out=log_c[k + 1 :])
                 np.logaddexp(top[k + 1 :], d, out=top[k + 1 :])
-            A[k1:, k1:] += A[k1:, k0:k1] @ A[k0:k1, k1:]
+            for i in range(k1, m, ROW_BLOCK):
+                A[i : i + ROW_BLOCK, k1:] += A[i : i + ROW_BLOCK, k0:k1] @ A[k0:k1, k1:]
 
     psi = np.empty(m)
     c = np.exp(log_c)
@@ -340,7 +363,7 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
     return np.log(psi) + s
 
 
-def _solve_logdomain(log_p: np.ndarray, log_top: np.ndarray) -> np.ndarray:
+def _solve_logdomain(params: ModelParams, u: int, log_top: np.ndarray) -> np.ndarray:
     """log phi(1..u-1) by scaled GTH, rescaled by its own result until it settles.
 
     The first pass scales by the path floor.  Its result is returned when
@@ -358,25 +381,35 @@ def _solve_logdomain(log_p: np.ndarray, log_top: np.ndarray) -> np.ndarray:
     itself, so every zeroed entry carried less than e^LOG_NEGLIGIBLE of the
     returned phi(x), and a pivot missed at most raw masses below
     e^(LOG_NEGLIGIBLE / 2) kept as self-loops.
+
+    Every pass spends the kernel rows it is given, so each further pass
+    rebuilds them.
     """
+    log_p = _transient_log_rows(params, u)
     s = _path_floor(log_p)[1:]
     log_phi = _solve_gth_scaled(log_p, log_top, s)
+    del log_p
     if np.max(log_phi - s) <= LOG_SCALE_GAP:
         return log_phi
     for _ in range(RESCALE_PASSES - 1):
         s = log_phi
-        log_phi = _solve_gth_scaled(log_p, log_top, s)
+        log_phi = _solve_gth_scaled(_transient_log_rows(params, u), log_top, s)
         if np.max(np.abs(log_phi - s)) <= RESCALE_TOL:
             return log_phi
     raise SolverError(f"scaled GTH did not settle within {RESCALE_PASSES} passes")
 
 
-def _harmonicity_residual(log_p: np.ndarray, log_phi: np.ndarray) -> float:
+def _harmonicity_residual(params: ModelParams, u: int, log_phi: np.ndarray) -> float:
     """max_x | logsumexp_y(log p(x,y) + log phi(y)) - log phi(x) |, over x = 1..u-1.
 
-    Raises SolverError above HARMONICITY_TOL; 0.0 for u = 1, with no rows.
+    The kernel rows are built a ROW_BLOCK at a time, so the check holds no
+    m^2 array.  Raises SolverError above HARMONICITY_TOL; 0.0 for u = 1,
+    with no rows.
     """
-    lhs = _logsumexp_rows(log_p + log_phi[None, :])
+    lhs = np.empty(u - 1)
+    for i, block in _log_row_blocks(params, u, 0, u - 1):
+        block += log_phi[None, :]
+        lhs[i : i + block.shape[0]] = _logsumexp_rows(block)
     residual = float(np.max(np.abs(lhs - log_phi[1:]), initial=0.0))
     if not residual <= HARMONICITY_TOL:
         raise SolverError(
@@ -399,9 +432,10 @@ def hitting_profile(params: ModelParams, u: int) -> HittingProfile:
     if u == 1:
         return HittingProfile(params, 1, np.zeros(1), 0.0, METHOD_LOGDOMAIN)
 
-    log_p = _transient_log_rows(params, u)
-    log_phi = np.concatenate(([0.0], _solve_logdomain(log_p, _log_top_masses(params, u))))
-    return HittingProfile(params, u, log_phi, _harmonicity_residual(log_p, log_phi), METHOD_LOGDOMAIN)
+    log_top = _log_top_masses(params, u)  # before the m^2 rows, so its blocks add to no peak
+    log_phi = np.concatenate(([0.0], _solve_logdomain(params, u, log_top)))
+    residual = _harmonicity_residual(params, u, log_phi)
+    return HittingProfile(params, u, log_phi, residual, METHOD_LOGDOMAIN)
 
 
 def tilted_kernel(profile: HittingProfile) -> TiltedKernel:
@@ -414,9 +448,10 @@ def tilted_kernel(profile: HittingProfile) -> TiltedKernel:
     u = profile.u
     if u == 1:
         return TiltedKernel(1, np.zeros((0, 1)), profile)
-    log_p = _transient_log_rows(profile.params, u)
-    log_rows = log_p + profile.log_phi[None, :] - profile.log_phi[1:, None]
-    rows = np.exp(log_rows)
+    rows = _transient_log_rows(profile.params, u)  # tilted, exponentiated and normalized in place
+    rows += profile.log_phi[None, :]
+    rows -= profile.log_phi[1:, None]
+    np.exp(rows, out=rows)
     sums = rows.sum(axis=1)
     worst = int(np.argmax(np.abs(sums - 1.0)))
     if abs(sums[worst] - 1.0) > ROW_SUM_TOL:
@@ -424,7 +459,9 @@ def tilted_kernel(profile: HittingProfile) -> TiltedKernel:
             f"tilted row for x={worst + 1} sums to {sums[worst]:.12f}, "
             f"off by more than {ROW_SUM_TOL:.0e}"
         )
-    return TiltedKernel(u, rows / sums[:, None], profile)
+    rows /= sums[:, None]
+    rows.flags.writeable = False  # TiltedKernel keeps it without a copy
+    return TiltedKernel(u, rows, profile)
 
 
 def _conditioned_time(kernel: TiltedKernel, r: np.ndarray) -> TimeProfile:
@@ -553,7 +590,7 @@ def read_profile(path: str | Path, params: ModelParams, u: int) -> HittingProfil
     if (profile.params, profile.u) != (params, u):
         raise ValueError(f"{path}: its key does not match the requested profile")
     try:
-        residual = _harmonicity_residual(_transient_log_rows(params, u), profile.log_phi)
+        residual = _harmonicity_residual(params, u, profile.log_phi)
     except SolverError as exc:
         raise ProfileFormatError(str(exc), str(path)) from None
     return replace(profile, residual=residual)

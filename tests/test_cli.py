@@ -597,10 +597,10 @@ class TestSummaryKeys:
     PROFILE = {"constants", "residual", "solve", "files", "experiment", "elapsed_seconds"}
     ESTIMATE = {"constants", "steps_total", "steps_max", "trials_per_s", "files", "experiment",
                 "elapsed_seconds"}
-    BOUNDS = {"eq", "q", "q1", "q2", "theta", "kappa_n"}
+    BOUNDS = {"eq", "q", "q1", "q2", "theta", "kappa_n", "log_kappa_n"}
     RUNS = {
         "profile": (["--lambda", "2", "--n", "50", "--u", "10"],
-                    PROFILE, {"eq", "q", "kappa_n", "u"}),
+                    PROFILE, {"eq", "q", "kappa_n", "log_kappa_n", "u"}),
         "figure1": (THRESHOLD, PROFILE, BOUNDS | {"u"}),
         "figure2": (THRESHOLD, PROFILE, BOUNDS | {"u"}),
         "cond-time": (THRESHOLD, PROFILE, BOUNDS | {"u"}),
@@ -609,13 +609,13 @@ class TestSummaryKeys:
         "occupation": ([*THRESHOLD, "--delta", "0.1"], PROFILE | {"delta"}, BOUNDS | {"u"}),
         "mc-hitting": (["--lambda", "2", "--n", "50", "--u", "10", "--x0", "3",
                         "--trials", "200", "--seed", "1"],
-                       ESTIMATE, {"eq", "q", "kappa_n", "u"}),
+                       ESTIMATE, {"eq", "q", "kappa_n", "log_kappa_n", "u"}),
         "mc-cond-path": ([*THRESHOLD, "--x0", "5", "--trials", "200", "--seed", "1"],
                          ESTIMATE | {"residual", "solve"}, BOUNDS | {"u"}),
         "equivalence": (["--lambda", "2", "--n", "20", "--x0", "5", "--trials", "200",
                          "--seed", "1"],
                         {"constants", "files", "experiment", "elapsed_seconds"},
-                        {"eq", "q", "kappa_n"}),
+                        {"eq", "q", "kappa_n", "log_kappa_n"}),
         "bounds-report": (["--lambda", "2", "--n", "200", "--epsilon", "0.05"],
                           {"constants", "alpha", "gamma", "checks", "solve", "files",
                            "experiment", "elapsed_seconds"},

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from barw.chain import LOG_ZERO, _log_top_masses, _logsumexp_rows, _transient_lo
 from barw.solver import (
     HittingProfile,
     METHOD_LOGDOMAIN,
+    TiltedKernel,
     _conditioned_time,
     _path_floor,
     _solve_gth_rhs,
@@ -448,6 +450,50 @@ class TestTiltedKernel:
             tilted_kernel(tampered)
 
 
+def _traced_peak(f, *args):
+    """f(*args) and the peak of the memory that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = f(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestSolveMemory:
+    """Each stage holds about one m^2 array of doubles at its peak, m = u - 1.
+
+    The profile solve writes its scaled matrix over the kernel rows and
+    builds its masks, trailing products and residual a ROW_BLOCK of rows at
+    a time; tilting works in place of the rows it builds and keeps them
+    without a copy.
+    """
+
+    PARAMS, U = ModelParams(2.0, 2000), 594  # the window profile of bounds-report --n 2000
+
+    @pytest.fixture(scope="class")
+    def profile_and_peak(self):
+        return _traced_peak(hitting_profile, self.PARAMS, self.U)
+
+    def test_profile_solve_peaks_below_1_6_m2(self, profile_and_peak):
+        profile, peak = profile_and_peak
+        assert profile.residual <= 1e-8
+        assert peak <= 1.6 * 8 * (self.U - 1) ** 2, peak / (8 * (self.U - 1) ** 2)
+
+    def test_tilting_peaks_below_2_m2(self, profile_and_peak):
+        kernel, peak = _traced_peak(tilted_kernel, profile_and_peak[0])
+        assert peak <= 2.0 * 8 * (self.U - 1) ** 2, peak / (8 * (self.U - 1) ** 2)
+        assert not kernel.rows.flags.writeable
+
+    def test_a_callers_rows_are_copied(self, profile_2_50_u10, kernel_2_50_u10):
+        rows = np.array(kernel_2_50_u10.rows)
+        kernel = TiltedKernel(10, rows, profile_2_50_u10)
+        rows[0, 0] = 2.0  # the caller's array stays writable, and the kernel's does not follow
+        assert not np.shares_memory(rows, kernel.rows)
+        assert kernel.rows.tobytes() == kernel_2_50_u10.rows.tobytes()
+
+
 class TestConditionalExpectedExtinction:
     def test_starts_at_zero(self, kernel_2_50_u10):
         t = conditional_expected_extinction(kernel_2_50_u10)
@@ -816,6 +862,20 @@ class TestProfileSerialization:
             read_profile(path, ModelParams(2.0, 50), 10)
         assert not isinstance(err.value, ProfileFormatError)
         assert str(path) in str(err.value)
+        assert built == []
+
+    def test_other_key_is_refused_before_row_blocks_are_built(
+        self, tmp_path, profile_2_50_u10, monkeypatch
+    ):
+        # the residual check builds the key's rows a block at a time
+        path = tmp_path / "profile.json"
+        write_profile(profile_2_50_u10, path)
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "n": 10**8}))
+        built = []
+        monkeypatch.setattr(solver, "_log_row_blocks", lambda params, *args: built.append(params))
+        with pytest.raises(ValueError, match="its key does not match the requested profile"):
+            read_profile(path, ModelParams(2.0, 50), 10)
         assert built == []
 
     @settings(derandomize=True, deadline=None, max_examples=150, database=None)
