@@ -47,6 +47,15 @@ _STIRLING_LARGE = (
 )
 
 
+def _check_int(name: str, value: object, least: int | None = None) -> int:
+    """value as an int: an int or a numpy integer, never a bool, and at least `least` if given."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not is_int or (least is not None and value < least):
+        at_least = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Offspring mean lam (finite, > 1) and number of sites n for the count chain."""
@@ -57,8 +66,7 @@ class ModelParams:
     def __post_init__(self):
         if not 1.0 < self.lam < math.inf:
             raise ValueError(f"offspring mean must be finite and must exceed 1, got {self.lam}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"site count must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", _check_int("site count", self.n, 1))
 
 
 def branch_prob(params: ModelParams, x: int) -> float:
@@ -257,6 +265,8 @@ def _ceil_snapped(v: float) -> int:
 
 
 def _check_threshold(params: ModelParams, u: int) -> None:
+    if u != math.inf:  # threshold_u's eps*n may overflow to inf
+        _check_int("threshold", u)
     if not 1 <= u <= params.n:
         raise ValueError(f"threshold {u} outside [1, {params.n}]")
 

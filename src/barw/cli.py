@@ -39,7 +39,6 @@ from .simulate import (
 )
 from .solver import (
     HittingProfile,
-    KernelConsistencyError,
     SolverError,
     _check_band,
     _check_threshold,
@@ -224,41 +223,36 @@ def _int_slots(a: np.ndarray):
     return _digits(a, count), np.arange(4 * count) >= (4 * count - length)[:, None]
 
 
-def _column_slots(a: np.ndarray):
+def _column_slots(a):
     """Slots, keep mask and undecided cells of a column; `_cell` writes any row holding one."""
-    if a.dtype == np.float64:
+    if isinstance(a, np.ndarray) and a.dtype == np.float64:
         return _float_slots(a)
-    if a.dtype.kind == "i":
+    if isinstance(a, np.ndarray) and a.dtype.kind == "i":
         odd = a < 0
         return *_int_slots(np.where(odd, 0, a)), odd
     return np.zeros((len(a), 0), np.uint8), np.zeros((len(a), 0), bool), np.ones(len(a), bool)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows as CSV, each cell's text equal to `_cell`'s.
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write one 1-D column per header name as CSV, each cell's text equal to `_cell`'s.
 
-    rows is a structured array whose fields are the columns, or any other
-    iterable of rows.  numpy formats a structured array CSV_CHUNK rows at a
-    time, its float64 and signed-integer fields column by column, and
-    `_cell` writes each row that holds a cell numpy leaves undecided.
-    `_cell` writes every row of any other input.  A field count or row
-    width other than len(header) raises ValueError.
+    numpy formats a float64 or signed-integer ndarray column CSV_CHUNK rows
+    at a time, and `_cell` writes each row that holds a cell numpy leaves
+    undecided.  Every cell of any other column, a list say, is undecided,
+    so `_cell` writes every row of a table that has one.  A column count
+    other than len(header), or columns of unequal length, raise ValueError.
     """
-    names = rows.dtype.names if isinstance(rows, np.ndarray) else None
-    if names and len(names) != len(header):
-        raise ValueError(f"{len(names)} fields under {len(header)} header names")
+    lengths = {len(column) for column in columns}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ValueError(
+            f"{len(columns)} columns of lengths {sorted(lengths)} under {len(header)} header names"
+        )
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        if not names:
-            for row in rows:
-                if len(row) != len(header):
-                    raise ValueError(f"a row of {len(row)} cells under {len(header)} header names")
-                f.write(",".join(map(_cell, row)) + "\n")
-            return
-        for start in range(0, len(rows), CSV_CHUNK):
-            columns = [rows[name][start : start + CSV_CHUNK] for name in names]
-            cells = [_column_slots(column) for column in columns]
-            sep = np.full((len(columns[0]), 1), ord(","), np.uint8)
+        for start in range(0, max(lengths, default=0), CSV_CHUNK):
+            chunk = [column[start : start + CSV_CHUNK] for column in columns]
+            cells = [_column_slots(column) for column in chunk]
+            sep = np.full((len(chunk[0]), 1), ord(","), np.uint8)
             slots = np.hstack([part for s, _, _ in cells for part in (s, sep)])
             slots[:, -1] = ord("\n")
             keep = np.hstack([part for _, k, _ in cells for part in (k, np.ones_like(sep, bool))])
@@ -268,7 +262,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             if undecided.size:
                 lines = text.split("\n")
                 for i in undecided.tolist():
-                    lines[i] = ",".join(_cell(column[i]) for column in columns)
+                    lines[i] = ",".join(_cell(column[i]) for column in chunk)
                 text = "\n".join(lines)
             f.write(text)
 
@@ -407,33 +401,30 @@ def _profile_step(
 
 def _exp_profile(config: ExperimentConfig) -> tuple[tuple, dict]:
     profile, summary = _profile_step(config, None)
-    rows = [(x, v, math.exp(v) or "") for x, v in enumerate(profile.log_phi.tolist())]
-    header = ["x", "log_phi_natural", "phi_if_representable"]
-    return (header, rows), summary
+    log_phi = profile.log_phi.tolist()
+    columns = [range(profile.u), log_phi, [math.exp(v) or "" for v in log_phi]]
+    return (["x", "log_phi_natural", "phi_if_representable"], columns), summary
 
 
 def _exp_figure1(config: ExperimentConfig) -> tuple[tuple, dict]:
     profile, summary = _profile_step(config, "window")
-    log10_h = np.rec.fromarrays([np.arange(profile.u), profile.log_phi / math.log(10.0)])
-    return (["x", "log10_h"], log10_h), summary
+    columns = [np.arange(profile.u), profile.log_phi / math.log(10.0)]
+    return (["x", "log10_h"], columns), summary
 
 
 def _exp_figure2(config: ExperimentConfig) -> tuple[tuple, dict]:
     profile, summary = _profile_step(config, "window")
-    kernel = tilted_kernel(profile)
-    table = np.empty(kernel.rows.shape, [("x", np.int64), ("y", np.int64), ("p_phi", np.float64)])
-    table["x"] = np.arange(1, profile.u)[:, None]
-    table["y"] = np.arange(profile.u)
-    table["p_phi"] = kernel.rows
-    return (["x", "y", "p_phi"], table.ravel()), summary
+    rows = tilted_kernel(profile).rows
+    m, u = rows.shape
+    columns = [np.arange(1, u).repeat(u), np.tile(np.arange(u), m), rows.ravel()]
+    return (["x", "y", "p_phi"], columns), summary
 
 
 def _exp_cond_time(config: ExperimentConfig) -> tuple[tuple, dict]:
     profile, summary = _profile_step(config, "window")
-    t = conditional_expected_extinction(tilted_kernel(profile)).values.tolist()
-    rows = [(0, 0.0, "")]
-    rows.extend((x, t[x], t[x] / math.log1p(x)) for x in range(1, profile.u))
-    return (["x", "t", "t_over_log1p"], rows), summary
+    t = conditional_expected_extinction(tilted_kernel(profile)).tolist()
+    ratio = [""] + [t[x] / math.log1p(x) for x in range(1, profile.u)]
+    return (["x", "t", "t_over_log1p"], [range(profile.u), t, ratio]), summary
 
 
 def _exp_uncond_time(config: ExperimentConfig) -> tuple[tuple, dict]:
@@ -451,17 +442,18 @@ def _exp_uncond_time(config: ExperimentConfig) -> tuple[tuple, dict]:
     constants = {"q": gw_extinction_prob(config.lam)}
     rows = []
     for params, x in starts:
-        t = unconditional_expected_extinction(params).values
+        t = unconditional_expected_extinction(params)
         rows.append((params.n, x, t[x], math.log(t[x])))
-    return (["n", "x", "expected_T0", "ln_expected_T0"], rows), {"constants": constants}
+    header = ["n", "x", "expected_T0", "ln_expected_T0"]
+    return (header, list(zip(*rows))), {"constants": constants}
 
 
 def _exp_occupation(config: ExperimentConfig) -> tuple[tuple, dict]:
     check = partial(_check_band, config.delta, config.n)  # called with u
     profile, summary = _profile_step(config, "window", "delta", check=check)
-    t = conditional_occupation_time(tilted_kernel(profile), config.delta).values
-    table = np.rec.fromarrays([np.arange(profile.u), t])
-    return (["x", "expected_band_time"], table), {"delta": config.delta, **summary}
+    t = conditional_occupation_time(tilted_kernel(profile), config.delta)
+    columns = [np.arange(profile.u), t]
+    return (["x", "expected_band_time"], columns), {"delta": config.delta, **summary}
 
 
 def _estimate_outputs(estimate, summary: dict) -> tuple[tuple, dict]:
@@ -469,8 +461,8 @@ def _estimate_outputs(estimate, summary: dict) -> tuple[tuple, dict]:
     started = time.perf_counter()
     est = estimate()
     seconds = time.perf_counter() - started
-    row = (est.mean, est.std_error, est.trials, est.seed)
-    return (["estimate", "std_error", "trials", "seed"], [row]), {
+    columns = [[est.mean], [est.std_error], [est.trials], [est.seed]]
+    return (["estimate", "std_error", "trials", "seed"], columns), {
         **summary,
         "steps_total": est.steps_total,
         "steps_max": est.steps_max,
@@ -512,9 +504,8 @@ def _exp_equivalence(config: ExperimentConfig) -> tuple[tuple, dict]:
     counts = particle_step_counts(graph, config.x0, config.lam, config.trials, config.seed)
     empirical = np.bincount(counts, minlength=n + 1)[: n + 1] / config.trials
     exact = np.exp(transition_log_row(params, config.x0))
-    row = (n, params.lam, config.x0, config.trials, tv_distance(empirical, exact))
-    header = ["n", "lambda", "x", "trials", "tv_distance"]
-    return (header, [row]), {"constants": constants}
+    columns = [[n], [params.lam], [config.x0], [config.trials], [tv_distance(empirical, exact)]]
+    return (["n", "lambda", "x", "trials", "tv_distance"], columns), {"constants": constants}
 
 
 def _exp_bounds_report(config: ExperimentConfig) -> tuple[str, dict]:
@@ -665,7 +656,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, KernelConsistencyError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except TruncationError as exc:

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ModelParams, _cdf_rows, _log_factorials, _transient_log_rows
+from .chain import ModelParams, _cdf_rows, _check_int, _log_factorials, _transient_log_rows
 from .solver import TiltedKernel, _check_threshold
 
 #: hard per-trial cap inside estimators; hitting it means the estimate
@@ -68,11 +68,6 @@ class TruncationError(RuntimeError):
 def _check_seed(seed: int) -> None:
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-
-
-def _check_int(name: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_trials(trials: int) -> None:
@@ -219,9 +214,8 @@ class GraphSpec:
     allow_self: bool
 
     def __post_init__(self):
-        n = self.vertex_count
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"vertex count must be an integer >= 1, got {n!r}")
+        n = _check_int("vertex count", self.vertex_count, 1)
+        object.__setattr__(self, "vertex_count", n)
         if self.adjacency is None:
             if n == 1 and not self.allow_self:
                 raise ValueError("vertex 0 has no legal move target")
@@ -274,7 +268,10 @@ def parse_graph_file(path: str | Path) -> GraphSpec:
     Every violation raises ValueError naming the file.
     """
     path = Path(path)
-    lines = path.read_text().splitlines() or [""]
+    try:
+        lines = path.read_text().splitlines() or [""]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     head = re.fullmatch(r"\s*vertices=([0-9]+)\s+self_loops=([01])\s*", lines[0])
     if head is None:
         raise ValueError(f"{path}: bad header line {lines[0]!r}")

@@ -16,7 +16,9 @@ hitting event is a Doob transform of the kernel by phi.  Expected
 absorption and occupation times under the conditioned chain are GTH
 solves too, unscaled and carrying the right-hand side, in panels whose
 trailing update is an einsum.  The unconditional expected time is still
-a native elimination that subtracts.
+a native elimination that subtracts.  Every time solve returns a plain
+read-only array t over x = 0, 1, ..., with t[0] = 0, and every solve or
+check that fails its contract raises SolverError.
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-class KernelConsistencyError(RuntimeError):
-    """Tilted rows failed to sum to 1 within tolerance, signalling a bad profile."""
-
-
 class ProfileFormatError(ValueError):
     """A profile file is malformed or fails the harmonicity check; `path` names the file."""
 
@@ -116,8 +114,8 @@ class HittingProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "log_phi", _frozen(self.log_phi))
-        if not isinstance(self.u, int) or not 1 <= self.u <= self.params.n:
-            raise ValueError(f"u={self.u!r} must be an int in [1, n={self.params.n}]")
+        _check_threshold(self.params, self.u)
+        object.__setattr__(self, "u", int(self.u))
         if len(self.log_phi) != self.u:
             raise ValueError(f"log_phi must hold exactly u={self.u} entries")
         if self.log_phi[0] != 0.0:
@@ -150,19 +148,6 @@ class TiltedKernel:
     def row_cdfs(self) -> np.ndarray:
         """Per-row CDFs ending at exactly 1, for inverse-CDF sampling."""
         return _cdf_rows(self.rows)
-
-
-@dataclass(frozen=True)
-class TimeProfile:
-    """Expected step counts t[x] indexed by starting state x = 0, 1, ..."""
-
-    values: np.ndarray
-    conditional: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
-        if self.values[0] != 0.0:
-            raise ValueError("t(0) must be 0")
 
 
 def _solve_m_matrix(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -443,7 +428,7 @@ def tilted_kernel(profile: HittingProfile) -> TiltedKernel:
 
     Each raw row must already sum to 1 within 1e-9 (harmonicity of phi);
     rows are then renormalized exactly.  A larger deviation means the
-    profile is inconsistent with the kernel and is reported as an error.
+    profile is inconsistent with the kernel and raises SolverError.
     """
     u = profile.u
     if u == 1:
@@ -455,7 +440,7 @@ def tilted_kernel(profile: HittingProfile) -> TiltedKernel:
     sums = rows.sum(axis=1)
     worst = int(np.argmax(np.abs(sums - 1.0)))
     if abs(sums[worst] - 1.0) > ROW_SUM_TOL:
-        raise KernelConsistencyError(
+        raise SolverError(
             f"tilted row for x={worst + 1} sums to {sums[worst]:.12f}, "
             f"off by more than {ROW_SUM_TOL:.0e}"
         )
@@ -464,18 +449,20 @@ def tilted_kernel(profile: HittingProfile) -> TiltedKernel:
     return TiltedKernel(u, rows, profile)
 
 
-def _conditioned_time(kernel: TiltedKernel, r: np.ndarray) -> TimeProfile:
-    """Solve t = r + P_phi t over x = 1..u-1 under the conditioned chain, t(0) = 0.
+def _conditioned_time(kernel: TiltedKernel, r: np.ndarray) -> np.ndarray:
+    """Solve t = r + P_phi t over x = 1..u-1 under the conditioned chain; t over x = 0..u-1.
 
     The tilted rows sum to 1 with their mass to 0 as column 0, so GTH
-    (_solve_gth_rhs) solves it without subtracting.
+    (_solve_gth_rhs) solves it without subtracting.  t(0) = 0, and t is
+    read-only.
     """
-    t = _solve_gth_rhs(kernel.rows, r)
-    return TimeProfile(np.concatenate(([0.0], t)), conditional=True)
+    t = np.concatenate(([0.0], _solve_gth_rhs(kernel.rows, r)))
+    t.flags.writeable = False
+    return t
 
 
-def conditional_expected_extinction(kernel: TiltedKernel) -> TimeProfile:
-    """Expected steps to absorption under the conditioned chain, t(0) = 0."""
+def conditional_expected_extinction(kernel: TiltedKernel) -> np.ndarray:
+    """Expected steps to absorption under the conditioned chain, read-only, t(0) = 0."""
     return _conditioned_time(kernel, np.ones(kernel.u - 1))
 
 
@@ -487,8 +474,8 @@ def _check_unconditional_cap(n: int) -> None:
         )
 
 
-def unconditional_expected_extinction(params: ModelParams) -> TimeProfile:
-    """Expected absorption time of the raw chain from every state.
+def unconditional_expected_extinction(params: ModelParams) -> np.ndarray:
+    """Expected absorption time T of the raw chain from every state, read-only, T(0) = 0.
 
     Solves (I - Q)T = 1 over the states 1..n by native elimination, which
     subtracts.  The chain leaves for 0 at a rate of about 1/T ~ e^(-cn), so
@@ -502,17 +489,18 @@ def unconditional_expected_extinction(params: ModelParams) -> TimeProfile:
     n = params.n
     _check_unconditional_cap(n)
     rows = np.exp(_transient_log_rows(params, n + 1))
-    t = _solve_m_matrix(rows[:, 1:], np.ones(n))
+    t = np.concatenate(([0.0], _solve_m_matrix(rows[:, 1:], np.ones(n))))
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
-        raise SolverError(f"expected time from state {bad[0] + 1} overflowed")
+        raise SolverError(f"expected time from state {bad[0]} overflowed")
     estimate = n * np.finfo(float).eps * float(np.abs(t).max())
     if not estimate <= _UNCONDITIONAL_REL_TOL:
         raise SolverError(
             f"native solve's estimated relative error n*eps*max(T) = {estimate:.2g} exceeds "
             f"{_UNCONDITIONAL_REL_TOL:.0e} at lambda={params.lam:g}, n={n}"
         )
-    return TimeProfile(np.concatenate(([0.0], t)), conditional=False)
+    t.flags.writeable = False
+    return t
 
 
 def _check_band(delta: float, n: int, u: int) -> None:
@@ -522,8 +510,8 @@ def _check_band(delta: float, n: int, u: int) -> None:
         raise ValueError(f"band floor delta*n={delta * n:.6g} must lie below u={u}")
 
 
-def conditional_occupation_time(kernel: TiltedKernel, delta: float) -> TimeProfile:
-    """Expected conditioned time spent with delta*n < X < u, from every start.
+def conditional_occupation_time(kernel: TiltedKernel, delta: float) -> np.ndarray:
+    """Expected conditioned time spent with delta*n < X < u, from every start; read-only, t(0) = 0.
 
     Solves t(x) = 1{delta*n < x < u} + sum_{0<y<u} p_phi(x,y) t(y).
     """
@@ -576,16 +564,17 @@ def read_profile(path: str | Path, params: ModelParams, u: int) -> HittingProfil
                 f"unsupported version {record.get('version')!r}, expected {PROFILE_FORMAT_VERSION}"
             )
         lam, n, stored_u, log_phi = (record.get(k) for k in ("lambda", "n", "u", "log_phi"))
-        # exact types: json.loads gives bool for true/false, and bool subclasses int
-        if not (type(lam) in (int, float) and type(n) is int and type(stored_u) is int):
-            raise ValueError("lambda must be a number, n and u integers")
+        # exact types: json.loads gives bool for true/false, and bool subclasses int;
+        # ModelParams and HittingProfile refuse an n or u that is not an integer
+        if type(lam) not in (int, float):
+            raise ValueError("lambda must be a number")
         if not (type(log_phi) is list and all(type(v) in (int, float) for v in log_phi)):
             raise ValueError("log_phi must be a list of numbers")
         profile = HittingProfile(
             ModelParams(float(lam), n), stored_u, np.array(log_phi, dtype=float),
             math.nan, METHOD_CACHED,
         )
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:  # json.loads: too deeply nested
         raise ProfileFormatError(str(exc), str(path)) from None
     if (profile.params, profile.u) != (params, u):
         raise ValueError(f"{path}: its key does not match the requested profile")

@@ -143,7 +143,7 @@ def test_c05_conditional_window_scaling():
             u = threshold_u(params, 0.05, "window")
             t = conditional_expected_extinction(
                 tilted_kernel(hitting_profile(params, u))
-            ).values
+            )
             x = np.arange(2, u)
             r = t[2:] / np.log1p(x)
             assert np.all(np.isfinite(r))
@@ -155,7 +155,7 @@ def test_c06_unconditional_growth():
     with criterion(6, "ln E[T0] grows at least exponentially in n", 60.0):
         lnt = {}
         for n in (20, 30, 40, 50):
-            values = unconditional_expected_extinction(ModelParams(2.0, n)).values
+            values = unconditional_expected_extinction(ModelParams(2.0, n))
             lnt[n] = math.log(values[-(-n // 2)])
         assert lnt[20] < lnt[30] < lnt[40] < lnt[50]
         assert lnt[50] - lnt[40] >= 0.5 * (lnt[30] - lnt[20])
@@ -281,7 +281,7 @@ def test_c14_occupation_bounded_in_n():
             u = threshold_u(params, 0.05, "window")
             t = conditional_occupation_time(
                 tilted_kernel(hitting_profile(params, u)), 0.1
-            ).values
+            )
             assert np.all(np.isfinite(t))
             peak[n] = t.max()
         assert peak[1200] <= 1.25 * peak[300]

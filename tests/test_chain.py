@@ -48,6 +48,15 @@ class TestModelParams:
     def test_accepts_single_site(self):
         assert ModelParams(2.0, 1).n == 1
 
+    @pytest.mark.parametrize("n", [True, False, 50.0, "50", None])
+    def test_site_count_is_an_integer_and_not_a_bool(self, n):
+        with pytest.raises(ValueError, match=f"^site count must be an integer >= 1, got {n!r}$"):
+            ModelParams(2.0, n)
+
+    def test_numpy_integer_site_count_is_stored_as_an_int(self):
+        params = ModelParams(2.0, np.int64(50))
+        assert type(params.n) is int and params == ModelParams(2.0, 50)
+
 
 class TestBranchProb:
     def test_empty_system(self):

@@ -435,6 +435,14 @@ class TestGraphFiles:
         assert str(graph) in err and named in err
         assert not out.exists()
 
+    def test_undecodable_file_is_exit_2_naming_it(self, tmp_path, capsys):
+        graph, out = tmp_path / "g.txt", tmp_path / "out"
+        graph.write_bytes(b"vertices=4 self_loops=0\n0 1\n1 2\n2 \xff\n")
+        assert run(self.argv(graph, out)) == 2
+        err = capsys.readouterr().err
+        assert f"{graph}: " in err and "can't decode byte 0xff" in err
+        assert not out.exists()
+
 
 #: the flags besides --lambda, --n and --out of each run in TestFloatFlags, and
 #: whether it also takes the drawn --epsilon.  No Monte Carlo run takes one: an
@@ -641,9 +649,9 @@ class TestSummaryKeys:
             assert set(solve) == {"u", "m", "method", "residual"}
 
 
-def _per_cell(header, rows):
+def _per_cell(header, columns):
     """The CSV text `_cell` gives cell by cell: what `_write_csv` must write."""
-    lines = [",".join(header)] + [",".join(cli._cell(v) for v in row) for row in rows]
+    lines = [",".join(header)] + [",".join(cli._cell(v) for v in row) for row in zip(*columns)]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -666,13 +674,13 @@ class TestCsvWriter:
                 floats += [below, above]
         extremes = [2**63 - 1, -(2**63), 10**17 - 1, 10**17, 2**53 + 1]
         int64s = np.array((extremes + list(range(-5, len(floats))))[: len(floats)], np.int64)
-        table = np.rec.fromarrays([int64s, np.array(floats)])
-        cli._write_csv(tmp_path / "t.csv", ["a", "b"], table)
-        assert (tmp_path / "t.csv").read_bytes() == _per_cell(["a", "b"], table.tolist())
-        # a field of any other dtype leaves every row to `_cell`
-        table = np.rec.fromarrays([int64s.astype(np.uint64), int64s % 3 == 0, int64s])
-        cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
-        assert (tmp_path / "t.csv").read_bytes() == _per_cell(["a", "b", "c"], table.tolist())
+        cli._write_csv(tmp_path / "t.csv", ["a", "b"], [int64s, np.array(floats)])
+        assert (tmp_path / "t.csv").read_bytes() == _per_cell(["a", "b"], [int64s.tolist(), floats])
+        # a column of any other dtype leaves every row to `_cell`
+        columns = [int64s.astype(np.uint64), int64s % 3 == 0, int64s]
+        cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], columns)
+        want = _per_cell(["a", "b", "c"], [column.tolist() for column in columns])
+        assert (tmp_path / "t.csv").read_bytes() == want
 
     def test_rows_of_mixed_cells_match_per_cell(self, tmp_path):
         ints = [2**63 - 1, -(2**63), 2**63, 2**64 - 1, 2**53 + 1, -7, 0, 10**30, -(10**30)]
@@ -688,10 +696,9 @@ class TestCsvWriter:
             [v % 3 == 0 for v in ints],
             [np.bool_(v % 2) for v in ints],
         ]
-        rows = list(zip(*columns))
         header = [chr(ord("a") + j) for j in range(len(columns))]
-        cli._write_csv(tmp_path / "t.csv", header, rows)
-        assert (tmp_path / "t.csv").read_bytes() == _per_cell(header, rows)
+        cli._write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == _per_cell(header, columns)
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(
@@ -699,15 +706,15 @@ class TestCsvWriter:
     )
     def test_generated_floats_and_integers_match_per_cell(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("csv") / "t.csv"
-        cli._write_csv(path, ["v", "i"], np.array(rows, [("v", np.float64), ("i", np.int64)]))
-        assert path.read_bytes() == _per_cell(["v", "i"], rows)
+        floats, ints = zip(*rows)
+        cli._write_csv(path, ["v", "i"], [np.array(floats), np.array(ints, np.int64)])
+        assert path.read_bytes() == _per_cell(["v", "i"], [floats, ints])
 
     def test_random_bit_patterns_match_per_cell(self, tmp_path):
         bits = np.random.default_rng(20261019).integers(0, 2**64, 10**5, dtype=np.uint64)
         floats = bits.view(np.float64)
-        cli._write_csv(tmp_path / "t.csv", ["v"], np.rec.fromarrays([floats]))
-        rows = [(v,) for v in floats.tolist()]
-        assert (tmp_path / "t.csv").read_bytes() == _per_cell(["v"], rows)
+        cli._write_csv(tmp_path / "t.csv", ["v"], [floats])
+        assert (tmp_path / "t.csv").read_bytes() == _per_cell(["v"], [floats.tolist()])
 
     def test_fast_path_settles_its_cells(self):
         # the bytes would stay right with every cell sent to `_cell`, so this
@@ -729,25 +736,29 @@ class TestCsvWriter:
             assert texts == [format(v, ".17g") for v in values[settled].tolist()]
 
     def test_rows_of_unequal_width_are_refused(self, tmp_path):
-        with pytest.raises(ValueError):
-            cli._write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2.0), (3,)])
-        with pytest.raises(ValueError):
-            cli._write_csv(tmp_path / "t.csv", ["a"], [(1, 2.5)])
-        table = np.zeros(2, [("x", np.int64), ("p", np.float64)])
-        with pytest.raises(ValueError):
-            cli._write_csv(tmp_path / "t.csv", ["x", "p", "q"], table)
+        # a column count other than the header's, or a short column, leaves a row of another width
+        for header, columns in [
+            (["a", "b"], [[1, 3], [2.0]]),
+            (["a"], [[1], [2.5]]),
+            (["x", "p", "q"], [np.zeros(2, np.int64), np.zeros(2)]),
+        ]:
+            with pytest.raises(ValueError, match="columns of lengths"):
+                cli._write_csv(tmp_path / "t.csv", header, columns)
+            assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("chunk", [cli.CSV_CHUNK, 3])
-    def test_structured_array_matches_rows(self, tmp_path, monkeypatch, chunk):
+    def test_array_columns_match_list_columns(self, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
-        table = np.empty(8, [("x", np.int64), ("y", np.int64), ("p", np.float64)])
-        table["x"] = [1, 1, 2, 2, 3, -3, 2**62, -(2**63)]
-        table["y"] = np.arange(8)
-        table["p"] = [0.5, 1e-300, 0.0, -0.0, math.nan, 1 / 3, 1e22, 2.0**-1074]
-        cli._write_csv(tmp_path / "a.csv", ["x", "y", "p"], table)
-        cli._write_csv(tmp_path / "b.csv", ["x", "y", "p"], table.tolist())
+        columns = [
+            np.array([1, 1, 2, 2, 3, -3, 2**62, -(2**63)]),
+            np.arange(8),
+            np.array([0.5, 1e-300, 0.0, -0.0, math.nan, 1 / 3, 1e22, 2.0**-1074]),
+        ]
+        lists = [column.tolist() for column in columns]
+        cli._write_csv(tmp_path / "a.csv", ["x", "y", "p"], columns)
+        cli._write_csv(tmp_path / "b.csv", ["x", "y", "p"], lists)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        assert (tmp_path / "a.csv").read_bytes() == _per_cell(["x", "y", "p"], table.tolist())
+        assert (tmp_path / "a.csv").read_bytes() == _per_cell(["x", "y", "p"], lists)
 
 
 class TestBoundsReport:
@@ -807,6 +818,19 @@ class TestCache:
         back = cache_lookup(tmp_path, 2.0, 50, 10)
         assert back is not None
         assert back.log_phi.tobytes() == profile.log_phi.tobytes()
+
+    def test_deeply_nested_record_exits_2(self, tmp_path, capsys):
+        # json.loads raises RecursionError on nesting this deep, which is a malformed record
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache_path(cache, 2.0, 50, 10)
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        refused = path.read_bytes()
+        args = ["profile", "--lambda", "2", "--n", "50", "--u", "10", "--cache", str(cache)]
+        assert run(args + ["--out", str(tmp_path / "out")]) == 2
+        assert f"{path}: maximum recursion depth" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert path.read_bytes() == refused
 
     def test_tampered_key_is_refused(self, tmp_path):
         # lambda moved by 1e-12 leaves log phi harmonic within 1e-8, so only the key check sees it
@@ -890,13 +914,12 @@ class TestCache:
         assert run(args + ["--out", str(tmp_path / "a")]) == 0
         edit_record(cache_path(cache, 2.0, 50, 10), n=10**8)
         built = []
-        rows = solver._transient_log_rows
 
-        def recording_rows(params, u):
+        def recording_blocks(params, *args):
             built.append(params.n)
-            return rows(params, u)
+            return iter(())  # builds nothing, should the order be wrong
 
-        monkeypatch.setattr(solver, "_transient_log_rows", recording_rows)
+        monkeypatch.setattr(solver, "_log_row_blocks", recording_blocks)
         capsys.readouterr()
         started = time.perf_counter()
         assert run(args + ["--out", str(tmp_path / "b")]) == 2

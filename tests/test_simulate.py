@@ -145,10 +145,14 @@ class TestGraphSpec:
         got = sim._move_targets(g, np.array([1]), np.array([3]), np.array([0.0, 0.5, 0.9]))
         assert got.tolist() == [0, 2, 3]
 
-    @pytest.mark.parametrize("n", [0, -1, 2.5, "3", None])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, "3", None, True])
     def test_vertex_count_must_be_positive_integer(self, n):
         with pytest.raises(ValueError, match="vertex count must be an integer >= 1"):
             complete_graph(n)
+
+    def test_numpy_integer_vertex_count_is_stored_as_an_int(self):
+        g = sim.GraphSpec(np.int64(3), None, True)
+        assert type(g.vertex_count) is int and g == complete_graph(3)
 
     def test_single_vertex(self):
         g = complete_graph(1)
@@ -268,6 +272,14 @@ class TestGraphFile:
         with pytest.raises(ValueError):
             parse_graph_file(self.write(tmp_path, "vertices=2 self_loops=1\n0 0\n"))
 
+    def test_undecodable_file_is_refused_naming_it(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"vertices=3 self_loops=0\n0 1\n\xff 2\n")
+        with pytest.raises(ValueError) as err:
+            parse_graph_file(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert "can't decode byte 0xff" in str(err.value)
+
     def test_complete_name(self):
         g = complete_graph(6)
         assert g.vertex_count == 6 and g.allow_self and g.adjacency is None
@@ -373,7 +385,7 @@ class TestSampleConditionedPath:
                 estimate_conditioned_length(kernel, x0, 10, seed=0)
 
     def test_mean_length_matches_exact_solve(self, kernel):
-        t = conditional_expected_extinction(kernel).values
+        t = conditional_expected_extinction(kernel)
         est = estimate_conditioned_length(kernel, 20, 100_000, seed=909)
         assert abs(est.mean - t[20]) <= 4 * est.std_error
 
@@ -451,6 +463,11 @@ class TestIntegerArguments:
         bad = x0 if named == "start" else trials
         with pytest.raises(ValueError, match=rf"^{named}\w* must be an integer, got {bad}$"):
             self.RUNS[estimator](kernel, x0, trials)
+
+    def test_bool_threshold_is_refused(self):
+        # 1 <= True <= n, but a bool is not a threshold
+        with pytest.raises(ValueError, match="^threshold must be an integer, got True$"):
+            estimate_hitting_prob(ModelParams(2.0, 50), True, 0, 10, 1)
 
     @pytest.mark.parametrize("estimator", list(RUNS))
     def test_numpy_integers_are_accepted(self, kernel, estimator):

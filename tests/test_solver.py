@@ -15,7 +15,6 @@ from scipy.stats import binom
 
 import barw
 from barw import (
-    KernelConsistencyError,
     ModelParams,
     ProfileFormatError,
     SolverError,
@@ -31,7 +30,7 @@ from barw import (
     unconditional_expected_extinction,
     write_profile,
 )
-from barw import solver
+from barw import chain, solver
 from barw.chain import LOG_ZERO, _log_top_masses, _logsumexp_rows, _transient_log_rows
 from barw.solver import (
     HittingProfile,
@@ -402,7 +401,7 @@ class TestSolverProperties:
     @PROPERTY_SETTINGS
     @given(below_equilibrium())
     def test_tilted_rows_sum_to_one(self, case):
-        # tilted_kernel raises KernelConsistencyError if a raw row is off
+        # tilted_kernel raises SolverError if a raw row is off
         lam, n, u = case
         kernel = tilted_kernel(hitting_profile(ModelParams(lam, n), u))
         assert np.max(np.abs(kernel.rows.sum(axis=1) - 1.0)) <= 1e-9
@@ -446,7 +445,7 @@ class TestTiltedKernel:
         skewed = np.array(good.log_phi)
         skewed[5] += 0.5  # breaks harmonicity, rows will not sum to 1
         tampered = HittingProfile(params, 10, skewed, good.residual, good.method)
-        with pytest.raises(KernelConsistencyError):
+        with pytest.raises(SolverError, match=r"tilted row for x=\d+ sums to"):
             tilted_kernel(tampered)
 
 
@@ -497,22 +496,22 @@ class TestSolveMemory:
 class TestConditionalExpectedExtinction:
     def test_starts_at_zero(self, kernel_2_50_u10):
         t = conditional_expected_extinction(kernel_2_50_u10)
-        assert t.values[0] == 0.0
-        assert t.conditional
+        assert t[0] == 0.0
+        assert not t.flags.writeable and t.flags.owndata  # read-only, and not a view
 
     def test_two_state_geometric_identity(self):
         params = ModelParams(2.0, 3)
         kern = tilted_kernel(hitting_profile(params, 2))
         t = conditional_expected_extinction(kern)
-        assert t.values[1] == pytest.approx(1.0 / (1.0 - kern.rows[0, 1]), abs=1e-12)
+        assert t[1] == pytest.approx(1.0 / (1.0 - kern.rows[0, 1]), abs=1e-12)
 
     def test_at_least_one_step(self, kernel_15_300_window):
         t = conditional_expected_extinction(kernel_15_300_window)
-        assert np.all(t.values[1:] >= 1.0)
-        assert np.all(np.isfinite(t.values))
+        assert np.all(t[1:] >= 1.0)
+        assert np.all(np.isfinite(t))
 
     def test_log_window_band_recorded(self, kernel_15_300_window):
-        t = conditional_expected_extinction(kernel_15_300_window).values
+        t = conditional_expected_extinction(kernel_15_300_window)
         x = np.arange(2, kernel_15_300_window.u)
         r = t[2:] / np.log1p(x)
         assert math.isfinite(r.max() / r.min())
@@ -561,7 +560,7 @@ class TestGaltonWatsonLimit:
         gaps = []
         for n in (300, 1200):
             profile = hitting_profile(ModelParams(lam, n), window_u(lam, n))
-            t = conditional_expected_extinction(tilted_kernel(profile)).values
+            t = conditional_expected_extinction(tilted_kernel(profile))
             gaps.append((t[x] - gw_times, profile.log_phi[x] - x * math.log(q)))
         for small_n, large_n in zip(*gaps):
             assert np.all(large_n > 0.0)
@@ -590,8 +589,8 @@ class TestLogarithmicExtinctionWindow:
         means, sds = [], []
         for n in (300, 1200):
             kernel = tilted_kernel(hitting_profile(ModelParams(lam, n), window_u(lam, n)))
-            t = conditional_expected_extinction(kernel).values
-            s = _conditioned_time(kernel, 1.0 + 2.0 * kernel.rows[:, 1:] @ t[1:]).values
+            t = conditional_expected_extinction(kernel)
+            s = _conditioned_time(kernel, 1.0 + 2.0 * kernel.rows[:, 1:] @ t[1:])
             means.append(t[-1])
             sds.append(math.sqrt(s[-1] - t[-1] ** 2))
         increment = (means[1] - means[0]) * rate / math.log(4.0)
@@ -679,8 +678,8 @@ class TestConditionedTimeSolve:
     def test_u_one_gives_t_zero(self):
         kern = tilted_kernel(hitting_profile(ModelParams(2.0, 10), 1))
         for t in (conditional_expected_extinction(kern), conditional_occupation_time(kern, 0.05)):
-            assert t.values.tolist() == [0.0]
-            assert t.conditional
+            assert t.tolist() == [0.0]
+            assert not t.flags.writeable
 
     def test_m_matrix_solve_forms_i_minus_q(self, kernel_2_50_u10):
         Q = kernel_2_50_u10.rows[:, 1:]
@@ -707,14 +706,14 @@ class TestConditionedTimeSolve:
             a = mpmath.eye(x.size) - mpmath.matrix(kern.rows[:, 1:].tolist())
             for got, r in cases:
                 want = mpmath.lu_solve(a, mpmath.matrix(r.tolist()))
-                assert got.values[0] == 0.0
-                rel = max(abs(g / w - 1) for g, w in zip(got.values[1:].tolist(), want))
+                assert got[0] == 0.0
+                rel = max(abs(g / w - 1) for g, w in zip(got[1:].tolist(), want))
                 assert rel <= 1e-14, float(rel)
 
     def test_occupation_with_full_band_is_extinction_time(self, kernel_15_300_window):
         # every transient state lies above delta*n = 0.3, so r = 1 as for t
-        t = conditional_expected_extinction(kernel_15_300_window).values
-        occ = conditional_occupation_time(kernel_15_300_window, 0.001).values
+        t = conditional_expected_extinction(kernel_15_300_window)
+        occ = conditional_occupation_time(kernel_15_300_window, 0.001)
         assert occ.tobytes() == t.tobytes()
 
 
@@ -723,16 +722,16 @@ class TestUnconditionalExpectedExtinction:
         params = ModelParams(2.0, 1)
         t = unconditional_expected_extinction(params)
         p11 = branch_prob(params, 1)
-        assert t.values[0] == 0.0
-        assert t.values[1] == pytest.approx(1.0 / (1.0 - p11), rel=1e-12)
+        assert t[0] == 0.0
+        assert t[1] == pytest.approx(1.0 / (1.0 - p11), rel=1e-12)
 
     def test_growth_with_n(self):
         previous = 0.0
         for n in (20, 30, 40):
             t = unconditional_expected_extinction(ModelParams(2.0, n))
             x = -(-n // 2)
-            assert math.log(t.values[x]) > previous
-            previous = math.log(t.values[x])
+            assert math.log(t[x]) > previous
+            previous = math.log(t[x])
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -740,8 +739,8 @@ class TestUnconditionalExpectedExtinction:
 
     def test_not_conditional(self):
         t = unconditional_expected_extinction(ModelParams(2.0, 5))
-        assert not t.conditional
-        assert np.all(t.values[1:] >= 1.0)
+        assert not t.flags.writeable and t.flags.owndata
+        assert np.all(t[1:] >= 1.0)
 
     def test_non_finite_time_is_a_solver_error(self, monkeypatch):
         monkeypatch.setattr(solver, "_solve_m_matrix", lambda Q, b: np.full(b.size, np.inf))
@@ -754,7 +753,7 @@ class TestUnconditionalExpectedExtinction:
 
     def test_admitted_solve_within_known_error(self):
         # the native solve's error at n=50 is 2.5e-9; its estimate n*eps*max T is 5.0e-9
-        t = unconditional_expected_extinction(ModelParams(2.0, 50)).values
+        t = unconditional_expected_extinction(ModelParams(2.0, 50))
         assert abs(math.log(t[25]) - self.LOG_T_60_DIGITS[50]) <= 3e-9
 
     @pytest.mark.parametrize("n", [100, 200])
@@ -769,13 +768,13 @@ class TestConditionalOccupationTime:
         params = ModelParams(2.0, 3)
         kern = tilted_kernel(hitting_profile(params, 2))
         t = conditional_occupation_time(kern, 0.2)  # band (0.6, 2) contains x=1
-        assert t.values[1] == pytest.approx(1.0 / (1.0 - kern.rows[0, 1]), abs=1e-12)
+        assert t[1] == pytest.approx(1.0 / (1.0 - kern.rows[0, 1]), abs=1e-12)
 
     def test_empty_band_gives_zero(self):
         params = ModelParams(2.0, 3)
         kern = tilted_kernel(hitting_profile(params, 2))
         t = conditional_occupation_time(kern, 0.6)  # band (1.8, 2) holds no integer
-        assert np.all(t.values == 0.0)
+        assert np.all(t == 0.0)
 
     def test_band_floor_must_lie_below_u(self):
         params = ModelParams(2.0, 50)
@@ -791,7 +790,7 @@ class TestConditionalOccupationTime:
 
     def test_never_negative(self, kernel_15_300_window):
         t = conditional_occupation_time(kernel_15_300_window, 0.1)
-        assert np.all(t.values >= 0.0)
+        assert np.all(t >= 0.0)
 
 
 def _perturbed(log_phi, x, by):
@@ -848,34 +847,53 @@ class TestProfileSerialization:
             read_profile(path, profile_2_50_u10.params, profile_2_50_u10.u)
         assert "bad.json" in str(err.value)
 
-    def test_other_key_is_refused_before_rows_are_built(
-        self, tmp_path, profile_2_50_u10, monkeypatch
-    ):
-        # checking the harmonicity of a record of n = 10^8 would build rows for 10^8 sites
-        path = tmp_path / "profile.json"
-        write_profile(profile_2_50_u10, path)
-        record = json.loads(path.read_text())
-        path.write_text(json.dumps({**record, "n": 10**8}))
-        built = []
-        monkeypatch.setattr(solver, "_transient_log_rows", lambda params, u: built.append(params))
-        with pytest.raises(ValueError, match="its key does not match the requested profile") as err:
-            read_profile(path, ModelParams(2.0, 50), 10)
-        assert not isinstance(err.value, ProfileFormatError)
-        assert str(path) in str(err.value)
-        assert built == []
-
     def test_other_key_is_refused_before_row_blocks_are_built(
         self, tmp_path, profile_2_50_u10, monkeypatch
     ):
-        # the residual check builds the key's rows a block at a time
+        # checking the harmonicity of a record of n = 10^8 would build rows for
+        # 10^8 sites; the residual check builds the key's rows a block at a time
         path = tmp_path / "profile.json"
         write_profile(profile_2_50_u10, path)
         record = json.loads(path.read_text())
         path.write_text(json.dumps({**record, "n": 10**8}))
         built = []
         monkeypatch.setattr(solver, "_log_row_blocks", lambda params, *args: built.append(params))
-        with pytest.raises(ValueError, match="its key does not match the requested profile"):
+        with pytest.raises(ValueError, match="its key does not match the requested profile") as err:
             read_profile(path, ModelParams(2.0, 50), 10)
+        assert not isinstance(err.value, ProfileFormatError)
+        assert str(path) in str(err.value)
+        assert built == []
+
+    def test_deeply_nested_record_is_a_format_error(self, tmp_path):
+        # json.loads gives up on nesting this deep with RecursionError
+        path = tmp_path / "profile.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(ProfileFormatError, match="maximum recursion depth") as err:
+            read_profile(path, ModelParams(2.0, 50), 10)
+        assert err.value.path == str(path)
+
+    def test_numpy_integer_u_is_solved_and_written(self, tmp_path, profile_2_50_u10):
+        profile = hitting_profile(ModelParams(2.0, 50), np.int64(10))
+        assert type(profile.u) is int
+        assert profile.log_phi.tobytes() == profile_2_50_u10.log_phi.tobytes()
+        write_profile(profile, tmp_path / "profile.json")
+        back = read_profile(tmp_path / "profile.json", ModelParams(2.0, 50), 10)
+        assert back.log_phi.tobytes() == profile.log_phi.tobytes()
+
+    @pytest.mark.parametrize("u", [True, 10.0, "10", None])
+    def test_non_integer_u_is_refused_before_any_row_is_built(self, monkeypatch, u):
+        built = []
+        rows = chain.transition_log_rows
+
+        def recording_rows(params, xs, *args):
+            built.append(params)
+            return rows(params, xs, *args)
+
+        monkeypatch.setattr(chain, "transition_log_rows", recording_rows)
+        with pytest.raises(ValueError, match=f"^threshold must be an integer, got {u!r}$"):
+            hitting_profile(ModelParams(2.0, 50), u)
+        with pytest.raises(ValueError, match=f"^threshold must be an integer, got {u!r}$"):
+            HittingProfile(ModelParams(2.0, 50), u, np.zeros(1), 0.0, METHOD_LOGDOMAIN)
         assert built == []
 
     @settings(derandomize=True, deadline=None, max_examples=150, database=None)
