@@ -18,6 +18,8 @@ import numpy as np
 from .chain import (
     GW_MEAN_MARGIN,
     ModelParams,
+    _check_int,
+    _check_real,
     branch_prob,
     gw_extinction_prob,
     threshold_u,
@@ -84,13 +86,10 @@ def make_bound_set(lam: float, n: int, epsilon: float, alpha: float | None = Non
     has no representable fixed point is refused, naming eps.
     """
     ModelParams(lam, n)  # refuses a bad lam or n
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    lo, hi = math.log(lam) / lam, 1.0 - 1.0 / lam
+    _check_real("epsilon", epsilon, 0.0, math.inf)
     if alpha is None:
         alpha = default_alpha(lam)
-    if not lo < alpha < hi:
-        raise ValueError(f"alpha must lie in ({lo:.6g}, {hi:.6g}), got {alpha}")
+    _check_real("alpha", alpha, math.log(lam) / lam, 1.0 - 1.0 / lam)
 
     lam1 = lam * math.exp(-lam * epsilon)
     try:  # a q2 that exists keeps lam*eps below 373, so exp(lam*eps) is finite
@@ -123,8 +122,7 @@ def envelope_log_bounds(bounds: BoundSet, x: int) -> tuple[float, float]:
     if not bounds.envelope_ok:
         raise ValueError("envelope preconditions do not hold for this BoundSet")
     en = bounds.epsilon * bounds.n
-    if not 0 <= x < en:
-        raise ValueError(f"state {x} outside [0, eps*n = {en:.6g})")
+    _check_int("state", x, 0, math.ceil(en) - 1)  # the states below eps*n
     lq1, lq2 = math.log(bounds.q1), math.log(bounds.q2)
     upper = x * lq1 + math.log1p(-math.exp((bounds.n - x) * lq1)) - math.log1p(
         -math.exp(bounds.n * lq1)

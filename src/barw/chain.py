@@ -12,6 +12,12 @@ Kernel rows are natural logs: hitting probabilities from high counts decay
 geometrically and fall below the smallest double long before the state
 space is exhausted.  LOG_ZERO is the log of 0 and `_logsumexp_rows` sums in
 logs; the exact solves and the hitting sampler build rows blockwise here.
+
+Two rules here judge the numbers the package's entry points take.
+`_check_int` takes a count, state, threshold or seed: an int or a numpy
+integer, never a bool, within a closed range.  `_check_real` takes a mean,
+epsilon, delta or alpha: an int, float or numpy number, never a bool or NaN,
+within an open interval.  Both raise ValueError.
 """
 
 from __future__ import annotations
@@ -47,13 +53,21 @@ _STIRLING_LARGE = (
 )
 
 
-def _check_int(name: str, value: object, least: int | None = None) -> int:
-    """value as an int: an int or a numpy integer, never a bool, and at least `least` if given."""
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not is_int or (least is not None and value < least):
-        at_least = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+def _check_int(name: str, value: object, least: float = -math.inf, most: float = math.inf) -> int:
+    """value as an int: an int or a numpy integer, never a bool, in [least, most]."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not least <= value <= most:
+        raise ValueError(f"{name} {value} outside [{least}, {most}]")
     return int(value)
+
+
+def _check_real(name: str, value: object, low: float, high: float) -> float:
+    """value as given: an int, float or numpy number, never a bool or NaN, in (low, high)."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and low < value < high):
+        raise ValueError(f"{name} must lie in ({low:g}, {high:g}), got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -64,8 +78,7 @@ class ModelParams:
     n: int
 
     def __post_init__(self):
-        if not 1.0 < self.lam < math.inf:
-            raise ValueError(f"offspring mean must be finite and must exceed 1, got {self.lam}")
+        _check_real("offspring mean", self.lam, 1.0, math.inf)
         object.__setattr__(self, "n", _check_int("site count", self.n, 1))
 
 
@@ -74,9 +87,7 @@ def branch_prob(params: ModelParams, x: int) -> float:
 
     Always lies in [0, 1/e]; the maximum is reached where lam*x/n = 1.
     """
-    if not 0 <= x <= params.n:
-        raise ValueError(f"state {x} outside [0, {params.n}]")
-    t = params.lam * x / params.n
+    t = params.lam * _check_int("state", x, 0, params.n) / params.n
     return t * math.exp(-t)
 
 
@@ -264,11 +275,8 @@ def _ceil_snapped(v: float) -> int:
     return math.ceil(v)
 
 
-def _check_threshold(params: ModelParams, u: int) -> None:
-    if u != math.inf:  # threshold_u's eps*n may overflow to inf
-        _check_int("threshold", u)
-    if not 1 <= u <= params.n:
-        raise ValueError(f"threshold {u} outside [1, {params.n}]")
+def _check_threshold(params: ModelParams, u: int) -> int:
+    return _check_int("threshold", u, 1, params.n)
 
 
 def threshold_u(params: ModelParams, epsilon: float, mode: str) -> int:
@@ -279,18 +287,11 @@ def threshold_u(params: ModelParams, epsilon: float, mode: str) -> int:
     {X >= ceil(r)}, which is why the ceiling is the right integerization.
     """
     if mode == "low":
-        if not epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        v = epsilon * params.n
+        v = _check_real("epsilon", epsilon, 0.0, math.inf) * params.n
     elif mode == "window":
         eq_rate = math.log(params.lam) / params.lam
-        if not 0.0 < epsilon < eq_rate:
-            raise ValueError(
-                f"window mode needs 0 < epsilon < log(lam)/lam = {eq_rate:.6g}, got {epsilon}"
-            )
-        v = equilibrium(params) - epsilon * params.n
+        v = equilibrium(params) - _check_real("epsilon", epsilon, 0.0, eq_rate) * params.n
     else:
         raise ValueError(f"mode must be 'low' or 'window', got {mode!r}")
-    u = _ceil_snapped(v) if v < math.inf else v  # eps*n may overflow to inf
-    _check_threshold(params, u)
-    return u
+    # eps*n may overflow to inf, which is no threshold
+    return _check_threshold(params, _ceil_snapped(v) if v < math.inf else v)

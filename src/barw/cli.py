@@ -25,11 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bnd
-from .chain import ModelParams, equilibrium, gw_extinction_prob, threshold_u, transition_log_row
+from .chain import (
+    ModelParams,
+    _check_int,
+    _check_real,
+    equilibrium,
+    gw_extinction_prob,
+    threshold_u,
+    transition_log_row,
+)
 from .simulate import (
     TruncationError,
     _check_conditioned_run,
-    _check_seed,
     complete_graph,
     estimate_conditioned_length,
     estimate_hitting_prob,
@@ -365,8 +372,7 @@ def _constants(params: ModelParams, epsilon: float | None, u: int | None) -> dic
     if u is not None:
         out["u"] = u
     if epsilon is not None:
-        if not 0.0 < epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        _check_real("epsilon", epsilon, 0.0, math.inf)
         try:
             b = bnd.make_bound_set(params.lam, params.n, epsilon)
             consts = (b.q1, b.q2, b.theta)
@@ -436,9 +442,7 @@ def _exp_uncond_time(config: ExperimentConfig) -> tuple[tuple, dict]:
         params = ModelParams(config.lam, n)
         _check_unconditional_cap(n)
         x = config.x0 if config.x0 is not None else -(-n // 2)
-        if not 1 <= x <= n:
-            raise ValueError(f"--x0 must lie in [1, n={n}], got {x}")
-        starts.append((params, x))
+        starts.append((params, _check_int("--x0", x, 1, n)))
     constants = {"q": gw_extinction_prob(config.lam)}
     rows = []
     for params, x in starts:
@@ -480,7 +484,7 @@ def _exp_mc_hitting(config: ExperimentConfig) -> tuple[tuple, dict]:
 
 
 def _exp_mc_cond_path(config: ExperimentConfig) -> tuple[tuple, dict]:
-    check = partial(_check_conditioned_run, config.x0, config.trials)  # called with u
+    check = partial(_check_conditioned_run, config.x0, config.trials, config.seed)  # called with u
     profile, step = _profile_step(config, "window", "x0", "trials", "seed", check=check)
     kernel = tilted_kernel(profile)
     run = partial(estimate_conditioned_length, kernel, config.x0, config.trials, config.seed)
@@ -541,8 +545,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if config.experiment not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {config.experiment!r}")
     experiment, name, _ = _EXPERIMENTS[config.experiment]
-    if config.seed is not None:
-        _check_seed(config.seed)
     for flag, path in (("--out", config.out_dir), ("--cache", config.cache_dir)):
         if path is None:
             continue

@@ -35,7 +35,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ModelParams, _cdf_rows, _check_int, _log_factorials, _transient_log_rows
+from .chain import (
+    ModelParams,
+    _cdf_rows,
+    _check_int,
+    _check_real,
+    _log_factorials,
+    _transient_log_rows,
+)
 from .solver import TiltedKernel, _check_threshold
 
 #: hard per-trial cap inside estimators; hitting it means the estimate
@@ -66,14 +73,7 @@ class TruncationError(RuntimeError):
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-
-
-def _check_trials(trials: int) -> None:
-    _check_int("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_int("seed", seed, 0, _MASK64)
 
 
 def _mulhilo(m: tuple, b, hi, lo, t, w) -> None:
@@ -216,6 +216,9 @@ class GraphSpec:
     def __post_init__(self):
         n = _check_int("vertex count", self.vertex_count, 1)
         object.__setattr__(self, "vertex_count", n)
+        if not isinstance(self.allow_self, (bool, np.bool_)):
+            raise ValueError(f"allow_self must be a bool, got {self.allow_self!r}")
+        object.__setattr__(self, "allow_self", bool(self.allow_self))
         if self.adjacency is None:
             if n == 1 and not self.allow_self:
                 raise ValueError("vertex 0 has no legal move target")
@@ -307,7 +310,7 @@ class EstimateWithCI:
     steps_max: int = 0
 
     def __post_init__(self):
-        _check_trials(self.trials)
+        _check_int("trials", self.trials, 1)
         if self.std_error < 0.0:
             raise ValueError("standard error cannot be negative")
 
@@ -418,12 +421,10 @@ def estimate_hitting_prob(
     trials, so repeated runs agree bit for bit.  A trial that passes
     STEP_CAP steps raises TruncationError.
     """
-    _check_threshold(params, u)
-    _check_trials(trials)
+    u = _check_threshold(params, u)
+    _check_int("trials", trials, 1)
     _check_seed(seed)
-    _check_int("start", x0)
-    if not 0 <= x0 < u:
-        raise ValueError(f"start {x0} must lie in [0, u={u})")
+    _check_int("start", x0, 0, u - 1)
     cdfs = _transient_log_rows(params, u)
     np.exp(cdfs, out=cdfs)
     np.cumsum(cdfs, axis=1, out=cdfs)
@@ -434,11 +435,10 @@ def estimate_hitting_prob(
     )
 
 
-def _check_conditioned_run(x0: int, trials: int, u: int) -> None:
-    _check_trials(trials)
-    _check_int("start", x0)
-    if not 1 <= x0 < u:
-        raise ValueError(f"start {x0} outside [1, {u - 1}]")
+def _check_conditioned_run(x0: int, trials: int, seed: int, u: int) -> None:
+    _check_int("trials", trials, 1)
+    _check_seed(seed)
+    _check_int("start", x0, 1, u - 1)
 
 
 def estimate_conditioned_length(
@@ -452,8 +452,7 @@ def estimate_conditioned_length(
     A trial that passes STEP_CAP steps raises TruncationError: with u at or
     above eq a conditioned chain lives about as long as the raw one.
     """
-    _check_conditioned_run(x0, trials, kernel.u)
-    _check_seed(seed)
+    _check_conditioned_run(x0, trials, seed, kernel.u)
     # exact integer moments: nothing is rounded before the final division
     _, total, sq, longest = _run_chains(kernel.row_cdfs, x0, trials, seed)
     mean = float(total) / trials
@@ -512,13 +511,10 @@ def particle_step_counts(
     The starting set is the first start_count vertices; on a vertex-
     transitive graph the choice is immaterial.  Returns one count per trial.
     """
-    _check_trials(trials)
+    _check_int("trials", trials, 1)
     _check_seed(seed)
-    _check_int("start_count", start_count)
-    if not 0 <= start_count <= graph.vertex_count:
-        raise ValueError("start_count outside the vertex range")
-    if not lam > 0.0:
-        raise ValueError(f"offspring mean must be positive, got {lam}")
+    _check_int("start_count", start_count, 0, graph.vertex_count)
+    _check_real("offspring mean", lam, 0.0, math.inf)
     parents = np.arange(start_count)
     counts = np.empty(trials, dtype=np.int64)
     chunk = max(1, CHUNK // 4)

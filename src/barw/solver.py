@@ -37,6 +37,7 @@ from .chain import (
     ROW_BLOCK,
     ModelParams,
     _cdf_rows,
+    _check_real,
     _check_threshold,
     _log_row_blocks,
     _log_top_masses,
@@ -114,10 +115,9 @@ class HittingProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "log_phi", _frozen(self.log_phi))
-        _check_threshold(self.params, self.u)
-        object.__setattr__(self, "u", int(self.u))
-        if len(self.log_phi) != self.u:
-            raise ValueError(f"log_phi must hold exactly u={self.u} entries")
+        object.__setattr__(self, "u", _check_threshold(self.params, self.u))
+        if self.log_phi.shape != (self.u,):
+            raise ValueError(f"log_phi must be 1-D with exactly u={self.u} entries")
         if self.log_phi[0] != 0.0:
             raise ValueError("phi(0) must be 1 (log 0.0): absorption already happened")
         if not np.all(np.isfinite(self.log_phi)):
@@ -504,8 +504,7 @@ def unconditional_expected_extinction(params: ModelParams) -> np.ndarray:
 
 
 def _check_band(delta: float, n: int, u: int) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
+    _check_real("delta", delta, 0.0, 1.0)
     if delta * n >= u:
         raise ValueError(f"band floor delta*n={delta * n:.6g} must lie below u={u}")
 

@@ -1199,7 +1199,7 @@ class TestExitCodes:
         [
             (["mc-hitting", "--lambda", "2", "--n", "10", "--u", "2", "--epsilon", "0",
               "--x0", "1", "--trials", "1", "--seed", "1"],
-             "estimate_hitting_prob", "epsilon must be positive"),
+             "estimate_hitting_prob", "epsilon must lie in (0, inf)"),
             # ModelParams admits lambda = 1 + 1e-13; gw_extinction_prob refuses it
             (["uncond-time", "--lambda", "1.0000000000001", "--n", "2"],
              "unconditional_expected_extinction", "offspring mean must exceed 1"),
@@ -1225,9 +1225,9 @@ class TestExitCodes:
         ("flags", "message"),
         [
             (["occupation", "--delta", "0.5"], "band floor delta*n=25 must lie below u=10"),
-            (["occupation", "--delta", "1"], "delta must lie in (0,1)"),
+            (["occupation", "--delta", "1"], "delta must lie in (0, 1)"),
             (["mc-cond-path", "--x0", "10", "--trials", "1", "--seed", "1"], "start 10 outside [1, 9]"),
-            (["mc-cond-path", "--x0", "1", "--trials", "0", "--seed", "1"], "trials must be positive"),
+            (["mc-cond-path", "--x0", "1", "--trials", "0", "--seed", "1"], "trials 0 outside [1, inf]"),
         ],
         ids=["occupation-band", "occupation-delta", "mc-cond-path-x0", "mc-cond-path-trials"],
     )

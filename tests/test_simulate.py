@@ -86,7 +86,18 @@ class TestTrialStream:
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
     def test_estimators_check_seed_range(self, kernel, seed):
         # a ValueError, not an OverflowError from the kernel
-        match = f"seed must be a 64-bit unsigned integer, got {seed}$"
+        match = rf"^seed {seed} outside \[0, 18446744073709551615\]$"
+        with pytest.raises(ValueError, match=match):
+            estimate_hitting_prob(ModelParams(2.0, 50), 10, 3, 10, seed)
+        with pytest.raises(ValueError, match=match):
+            estimate_conditioned_length(kernel, 20, 10, seed)
+        with pytest.raises(ValueError, match=match):
+            sim.particle_step_counts(complete_graph(10), 3, 2.0, 10, seed)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_estimators_refuse_a_seed_that_is_not_an_integer(self, kernel, seed):
+        # a ValueError, not a TypeError from the range check; True is no seed 1
+        match = f"^seed must be an integer, got {seed}$"
         with pytest.raises(ValueError, match=match):
             estimate_hitting_prob(ModelParams(2.0, 50), 10, 3, 10, seed)
         with pytest.raises(ValueError, match=match):
@@ -147,8 +158,18 @@ class TestGraphSpec:
 
     @pytest.mark.parametrize("n", [0, -1, 2.5, "3", None, True])
     def test_vertex_count_must_be_positive_integer(self, n):
-        with pytest.raises(ValueError, match="vertex count must be an integer >= 1"):
+        with pytest.raises(ValueError, match=r"^vertex count (must be an integer, got|-?\d+ outside \[1, inf\])"):
             complete_graph(n)
+
+    @pytest.mark.parametrize("allow_self", ["no", 0, None])
+    def test_allow_self_must_be_a_bool(self, allow_self):
+        # a truthy string such as "no" must not allow self-moves
+        with pytest.raises(ValueError, match=f"^allow_self must be a bool, got {allow_self!r}$"):
+            complete_graph(5, allow_self)
+
+    def test_numpy_bool_allow_self_is_stored_as_a_bool(self):
+        g = sim.GraphSpec(3, None, np.False_)
+        assert type(g.allow_self) is bool and g == complete_graph(3, False)
 
     def test_numpy_integer_vertex_count_is_stored_as_an_int(self):
         g = sim.GraphSpec(np.int64(3), None, True)
@@ -305,7 +326,7 @@ class TestStepParticle:
         assert abs(counts.sum() / trials - p) <= 4 * sigma
 
     def test_requires_positive_mean(self):
-        with pytest.raises(ValueError, match="offspring mean must be positive, got 0.0"):
+        with pytest.raises(ValueError, match=r"offspring mean must lie in \(0, inf\), got 0.0"):
             sim.particle_step_counts(complete_graph(3), 1, 0.0, 5, seed=0)
 
     @pytest.mark.parametrize("n,lam,x", [(30, 2.0, 10), (30, 6.0, 5), (50, 1.5, 20)])

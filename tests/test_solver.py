@@ -880,6 +880,12 @@ class TestProfileSerialization:
         back = read_profile(tmp_path / "profile.json", ModelParams(2.0, 50), 10)
         assert back.log_phi.tobytes() == profile.log_phi.tobytes()
 
+    @pytest.mark.parametrize("shape", [(10, 1), (10, 2)], ids=["u-by-1", "u-by-2"])
+    def test_log_phi_that_is_not_1d_is_refused(self, shape):
+        # refused on its shape, before any element-wise check sees a 2-D array
+        with pytest.raises(ValueError, match=r"^log_phi must be 1-D with exactly u=10 entries$"):
+            HittingProfile(ModelParams(2.0, 50), 10, np.zeros(shape), 0.0, METHOD_LOGDOMAIN)
+
     @pytest.mark.parametrize("u", [True, 10.0, "10", None])
     def test_non_integer_u_is_refused_before_any_row_is_built(self, monkeypatch, u):
         built = []
