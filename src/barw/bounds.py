@@ -59,7 +59,8 @@ class BoundSet:
 
 
 def default_alpha(lam: float) -> float:
-    """Midpoint of the admissible interval (log(lam)/lam, 1 - 1/lam)."""
+    """Midpoint of the admissible interval (log(lam)/lam, 1 - 1/lam), for lam > 1."""
+    _check_real("offspring mean", lam, 1.0, math.inf)
     return 0.5 * (math.log(lam) / lam + 1.0 - 1.0 / lam)
 
 
@@ -68,6 +69,7 @@ def log_kappa_floor(lam: float, n: int) -> float:
 
     It stays finite where kappa_n itself underflows to 0 (large lam).
     """
+    ModelParams(lam, n)  # refuses a bad lam or n
     z = _E * lam / ((_E - 1.0) * n)
     return n * math.log1p(-z) if z < 1.0 else math.nan
 

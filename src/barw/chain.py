@@ -23,6 +23,7 @@ within an open interval.  Both raise ValueError.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -63,9 +64,13 @@ def _check_int(name: str, value: object, least: float = -math.inf, most: float =
 
 
 def _check_real(name: str, value: object, low: float, high: float) -> float:
-    """value as given: an int, float or numpy number, never a bool or NaN, in (low, high)."""
+    """value as given: an int, float or numpy number, never a bool or NaN, in (low, high).
+
+    It must also be a finite double's size: an int beyond the doubles would
+    pass `value < inf` and overflow in the first float operation.
+    """
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and low < value < high):
+    if not (real and low < value < high and abs(value) <= sys.float_info.max):
         raise ValueError(f"{name} must lie in ({low:g}, {high:g}), got {value!r}")
     return value
 

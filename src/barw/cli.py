@@ -420,7 +420,7 @@ def _exp_figure1(config: ExperimentConfig) -> tuple[tuple, dict]:
 
 def _exp_figure2(config: ExperimentConfig) -> tuple[tuple, dict]:
     profile, summary = _profile_step(config, "window")
-    rows = tilted_kernel(profile).rows
+    rows = tilted_kernel(profile)
     m, u = rows.shape
     columns = [np.arange(1, u).repeat(u), np.tile(np.arange(u), m), rows.ravel()]
     return (["x", "y", "p_phi"], columns), summary
@@ -428,7 +428,7 @@ def _exp_figure2(config: ExperimentConfig) -> tuple[tuple, dict]:
 
 def _exp_cond_time(config: ExperimentConfig) -> tuple[tuple, dict]:
     profile, summary = _profile_step(config, "window")
-    t = conditional_expected_extinction(tilted_kernel(profile)).tolist()
+    t = conditional_expected_extinction(profile).tolist()
     ratio = [""] + [t[x] / math.log1p(x) for x in range(1, profile.u)]
     return (["x", "t", "t_over_log1p"], [range(profile.u), t, ratio]), summary
 
@@ -455,7 +455,7 @@ def _exp_uncond_time(config: ExperimentConfig) -> tuple[tuple, dict]:
 def _exp_occupation(config: ExperimentConfig) -> tuple[tuple, dict]:
     check = partial(_check_band, config.delta, config.n)  # called with u
     profile, summary = _profile_step(config, "window", "delta", check=check)
-    t = conditional_occupation_time(tilted_kernel(profile), config.delta)
+    t = conditional_occupation_time(profile, config.delta)
     columns = [np.arange(profile.u), t]
     return (["x", "expected_band_time"], columns), {"delta": config.delta, **summary}
 
@@ -486,8 +486,7 @@ def _exp_mc_hitting(config: ExperimentConfig) -> tuple[tuple, dict]:
 def _exp_mc_cond_path(config: ExperimentConfig) -> tuple[tuple, dict]:
     check = partial(_check_conditioned_run, config.x0, config.trials, config.seed)  # called with u
     profile, step = _profile_step(config, "window", "x0", "trials", "seed", check=check)
-    kernel = tilted_kernel(profile)
-    run = partial(estimate_conditioned_length, kernel, config.x0, config.trials, config.seed)
+    run = partial(estimate_conditioned_length, profile, config.x0, config.trials, config.seed)
     return _estimate_outputs(run, step)
 
 

@@ -4,10 +4,11 @@ Randomness is counter-based: trial i of a run with seed s reads, word by
 word, the Philox4x64-10 stream keyed by (s, i), which is the stream of numpy's
 `Generator(Philox(key=s | i << 64))`.  Every draw inverts one 53-bit uniform
 made from the next word against a CDF row held in doubles: a count-chain step
-against Bin(n, b(x)), a tilted step against the conditioned kernel, an
-offspring count against Poisson(lam), and a move as floor(U*k) into the k
-legal targets.  Sampling is exact up to the rounding of those CDF rows; there
-are no normal approximations.  A row that covers its distribution's whole
+against Bin(n, b(x)), a conditioned step against the tilted rows that
+solver.tilted_kernel makes from a HittingProfile, an offspring count against
+Poisson(lam), and a move as floor(U*k) into the k legal targets.  Sampling
+is exact up to the rounding of those CDF rows; there are no normal
+approximations.  A row that covers its distribution's whole
 support ends at exactly 1 (the Poisson row folds its tail, below double
 resolution, into its last entry), so no uniform inverts past it.
 
@@ -43,7 +44,7 @@ from .chain import (
     _log_factorials,
     _transient_log_rows,
 )
-from .solver import TiltedKernel, _check_threshold
+from .solver import HittingProfile, _check_threshold, tilted_kernel
 
 #: hard per-trial cap inside estimators; hitting it means the estimate
 #: would be biased, which is an error rather than a silent truncation
@@ -442,19 +443,21 @@ def _check_conditioned_run(x0: int, trials: int, seed: int, u: int) -> None:
 
 
 def estimate_conditioned_length(
-    kernel: TiltedKernel,
+    profile: HittingProfile,
     x0: int,
     trials: int,
     seed: int,
 ) -> EstimateWithCI:
     """Mean extinction time of the conditioned chain from x0, with its SE.
 
-    A trial that passes STEP_CAP steps raises TruncationError: with u at or
-    above eq a conditioned chain lives about as long as the raw one.
+    The arguments are checked before the profile is tilted, and the tilt's
+    row-sum check runs before any trial.  A trial that passes STEP_CAP steps
+    raises TruncationError: with u at or above eq a conditioned chain lives
+    about as long as the raw one.
     """
-    _check_conditioned_run(x0, trials, seed, kernel.u)
+    _check_conditioned_run(x0, trials, seed, profile.u)
     # exact integer moments: nothing is rounded before the final division
-    _, total, sq, longest = _run_chains(kernel.row_cdfs, x0, trials, seed)
+    _, total, sq, longest = _run_chains(_cdf_rows(tilted_kernel(profile)), x0, trials, seed)
     mean = float(total) / trials
     var = max(float(sq) / trials - mean * mean, 0.0)
     return EstimateWithCI(mean, math.sqrt(var / trials), trials, seed, total, longest)

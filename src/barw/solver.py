@@ -12,10 +12,12 @@ it reaches a fixed point.  With m = u - 1, a profile solve holds about
 1.2-1.4 m^2 doubles at its peak: each pass writes the scaled matrix over
 the m x u kernel rows, which are built again for each further pass and,
 a block at a time, for the harmonicity residual.  Conditioning on that
-hitting event is a Doob transform of the kernel by phi.  Expected
-absorption and occupation times under the conditioned chain are GTH
-solves too, unscaled and carrying the right-hand side, in panels whose
-trailing update is an einsum.  The unconditional expected time is still
+hitting event is a Doob transform of the kernel by phi, built from a
+HittingProfile by tilted_kernel alone, which checks every tilted row
+sum.  Expected absorption and occupation times under the conditioned
+chain take the profile and tilt it themselves; they are GTH solves too,
+unscaled and carrying the right-hand side, in panels whose trailing
+update is an einsum.  The unconditional expected time is still
 a native elimination that subtracts.  Every time solve returns a plain
 read-only array t over x = 0, 1, ..., with t[0] = 0, and every solve or
 check that fails its contract raises SolverError.
@@ -26,8 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,6 @@ from .chain import (
     LOG_ZERO,
     ROW_BLOCK,
     ModelParams,
-    _cdf_rows,
     _check_real,
     _check_threshold,
     _log_row_blocks,
@@ -85,19 +85,6 @@ class ProfileFormatError(ValueError):
         self.path = path
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """arr as a read-only float array, copied unless it is one already that owns its data.
-
-    A writable array is copied, so the caller's array stays writable and
-    later writes to it do not reach the frozen one.
-    """
-    owned = isinstance(arr, np.ndarray) and arr.dtype == float and arr.flags.owndata
-    if not owned or arr.flags.writeable:
-        arr = np.array(arr, dtype=float)
-        arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class HittingProfile:
     """log phi_u(x) for x = 0..u-1, plus the solve's residual and method.
@@ -114,7 +101,9 @@ class HittingProfile:
     method: str
 
     def __post_init__(self):
-        object.__setattr__(self, "log_phi", _frozen(self.log_phi))
+        log_phi = np.array(self.log_phi, dtype=float)  # a copy: the caller's writes miss it
+        log_phi.flags.writeable = False
+        object.__setattr__(self, "log_phi", log_phi)
         object.__setattr__(self, "u", _check_threshold(self.params, self.u))
         if self.log_phi.shape != (self.u,):
             raise ValueError(f"log_phi must be 1-D with exactly u={self.u} entries")
@@ -126,28 +115,6 @@ class HittingProfile:
     def phi(self, x: int) -> float:
         """phi(x) as a native float (0.0 if the value underflows)."""
         return float(np.exp(self.log_phi[x]))
-
-
-@dataclass(frozen=True)
-class TiltedKernel:
-    """Transition law of the chain conditioned to die before reaching u.
-
-    rows[x-1, y] = p(x,y) * phi(y) / phi(x) for x in 1..u-1, y in 0..u-1.
-    """
-
-    u: int
-    rows: np.ndarray
-    source: HittingProfile = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _frozen(self.rows))
-        if self.rows.shape != (self.u - 1, self.u):
-            raise ValueError(f"rows must have shape ({self.u - 1}, {self.u})")
-
-    @cached_property
-    def row_cdfs(self) -> np.ndarray:
-        """Per-row CDFs ending at exactly 1, for inverse-CDF sampling."""
-        return _cdf_rows(self.rows)
 
 
 def _solve_m_matrix(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,15 +159,19 @@ def _solve_gth_rhs(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
     never read), and the multipliers fold c and r into the later rows
     exactly as they fold A, so nothing is ever subtracted and t keeps GTH's
     entrywise relative accuracy.  c and r ride as two extra columns of the
-    one m x (m + 2) working array; rows and r are left as they are.  The
-    blocking is _solve_gth_scaled's, but the trailing update is an einsum,
-    not a BLAS product, so t's bytes do not depend on the BLAS kernel.
+    one m x (m + 2) working array, and r is left as it is.  The solve drops
+    its reference to rows once W holds them, so rows handed over as a
+    temporary are freed before the elimination, which then peaks at about
+    2 m^2 doubles: W and one panel's einsum product.  The blocking is
+    _solve_gth_scaled's, but the trailing update is an einsum, not a BLAS
+    product, so t's bytes do not depend on the BLAS kernel.
     """
     m = r.size
     W = np.empty((m, m + 2))
     W[:, :m] = rows[:, 1:]
     W[:, m] = rows[:, 0]
     W[:, m + 1] = r
+    del rows
     pivot = np.empty(m)
     for k0 in range(0, m, _PANEL):
         k1 = min(k0 + _PANEL, m)
@@ -423,16 +394,20 @@ def hitting_profile(params: ModelParams, u: int) -> HittingProfile:
     return HittingProfile(params, u, log_phi, residual, METHOD_LOGDOMAIN)
 
 
-def tilted_kernel(profile: HittingProfile) -> TiltedKernel:
-    """Doob transform of the kernel by phi: rows over y = 0..u-1 for x = 1..u-1.
+def tilted_kernel(profile: HittingProfile) -> np.ndarray:
+    """Doob transform of the kernel by phi, the law of the chain conditioned to die before u.
 
-    Each raw row must already sum to 1 within 1e-9 (harmonicity of phi);
-    rows are then renormalized exactly.  A larger deviation means the
-    profile is inconsistent with the kernel and raises SolverError.
+    A read-only (u-1, u) array: row x-1 holds p(x,y) * phi(y) / phi(x) for
+    y = 0..u-1, x = 1..u-1.  Each raw row must already sum to 1 within
+    1e-9 (harmonicity of phi); rows are then renormalized exactly.  A
+    larger deviation means the profile is inconsistent with the kernel and
+    raises SolverError.
     """
     u = profile.u
     if u == 1:
-        return TiltedKernel(1, np.zeros((0, 1)), profile)
+        rows = np.zeros((0, 1))
+        rows.flags.writeable = False
+        return rows
     rows = _transient_log_rows(profile.params, u)  # tilted, exponentiated and normalized in place
     rows += profile.log_phi[None, :]
     rows -= profile.log_phi[1:, None]
@@ -445,25 +420,26 @@ def tilted_kernel(profile: HittingProfile) -> TiltedKernel:
             f"off by more than {ROW_SUM_TOL:.0e}"
         )
     rows /= sums[:, None]
-    rows.flags.writeable = False  # TiltedKernel keeps it without a copy
-    return TiltedKernel(u, rows, profile)
+    rows.flags.writeable = False
+    return rows
 
 
-def _conditioned_time(kernel: TiltedKernel, r: np.ndarray) -> np.ndarray:
+def _conditioned_time(profile: HittingProfile, r: np.ndarray) -> np.ndarray:
     """Solve t = r + P_phi t over x = 1..u-1 under the conditioned chain; t over x = 0..u-1.
 
     The tilted rows sum to 1 with their mass to 0 as column 0, so GTH
-    (_solve_gth_rhs) solves it without subtracting.  t(0) = 0, and t is
-    read-only.
+    (_solve_gth_rhs) solves it without subtracting.  The rows go to the
+    solve as a temporary, so that it can free them once it has copied
+    them.  t(0) = 0, and t is read-only.
     """
-    t = np.concatenate(([0.0], _solve_gth_rhs(kernel.rows, r)))
+    t = np.concatenate(([0.0], _solve_gth_rhs(tilted_kernel(profile), r)))
     t.flags.writeable = False
     return t
 
 
-def conditional_expected_extinction(kernel: TiltedKernel) -> np.ndarray:
+def conditional_expected_extinction(profile: HittingProfile) -> np.ndarray:
     """Expected steps to absorption under the conditioned chain, read-only, t(0) = 0."""
-    return _conditioned_time(kernel, np.ones(kernel.u - 1))
+    return _conditioned_time(profile, np.ones(profile.u - 1))
 
 
 def _check_unconditional_cap(n: int) -> None:
@@ -509,14 +485,14 @@ def _check_band(delta: float, n: int, u: int) -> None:
         raise ValueError(f"band floor delta*n={delta * n:.6g} must lie below u={u}")
 
 
-def conditional_occupation_time(kernel: TiltedKernel, delta: float) -> np.ndarray:
+def conditional_occupation_time(profile: HittingProfile, delta: float) -> np.ndarray:
     """Expected conditioned time spent with delta*n < X < u, from every start; read-only, t(0) = 0.
 
     Solves t(x) = 1{delta*n < x < u} + sum_{0<y<u} p_phi(x,y) t(y).
     """
-    n = kernel.source.params.n
-    _check_band(delta, n, kernel.u)
-    return _conditioned_time(kernel, (np.arange(1, kernel.u) > delta * n).astype(float))
+    n = profile.params.n
+    _check_band(delta, n, profile.u)
+    return _conditioned_time(profile, (np.arange(1, profile.u) > delta * n).astype(float))
 
 
 def write_profile(profile: HittingProfile, path: str | Path) -> None:

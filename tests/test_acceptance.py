@@ -115,10 +115,10 @@ def test_c04_figure2_bimodal_rows():
     with criterion(4, "lam=6 tilted kernel has bimodal rows", 60.0):
         params = ModelParams(6.0, 1200)
         u = threshold_u(params, 0.05, "window")
-        kernel = tilted_kernel(hitting_profile(params, u))
+        rows = tilted_kernel(hitting_profile(params, u))
         found = 0
         for x in range(1, u):
-            row = kernel.rows[x - 1]
+            row = rows[x - 1]
             peaks = _strict_local_maxima(row)
             if np.count_nonzero(row[peaks] > 1e-3) >= 2:
                 found += 1
@@ -141,9 +141,7 @@ def test_c05_conditional_window_scaling():
         for n in (300, 600, 1200):
             params = ModelParams(1.5, n)
             u = threshold_u(params, 0.05, "window")
-            t = conditional_expected_extinction(
-                tilted_kernel(hitting_profile(params, u))
-            )
+            t = conditional_expected_extinction(hitting_profile(params, u))
             x = np.arange(2, u)
             r = t[2:] / np.log1p(x)
             assert np.all(np.isfinite(r))
@@ -248,7 +246,7 @@ def test_c12_stochastic_dominance_suite():
         params = ModelParams(2.0, 200)
         u = threshold_u(params, 0.05, "low")
         prof = hitting_profile(params, u)
-        rows = tilted_kernel(prof).rows
+        rows = tilted_kernel(prof)
         beta_hat = check_ratio_beta(prof).extremes["beta_hat"]
         kappa_n = make_bound_set(2.0, 200, 0.05).kappa_n
         for x in range(1, u):
@@ -279,9 +277,7 @@ def test_c14_occupation_bounded_in_n():
         for n in (300, 600, 1200):
             params = ModelParams(1.5, n)
             u = threshold_u(params, 0.05, "window")
-            t = conditional_occupation_time(
-                tilted_kernel(hitting_profile(params, u)), 0.1
-            )
+            t = conditional_occupation_time(hitting_profile(params, u), 0.1)
             assert np.all(np.isfinite(t))
             peak[n] = t.max()
         assert peak[1200] <= 1.25 * peak[300]

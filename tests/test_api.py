@@ -14,6 +14,7 @@ from barw import (
     branch_prob,
     complete_graph,
     conditional_occupation_time,
+    default_alpha,
     envelope_log_bounds,
     estimate_conditioned_length,
     estimate_hitting_prob,
@@ -23,6 +24,7 @@ from barw import (
     threshold_u,
     transition_log_rows,
 )
+from barw.bounds import kappa_floor, log_kappa_floor
 
 #: blocks scipy, imports barw, runs every experiment step by step and
 #: records after each step whether numpy.random has been loaded; argv[1] is
@@ -120,6 +122,8 @@ COUNTS = {
     "particle_step_counts-trials": (lambda k, v: particle_step_counts(K30, 3, 2.0, v, 1), 0),
     "particle_step_counts-seed": (lambda k, v: particle_step_counts(K30, 3, 2.0, 10, v), -1),
     "GraphSpec-vertex_count": (lambda k, v: GraphSpec(v, None, True), 0),
+    "kappa_floor-n": (lambda k, v: kappa_floor(2.0, v), 0),
+    "log_kappa_floor-n": (lambda k, v: log_kappa_floor(2.0, v), 0),
 }
 
 #: the reals that public entry points take, each with a value just outside its open interval
@@ -134,12 +138,18 @@ REALS = {
     "threshold_u-window-epsilon": (lambda k, v: threshold_u(P, v, "window"), 0.35),
     "conditional_occupation_time-delta": (lambda k, v: conditional_occupation_time(k, v), 1.0),
     "particle_step_counts-lambda": (lambda k, v: particle_step_counts(K30, 3, v, 10, 1), 0.0),
+    "default_alpha-lambda": (lambda k, v: default_alpha(v), 1.0),
+    "kappa_floor-lambda": (lambda k, v: kappa_floor(v, 50), 1.0),
+    "log_kappa_floor-lambda": (lambda k, v: log_kappa_floor(v, 50), 1.0),
 }
+
+#: an int beyond the doubles, which `1 < v < inf` lets through
+HUGE = 10**400
 
 
 def _cases(entries, bad):
     return [
-        pytest.param(name, v, id=f"{name}-{v!r}")
+        pytest.param(name, v, id=f"{name}-{'10**400' if v is HUGE else repr(v)}")
         for name, (_, outside) in entries.items()
         for v in (*bad, outside)
     ]
@@ -148,15 +158,15 @@ def _cases(entries, bad):
 @pytest.mark.parametrize(
     ("entry", "value"), _cases(COUNTS, [math.nan, math.inf, -math.inf, True, 2.5, "3"])
 )
-def test_a_count_that_is_not_one_in_range_is_a_value_error(kernel_2_50_u10, entry, value):
+def test_a_count_that_is_not_one_in_range_is_a_value_error(profile_2_50_u10, entry, value):
     # a ValueError, never a TypeError, an OverflowError or a result
     with pytest.raises(ValueError, match=" must be an integer, got | outside "):
-        COUNTS[entry][0](kernel_2_50_u10, value)
+        COUNTS[entry][0](profile_2_50_u10, value)
 
 
 @pytest.mark.parametrize(
-    ("entry", "value"), _cases(REALS, [math.nan, math.inf, -math.inf, True, "2", 2j])
+    ("entry", "value"), _cases(REALS, [math.nan, math.inf, -math.inf, True, "2", 2j, HUGE])
 )
-def test_a_real_outside_its_open_interval_is_a_value_error(kernel_2_50_u10, entry, value):
+def test_a_real_outside_its_open_interval_is_a_value_error(profile_2_50_u10, entry, value):
     with pytest.raises(ValueError, match=r" must lie in \(.*\), got "):
-        REALS[entry][0](kernel_2_50_u10, value)
+        REALS[entry][0](profile_2_50_u10, value)

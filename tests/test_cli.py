@@ -721,11 +721,11 @@ class TestCsvWriter:
         # checks that the one-pass formatter keeps settling the cells it should
         f1, f2 = ModelParams(1.5, 200), ModelParams(6.0, 200)
         log10_h = hitting_profile(f1, threshold_u(f1, 0.05, "window")).log_phi / math.log(10.0)
-        kernel = tilted_kernel(hitting_profile(f2, threshold_u(f2, 0.05, "window")))
+        rows = tilted_kernel(hitting_profile(f2, threshold_u(f2, 0.05, "window")))
         bits = np.random.default_rng(20261019).integers(0, 2**64, 10**5, dtype=np.uint64)
         floats = bits.view(np.float64)
         for values, share in [
-            (kernel.rows.ravel(), 0.0),
+            (rows.ravel(), 0.0),
             (log10_h, 0.0),
             (floats[np.isfinite(floats)], 0.01),
         ]:

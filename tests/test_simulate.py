@@ -84,24 +84,24 @@ class TestTrialStream:
         assert not np.array_equal(sim.philox_block(1, 0, 0), sim.philox_block(2, 0, 0))
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
-    def test_estimators_check_seed_range(self, kernel, seed):
+    def test_estimators_check_seed_range(self, profile, seed):
         # a ValueError, not an OverflowError from the kernel
         match = rf"^seed {seed} outside \[0, 18446744073709551615\]$"
         with pytest.raises(ValueError, match=match):
             estimate_hitting_prob(ModelParams(2.0, 50), 10, 3, 10, seed)
         with pytest.raises(ValueError, match=match):
-            estimate_conditioned_length(kernel, 20, 10, seed)
+            estimate_conditioned_length(profile, 20, 10, seed)
         with pytest.raises(ValueError, match=match):
             sim.particle_step_counts(complete_graph(10), 3, 2.0, 10, seed)
 
     @pytest.mark.parametrize("seed", [1.5, True])
-    def test_estimators_refuse_a_seed_that_is_not_an_integer(self, kernel, seed):
+    def test_estimators_refuse_a_seed_that_is_not_an_integer(self, profile, seed):
         # a ValueError, not a TypeError from the range check; True is no seed 1
         match = f"^seed must be an integer, got {seed}$"
         with pytest.raises(ValueError, match=match):
             estimate_hitting_prob(ModelParams(2.0, 50), 10, 3, 10, seed)
         with pytest.raises(ValueError, match=match):
-            estimate_conditioned_length(kernel, 20, 10, seed)
+            estimate_conditioned_length(profile, 20, 10, seed)
         with pytest.raises(ValueError, match=match):
             sim.particle_step_counts(complete_graph(10), 3, 2.0, 10, seed)
 
@@ -384,30 +384,31 @@ class TestRunToAbsorption:
 
 
 @pytest.fixture(scope="module")
-def kernel():
+def profile():
     params = ModelParams(1.5, 300)
-    return tilted_kernel(hitting_profile(params, threshold_u(params, 0.05, "window")))
+    return hitting_profile(params, threshold_u(params, 0.05, "window"))
 
 
 class TestSampleConditionedPath:
-    def test_paths_stay_below_u_and_die(self, kernel):
+    def test_paths_stay_below_u_and_die(self, profile):
+        cdfs = _cdf_rows(tilted_kernel(profile))
         for i in range(2000):
-            states = walk(kernel.row_cdfs, 20, kernel.u, trial_stream(707, i))
+            states = walk(cdfs, 20, profile.u, trial_stream(707, i))
             assert states[-1] == 0
-            assert max(states) < kernel.u
+            assert max(states) < profile.u
 
-    def test_minimum_one_step(self, kernel):
-        paths, _ = batched_paths(kernel.row_cdfs, 1, 200, seed=808)
+    def test_minimum_one_step(self, profile):
+        paths, _ = batched_paths(_cdf_rows(tilted_kernel(profile)), 1, 200, seed=808)
         assert min(len(path) for path in paths) >= 2
 
-    def test_start_range_validated(self, kernel):
-        for x0 in (0, kernel.u):
+    def test_start_range_validated(self, profile):
+        for x0 in (0, profile.u):
             with pytest.raises(ValueError, match=f"start {x0} outside"):
-                estimate_conditioned_length(kernel, x0, 10, seed=0)
+                estimate_conditioned_length(profile, x0, 10, seed=0)
 
-    def test_mean_length_matches_exact_solve(self, kernel):
-        t = conditional_expected_extinction(kernel)
-        est = estimate_conditioned_length(kernel, 20, 100_000, seed=909)
+    def test_mean_length_matches_exact_solve(self, profile):
+        t = conditional_expected_extinction(profile)
+        est = estimate_conditioned_length(profile, 20, 100_000, seed=909)
         assert abs(est.mean - t[20]) <= 4 * est.std_error
 
 
@@ -464,11 +465,13 @@ class TestIntegerArguments:
     """A start or trial count must be an int or numpy integer, and not a bool."""
 
     RUNS = {
-        "hitting": lambda kernel, x0, trials: estimate_hitting_prob(
+        "hitting": lambda profile, x0, trials: estimate_hitting_prob(
             ModelParams(2.0, 50), 10, x0, trials, 1
         ),
-        "conditioned": lambda kernel, x0, trials: estimate_conditioned_length(kernel, x0, trials, 1),
-        "particle": lambda kernel, x0, trials: sim.particle_step_counts(
+        "conditioned": lambda profile, x0, trials: estimate_conditioned_length(
+            profile, x0, trials, 1
+        ),
+        "particle": lambda profile, x0, trials: sim.particle_step_counts(
             complete_graph(30), x0, 2.0, trials, 1
         ),
     }
@@ -479,11 +482,11 @@ class TestIntegerArguments:
         [(3.5, 100, "start"), (True, 100, "start"), (3, 100.0, "trials"), (3, True, "trials")],
         ids=["float-start", "bool-start", "float-trials", "bool-trials"],
     )
-    def test_non_integer_is_refused(self, kernel, estimator, x0, trials, named):
+    def test_non_integer_is_refused(self, profile, estimator, x0, trials, named):
         # a float start or count was truncated, and trials=True ran one trial
         bad = x0 if named == "start" else trials
         with pytest.raises(ValueError, match=rf"^{named}\w* must be an integer, got {bad}$"):
-            self.RUNS[estimator](kernel, x0, trials)
+            self.RUNS[estimator](profile, x0, trials)
 
     def test_bool_threshold_is_refused(self):
         # 1 <= True <= n, but a bool is not a threshold
@@ -491,9 +494,9 @@ class TestIntegerArguments:
             estimate_hitting_prob(ModelParams(2.0, 50), True, 0, 10, 1)
 
     @pytest.mark.parametrize("estimator", list(RUNS))
-    def test_numpy_integers_are_accepted(self, kernel, estimator):
-        want = self.RUNS[estimator](kernel, 3, 100)
-        got = self.RUNS[estimator](kernel, np.int64(3), np.int32(100))
+    def test_numpy_integers_are_accepted(self, profile, estimator):
+        want = self.RUNS[estimator](profile, 3, 100)
+        got = self.RUNS[estimator](profile, np.int64(3), np.int32(100))
         if estimator == "particle":
             assert got.tolist() == want.tolist()
         else:
@@ -594,8 +597,8 @@ class TestInvertRows:
         [
             lambda: np.array([[0.0], [0.5], [1.0 + 2.0**-52]]),
             lambda: np.array([[0.0, 0.0, 0.0, 0.3, 0.3, 1.0 + 2.0**-51], [0.0] * 5 + [1.0]]),
-            lambda: tilted_kernel(hitting_profile(ModelParams(1.5, 300), 66)).row_cdfs,
-            lambda: tilted_kernel(hitting_profile(ModelParams(2.0, 50), 10)).row_cdfs,
+            lambda: _cdf_rows(tilted_kernel(hitting_profile(ModelParams(1.5, 300), 66))),
+            lambda: _cdf_rows(tilted_kernel(hitting_profile(ModelParams(2.0, 50), 10))),
             # large x: the low entries underflow to a run of zeros
             lambda: hitting_table(ModelParams(2.0, 2000), 300),
         ],
@@ -688,7 +691,7 @@ class TestCdfRowsEndAtOne:
     def tilted_cdfs(lam, n, u):
         params = ModelParams(lam, n)
         u = threshold_u(params, 0.05, "window") if u is None else u
-        return tilted_kernel(hitting_profile(params, u)).row_cdfs
+        return _cdf_rows(tilted_kernel(hitting_profile(params, u)))
 
     @pytest.mark.parametrize("lam, n, u", CDF_CASES)
     def test_tilted_rows(self, lam, n, u):
@@ -744,15 +747,16 @@ class TestBatchedMatchesScalar:
     @given(chain_case())
     def test_conditioned_path(self, case):
         lam, n, u, x0, seed = case
-        kern = tilted_kernel(hitting_profile(ModelParams(lam, n), u))
+        prof = hitting_profile(ModelParams(lam, n), u)
+        cdfs = _cdf_rows(tilted_kernel(prof))
         x0 = max(x0, 1)
-        paths, totals = batched_paths(kern.row_cdfs, x0, self.TRIALS, seed)
-        refs = [walk(kern.row_cdfs, x0, u, trial_stream(seed, i)) for i in range(self.TRIALS)]
+        paths, totals = batched_paths(cdfs, x0, self.TRIALS, seed)
+        refs = [walk(cdfs, x0, u, trial_stream(seed, i)) for i in range(self.TRIALS)]
         for i, ref in enumerate(refs):
             assert paths[i] == ref
             assert paths[i][-1] == 0
         assert totals == chain_totals(refs)
-        est = estimate_conditioned_length(kern, x0, self.TRIALS, seed)
+        est = estimate_conditioned_length(prof, x0, self.TRIALS, seed)
         lengths = [len(r) - 1 for r in refs]
         assert est.mean == sum(lengths) / self.TRIALS
         assert (est.steps_total, est.steps_max) == (sum(lengths), max(lengths))
@@ -795,14 +799,14 @@ class TestBatchedMatchesScalar:
 
 class TestChunkInvariance:
     @pytest.fixture(scope="class")
-    def reference(self, kernel):
-        return self.run_all(kernel)
+    def reference(self, profile):
+        return self.run_all(profile)
 
     @staticmethod
-    def run_all(kernel):
+    def run_all(profile):
         return (
             estimate_hitting_prob(ModelParams(2.0, 50), 10, 3, 60, seed=17),
-            estimate_conditioned_length(kernel, 20, 60, seed=17),
+            estimate_conditioned_length(profile, 20, 60, seed=17),
             sim.particle_step_counts(complete_graph(30), 10, 2.0, 60, seed=17).tolist(),
             sim.particle_step_counts(complete_graph(12, False), 5, 3.0, 60, seed=17).tolist(),
         )
@@ -813,9 +817,9 @@ class TestChunkInvariance:
     CHUNKS = [1, 7, 28, sim.CHUNK]
 
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_results_do_not_depend_on_chunk(self, monkeypatch, kernel, reference, chunk):
+    def test_results_do_not_depend_on_chunk(self, monkeypatch, profile, reference, chunk):
         monkeypatch.setattr(sim, "CHUNK", chunk)
-        assert self.run_all(kernel) == reference
+        assert self.run_all(profile) == reference
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_truncation_names_lowest_truncated_trial(self, monkeypatch, chunk):
@@ -843,10 +847,11 @@ class TestChunkInvariance:
         # die below u lives about as long as the raw one: a median of 208
         # steps from x0 = 10.  Take the first seed whose trial 0 ends within
         # the cap, so that the lowest truncated trial is not simply the first.
-        kern, cap = tilted_kernel(hitting_profile(ModelParams(2.0, 20), 20)), 12
+        prof, cap = hitting_profile(ModelParams(2.0, 20), 20), 12
+        cdfs = _cdf_rows(tilted_kernel(prof))
         for seed in range(100):
             truncated = [
-                walk(kern.row_cdfs, 10, kern.u, trial_stream(seed, i), cap)[-1] > 0
+                walk(cdfs, 10, prof.u, trial_stream(seed, i), cap)[-1] > 0
                 for i in range(20)
             ]
             if not truncated[0] and any(truncated):
@@ -856,7 +861,7 @@ class TestChunkInvariance:
         monkeypatch.setattr(sim, "STEP_CAP", cap)
         first = truncated.index(True)
         with pytest.raises(TruncationError, match=f"trial {first} exceeded {cap} steps"):
-            estimate_conditioned_length(kern, 10, 20, seed=seed)
+            estimate_conditioned_length(prof, 10, 20, seed=seed)
 
 
 class TestSamplerMemory:

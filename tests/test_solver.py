@@ -22,6 +22,7 @@ from barw import (
     conditional_expected_extinction,
     conditional_occupation_time,
     equilibrium,
+    estimate_conditioned_length,
     hitting_profile,
     read_profile,
     threshold_u,
@@ -30,12 +31,11 @@ from barw import (
     unconditional_expected_extinction,
     write_profile,
 )
-from barw import chain, solver
+from barw import chain, simulate, solver
 from barw.chain import LOG_ZERO, _log_top_masses, _logsumexp_rows, _transient_log_rows
 from barw.solver import (
     HittingProfile,
     METHOD_LOGDOMAIN,
-    TiltedKernel,
     _conditioned_time,
     _path_floor,
     _solve_gth_rhs,
@@ -403,41 +403,41 @@ class TestSolverProperties:
     def test_tilted_rows_sum_to_one(self, case):
         # tilted_kernel raises SolverError if a raw row is off
         lam, n, u = case
-        kernel = tilted_kernel(hitting_profile(ModelParams(lam, n), u))
-        assert np.max(np.abs(kernel.rows.sum(axis=1) - 1.0)) <= 1e-9
+        rows = tilted_kernel(hitting_profile(ModelParams(lam, n), u))
+        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-9
 
 
 class TestTiltedKernel:
     def test_row_sums(self, profile_15_300_window, kernel_15_300_window):
-        sums = kernel_15_300_window.rows.sum(axis=1)
+        sums = kernel_15_300_window.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12  # renormalized exactly
 
     def test_two_state_row(self):
         params = ModelParams(2.0, 3)
         prof = hitting_profile(params, 2)
-        kern = tilted_kernel(prof)
+        rows = tilted_kernel(prof)
         b1 = branch_prob(params, 1)
         p10 = (1.0 - b1) ** 3
         p11 = 3.0 * b1 * (1.0 - b1) ** 2
         phi1 = p10 / (1.0 - p11)
-        assert kern.rows[0, 0] == pytest.approx(p10 / phi1, abs=1e-12)
-        assert kern.rows[0, 1] == pytest.approx(p11, abs=1e-12)
-        assert kern.rows[0].sum() == pytest.approx(1.0, abs=1e-12)
+        assert rows[0, 0] == pytest.approx(p10 / phi1, abs=1e-12)
+        assert rows[0, 1] == pytest.approx(p11, abs=1e-12)
+        assert rows[0].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_absorbing_mass_at_least_raw(self, profile_2_50_u10, kernel_2_50_u10):
         # mass on 0 is p(x,0)/phi(x) >= p(x,0) since phi <= 1
         raw = np.exp(
             np.array([transition_log_row(ModelParams(2.0, 50), x, 0)[0] for x in range(1, 10)])
         )
-        assert np.all(kernel_2_50_u10.rows[:, 0] >= raw - 1e-15)
+        assert np.all(kernel_2_50_u10[:, 0] >= raw - 1e-15)
 
     def test_strictly_positive_entries_small_config(self, kernel_2_50_u10):
         # p(x,y) > 0 and phi(y) > 0 here, so no entry may vanish
-        assert np.all(kernel_2_50_u10.rows > 0.0)
+        assert np.all(kernel_2_50_u10 > 0.0)
 
     def test_u_one_kernel_is_empty(self):
-        kern = tilted_kernel(hitting_profile(ModelParams(2.0, 10), 1))
-        assert kern.rows.shape == (0, 1)
+        rows = tilted_kernel(hitting_profile(ModelParams(2.0, 10), 1))
+        assert rows.shape == (0, 1)
 
     def test_bad_profile_rejected(self):
         params = ModelParams(2.0, 50)
@@ -447,6 +447,28 @@ class TestTiltedKernel:
         tampered = HittingProfile(params, 10, skewed, good.residual, good.method)
         with pytest.raises(SolverError, match=r"tilted row for x=\d+ sums to"):
             tilted_kernel(tampered)
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 9), st.floats(1e-6, 1.0), st.sampled_from([-1.0, 1.0]))
+    def test_every_conditioned_entry_point_refuses_a_moved_profile(
+        self, profile_2_50_u10, x, size, sign
+    ):
+        # each entry point tilts the profile itself, so the row-sum check
+        # refuses one moved log phi(x) before any solve, and before any trial
+        moved = np.array(profile_2_50_u10.log_phi)
+        moved[x] += sign * size
+        tampered = HittingProfile(ModelParams(2.0, 50), 10, moved, 0.0, METHOD_LOGDOMAIN)
+        blocks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "philox_block", lambda *args: blocks.append(args))
+            for run in (
+                lambda: conditional_expected_extinction(tampered),
+                lambda: conditional_occupation_time(tampered, 0.1),
+                lambda: estimate_conditioned_length(tampered, 3, 10, 1),
+            ):
+                with pytest.raises(SolverError, match=r"tilted row for x=\d+ sums to"):
+                    run()
+        assert blocks == []
 
 
 def _traced_peak(f, *args):
@@ -466,7 +488,8 @@ class TestSolveMemory:
     The profile solve writes its scaled matrix over the kernel rows and
     builds its masks, trailing products and residual a ROW_BLOCK of rows at
     a time; tilting works in place of the rows it builds and keeps them
-    without a copy.
+    without a copy.  The time solve copies the tilted rows into its working
+    array and frees them, so it holds about 2 m^2.
     """
 
     PARAMS, U = ModelParams(2.0, 2000), 594  # the window profile of bounds-report --n 2000
@@ -481,38 +504,37 @@ class TestSolveMemory:
         assert peak <= 1.6 * 8 * (self.U - 1) ** 2, peak / (8 * (self.U - 1) ** 2)
 
     def test_tilting_peaks_below_2_m2(self, profile_and_peak):
-        kernel, peak = _traced_peak(tilted_kernel, profile_and_peak[0])
+        rows, peak = _traced_peak(tilted_kernel, profile_and_peak[0])
         assert peak <= 2.0 * 8 * (self.U - 1) ** 2, peak / (8 * (self.U - 1) ** 2)
-        assert not kernel.rows.flags.writeable
+        assert not rows.flags.writeable
 
-    def test_a_callers_rows_are_copied(self, profile_2_50_u10, kernel_2_50_u10):
-        rows = np.array(kernel_2_50_u10.rows)
-        kernel = TiltedKernel(10, rows, profile_2_50_u10)
-        rows[0, 0] = 2.0  # the caller's array stays writable, and the kernel's does not follow
-        assert not np.shares_memory(rows, kernel.rows)
-        assert kernel.rows.tobytes() == kernel_2_50_u10.rows.tobytes()
+    def test_time_solve_peaks_below_2_2_m2(self, profile_and_peak):
+        # the tilted rows are freed once the solve's working array holds them
+        t, peak = _traced_peak(conditional_expected_extinction, profile_and_peak[0])
+        assert t.size == self.U
+        assert peak <= 2.2 * 8 * (self.U - 1) ** 2, peak / (8 * (self.U - 1) ** 2)
 
 
 class TestConditionalExpectedExtinction:
-    def test_starts_at_zero(self, kernel_2_50_u10):
-        t = conditional_expected_extinction(kernel_2_50_u10)
+    def test_starts_at_zero(self, profile_2_50_u10):
+        t = conditional_expected_extinction(profile_2_50_u10)
         assert t[0] == 0.0
         assert not t.flags.writeable and t.flags.owndata  # read-only, and not a view
 
     def test_two_state_geometric_identity(self):
         params = ModelParams(2.0, 3)
-        kern = tilted_kernel(hitting_profile(params, 2))
-        t = conditional_expected_extinction(kern)
-        assert t[1] == pytest.approx(1.0 / (1.0 - kern.rows[0, 1]), abs=1e-12)
+        prof = hitting_profile(params, 2)
+        t = conditional_expected_extinction(prof)
+        assert t[1] == pytest.approx(1.0 / (1.0 - tilted_kernel(prof)[0, 1]), abs=1e-12)
 
-    def test_at_least_one_step(self, kernel_15_300_window):
-        t = conditional_expected_extinction(kernel_15_300_window)
+    def test_at_least_one_step(self, profile_15_300_window):
+        t = conditional_expected_extinction(profile_15_300_window)
         assert np.all(t[1:] >= 1.0)
         assert np.all(np.isfinite(t))
 
-    def test_log_window_band_recorded(self, kernel_15_300_window):
-        t = conditional_expected_extinction(kernel_15_300_window)
-        x = np.arange(2, kernel_15_300_window.u)
+    def test_log_window_band_recorded(self, profile_15_300_window):
+        t = conditional_expected_extinction(profile_15_300_window)
+        x = np.arange(2, profile_15_300_window.u)
         r = t[2:] / np.log1p(x)
         assert math.isfinite(r.max() / r.min())
 
@@ -560,7 +582,7 @@ class TestGaltonWatsonLimit:
         gaps = []
         for n in (300, 1200):
             profile = hitting_profile(ModelParams(lam, n), window_u(lam, n))
-            t = conditional_expected_extinction(tilted_kernel(profile))
+            t = conditional_expected_extinction(profile)
             gaps.append((t[x] - gw_times, profile.log_phi[x] - x * math.log(q)))
         for small_n, large_n in zip(*gaps):
             assert np.all(large_n > 0.0)
@@ -588,9 +610,9 @@ class TestLogarithmicExtinctionWindow:
         rate = abs(math.log(lam * q))
         means, sds = [], []
         for n in (300, 1200):
-            kernel = tilted_kernel(hitting_profile(ModelParams(lam, n), window_u(lam, n)))
-            t = conditional_expected_extinction(kernel)
-            s = _conditioned_time(kernel, 1.0 + 2.0 * kernel.rows[:, 1:] @ t[1:])
+            profile = hitting_profile(ModelParams(lam, n), window_u(lam, n))
+            t = conditional_expected_extinction(profile)
+            s = _conditioned_time(profile, 1.0 + 2.0 * tilted_kernel(profile)[:, 1:] @ t[1:])
             means.append(t[-1])
             sds.append(math.sqrt(s[-1] - t[-1] ** 2))
         increment = (means[1] - means[0]) * rate / math.log(4.0)
@@ -676,13 +698,13 @@ class TestConditionedTimeSolve:
             _solve_gth_rhs(rows, np.ones(2))
 
     def test_u_one_gives_t_zero(self):
-        kern = tilted_kernel(hitting_profile(ModelParams(2.0, 10), 1))
-        for t in (conditional_expected_extinction(kern), conditional_occupation_time(kern, 0.05)):
+        prof = hitting_profile(ModelParams(2.0, 10), 1)
+        for t in (conditional_expected_extinction(prof), conditional_occupation_time(prof, 0.05)):
             assert t.tolist() == [0.0]
             assert not t.flags.writeable
 
     def test_m_matrix_solve_forms_i_minus_q(self, kernel_2_50_u10):
-        Q = kernel_2_50_u10.rows[:, 1:]
+        Q = kernel_2_50_u10[:, 1:]
         b = np.linspace(0.0, 1.0, Q.shape[0])
         before = Q.copy(), b.copy()
         x = _solve_m_matrix(Q, b)
@@ -695,25 +717,25 @@ class TestConditionedTimeSolve:
         # 40-digit arithmetic
         mpmath = pytest.importorskip("mpmath")
         params = ModelParams(1.5, 200)
-        kern = tilted_kernel(hitting_profile(params, threshold_u(params, 0.05, "window")))
-        assert kern.u == 45
-        x = np.arange(1, kern.u)
+        prof = hitting_profile(params, threshold_u(params, 0.05, "window"))
+        assert prof.u == 45
+        x = np.arange(1, prof.u)
         cases = [
-            (conditional_expected_extinction(kern), np.ones(x.size)),
-            (conditional_occupation_time(kern, 0.1), (x > 0.1 * params.n).astype(float)),
+            (conditional_expected_extinction(prof), np.ones(x.size)),
+            (conditional_occupation_time(prof, 0.1), (x > 0.1 * params.n).astype(float)),
         ]
         with mpmath.workdps(40):
-            a = mpmath.eye(x.size) - mpmath.matrix(kern.rows[:, 1:].tolist())
+            a = mpmath.eye(x.size) - mpmath.matrix(tilted_kernel(prof)[:, 1:].tolist())
             for got, r in cases:
                 want = mpmath.lu_solve(a, mpmath.matrix(r.tolist()))
                 assert got[0] == 0.0
                 rel = max(abs(g / w - 1) for g, w in zip(got[1:].tolist(), want))
                 assert rel <= 1e-14, float(rel)
 
-    def test_occupation_with_full_band_is_extinction_time(self, kernel_15_300_window):
+    def test_occupation_with_full_band_is_extinction_time(self, profile_15_300_window):
         # every transient state lies above delta*n = 0.3, so r = 1 as for t
-        t = conditional_expected_extinction(kernel_15_300_window)
-        occ = conditional_occupation_time(kernel_15_300_window, 0.001)
+        t = conditional_expected_extinction(profile_15_300_window)
+        occ = conditional_occupation_time(profile_15_300_window, 0.001)
         assert occ.tobytes() == t.tobytes()
 
 
@@ -766,30 +788,30 @@ class TestUnconditionalExpectedExtinction:
 class TestConditionalOccupationTime:
     def test_two_state_band_identity(self):
         params = ModelParams(2.0, 3)
-        kern = tilted_kernel(hitting_profile(params, 2))
-        t = conditional_occupation_time(kern, 0.2)  # band (0.6, 2) contains x=1
-        assert t[1] == pytest.approx(1.0 / (1.0 - kern.rows[0, 1]), abs=1e-12)
+        prof = hitting_profile(params, 2)
+        t = conditional_occupation_time(prof, 0.2)  # band (0.6, 2) contains x=1
+        assert t[1] == pytest.approx(1.0 / (1.0 - tilted_kernel(prof)[0, 1]), abs=1e-12)
 
     def test_empty_band_gives_zero(self):
         params = ModelParams(2.0, 3)
-        kern = tilted_kernel(hitting_profile(params, 2))
-        t = conditional_occupation_time(kern, 0.6)  # band (1.8, 2) holds no integer
+        prof = hitting_profile(params, 2)
+        t = conditional_occupation_time(prof, 0.6)  # band (1.8, 2) holds no integer
         assert np.all(t == 0.0)
 
     def test_band_floor_must_lie_below_u(self):
         params = ModelParams(2.0, 50)
-        kern = tilted_kernel(hitting_profile(params, 10))
+        prof = hitting_profile(params, 10)
         with pytest.raises(ValueError):
-            conditional_occupation_time(kern, 0.5)  # 25 >= u = 10
+            conditional_occupation_time(prof, 0.5)  # 25 >= u = 10
 
-    def test_delta_range(self, kernel_2_50_u10):
+    def test_delta_range(self, profile_2_50_u10):
         with pytest.raises(ValueError):
-            conditional_occupation_time(kernel_2_50_u10, 0.0)
+            conditional_occupation_time(profile_2_50_u10, 0.0)
         with pytest.raises(ValueError):
-            conditional_occupation_time(kernel_2_50_u10, 1.0)
+            conditional_occupation_time(profile_2_50_u10, 1.0)
 
-    def test_never_negative(self, kernel_15_300_window):
-        t = conditional_occupation_time(kernel_15_300_window, 0.1)
+    def test_never_negative(self, profile_15_300_window):
+        t = conditional_occupation_time(profile_15_300_window, 0.1)
         assert np.all(t >= 0.0)
 
 
