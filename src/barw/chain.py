@@ -15,9 +15,10 @@ logs; the exact solves and the hitting sampler build rows blockwise here.
 
 Two rules here judge the numbers the package's entry points take.
 `_check_int` takes a count, state, threshold or seed: an int or a numpy
-integer, never a bool, within a closed range.  `_check_real` takes a mean,
-epsilon, delta or alpha: an int, float or numpy number, never a bool or NaN,
-within an open interval.  Both raise ValueError.
+integer, never a bool, within a closed range and the doubles' range.
+`_check_real` takes a mean, epsilon, delta or alpha: an int, float or numpy
+number, never a bool or NaN, within an open interval.  Both raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ GW_MEAN_MARGIN = 1e-12
 GW_TOL = 1e-14
 #: kernel rows built per call of transition_log_rows
 ROW_BLOCK = 64
+#: upper-tail columns built per call in _log_tail_blocks; a tail no wider is built in one call
+TAIL_CHUNK = 256
+#: log 2^60: a row's upper tail stops once its rest is below 2^-60 of its peak
+TAIL_LOG_CUT = 60 * math.log(2.0)
 
 # Cephes lgam (Moshier 1989), which scipy.special.gammaln evaluates: log of
 # sqrt(2*pi) and the Stirling-series coefficients in 1/x^2, highest power
@@ -55,11 +60,17 @@ _STIRLING_LARGE = (
 
 
 def _check_int(name: str, value: object, least: float = -math.inf, most: float = math.inf) -> int:
-    """value as an int: an int or a numpy integer, never a bool, in [least, most]."""
+    """value as an int: an int or a numpy integer, never a bool, in [least, most].
+
+    It must also be a finite double's size: an int beyond the doubles would
+    pass `value <= inf` and overflow in the first float operation.
+    """
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not least <= value <= most:
         raise ValueError(f"{name} {value} outside [{least}, {most}]")
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} {value} outside the doubles' range")
     return int(value)
 
 
@@ -254,15 +265,70 @@ def _transient_log_rows(params: ModelParams, u: int) -> np.ndarray:
     return rows
 
 
+def _negligible_rest(chunk: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Rows whose mass past the chunk's last column is below 2^-60 of `peak`, their running peak.
+
+    A row with b(x) = 0 has no mass here at all.  Any other row is done
+    once it falls: its last log-ratio r = a(y) - a(y-1), with a = log p,
+    is negative, and by log-concavity the rest of its tail is then at most
+    p(y) * e^r / (1 - e^r), which must lie below 2^-60 of the peak.
+    """
+    last = chunk[:, -1]
+    # r is NaN on a row without mass and the log is +inf or NaN unless r < 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = last - chunk[:, -2]
+        log_rest = last + r - np.log(-np.expm1(r))
+    return np.isneginf(last) | ((r < 0.0) & (log_rest < peak - TAIL_LOG_CUT))
+
+
+def _log_tail_blocks(params: ModelParams, u: int):
+    """Each ROW_BLOCK of x = 1..u-1 over the live part y = u..u+w-1 of its tail y >= u.
+
+    Yields (first row index, block).  The columns are built TAIL_CHUNK at a
+    time, and the block stops at the first chunk after which every row's
+    rest is below 2^-60 of its running peak (see _negligible_rest), or at
+    y = n.  A tail no wider than one chunk is built whole in one call, with
+    no stop test.
+    """
+    n = params.n
+    for lo in range(1, u, ROW_BLOCK):
+        xs = range(lo, min(lo + ROW_BLOCK, u))
+        y_hi = min(u + TAIL_CHUNK - 1, n)
+        chunks = [transition_log_rows(params, xs, u, y_hi)]
+        peak = LOG_ZERO
+        while y_hi < n:
+            peak = np.maximum(peak, chunks[-1].max(axis=1))
+            if _negligible_rest(chunks[-1], peak).all():
+                break
+            y_lo, y_hi = y_hi + 1, min(y_hi + TAIL_CHUNK, n)
+            chunks.append(transition_log_rows(params, xs, y_lo, y_hi))
+        yield lo - 1, chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+
+
 def _log_top_masses(params: ModelParams, u: int) -> np.ndarray:
-    """log P_x[X_1 >= u] for x = 1..u-1, from each row's upper tail.
+    """log P_x[X_1 >= u] for x = 1..u-1, from the live part of each row's upper tail.
 
     Summed as a log-sum over y >= u, never formed as 1 minus the mass
     below u, which cancels to nothing once the tail falls below machine
-    epsilon.
+    epsilon.  The sum stops where the rest of every row in a block is
+    below 2^-60 of the row's peak (_log_tail_blocks), so it leaves out less
+    than 2^-60 of the kept sum: a 64th of the half ulp (2^-54) by which
+    rounding the sum may move.
+
+    The bound rests on the Bin(n, b) pmf being log-concave (Keilson and
+    Gerber, JASA 66, 1971): its log-ratios fall at every step, so none
+    past the last column is above r.  It holds for the computed logs too.
+    Each carries a few ulps of error E, which moves r by up to 2E and the
+    bound by a factor of about 1 + 2E/|r|.  Where the test passes, |r| is
+    above about 41.6/(n + 1): the row's fall from its peak plus |r|
+    exceeds log 2^60 = 41.6, and by concavity the last of its at most n
+    steps is the steepest.  For n up to 1e4, E is below about 1e-10
+    against |r| >= 4e-3, and the factor of 64 to the half ulp covers the
+    rest.  Only the columns built are summed, so a value may differ in its
+    last place from a sum over the whole tail.
     """
     top = np.empty(u - 1)
-    for i, block in _log_row_blocks(params, u, u, params.n):
+    for i, block in _log_tail_blocks(params, u):
         top[i : i + block.shape[0]] = _logsumexp_rows(block)
     return top
 

@@ -143,7 +143,7 @@ REALS = {
     "log_kappa_floor-lambda": (lambda k, v: log_kappa_floor(v, 50), 1.0),
 }
 
-#: an int beyond the doubles, which `1 < v < inf` lets through
+#: an int beyond the doubles, which `1 < v < inf` and `1 <= v <= inf` let through
 HUGE = 10**400
 
 
@@ -156,7 +156,7 @@ def _cases(entries, bad):
 
 
 @pytest.mark.parametrize(
-    ("entry", "value"), _cases(COUNTS, [math.nan, math.inf, -math.inf, True, 2.5, "3"])
+    ("entry", "value"), _cases(COUNTS, [math.nan, math.inf, -math.inf, True, 2.5, "3", HUGE])
 )
 def test_a_count_that_is_not_one_in_range_is_a_value_error(profile_2_50_u10, entry, value):
     # a ValueError, never a TypeError, an OverflowError or a result

@@ -1102,9 +1102,11 @@ class TestExitCodes:
              "--seed", "1", "--epsilon", "1e308"],
             ["figure1", "--lambda", "2", "--n", "50", "--epsilon", "inf", "--mode", "low"],
             ["bounds-report", "--lambda", "2", "--n", "300", "--epsilon", "inf"],
+            # a site count beyond the doubles would overflow in the first float operation
+            ["figure1", "--lambda", "2", "--n", str(10**400), "--epsilon", "0.05"],
         ],
         ids=["no-x0", "bad-epsilon", "bad-lambda", "mc-hitting-eps-1e308", "figure1-eps-inf",
-             "bounds-report-eps-inf"],
+             "bounds-report-eps-inf", "figure1-n-10**400"],
     )
     def test_refused_run_creates_no_out_directory(self, tmp_path, argv):
         out = tmp_path / "never"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -32,7 +32,15 @@ from barw import (
     write_profile,
 )
 from barw import chain, simulate, solver
-from barw.chain import LOG_ZERO, _log_top_masses, _logsumexp_rows, _transient_log_rows
+from barw.chain import (
+    LOG_ZERO,
+    _log_row_blocks,
+    _log_tail_blocks,
+    _log_top_masses,
+    _logsumexp_rows,
+    _transient_log_rows,
+    transition_log_rows,
+)
 from barw.solver import (
     HittingProfile,
     METHOD_LOGDOMAIN,
@@ -74,6 +82,18 @@ def certified_horizon(lam, n, u, tol=1e-8):
     p = exact_kernel(lam, n, u)
     stay = 1.0 - p[:, 0].min()
     return int(math.ceil(math.log(tol) / math.log(stay))) + 1
+
+
+def full_tail_log_top_masses(params, u):
+    """log P_x[X_1 >= u] for x = 1..u-1, log-summed over the whole tail y = u..n.
+
+    The reference for chain._log_top_masses, which stops each row block's
+    sum once the rest of its tail is negligible.
+    """
+    top = np.empty(u - 1)
+    for i, block in _log_row_blocks(params, u, u, params.n):
+        top[i : i + block.shape[0]] = _logsumexp_rows(block)
+    return top
 
 
 def _solve_gth_log(log_q: np.ndarray, log_c: np.ndarray, log_top: np.ndarray) -> np.ndarray:
@@ -215,6 +235,43 @@ class TestSolverMethods:
         np.testing.assert_allclose(
             np.exp(_log_top_masses(params, u)), 1.0 - below, rtol=1e-12, atol=0
         )
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        lam=st.floats(1.5, 8.0),
+        n_u=st.integers(2, 3000).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
+    )
+    @example(lam=2.0, n_u=(2000, 594))  # bounds-report's window
+    @example(lam=6.0, n_u=(1200, 299))  # figure2's README profile
+    @example(lam=2.0, n_u=(300, 300))  # a one-column tail
+    def test_live_tail_matches_full_tail(self, lam, n_u):
+        n, u = n_u
+        params = ModelParams(lam, n)
+        top, full = _log_top_masses(params, u), full_tail_log_top_masses(params, u)
+        # a few ulps of the mass, and of its log
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(top, full, rtol=4 * eps, atol=4 * eps)
+        if n - u + 1 <= chain.TAIL_CHUNK:
+            # a tail of one chunk is summed whole, as before
+            assert top.tobytes() == full.tobytes()
+        for i, block in _log_tail_blocks(params, u):
+            kept = _logsumexp_rows(block)
+            y_lo = u + block.shape[1]
+            if y_lo > n:
+                continue
+            xs = range(i + 1, i + 1 + block.shape[0])
+            rest = _logsumexp_rows(transition_log_rows(params, xs, y_lo, n))
+            assert np.all(rest < kept - 60 * math.log(2)), (i, y_lo)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rows_without_mass_stop_without_a_warning(self):
+        # b(x) = 0 for x >= 373 at lam = 2000, n = 1000: those rows are -inf
+        # throughout their 501-column tail, wider than one chunk, so the
+        # stop test meets them
+        params, u = ModelParams(2000.0, 1000), 500
+        top = _log_top_masses(params, u)
+        assert np.isneginf(top[372:]).all() and np.isfinite(top[:372]).all()
+        np.testing.assert_array_equal(top, full_tail_log_top_masses(params, u))
 
     @pytest.mark.parametrize(
         "lam,n,u",
