@@ -191,13 +191,21 @@ def transition_log_rows(
 
     The binomial coefficients come from the log-factorial table, built
     once per n and equal bit for bit to scipy.special.gammaln, so n up to
-    1e4 poses no overflow risk.  Entries with zero mass are -inf.  Every entry depends on its own x and y alone, so a row is
-    the same whichever other rows are built with it.
+    1e4 poses no overflow risk.  Entries with zero mass are -inf.  Every
+    entry depends on its own x and y alone, so a row is the same whichever
+    other rows are built with it.  Every x must be a state, 0..n; a range
+    of them is checked at its two ends.
     """
     n = params.n
     if y_hi is None:
         y_hi = n
-    b = [branch_prob(params, x) for x in xs]
+    if isinstance(xs, range):
+        for x in (xs[0], xs[-1]) if xs else ():  # a range holds ints only: its ends bound it
+            _check_int("state", x, 0, n)
+    else:
+        xs = [_check_int("state", x, 0, n) for x in xs]
+    # b(x) as branch_prob computes it, bit for bit
+    b = [t * math.exp(-t) for t in (params.lam * x / n for x in xs)]
     # math.log per entry: numpy's vectorized log may round differently
     pairs = [(math.log(v) if v > 0.0 else 0.0, math.log1p(-v)) for v in b]
     logs = np.array(pairs).reshape(-1, 2)  # shape (0, 2) when xs is empty

@@ -6,9 +6,13 @@ geometrically in x, far below the smallest double, and above eq I - Q is
 nearly singular.  Every threshold takes the one solve, subtraction-free (GTH)
 elimination on the rescaled matrix D^-1 Q D, D = diag(e^s) with s an
 estimate of log phi from below, in native doubles and in panels, while
-the O(u) vectors of masses and pivots stay in logs.  Where the estimate
-s falls far short, the solve is repeated, scaled by its own result, until
-it reaches a fixed point.  With m = u - 1, a profile solve holds about
+the O(u) vectors of masses and pivots stay in logs.  A pivot works only
+on its own panel of _PANEL states, in O(_PANEL) numpy work: each panel
+row carries its mass to all later states as one more log, and the
+panel's multipliers reach the rest of the matrix as two einsum products
+and one BLAS trailing product; every sum adds nonnegatives.  Where the
+estimate s falls far short, the solve is repeated, scaled by its own
+result, until it reaches a fixed point.  With m = u - 1, a profile solve holds about
 1.2-1.4 m^2 doubles at its peak: each pass writes the scaled matrix over
 the m x u kernel rows, which are built again for each further pass and,
 a block at a time, for the harmonicity residual.  Conditioning on that
@@ -56,7 +60,8 @@ LOG_NEGLIGIBLE = -350.0
 LOG_SCALE_GAP = 100.0
 RESCALE_TOL = 1e-9
 RESCALE_PASSES = 8
-#: GTH eliminates this many pivots between two trailing matrix products
+#: GTH eliminates this many pivots in a small workspace of their own, then
+#: applies them to the rest of the matrix as products of nonnegatives
 _PANEL = 32
 UNCONDITIONAL_N_CAP = 400
 #: largest n*eps*max(T), the estimated relative error of an unconditional solve, that is returned
@@ -230,8 +235,8 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
     phi spans far more orders of magnitude than a double, so the solve
     finds psi = phi / e^s on A = D^-1 Q D, D = diag(e^s), with s an
     estimate of log phi(1..u-1) from below.  The O(m^3) elimination is a
-    native multiply-add; pivots, c and top (O(m) per step) stay in logs,
-    as raw masses.
+    native multiply-add; the pivots and each row's masses to 0 and to >= u
+    stay in logs, as raw masses.
 
     The solve spends log_p: A is written in place of log_p[:, 1:], a
     ROW_BLOCK of rows at a time, with the masks below made per block, so
@@ -240,12 +245,32 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
     them.
 
     The elimination is the right-looking block LU (Golub and Van Loan,
-    Matrix Computations, 3.2): a panel of _PANEL pivots updates only its
-    own rows and columns, so each pivot sees its fully updated row, and
-    the trailing block then takes the panel's updates as matrix products,
-    a ROW_BLOCK of rows each.  Every term of those products is a product
-    of nonnegatives, so its summation order keeps GTH's entrywise relative
-    accuracy (O'Cinneide, Numer. Math. 65, 1993).
+    Matrix Computations, 3.2) in panels of b = _PANEL pivots, and a pivot
+    touches only its own panel:
+    - Before the panel, one b x (m - k1) log-sum-exp gives each of its
+      rows R, its mass to all states k1.. after the panel.  The pivots
+      fold R like a third absorbing column, so a pivot sums its masses
+      within the panel and three more, and updates the panel's masses to
+      0, to >= u and R with one logaddexp.
+    - The pivots run on a 2b x 2b workspace: the panel's diagonal block
+      beside two identity blocks, which the same rank-1 updates turn into
+      N = (I - L11)^-1 and M = (D - U11)^-1.
+    - After the panel, U12 = N A12 and L21 = A21 M are einsum products, so
+      their bytes do not depend on the BLAS kernel.  Each panel pivot is
+      then taken again, as the sum of its row as stored: R came by another
+      path than U12, and the back substitution divides each row by its own
+      sum, so that pivot and numerator share their masses, which keeps
+      phi = 1 to the last digits in a chain that surely dies.  The rows
+      after the panel take their masses to 0 and to >= u in one log-sum-exp
+      of b + 1 terms each, and the trailing block takes L21 U12 as BLAS
+      matrix products, a ROW_BLOCK of rows each.
+    - The last panel takes the last 2b - 1 states or fewer whole.  With no
+      states after it, it needs neither R nor the identity blocks, and its
+      pivots already are the sums of its rows.
+    N and M are nonnegative, as the multipliers and U are, so every product
+    and every sum adds nonnegatives, and no summation order loses GTH's
+    entrywise relative accuracy (O'Cinneide, Numer. Math. 65, 1993).  The
+    scratch beside A is O(b m).
 
     Entries with log A below LOG_NEGLIGIBLE are set to 0, which keeps every
     product of two kept entries a normal double.  Where the scaling alone,
@@ -260,7 +285,10 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
     true phi / e^s, which the pass itself cannot see (see _solve_logdomain).
     """
     m = s.size
-    log_c = log_p[:, 0] - s  # log of the scaled mass to 0
+    # per row, the log of its raw mass to 0, to >= u and, while its panel
+    # runs, to the states after the panel
+    V = np.empty((m, 3))
+    V[:, 0] = log_p[:, 0]
     A = log_p[:, 1:]
     log_moved = np.empty(m)  # log of each row's raw mass moved to top
     for i in range(0, m, ROW_BLOCK):
@@ -277,45 +305,71 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
         log_moved[i : i + ROW_BLOCK] = _logsumexp_rows(buf)
         np.exp(block, out=rows)
         rows[negligible] = 0.0
-    top = np.logaddexp(log_top, log_moved)
+    V[:, 1] = np.logaddexp(log_top, log_moved)
     log_pivot = np.empty(m)
-    terms = np.empty(m + 1)  # the log masses that sum to a pivot
+    terms = np.empty(2 * _PANEL + 1)  # the log masses that sum to a pivot
     with np.errstate(divide="ignore"):
         for k0 in range(0, m, _PANEL):
-            k1 = min(k0 + _PANEL, m)
-            for k in range(k0, k1):
-                d = s[k] - s[k + 1 :]
+            k1 = k0 + _PANEL if m - k0 >= 2 * _PANEL else m
+            b = k1 - k0
+            t = b if k1 < m else 0  # the identity blocks' size
+            P, sp = V[k0:k1], s[k0:k1]
+            W = np.zeros((b + t, b + t))
+            W[:b, :b] = A[k0:k1, k0:k1]
+            if t:
+                W[:b, b:] = W[b:, :b] = np.eye(b)
+                R = np.log(A[k0:k1, k1:])
+                R += np.subtract.outer(sp, s[k1:])
+                P[:, 2] = _logsumexp_rows(R)
+            else:
+                P[:, 2] = LOG_ZERO
+            for k in range(b):
+                d = sp[k] - sp[k + 1 :]
                 # the pivot's log-sum-exp, in the ufuncs and order of _logsumexp_rows
-                lse = terms[: m + 1 - k]
-                lse[0] = log_c[k] + s[k]
-                lse[1] = top[k]
-                np.log(A[k, k + 1 :], out=lse[2:])
-                lse[2:] += d  # the raw log masses from k to the states after it
+                lse = terms[: b + 2 - k]
+                lse[:3] = P[k]
+                np.log(W[k, k + 1 : b], out=lse[3:])
+                lse[3:] += d  # the raw log masses from k to the panel after it
                 peak = lse.max()
                 shift = peak if peak > LOG_ZERO else 0.0
                 lse -= shift
                 np.exp(lse, out=lse)
-                log_pivot[k] = np.log(lse.sum()) + shift
-                col = A[k + 1 :, k]
-                col /= math.exp(log_pivot[k])  # column k now holds the multipliers
-                row = A[k, k + 1 :]
-                w = k1 - k - 1  # panel rows and columns after k
-                A[k + 1 : k1, k + 1 :] += np.multiply.outer(col[:w], row)
-                A[k1:, k + 1 : k1] += np.multiply.outer(col[w:], row[:w])
-                f = np.log(col)  # log(Q_ik / pivot) + s_k - s_i
-                np.subtract(top[k], d, out=d)  # (s_(k+1:) - s_k) + top_k, exactly
-                d += f
-                f += log_c[k]
-                np.logaddexp(log_c[k + 1 :], f, out=log_c[k + 1 :])
-                np.logaddexp(top[k + 1 :], d, out=top[k + 1 :])
+                log_pivot[k0 + k] = np.log(lse.sum()) + shift
+                # the rows after k of the panel and of M, and the columns after k of the
+                # panel and of N; where M's rows meet N's columns is scratch
+                e = b + min(t, k + 1)
+                col = W[k + 1 : e, k]
+                col /= math.exp(log_pivot[k0 + k])  # column k now holds the multipliers
+                W[k + 1 : e, k + 1 : e] += np.multiply.outer(col, W[k, k + 1 : e])
+                f = np.log(col[: b - k - 1])
+                f -= d  # log(Q_ik / pivot), the raw multipliers
+                np.logaddexp(P[k + 1 :], np.add.outer(f, P[k]), out=P[k + 1 :])
+            A[k0:k1, k0:k1] = np.triu(W[:b, :b], 1)  # U11 off its diagonal: all that is read
+            if not t:
+                break
+            A[k0:k1, k1:] = np.einsum("ik,kj->ij", W[:b, b:], A[k0:k1, k1:], optimize=False)
+            rows = np.empty((b, m - k0 + 1))  # each pivot again, from its row as stored
+            rows[:, :2] = P[:, :2]
+            np.log(A[k0:k1, k0 + 1 :], out=rows[:, 2:])
+            rows[:, 2:] += np.subtract.outer(sp, s[k0 + 1 :])
+            log_pivot[k0:k1] = _logsumexp_rows(rows)
+            L21 = np.einsum("ik,kj->ij", A[k1:, k0:k1], W[b:, :b], optimize=False)
+            A[k1:, k0:k1] = L21
+            # the masses to 0 and to >= u of the rows after the panel
+            masses = np.empty((2, m - k1, b + 1))
+            masses[:, :, 0] = V[k1:, :2].T
+            masses[:, :, 1:] = np.log(L21)
+            masses[:, :, 1:] += np.subtract.outer(s[k1:], sp)  # the raw multipliers
+            masses[:, :, 1:] += P[:, :2].T[:, None, :]
+            V[k1:, :2] = _logsumexp_rows(masses.reshape(-1, b + 1)).reshape(2, -1).T
             for i in range(k1, m, ROW_BLOCK):
                 A[i : i + ROW_BLOCK, k1:] += A[i : i + ROW_BLOCK, k0:k1] @ A[k0:k1, k1:]
 
     psi = np.empty(m)
-    c = np.exp(log_c)
+    c = np.exp(V[:, 0] - s)
     pivot = np.exp(log_pivot)
     for i in range(m - 1, -1, -1):
-        psi[i] = (c[i] + np.sum(A[i, i + 1 :] * psi[i + 1 :])) / pivot[i]
+        psi[i] = (c[i] + (A[i, i + 1 :] * psi[i + 1 :]).sum()) / pivot[i]
     return np.log(psi) + s
 
 

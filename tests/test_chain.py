@@ -221,6 +221,32 @@ class TestTransitionLogpmf:
         direct = direct + y * math.log(b) + (20 - y) * math.log1p(-b)
         np.testing.assert_allclose(rows[2], direct, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize(
+        "xs", [range(201), range(200, -1, -7), [np.int64(150), 0, 37, 200]], ids=repr
+    )
+    def test_rows_bit_identical_to_branch_prob_rows(self, xs):
+        # transition_log_rows takes b(x) per row as branch_prob does, with one state
+        # check per range in place of one per row
+        params, n = ModelParams(1.5, 200), 200
+        rows = transition_log_rows(params, xs)
+        y = np.arange(n + 1)
+        lf = _log_factorials(n)
+        for row, x in zip(rows, xs):
+            b = branch_prob(params, int(x))
+            if b == 0.0:
+                want = np.where(y == 0, 0.0, -np.inf)
+            else:
+                want = lf[n] - lf[y] - lf[n - y] + y * math.log(b) + (n - y) * math.log1p(-b)
+            assert row.tobytes() == want.tobytes(), x
+
+    @pytest.mark.parametrize(
+        "xs", [range(22), range(-1, 5), range(21, 0, -1), [3, 21], [3, -1], [1, 2.5], [True]],
+        ids=repr,
+    )
+    def test_a_row_that_is_no_state_is_refused(self, xs):
+        with pytest.raises(ValueError, match="state"):
+            transition_log_rows(ModelParams(2.0, 20), xs)
+
     def test_no_rows(self):
         rows = transition_log_rows(ModelParams(2.0, 20), [], 5, 12)
         assert rows.shape == (0, 8)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from barw import (
 from barw import chain, simulate, solver
 from barw.chain import (
     LOG_ZERO,
+    ROW_BLOCK,
     _log_row_blocks,
     _log_tail_blocks,
     _log_top_masses,
@@ -127,6 +129,81 @@ def _solve_gth_log(log_q: np.ndarray, log_c: np.ndarray, log_top: np.ndarray) ->
         terms = np.concatenate(([c[i]], L[i, i + 1 :] + x[i + 1 :]))
         x[i] = _logsumexp_rows(terms) - log_pivot[i]
     return x
+
+
+def sequential_solve_gth_scaled(log_p, log_top, s):
+    """solver._solve_gth_scaled with O(m) work per pivot: the panel solve's reference.
+
+    The same scaled GTH pass and masks, in panels of _PANEL pivots with a
+    BLAS trailing product, but every pivot updates the whole rest of its
+    row and column, and the masses to 0 and to >= u of every later state,
+    which cost it O(m) numpy work.  The panel solve takes the same sums of
+    nonnegative terms in another order, so the two agree to rounding.
+    """
+    m = s.size
+    log_c = log_p[:, 0] - s  # log of the scaled mass to 0
+    A = log_p[:, 1:]
+    log_moved = np.empty(m)  # log of each row's raw mass moved to top
+    for i in range(0, m, ROW_BLOCK):
+        rows = A[i : i + ROW_BLOCK]
+        s_x = s[i : i + ROW_BLOCK, None]
+        block = np.add(rows, s[None, :])
+        block -= s_x
+        negligible = block < solver.LOG_NEGLIGIBLE
+        np.fill_diagonal(negligible[:, i:], False)  # the diagonal is never a pivot mass
+        buf = np.subtract(s[None, :], s_x)
+        to_top = negligible & (buf < solver.LOG_NEGLIGIBLE / 2)
+        buf.fill(LOG_ZERO)
+        np.copyto(buf, rows, where=to_top)
+        log_moved[i : i + ROW_BLOCK] = _logsumexp_rows(buf)
+        np.exp(block, out=rows)
+        rows[negligible] = 0.0
+    top = np.logaddexp(log_top, log_moved)
+    log_pivot = np.empty(m)
+    terms = np.empty(m + 1)  # the log masses that sum to a pivot
+    with np.errstate(divide="ignore"):
+        for k0 in range(0, m, solver._PANEL):
+            k1 = min(k0 + solver._PANEL, m)
+            for k in range(k0, k1):
+                d = s[k] - s[k + 1 :]
+                # the pivot's log-sum-exp, in the ufuncs and order of _logsumexp_rows
+                lse = terms[: m + 1 - k]
+                lse[0] = log_c[k] + s[k]
+                lse[1] = top[k]
+                np.log(A[k, k + 1 :], out=lse[2:])
+                lse[2:] += d  # the raw log masses from k to the states after it
+                peak = lse.max()
+                shift = peak if peak > LOG_ZERO else 0.0
+                lse -= shift
+                np.exp(lse, out=lse)
+                log_pivot[k] = np.log(lse.sum()) + shift
+                col = A[k + 1 :, k]
+                col /= math.exp(log_pivot[k])  # column k now holds the multipliers
+                row = A[k, k + 1 :]
+                w = k1 - k - 1  # panel rows and columns after k
+                A[k + 1 : k1, k + 1 :] += np.multiply.outer(col[:w], row)
+                A[k1:, k + 1 : k1] += np.multiply.outer(col[w:], row[:w])
+                f = np.log(col)  # log(Q_ik / pivot) + s_k - s_i
+                np.subtract(top[k], d, out=d)  # (s_(k+1:) - s_k) + top_k, exactly
+                d += f
+                f += log_c[k]
+                np.logaddexp(log_c[k + 1 :], f, out=log_c[k + 1 :])
+                np.logaddexp(top[k + 1 :], d, out=top[k + 1 :])
+            for i in range(k1, m, ROW_BLOCK):
+                A[i : i + ROW_BLOCK, k1:] += A[i : i + ROW_BLOCK, k0:k1] @ A[k0:k1, k1:]
+
+    psi = np.empty(m)
+    c = np.exp(log_c)
+    pivot = np.exp(log_pivot)
+    for i in range(m - 1, -1, -1):
+        psi[i] = (c[i] + np.sum(A[i, i + 1 :] * psi[i + 1 :])) / pivot[i]
+    return np.log(psi) + s
+
+
+def sequential_log_phi(params, u):
+    """log phi_u(x), x = 0..u-1, from hitting_profile with the sequential reference solve."""
+    with mock.patch.object(solver, "_solve_gth_scaled", sequential_solve_gth_scaled):
+        return hitting_profile(params, u).log_phi
 
 
 def oracle_log_phi(params, u):
@@ -354,7 +431,7 @@ class TestSolverMethods:
             assert a.residual == b.residual
 
     def test_bits_independent_of_blas_threads(self):
-        # the trailing updates are BLAS matrix products, 18 of them here, and
+        # the trailing updates are BLAS matrix products, 17 of them here, and
         # OpenBLAS reads its thread count once, at start-up
         script = (
             "import sys; from barw import ModelParams, hitting_profile; "
@@ -382,6 +459,33 @@ class TestSolverMethods:
         assert prof.method == METHOD_LOGDOMAIN
         assert prof.residual <= 1e-8
         assert np.all(np.isfinite(prof.log_phi))
+
+
+class TestPanelSolve:
+    """The panel solve against sequential_solve_gth_scaled, through hitting_profile."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30, database=None)
+    @given(
+        lam=st.floats(1.5, 8.0),
+        n_u=st.integers(2, 3000).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
+    )
+    # m = u - 1 = 32, 33 and 63 take one panel, 64 and 65 two, 97 three
+    @example(lam=2.0, n_u=(300, 33))
+    @example(lam=2.0, n_u=(300, 34))
+    @example(lam=2.0, n_u=(300, 64))
+    @example(lam=2.0, n_u=(300, 65))
+    @example(lam=2.0, n_u=(300, 66))
+    @example(lam=2.0, n_u=(300, 98))
+    @example(lam=2.0, n_u=(2000, 594))  # bounds-report's window
+    @example(lam=6.0, n_u=(1200, 299))  # figure2's README profile
+    @example(lam=4.0, n_u=(500, 350))  # far above eq: a second scaled pass
+    def test_matches_sequential_solve(self, lam, n_u):
+        n, u = n_u
+        params = ModelParams(lam, n)
+        got, want = hitting_profile(params, u).log_phi, sequential_log_phi(params, u)
+        scale = np.maximum(1.0, np.abs(want))
+        worst = float(np.max(np.abs(got - want) / scale))
+        assert worst <= 1e-14, worst
 
 
 @st.composite
