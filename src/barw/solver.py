@@ -19,9 +19,14 @@ a block at a time, for the harmonicity residual.  Conditioning on that
 hitting event is a Doob transform of the kernel by phi, built from a
 HittingProfile by tilted_kernel alone, which checks every tilted row
 sum.  Expected absorption and occupation times under the conditioned
-chain take the profile and tilt it themselves; they are GTH solves too,
-unscaled and carrying the right-hand side, in panels whose trailing
-update is an einsum.  The unconditional expected time is still
+chain take the profile and tilt it straight into the working array of a
+GTH solve, unscaled and carrying the right-hand side, in the profile
+solve's panels but with every product an einsum, and back substitute a
+panel at a time through its M = (D - U11)^-1.  Expected times first zero
+their masses below e^LOG_NEGLIGIBLE, which keeps t's relative accuracy;
+occupation times, which can fall below 1e-150, zero none.  A time solve
+holds one m x u array at a time and peaks at tilting's 1.1-1.4 m^2
+doubles.  The unconditional expected time is still
 a native elimination that subtracts.  Every time solve returns a plain
 read-only array t over x = 0, 1, ..., with t[0] = 0, and every solve or
 check that fails its contract raises SolverError.
@@ -51,15 +56,18 @@ from .chain import (
 
 HARMONICITY_TOL = 1e-8
 ROW_SUM_TOL = 1e-9
-#: scaled GTH zeroes entries below e^LOG_NEGLIGIBLE, so any product of two
-#: kept entries is a normal double (e^-700 > 2.2e-308)
+#: scaled GTH, and the time solve where r > 0, zero entries below
+#: e^LOG_NEGLIGIBLE, so any product of two kept entries is a normal double
+#: (e^-700 > 2.2e-308)
 LOG_NEGLIGIBLE = -350.0
 #: a floor-scaled solve whose psi = phi / e^s exceeds e^LOG_SCALE_GAP is
 #: redone, scaled by its own result, until a pass moves log phi by at most
-#: RESCALE_TOL; at most RESCALE_PASSES passes in all
+#: RESCALE_TOL; at most RESCALE_PASSES passes in all.  Far above eq the first
+#: passes close the gap only by a factor of 4 to 40 each: lam=4, n=3000,
+#: u=2000 settles on its ninth pass, so 16 leaves room
 LOG_SCALE_GAP = 100.0
 RESCALE_TOL = 1e-9
-RESCALE_PASSES = 8
+RESCALE_PASSES = 16
 #: GTH eliminates this many pivots in a small workspace of their own, then
 #: applies them to the rest of the matrix as products of nonnegatives
 _PANEL = 32
@@ -155,45 +163,97 @@ def _solve_m_matrix(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_gth_rhs(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve t = r + Q t by GTH elimination, Q = rows[:, 1:] and exit mass c = rows[:, 0].
+def _solve_gth_rhs(W: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve t = r + Q t by GTH elimination, Q = W[:, 1:] and exit mass c = W[:, 0].
 
-    Each row of `rows` sums to 1: c_k plus state k's masses Q_k.  As in
-    _solve_gth_scaled, every pivot is the sum of state k's remaining
-    outgoing masses, c_k + sum_(j>k) A_kj, never 1 - A_kk (the diagonal is
-    never read), and the multipliers fold c and r into the later rows
-    exactly as they fold A, so nothing is ever subtracted and t keeps GTH's
-    entrywise relative accuracy.  c and r ride as two extra columns of the
-    one m x (m + 2) working array, and r is left as it is.  The solve drops
-    its reference to rows once W holds them, so rows handed over as a
-    temporary are freed before the elimination, which then peaks at about
-    2 m^2 doubles: W and one panel's einsum product.  The blocking is
-    _solve_gth_scaled's, but the trailing update is an einsum, not a BLAS
-    product, so t's bytes do not depend on the BLAS kernel.
+    Each row of W sums to 1: c_k plus state k's masses Q_k.  The solve
+    spends W: it eliminates in place, so it holds W and O(_PANEL m)
+    scratch, with its trailing products taken a ROW_BLOCK of rows at a
+    time; r is left as it is.  As in _solve_gth_scaled, every pivot is the
+    sum of state k's remaining outgoing masses, never 1 - Q_kk (the
+    diagonal is never read), and the multipliers fold c and r into the
+    later rows exactly as they fold Q, so nothing is ever subtracted and t
+    keeps GTH's entrywise relative accuracy in any summation order
+    (O'Cinneide, Numer. Math. 65, 1993).
+
+    The elimination is _solve_gth_scaled's, in native doubles, and a pivot
+    touches only its own panel of b = _PANEL states:
+    - Before the panel, one row sum gives R, each panel row's mass to all
+      states after the panel.  A pivot is its row's sum within the panel
+      plus R and c, and it folds R, c and r into the later panel rows.
+    - The pivots run on a 2b x (2b + 3) workspace: the panel's diagonal
+      block, R, c and r beside an identity block, above another identity
+      block, which the same rank-1 updates turn into N = (I - L11)^-1 and
+      M = (D - U11)^-1.
+    - After the panel, U12 = N A12 and L21 = A21 M, the trailing update
+      L21 U12 and the folds of the panel's c and r into the later rows are
+      einsum products, not BLAS ones, so t's bytes do not depend on the
+      BLAS kernel.
+    - The last stretch of fewer than 2b states is eliminated whole, with
+      no states after it, so it needs neither R nor N.
+    The back substitution goes a panel at a time, through the stored rows
+    U12 and the folded r: t_panel = M (r_panel + U12 t_after), two einsum
+    products of nonnegatives.
+
+    Where r > 0 everywhere, as for expected times, the masses Q below
+    e^LOG_NEGLIGIBLE (about 1e-152) are zeroed before the elimination, so
+    no product of two stored masses is subnormal.  A zeroed mass acts as a
+    self-loop: it moves its row's equation by less than
+    e^LOG_NEGLIGIBLE max t, against t >= min r, so t keeps its relative
+    accuracy while max t / min r stays far below 1e136.  The exit mass c is
+    never zeroed.  Where r has zeros, as for occupation times, t may itself
+    lie below 1e-150 and nothing is zeroed.
     """
     m = r.size
-    W = np.empty((m, m + 2))
-    W[:, :m] = rows[:, 1:]
-    W[:, m] = rows[:, 0]
-    W[:, m + 1] = r
-    del rows
-    pivot = np.empty(m)
-    for k0 in range(0, m, _PANEL):
-        k1 = min(k0 + _PANEL, m)
-        for k in range(k0, k1):
-            pivot[k] = np.sum(W[k, k + 1 : m + 1])
-            if not pivot[k] > 0.0:
-                raise SolverError(f"state {k + 1} never reaches the exit")
-            col = W[k + 1 :, k]
-            col /= pivot[k]  # column k now holds the multipliers
-            row = W[k, k + 1 :]
-            w = k1 - k - 1  # panel rows and columns after k
-            W[k + 1 : k1, k + 1 :] += np.multiply.outer(col[:w], row)
-            W[k1:, k + 1 : k1] += np.multiply.outer(col[w:], row[:w])
-        W[k1:, k1:] += np.einsum("ik,kj->ij", W[k1:, k0:k1], W[k0:k1, k1:], optimize=False)
+    r = np.array(r, dtype=float)  # a copy: the panels fold r in place
+    if np.all(r > 0.0):
+        cut = math.exp(LOG_NEGLIGIBLE)
+        for i in range(0, m, ROW_BLOCK):
+            Q = W[i : i + ROW_BLOCK, 1:]
+            Q[Q < cut] = 0.0
+    panels = []  # (k0, k1, M) of every panel, for the back substitution
+    k0 = 0
+    while k0 < m:
+        k1 = k0 + _PANEL if m - k0 >= 2 * _PANEL else m
+        b = k1 - k0
+        w = b if k1 < m else 0  # the width of N
+        P = np.zeros((2 * b, b + 3 + w))  # columns: the panel, R, c, r, N; rows: the panel, M
+        P[:b, :b] = W[k0:k1, k0 + 1 : k1 + 1]
+        np.sum(W[k0:k1, k1 + 1 :], axis=1, out=P[:b, b])
+        P[:b, b + 1] = W[k0:k1, 0]
+        P[:b, b + 2] = r[k0:k1]
+        P[b:, :b] = np.eye(b)
+        P[:b, b + 3 :] = np.eye(b, w)
+        for k in range(b):
+            pivot = P[k, k + 1 : b + 2].sum()
+            if not pivot > 0.0:
+                raise SolverError(f"state {k0 + k + 1} never reaches the exit")
+            # the panel rows after k and M's rows up to k, over the panel's columns
+            # after k and N's columns up to k; where M's rows meet the rest is scratch
+            e = b + k + 1
+            col = P[k + 1 : e, k]
+            col /= pivot  # column k now holds the multipliers
+            f = b + 3 + min(w, k + 1)
+            P[k + 1 : e, k + 1 : f] += np.multiply.outer(col, P[k, k + 1 : f])
+        M = P[b:, :b].copy()
+        r[k0:k1] = P[:b, b + 2]
+        panels.append((k0, k1, M))
+        if not w:
+            break
+        A12 = W[k0:k1, k1 + 1 :]
+        A12[...] = np.einsum("ik,kj->ij", P[:b, b + 3 :], A12, optimize=False)
+        L21 = W[k1:, k0 + 1 : k1 + 1]
+        L21[...] = np.einsum("ik,kj->ij", L21, M, optimize=False)
+        W[k1:, 0] += np.einsum("ik,k->i", L21, P[:b, b + 1], optimize=False)
+        r[k1:] += np.einsum("ik,k->i", L21, r[k0:k1], optimize=False)
+        for i in range(k1, m, ROW_BLOCK):
+            rows = slice(i, i + ROW_BLOCK)
+            W[rows, k1 + 1 :] += np.einsum("ik,kj->ij", W[rows, k0 + 1 : k1 + 1], A12, optimize=False)
+        k0 = k1
     t = np.empty(m)
-    for k in range(m - 1, -1, -1):
-        t[k] = (W[k, m + 1] + np.sum(W[k, k + 1 : m] * t[k + 1 :])) / pivot[k]
+    for k0, k1, M in reversed(panels):
+        v = r[k0:k1] + np.einsum("ij,j->i", W[k0:k1, k1 + 1 :], t[k1:], optimize=False)
+        t[k0:k1] = np.einsum("ij,j->i", M, v, optimize=False)
     return t
 
 
@@ -448,21 +508,12 @@ def hitting_profile(params: ModelParams, u: int) -> HittingProfile:
     return HittingProfile(params, u, log_phi, residual, METHOD_LOGDOMAIN)
 
 
-def tilted_kernel(profile: HittingProfile) -> np.ndarray:
-    """Doob transform of the kernel by phi, the law of the chain conditioned to die before u.
-
-    A read-only (u-1, u) array: row x-1 holds p(x,y) * phi(y) / phi(x) for
-    y = 0..u-1, x = 1..u-1.  Each raw row must already sum to 1 within
-    1e-9 (harmonicity of phi); rows are then renormalized exactly.  A
-    larger deviation means the profile is inconsistent with the kernel and
-    raises SolverError.
-    """
+def _tilt(profile: HittingProfile) -> np.ndarray:
+    """tilted_kernel's rows, still writable: built, tilted, checked and normalized in place."""
     u = profile.u
     if u == 1:
-        rows = np.zeros((0, 1))
-        rows.flags.writeable = False
-        return rows
-    rows = _transient_log_rows(profile.params, u)  # tilted, exponentiated and normalized in place
+        return np.zeros((0, 1))
+    rows = _transient_log_rows(profile.params, u)
     rows += profile.log_phi[None, :]
     rows -= profile.log_phi[1:, None]
     np.exp(rows, out=rows)
@@ -474,6 +525,19 @@ def tilted_kernel(profile: HittingProfile) -> np.ndarray:
             f"off by more than {ROW_SUM_TOL:.0e}"
         )
     rows /= sums[:, None]
+    return rows
+
+
+def tilted_kernel(profile: HittingProfile) -> np.ndarray:
+    """Doob transform of the kernel by phi, the law of the chain conditioned to die before u.
+
+    A read-only (u-1, u) array: row x-1 holds p(x,y) * phi(y) / phi(x) for
+    y = 0..u-1, x = 1..u-1.  Each raw row must already sum to 1 within
+    1e-9 (harmonicity of phi); rows are then renormalized exactly.  A
+    larger deviation means the profile is inconsistent with the kernel and
+    raises SolverError.
+    """
+    rows = _tilt(profile)
     rows.flags.writeable = False
     return rows
 
@@ -482,11 +546,12 @@ def _conditioned_time(profile: HittingProfile, r: np.ndarray) -> np.ndarray:
     """Solve t = r + P_phi t over x = 1..u-1 under the conditioned chain; t over x = 0..u-1.
 
     The tilted rows sum to 1 with their mass to 0 as column 0, so GTH
-    (_solve_gth_rhs) solves it without subtracting.  The rows go to the
-    solve as a temporary, so that it can free them once it has copied
-    them.  t(0) = 0, and t is read-only.
+    (_solve_gth_rhs) solves it without subtracting.  The rows are tilted
+    straight into the solve's working array, which it spends, so the solve
+    holds one m x u array beside O(_PANEL m) scratch, and its peak is
+    tilting's own, 1.1-1.4 m^2 doubles.  t(0) = 0, and t is read-only.
     """
-    t = np.concatenate(([0.0], _solve_gth_rhs(tilted_kernel(profile), r)))
+    t = np.concatenate(([0.0], _solve_gth_rhs(_tilt(profile), r)))
     t.flags.writeable = False
     return t
 

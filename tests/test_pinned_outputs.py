@@ -12,9 +12,12 @@ updates, so another numpy, BLAS or libm may round a last digit
 differently.  Only a hitting solve of m = u - 1 >= 64 states has a
 trailing update, one per 32-state panel with states after it: of the runs
 here only the bounds-report window solve (m = 88) takes one.  A panel's
-own products, U12 = N A12 and L21 = A21 M, and the conditioned time solves
-behind t.csv and h_occ.csv, take einsum products, not BLAS ones.  The
-scipy build does not enter: no experiment calls scipy.  A change that
+own products, U12 = N A12 and L21 = A21 M, take einsum products, not BLAS
+ones, and so does every product of the conditioned time solves behind
+t.csv and h_occ.csv: their panels, trailing updates and back substitution
+through each panel's M.  Those two solves (m = 44 here) run as one whole
+stretch, with no panel before it.  The scipy build does not enter: no
+experiment calls scipy.  A change that
 moves a digit on purpose updates the pins and records the old and new
 values in CHANGES.md.
 
@@ -73,15 +76,15 @@ CACHED = ("cond-time", "occupation")
 PINS = {
     "bounds-report/report.txt": "415e6255767f2223efa89a4efb024dcb79f6938e4ef86d367d29c611dde5b225",
     "cache/profile_lambda1.5_n200_u45.json": "0e11870ca4a3add33c9197c636aa278406868b65b1fdf8d0462f2a98862c4bba",
-    "cached-cond-time/t.csv": "5698f13065a73da910e73fe621b66fb3fc94561275bd93d69482b0fe78baafff",
-    "cached-occupation/h_occ.csv": "1aa5fba642a3d6b5e61f393c926b40c1373b3192b5db9d7074790506de4c0fe6",
-    "cond-time/t.csv": "5698f13065a73da910e73fe621b66fb3fc94561275bd93d69482b0fe78baafff",
+    "cached-cond-time/t.csv": "e320cbc5c40e93c07f9b58260bdf77a6326d076965c7d6239bea6454664cfe37",
+    "cached-occupation/h_occ.csv": "e7fe1c92932f28d73e4c305ecf3a6e41fde7135c262b76ff7f32e6470550c9e9",
+    "cond-time/t.csv": "e320cbc5c40e93c07f9b58260bdf77a6326d076965c7d6239bea6454664cfe37",
     "equivalence/tv.csv": "cd3c5e63ca67d655cfceb92b2c5ae6d93dcd9f61f26769d008d3c5277d970799",
     "figure1/logh.csv": "e1ee2515655c001692a380f41f78fae5eea65a40d487521d552ae54b1e70bcf8",
     "figure2/kernel.csv": "81eea9c944477a55fbb64fe1d8c44c7432010b9e3685bddc60e30864a701a5db",
     "mc-cond-path/est.csv": "59a9f12be8b19e18015b16523a543664467ef5e440ad55463c148040d28fe24a",
     "mc-hitting/est.csv": "5e0a0e5560adc493d4f76ecb92619454b537d6a68b9c3143598598a6043784ce",
-    "occupation/h_occ.csv": "1aa5fba642a3d6b5e61f393c926b40c1373b3192b5db9d7074790506de4c0fe6",
+    "occupation/h_occ.csv": "e7fe1c92932f28d73e4c305ecf3a6e41fde7135c262b76ff7f32e6470550c9e9",
     "profile/phi.csv": "da7a8a41c75d7a98ee51983d5d135e77a27c17de9306951f0da9b4160a9a305f",
     "uncond-time/T.csv": "51761d4b6ee729f78bd500b1f9b9687f08283225e177be11d5e67f26322daf00",
 }

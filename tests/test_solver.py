@@ -206,6 +206,41 @@ def sequential_log_phi(params, u):
         return hitting_profile(params, u).log_phi
 
 
+def sequential_solve_gth_rhs(rows, r):
+    """solver._solve_gth_rhs with O(m) work per pivot: the panel time solve's reference.
+
+    The same GTH elimination of t = r + Q t, Q = rows[:, 1:] and exit mass
+    c = rows[:, 0], in panels of _PANEL pivots with an einsum trailing
+    update, but every pivot updates the whole rest of its row and column,
+    c and r ride as two extra columns of one m x (m + 2) copy of the rows,
+    nothing is zeroed, and t comes from a back substitution of one state at
+    a time.  The panel solve takes the same sums of nonnegative terms in
+    another order, so the two agree to rounding.
+    """
+    m = r.size
+    W = np.empty((m, m + 2))
+    W[:, :m] = rows[:, 1:]
+    W[:, m] = rows[:, 0]
+    W[:, m + 1] = r
+    pivot = np.empty(m)
+    for k0 in range(0, m, solver._PANEL):
+        k1 = min(k0 + solver._PANEL, m)
+        for k in range(k0, k1):
+            pivot[k] = np.sum(W[k, k + 1 : m + 1])
+            assert pivot[k] > 0.0, f"state {k + 1} never reaches the exit"
+            col = W[k + 1 :, k]
+            col /= pivot[k]  # column k now holds the multipliers
+            row = W[k, k + 1 :]
+            w = k1 - k - 1  # panel rows and columns after k
+            W[k + 1 : k1, k + 1 :] += np.multiply.outer(col[:w], row)
+            W[k1:, k + 1 : k1] += np.multiply.outer(col[w:], row[:w])
+        W[k1:, k1:] += np.einsum("ik,kj->ij", W[k1:, k0:k1], W[k0:k1, k1:], optimize=False)
+    t = np.empty(m)
+    for k in range(m - 1, -1, -1):
+        t[k] = (W[k, m + 1] + np.sum(W[k, k + 1 : m] * t[k + 1 :])) / pivot[k]
+    return t
+
+
 def oracle_log_phi(params, u):
     """log phi_u(x), x = 0..u-1, from the all-log-domain GTH reference solve."""
     log_p = _transient_log_rows(params, u)
@@ -649,8 +684,9 @@ class TestSolveMemory:
     The profile solve writes its scaled matrix over the kernel rows and
     builds its masks, trailing products and residual a ROW_BLOCK of rows at
     a time; tilting works in place of the rows it builds and keeps them
-    without a copy.  The time solve copies the tilted rows into its working
-    array and frees them, so it holds about 2 m^2.
+    without a copy.  The time solve tilts straight into its working array
+    and eliminates in place, with O(_PANEL m) scratch and its trailing
+    products taken a ROW_BLOCK of rows at a time, so its peak is tilting's.
     """
 
     PARAMS, U = ModelParams(2.0, 2000), 594  # the window profile of bounds-report --n 2000
@@ -669,11 +705,11 @@ class TestSolveMemory:
         assert peak <= 2.0 * 8 * (self.U - 1) ** 2, peak / (8 * (self.U - 1) ** 2)
         assert not rows.flags.writeable
 
-    def test_time_solve_peaks_below_2_2_m2(self, profile_and_peak):
-        # the tilted rows are freed once the solve's working array holds them
+    def test_time_solve_peaks_below_1_5_m2(self, profile_and_peak):
+        # the tilted rows are the solve's working array
         t, peak = _traced_peak(conditional_expected_extinction, profile_and_peak[0])
         assert t.size == self.U
-        assert peak <= 2.2 * 8 * (self.U - 1) ** 2, peak / (8 * (self.U - 1) ** 2)
+        assert peak <= 1.5 * 8 * (self.U - 1) ** 2, peak / (8 * (self.U - 1) ** 2)
 
 
 class TestConditionalExpectedExtinction:
@@ -796,24 +832,36 @@ class TestLogsumexpRows:
         assert _logsumexp_rows(a).tolist() == want
 
 
-@st.composite
-def absorbing_rows(draw):
+def absorbing_case(m, seed, density, exit_share, exit_exp, r_density):
     """(rows, r): rows [c | Q] over m states, each summing to 1, from which every state exits; r >= 0.
 
-    m sits at the panel edges.  Many rows have no exit mass c_k; state k
-    always reaches k + 1 and the last state always exits, and a small exit
-    scale makes the times long and I - Q ill-conditioned.
+    A share `density` of the masses and `exit_share` of the exit masses c_k
+    are nonzero; state k always reaches k + 1 and the last state always
+    exits, and an exit scale of 10^-exit_exp makes the times long and I - Q
+    ill-conditioned.  A share `r_density` of r is nonzero.
     """
-    m = draw(st.sampled_from([1, 31, 32, 33, 64, 65]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    w = rng.random((m, m + 1)) * (rng.random((m, m + 1)) < draw(st.floats(0.05, 1.0)))
-    c = rng.random(m) * (rng.random(m) < draw(st.floats(0.0, 0.9)))
+    rng = np.random.default_rng(seed)
+    w = rng.random((m, m + 1)) * (rng.random((m, m + 1)) < density)
+    c = rng.random(m) * (rng.random(m) < exit_share)
     c[-1] += 1.0
-    w[:, 0] = c * 10.0 ** -draw(st.integers(0, 12))
+    w[:, 0] = c * 10.0**-exit_exp
     k = np.arange(m - 1)
     w[k, k + 2] += 1.0
-    r = rng.random(m) * (rng.random(m) < draw(st.floats(0.1, 1.0)))
+    r = rng.random(m) * (rng.random(m) < r_density)
     return w / w.sum(axis=1, keepdims=True), r
+
+
+@st.composite
+def absorbing_rows(draw):
+    """absorbing_case with m at the panel edges; many rows have no exit mass."""
+    return absorbing_case(
+        draw(st.sampled_from([1, 31, 32, 33, 64, 65])),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.floats(0.05, 1.0)),
+        draw(st.floats(0.0, 0.9)),
+        draw(st.integers(0, 12)),
+        draw(st.floats(0.1, 1.0)),
+    )
 
 
 def _mp_solve_absorbing(mpmath, rows, r):
@@ -842,16 +890,63 @@ def _mp_solve_absorbing(mpmath, rows, r):
 class TestConditionedTimeSolve:
     @settings(derandomize=True, deadline=None, max_examples=15, database=None)
     @given(absorbing_rows())
+    @example(case=absorbing_case(97, 97, 0.5, 0.5, 6, 0.5))  # two panels before the last stretch
     def test_gth_rhs_matches_forty_digit_solve(self, case):
         mpmath = pytest.importorskip("mpmath")
         rows, r = case
-        before = rows.tobytes(), r.tobytes()
-        got = _solve_gth_rhs(rows, r)
-        assert (rows.tobytes(), r.tobytes()) == before
+        before = r.tobytes()
+        got = _solve_gth_rhs(rows.copy(), r)  # the solve spends its rows
+        assert r.tobytes() == before
         with mpmath.workdps(40):
             want = _mp_solve_absorbing(mpmath, rows, r)
         for g, w in zip(got.tolist(), want):
             assert (g == 0.0) if w == 0 else abs(g / w - 1) <= 1e-13, (g, w)
+
+    @settings(derandomize=True, deadline=None, max_examples=20, database=None)
+    @given(
+        lam=st.floats(1.5, 8.0),
+        n_u=st.integers(2, 1200).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
+    )
+    # m = u - 1 = 63 is one whole stretch, 64 and 65 one panel before it, 97 two
+    @example(lam=2.0, n_u=(300, 64))
+    @example(lam=2.0, n_u=(300, 65))
+    @example(lam=2.0, n_u=(300, 66))
+    @example(lam=2.0, n_u=(300, 98))
+    @example(lam=1.5, n_u=(1200, 265))  # the README cond-time and occupation window
+    @example(lam=6.0, n_u=(1200, 299))  # figure2's README profile
+    @example(lam=2.0, n_u=(2000, 594))  # bounds-report's window
+    @example(lam=3.0, n_u=(2400, 759))
+    def test_panel_solve_matches_sequential_solve(self, lam, n_u):
+        # expected times (r = 1, with the cut) and band occupation times (no cut);
+        # an occupation time below the smallest normal double has no relative
+        # accuracy left, so it is held to 1e-14 of that double instead
+        n, u = n_u
+        prof = hitting_profile(ModelParams(lam, n), u)
+        rows = tilted_kernel(prof)
+        for r in (np.ones(u - 1), (np.arange(1, u) > 0.1 * n).astype(float)):
+            got, want = _conditioned_time(prof, r)[1:], sequential_solve_gth_rhs(rows, r)
+            scale = np.maximum(want, np.finfo(float).tiny)
+            worst = float(np.max(np.abs(got - want) / scale, initial=0.0))
+            assert worst <= 1e-14, worst
+
+    def test_cut_keeps_the_bytes_of_t(self, monkeypatch):
+        # bounds-report's window: 30,529 tilted masses lie in (0, e^LOG_NEGLIGIBLE)
+        prof = hitting_profile(ModelParams(2.0, 2000), 594)
+        rows = tilted_kernel(prof)[:, 1:]
+        assert np.any((rows > 0.0) & (rows < math.exp(solver.LOG_NEGLIGIBLE)))
+        t = conditional_expected_extinction(prof)
+        monkeypatch.setattr(solver, "LOG_NEGLIGIBLE", -math.inf)
+        assert conditional_expected_extinction(prof).tobytes() == t.tobytes()
+
+    def test_occupation_keeps_its_tiny_times(self):
+        # far above the band floor the occupation times of figure2's profile fall
+        # below 1e-150, where a cut would move them; they keep their relative accuracy
+        prof = hitting_profile(ModelParams(6.0, 1200), 299)
+        got = conditional_occupation_time(prof, 0.1)[1:]
+        want = sequential_solve_gth_rhs(tilted_kernel(prof), (np.arange(1, 299) > 120).astype(float))
+        tiny = (want > 0.0) & (want < 1e-150)
+        assert tiny.sum() >= 10, tiny.sum()
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
 
     def test_gth_rhs_refuses_a_state_that_never_exits(self):
         rows = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])  # state 1 moves to 2, which loops
