@@ -7,29 +7,24 @@ nearly singular.  Every threshold takes the one solve, subtraction-free (GTH)
 elimination on the rescaled matrix D^-1 Q D, D = diag(e^s) with s an
 estimate of log phi from below, in native doubles and in panels, while
 the O(u) vectors of masses and pivots stay in logs.  A pivot works only
-on its own panel of _PANEL states, in O(_PANEL) numpy work: each panel
-row carries its mass to all later states as one more log, and the
-panel's multipliers reach the rest of the matrix as two einsum products
-and one BLAS trailing product; every sum adds nonnegatives.  Where the
-estimate s falls far short, the solve is repeated, scaled by its own
-result, until it reaches a fixed point.  With m = u - 1, a profile solve holds about
-1.2-1.4 m^2 doubles at its peak: each pass writes the scaled matrix over
-the m x u kernel rows, which are built again for each further pass and,
-a block at a time, for the harmonicity residual.  Conditioning on that
-hitting event is a Doob transform of the kernel by phi, built from a
+on its own panel of _PANEL states, in O(_PANEL) numpy work, and the
+panel reaches the rest of the matrix through _panel_update, which states
+the product rule of both GTH solves.  Where the estimate s falls far
+short, the solve is repeated, scaled by its own result, until it reaches
+a fixed point.  With m = u - 1, a profile solve holds about 1.2-1.4 m^2
+doubles at its peak: each pass writes the scaled matrix over the m x u
+kernel rows, which are built again for each further pass and, a block
+at a time, for the harmonicity residual.  Conditioning on that hitting
+event is a Doob transform of the kernel by phi, built from a
 HittingProfile by tilted_kernel alone, which checks every tilted row
 sum.  Expected absorption and occupation times under the conditioned
 chain take the profile and tilt it straight into the working array of a
-GTH solve, unscaled and carrying the right-hand side, in the profile
-solve's panels but with every product an einsum, and back substitute a
-panel at a time through its M = (D - U11)^-1.  Expected times first zero
-their masses below e^LOG_NEGLIGIBLE, which keeps t's relative accuracy;
-occupation times, which can fall below 1e-150, zero none.  A time solve
-holds one m x u array at a time and peaks at tilting's 1.1-1.4 m^2
-doubles.  The unconditional expected time is still
-a native elimination that subtracts.  Every time solve returns a plain
-read-only array t over x = 0, 1, ..., with t[0] = 0, and every solve or
-check that fails its contract raises SolverError.
+GTH solve (_solve_gth_rhs), unscaled and carrying the right-hand side, in
+the profile solve's panels and through the same _panel_update; a time
+solve peaks at tilting's 1.1-1.4 m^2 doubles.  The unconditional expected
+time is still a native elimination that subtracts.  Every time solve
+returns a plain read-only array t over x = 0, 1, ..., with t[0] = 0, and
+every solve or check that fails its contract raises SolverError.
 """
 
 from __future__ import annotations
@@ -163,37 +158,60 @@ def _solve_m_matrix(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _panels(m: int):
+    """(k0, k1) of each GTH panel: _PANEL states, but a last stretch of fewer than 2 _PANEL whole."""
+    k0 = 0
+    while k0 < m:
+        k1 = k0 + _PANEL if m - k0 >= 2 * _PANEL else m
+        yield k0, k1
+        k0 = k1
+
+
+def _panel_update(A: np.ndarray, k0: int, k1: int, N: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Apply GTH panel k0..k1-1 to the m x m matrix A after it, in place; returns L21.
+
+    With the panel's N = (I - L11)^-1 and M = (D - U11)^-1, U12 = N A12 and
+    L21 = A21 M overwrite A[k0:k1, k1:] and A[k1:, k0:k1], and A[k1:, k1:]
+    takes L21 U12, a ROW_BLOCK of rows at a time.
+
+    The product rule of both GTH solves: a panel's own products (U12, L21
+    and each solve's folds and back substitution through them and M) are
+    np.einsum products, and every trailing update is BLAS (@).  All factors
+    are nonnegative, so no summation order loses GTH's entrywise relative
+    accuracy (O'Cinneide, Numer. Math. 65, 1993).  That the pinned outputs
+    keep their bytes under the forced OpenBLAS kernels and thread counts
+    the tests run is measured, not by construction; taking a panel's own
+    products through BLAS too moved t's bytes under the Prescott kernel.
+    """
+    A12 = A[k0:k1, k1:]
+    A12[...] = np.einsum("ik,kj->ij", N, A12, optimize=False)
+    L21 = A[k1:, k0:k1]
+    L21[...] = np.einsum("ik,kj->ij", L21, M, optimize=False)
+    for i in range(k1, A.shape[0], ROW_BLOCK):
+        A[i : i + ROW_BLOCK, k1:] += A[i : i + ROW_BLOCK, k0:k1] @ A12
+    return L21
+
+
 def _solve_gth_rhs(W: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve t = r + Q t by GTH elimination, Q = W[:, 1:] and exit mass c = W[:, 0].
 
     Each row of W sums to 1: c_k plus state k's masses Q_k.  The solve
-    spends W: it eliminates in place, so it holds W and O(_PANEL m)
-    scratch, with its trailing products taken a ROW_BLOCK of rows at a
-    time; r is left as it is.  As in _solve_gth_scaled, every pivot is the
-    sum of state k's remaining outgoing masses, never 1 - Q_kk (the
-    diagonal is never read), and the multipliers fold c and r into the
-    later rows exactly as they fold Q, so nothing is ever subtracted and t
-    keeps GTH's entrywise relative accuracy in any summation order
-    (O'Cinneide, Numer. Math. 65, 1993).
-
-    The elimination is _solve_gth_scaled's, in native doubles, and a pivot
-    touches only its own panel of b = _PANEL states:
-    - Before the panel, one row sum gives R, each panel row's mass to all
-      states after the panel.  A pivot is its row's sum within the panel
-      plus R and c, and it folds R, c and r into the later panel rows.
+    spends W, eliminating in place beside O(_PANEL m) scratch; r is left
+    as it is.  The elimination is _solve_gth_scaled's, in native doubles
+    and in the same _panels, and like it subtracts nothing: every pivot
+    is the sum of state k's remaining outgoing masses, never 1 - Q_kk, and
+    the multipliers fold c and r into the later rows as they fold Q.
+    - Before a panel of b states, one row sum gives R, each panel row's
+      mass to all states after it.  A pivot is its row's sum within the
+      panel plus R and c, and it folds R, c and r into the later panel rows.
     - The pivots run on a 2b x (2b + 3) workspace: the panel's diagonal
-      block, R, c and r beside an identity block, above another identity
-      block, which the same rank-1 updates turn into N = (I - L11)^-1 and
-      M = (D - U11)^-1.
-    - After the panel, U12 = N A12 and L21 = A21 M, the trailing update
-      L21 U12 and the folds of the panel's c and r into the later rows are
-      einsum products, not BLAS ones, so t's bytes do not depend on the
-      BLAS kernel.
-    - The last stretch of fewer than 2b states is eliminated whole, with
-      no states after it, so it needs neither R nor N.
+      block, R, c and r beside an identity block, above another, which the
+      same rank-1 updates turn into N = (I - L11)^-1 and M = (D - U11)^-1.
+    - _panel_update then applies the panel to A = W[:, 1:], whose indices
+      are Q's, and c and r are folded through L21, under its product rule.
+      The last stretch, with no states after it, needs neither R nor N.
     The back substitution goes a panel at a time, through the stored rows
-    U12 and the folded r: t_panel = M (r_panel + U12 t_after), two einsum
-    products of nonnegatives.
+    U12 and the folded r: t_panel = M (r_panel + U12 t_after).
 
     Where r > 0 everywhere, as for expected times, the masses Q below
     e^LOG_NEGLIGIBLE (about 1e-152) are zeroed before the elimination, so
@@ -212,9 +230,7 @@ def _solve_gth_rhs(W: np.ndarray, r: np.ndarray) -> np.ndarray:
             Q = W[i : i + ROW_BLOCK, 1:]
             Q[Q < cut] = 0.0
     panels = []  # (k0, k1, M) of every panel, for the back substitution
-    k0 = 0
-    while k0 < m:
-        k1 = k0 + _PANEL if m - k0 >= 2 * _PANEL else m
+    for k0, k1 in _panels(m):
         b = k1 - k0
         w = b if k1 < m else 0  # the width of N
         P = np.zeros((2 * b, b + 3 + w))  # columns: the panel, R, c, r, N; rows: the panel, M
@@ -240,16 +256,9 @@ def _solve_gth_rhs(W: np.ndarray, r: np.ndarray) -> np.ndarray:
         panels.append((k0, k1, M))
         if not w:
             break
-        A12 = W[k0:k1, k1 + 1 :]
-        A12[...] = np.einsum("ik,kj->ij", P[:b, b + 3 :], A12, optimize=False)
-        L21 = W[k1:, k0 + 1 : k1 + 1]
-        L21[...] = np.einsum("ik,kj->ij", L21, M, optimize=False)
+        L21 = _panel_update(W[:, 1:], k0, k1, P[:b, b + 3 :], M)
         W[k1:, 0] += np.einsum("ik,k->i", L21, P[:b, b + 1], optimize=False)
         r[k1:] += np.einsum("ik,k->i", L21, r[k0:k1], optimize=False)
-        for i in range(k1, m, ROW_BLOCK):
-            rows = slice(i, i + ROW_BLOCK)
-            W[rows, k1 + 1 :] += np.einsum("ik,kj->ij", W[rows, k0 + 1 : k1 + 1], A12, optimize=False)
-        k0 = k1
     t = np.empty(m)
     for k0, k1, M in reversed(panels):
         v = r[k0:k1] + np.einsum("ij,j->i", W[k0:k1, k1 + 1 :], t[k1:], optimize=False)
@@ -315,22 +324,18 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
     - The pivots run on a 2b x 2b workspace: the panel's diagonal block
       beside two identity blocks, which the same rank-1 updates turn into
       N = (I - L11)^-1 and M = (D - U11)^-1.
-    - After the panel, U12 = N A12 and L21 = A21 M are einsum products, so
-      their bytes do not depend on the BLAS kernel.  Each panel pivot is
-      then taken again, as the sum of its row as stored: R came by another
-      path than U12, and the back substitution divides each row by its own
-      sum, so that pivot and numerator share their masses, which keeps
-      phi = 1 to the last digits in a chain that surely dies.  The rows
-      after the panel take their masses to 0 and to >= u in one log-sum-exp
-      of b + 1 terms each, and the trailing block takes L21 U12 as BLAS
-      matrix products, a ROW_BLOCK of rows each.
-    - The last panel takes the last 2b - 1 states or fewer whole.  With no
-      states after it, it needs neither R nor the identity blocks, and its
-      pivots already are the sums of its rows.
+    - After the panel, _panel_update applies it to the rest of A, under
+      the product rule it states.  Each panel pivot is then taken again,
+      as the sum of its row as stored: R came by another path than U12,
+      and the back substitution divides each row by its own sum, so that
+      pivot and numerator share their masses, which keeps phi = 1 to the
+      last digits in a chain that surely dies.  The rows after the panel
+      take their masses to 0 and to >= u in one log-sum-exp of b + 1 terms
+      each.
+    - The last panel, with no states after it, needs neither R nor the
+      identity blocks, and its pivots already are the sums of its rows.
     N and M are nonnegative, as the multipliers and U are, so every product
-    and every sum adds nonnegatives, and no summation order loses GTH's
-    entrywise relative accuracy (O'Cinneide, Numer. Math. 65, 1993).  The
-    scratch beside A is O(b m).
+    and every sum adds nonnegatives.  The scratch beside A is O(b m).
 
     Entries with log A below LOG_NEGLIGIBLE are set to 0, which keeps every
     product of two kept entries a normal double.  Where the scaling alone,
@@ -369,8 +374,7 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
     log_pivot = np.empty(m)
     terms = np.empty(2 * _PANEL + 1)  # the log masses that sum to a pivot
     with np.errstate(divide="ignore"):
-        for k0 in range(0, m, _PANEL):
-            k1 = k0 + _PANEL if m - k0 >= 2 * _PANEL else m
+        for k0, k1 in _panels(m):
             b = k1 - k0
             t = b if k1 < m else 0  # the identity blocks' size
             P, sp = V[k0:k1], s[k0:k1]
@@ -407,14 +411,12 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
             A[k0:k1, k0:k1] = np.triu(W[:b, :b], 1)  # U11 off its diagonal: all that is read
             if not t:
                 break
-            A[k0:k1, k1:] = np.einsum("ik,kj->ij", W[:b, b:], A[k0:k1, k1:], optimize=False)
+            L21 = _panel_update(A, k0, k1, W[:b, b:], W[b:, :b])
             rows = np.empty((b, m - k0 + 1))  # each pivot again, from its row as stored
             rows[:, :2] = P[:, :2]
             np.log(A[k0:k1, k0 + 1 :], out=rows[:, 2:])
             rows[:, 2:] += np.subtract.outer(sp, s[k0 + 1 :])
             log_pivot[k0:k1] = _logsumexp_rows(rows)
-            L21 = np.einsum("ik,kj->ij", A[k1:, k0:k1], W[b:, :b], optimize=False)
-            A[k1:, k0:k1] = L21
             # the masses to 0 and to >= u of the rows after the panel
             masses = np.empty((2, m - k1, b + 1))
             masses[:, :, 0] = V[k1:, :2].T
@@ -422,8 +424,6 @@ def _solve_gth_scaled(log_p: np.ndarray, log_top: np.ndarray, s: np.ndarray) -> 
             masses[:, :, 1:] += np.subtract.outer(s[k1:], sp)  # the raw multipliers
             masses[:, :, 1:] += P[:, :2].T[:, None, :]
             V[k1:, :2] = _logsumexp_rows(masses.reshape(-1, b + 1)).reshape(2, -1).T
-            for i in range(k1, m, ROW_BLOCK):
-                A[i : i + ROW_BLOCK, k1:] += A[i : i + ROW_BLOCK, k0:k1] @ A[k0:k1, k1:]
 
     psi = np.empty(m)
     c = np.exp(V[:, 0] - s)

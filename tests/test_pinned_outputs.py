@@ -7,19 +7,17 @@ profile (JSON) file must hash to its pinned value.
 
 The pins hold for this numpy build, its BLAS and this libm: the kernel's
 log-factorial table calls libm's log through math.log and does the rest in
-numpy, and a hitting solve takes BLAS matrix products for its trailing
-updates, so another numpy, BLAS or libm may round a last digit
-differently.  Only a hitting solve of m = u - 1 >= 64 states has a
-trailing update, one per 32-state panel with states after it: of the runs
-here only the bounds-report window solve (m = 88) takes one.  A panel's
-own products, U12 = N A12 and L21 = A21 M, take einsum products, not BLAS
-ones, and so does every product of the conditioned time solves behind
-t.csv and h_occ.csv: their panels, trailing updates and back substitution
-through each panel's M.  Those two solves (m = 44 here) run as one whole
-stretch, with no panel before it.  The scipy build does not enter: no
-experiment calls scipy.  A change that
-moves a digit on purpose updates the pins and records the old and new
-values in CHANGES.md.
+numpy, and every GTH solve, of phi and of the conditioned times alike,
+takes BLAS matrix products for its trailing updates, so another numpy,
+BLAS or libm may round a last digit differently.  Only a solve of
+m = u - 1 >= 64 states has a trailing update, one per 32-state panel with
+states after it: of the runs here only the bounds-report window solve
+(m = 88) takes one, and the time solves behind t.csv and h_occ.csv
+(m = 44) take none, so TIME_PINS pins both times at m = 593, where each
+takes 17.  Every other product of either solve is an einsum
+(solver._panel_update states the rule).  The scipy build does not enter:
+no experiment calls scipy.  A change that moves a digit on purpose
+updates the pins and records the old and new values in CHANGES.md.
 
 An OpenBLAS built with DYNAMIC_ARCH picks its matrix-product kernel for
 the CPU at load time, and those kernels round products differently.  On
@@ -27,14 +25,15 @@ x86-64 the runs are repeated in subprocesses forced, through
 OPENBLAS_CORETYPE, to the Prescott (SSE3) and the Sandybridge (AVX)
 kernels, which every x86-64 CPU with AVX runs; the bytes must not move,
 nor may those of the KERNEL_FREE_PROFILES, whose solves take 17 and 8
-trailing BLAS products.  Newer kernels are not forced: on a CPU that
-lacks their instructions OpenBLAS dies with SIGILL.
+trailing BLAS products, or of TIME_PINS.  Newer kernels are not forced:
+on a CPU that lacks their instructions OpenBLAS dies with SIGILL.
 
 The pins also depend on numpy's SIMD dispatch: np.exp and np.log round
 differently in their AVX-512 and AVX2 loops.  Under
-NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4" all 6 test cases
-here fail, so a runner without AVX-512 loops fails tier-1 until the
-value-determining exp and log are made portable (ROADMAP item 3).
+NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4" 6 of the 7 test
+cases here fail (all but test_profile_bytes_pinned[6.0-1200-299]), so a
+runner without AVX-512 loops fails tier-1 until the value-determining exp
+and log are made portable (ROADMAP item 3).
 """
 
 import hashlib
@@ -49,7 +48,12 @@ import numpy as np
 import pytest
 
 import barw.cli as cli
-from barw import ModelParams, hitting_profile
+from barw import (
+    ModelParams,
+    conditional_expected_extinction,
+    conditional_occupation_time,
+    hitting_profile,
+)
 
 WINDOW = ["--epsilon", "0.05"]
 SEED = ["--seed", "1"]
@@ -103,6 +107,15 @@ PROFILE_PINS = {
 #: the PROFILE_PINS that hold under the forced BLAS kernels of the last test
 #: too; (4, 500, 350) moves under them, so it holds for the default kernel
 KERNEL_FREE_PROFILES = ((2.0, 2000, 594), (6.0, 1200, 299))
+#: (lambda, n, u) -> sha256 of conditional_expected_extinction(profile) and of
+#: conditional_occupation_time(profile, 0.1), .tobytes(), on that profile:
+#: m = 593 states in 18 panels, so each time solve takes 17 trailing updates
+TIME_PINS = {
+    (2.0, 2000, 594): (
+        "4a0668ecaf5f519d667c084aaf2f28bd5ec96df1af250853be0ef2dd312847c0",
+        "f141bfa6f0be13a356a3ee75a4259b985cb80ddb0de3d991527e3d25c2ab2d79",
+    ),
+}
 
 
 def _digests(root: Path) -> dict[str, str]:
@@ -136,6 +149,17 @@ def test_profile_bytes_pinned(lam, n, u):
     assert _profile_digest(lam, n, u) == PROFILE_PINS[lam, n, u]
 
 
+def _time_digests(lam: float, n: int, u: int) -> tuple[str, str]:
+    profile = hitting_profile(ModelParams(lam, n), u)
+    times = conditional_expected_extinction(profile), conditional_occupation_time(profile, 0.1)
+    return tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in times)
+
+
+@pytest.mark.parametrize("lam,n,u", sorted(TIME_PINS))
+def test_time_bytes_pinned(lam, n, u):
+    assert _time_digests(lam, n, u) == TIME_PINS[lam, n, u]
+
+
 def _dynamic_arch_openblas_on_x86_64() -> bool:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (
@@ -154,7 +178,8 @@ def test_output_bytes_pinned_under_other_blas_kernels(tmp_path, coretype):
     script = (
         "import json, sys; from pathlib import Path; import test_pinned_outputs as t; "
         "runs = t._run_all(Path(sys.argv[1])); "
-        "print(json.dumps([runs, [t._profile_digest(*key) for key in t.KERNEL_FREE_PROFILES]]))"
+        "print(json.dumps([runs, [t._profile_digest(*key) for key in t.KERNEL_FREE_PROFILES], "
+        "[t._time_digests(*key) for key in t.TIME_PINS]]))"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
@@ -167,6 +192,7 @@ def test_output_bytes_pinned_under_other_blas_kernels(tmp_path, coretype):
         timeout=300,
         check=True,
     )
-    runs, profiles = json.loads(done.stdout.splitlines()[-1])  # after the runs' own lines
+    runs, profiles, times = json.loads(done.stdout.splitlines()[-1])  # after the runs' own lines
     assert runs == PINS
     assert profiles == [PROFILE_PINS[key] for key in KERNEL_FREE_PROFILES]
+    assert times == [list(TIME_PINS[key]) for key in TIME_PINS]

@@ -466,11 +466,15 @@ class TestSolverMethods:
             assert a.residual == b.residual
 
     def test_bits_independent_of_blas_threads(self):
-        # the trailing updates are BLAS matrix products, 17 of them here, and
-        # OpenBLAS reads its thread count once, at start-up
+        # the trailing updates are BLAS matrix products, 17 of them here in the
+        # profile solve and in each time solve, and OpenBLAS reads its thread
+        # count once, at start-up
         script = (
-            "import sys; from barw import ModelParams, hitting_profile; "
-            "sys.stdout.buffer.write(hitting_profile(ModelParams(2.0, 2000), 594).log_phi.tobytes())"
+            "import sys; from barw import ModelParams, hitting_profile, "
+            "conditional_expected_extinction, conditional_occupation_time; "
+            "p = hitting_profile(ModelParams(2.0, 2000), 594); "
+            "t, h = conditional_expected_extinction(p), conditional_occupation_time(p, 0.1); "
+            "sys.stdout.buffer.write(p.log_phi.tobytes() + t.tobytes() + h.tobytes())"
         )
         src = str(Path(barw.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
