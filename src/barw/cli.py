@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,11 +111,45 @@ def _cell(v) -> str:
 # pass settles a cell only when 10^16 ≤ y < 10^17 - 1/2 and y is not within
 # 2^-30 of a tie.  `_cell` writes any row holding an undecided cell: NaN,
 # ±inf, a decade the estimate missed, a rounding up to 10^17, a near-tie, a
-# negative int or a cell of any other dtype.  A cell's text is a fixed row of
-# byte slots and a mask of the slots it keeps: for a float, sign, "0.000",
-# the 17 digits, ".", digits 1..16 again, "e±ddd".
+# negative int or a cell of any other dtype.
+#
+# A cell's text is a field of little-endian uint32 words, one row of words
+# per field and one column per cell; every NUL byte is dropped when the
+# chunk is written, and so is a word that no cell of the chunk keeps a byte
+# of.  A field's first byte is left NUL for the byte before the cell: ","
+# or the "\n" ending the line above.  An int's field is its 4-digit groups,
+# each the word of a 10^4-entry ASCII table: as many as the chunk's largest
+# value needs, and one more when its digit count is a multiple of 4, so that
+# the first byte is a leading zero.  A mask by digit count, which a
+# 10^4-entry table gives per group, clears the leading zeros.  A float's field is 13 words:
+#   0      the lead byte, the sign, and "0." of a fixed-notation k < 0;
+#   1..5   its 17 digits, after "000": the leading zeros of a k < 0;
+#   6      "." in its last byte, then 7..10, digits 1..16 again;
+#   11, 12 "e±dd" and a third exponent digit, in exponent notation.
+# Words 0, 11 and 12 come from a table by k.  What words 1..10 keep is a mask
+# by layout class (exponent notation, or fixed notation for one k in
+# -4..16) and the last nonzero digit, which a 10^4-entry table gives per
+# group: the digits up to the point from 1..5, the point and the digits
+# after it from 6..10, and for a k < 0, "000"'s last -k-1 zeros and no
+# point.  Only a point after digit 1 or later keeps a byte of words 2..5,
+# so a chunk without one drops them.
 _K_MIN, _K_MAX = -326, 310
-_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
+_WORD = np.dtype("<u4")
+#: the place among the 17 digits of each group's first byte
+_GROUP_STARTS = np.arange(-3, 17, 4, dtype=np.int8)[:, None]
+
+
+class _Tables(NamedTuple):
+    """Lookup tables for `_write_csv`; see `_tables`."""
+
+    pow10: np.ndarray  # (5, k): hi, hi's two halves, lo and b of 10^(16-k) = (hi + lo)·2^b
+    k_words: np.ndarray  # (3, k): a float's words 0, 11 and 12 but for its lead byte and sign
+    layouts: np.ndarray  # (k,): 17 times the layout class
+    digits: np.ndarray  # (10^4,): the 4 ASCII digits of a group, as one word
+    digit_counts: np.ndarray  # (10^4,): the digit count of a group, 1 for 0
+    last_digits: np.ndarray  # (10^4,): the place of a group's last nonzero digit, -64 for 0
+    int_masks: np.ndarray  # (5, 21): by digit count, the last that many bytes of 5 words
+    float_masks: np.ndarray  # (10, 22·17): `_float_masks`, a column each
 
 
 def _split(a):
@@ -124,30 +159,34 @@ def _split(a):
     return high, a - high
 
 
-def _kept(k, last):
-    """Slots kept for decimal exponent k and last nonzero digit `last` (0..16)."""
-    fixed = (k >= -4) & (k < 17)
-    small = (fixed & (k < 0))[:, None]
-    point = np.where(fixed & (k >= 0), k, 0)[:, None]  # the digit the point follows
-    j, last = np.arange(17), last[:, None]
-    return np.hstack([
-        np.zeros_like(small),  # the sign is set per cell
-        small, small, small & (np.arange(3) < -k[:, None] - 1),
-        j <= np.where(small, last, point),
-        ~small & (last > point),
-        ~small & (j[1:] > point) & (j[1:] <= last),
-        ~fixed[:, None] & ((np.arange(5) != 2) | (np.abs(k)[:, None] >= 100)),
-    ])
+def _words(masks):
+    """Rows of uint32 words, 0xFF bytes where masks hold and 0 elsewhere, from 4·words masks per row."""
+    return (np.asarray(masks, np.uint8) * 0xFF).view(_WORD)
+
+
+def _float_masks():
+    """What a float keeps of words 1..10, by layout class and last nonzero digit, a row each.
+
+    Class 0 is exponent notation, with the point after the first digit;
+    class 1 + j is fixed notation for k = j - 4, with the point after digit
+    k, or for k < 0 none, "0." and -k-1 leading zeros before the digits.
+    """
+    k = np.repeat([17, *range(-4, 17)], 17)[:, None]
+    last = np.tile(np.arange(17), 22)[:, None]
+    small = (k >= -4) & (k < 0)
+    point = np.where(k < 17, np.maximum(k, 0), 0)
+    j = np.arange(17)
+    return _words(np.hstack([
+        small & (np.arange(3) >= k + 4),  # "000"
+        j <= point,  # digits up to the point
+        np.zeros((len(k), 3), bool), ~small & (last > point),  # the point
+        (j[1:] > point) & (j[1:] <= last),  # digits after it
+    ]))
 
 
 @cache
-def _tables() -> tuple[np.ndarray, ...]:
-    """Lookup tables, built from exact integers on first use.
-
-    By k - _K_MIN: 10^(16-k) = (hi + lo)·2^b, "e±ddd" and 17 times the
-    layout class of k (k ≤ -100, -99..-5, each of -4..16, 17..99, ≥ 100);
-    the 4 ASCII digits of 0..9999 as one uint32; `_kept` by class and last.
-    """
+def _tables() -> _Tables:
+    """Lookup tables, built from exact integers on first use; by k, each is indexed by k - _K_MIN."""
     pow10 = []
     for k in range(_K_MIN, _K_MAX + 1):
         num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
@@ -155,15 +194,28 @@ def _tables() -> tuple[np.ndarray, ...]:
         n = (num << max(0, 120 - b)) // (den << max(0, b - 120))
         hi = math.ldexp(float(n), -120)
         pow10.append((hi, *_split(hi), math.ldexp(float(n - int(float(n))), -120), b))
-    exp = "".join(f"e{k:+04d}" for k in range(_K_MIN, _K_MAX + 1)).encode()
-    digits = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
     k = np.arange(_K_MIN, _K_MAX + 1)
-    tables = (
+    fixed = (k >= -4) & (k < 17)
+    places = np.abs(k)[:, None] // [100, 10, 1] % 10 + ord("0")
+    k_bytes = np.zeros((len(k), 12), np.uint8)  # words 0, 11 and 12
+    k_bytes[fixed & (k < 0), 2:4] = [ord("0"), ord(".")]
+    k_bytes[~fixed, 4] = ord("e")
+    k_bytes[~fixed, 5] = np.where(k < 0, ord("-"), ord("+"))[~fixed]
+    k_bytes[~fixed, 6:9] = places[~fixed]
+    two = ~fixed & (np.abs(k) < 100)  # "e±dd", with no hundreds place
+    k_bytes[two, 6:8] = places[two, 1:]
+    k_bytes[two, 8] = 0
+    digits = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
+    nonzero = digits != 0
+    tables = _Tables(
         np.array(pow10).T,
-        np.frombuffer(exp, np.uint8).reshape(-1, 5),
-        (np.clip(k, -5, 17) + 6 - (k <= -100) + (k >= 100)) * 17,
-        digits.astype(np.uint8).view(np.uint32).ravel(),
-        _kept(np.repeat([-100, -5, *range(-4, 17), 17, 100], 17), np.tile(np.arange(17), 25)),
+        k_bytes.view(_WORD).T.copy(),
+        np.where(fixed, k + 5, 0) * 17,
+        (digits + ord("0")).astype(np.uint8).view(_WORD).ravel(),
+        1 + (np.arange(10000)[:, None] >= [10, 100, 1000]).sum(axis=1, dtype=np.int8),
+        np.where(nonzero.any(axis=1), 3 - np.argmax(nonzero[:, ::-1], axis=1), -64).astype(np.int8),
+        _words(np.arange(20) >= 20 - np.arange(21)[:, None]).T.copy(),
+        _float_masks().T.copy(),
     )
     for table in tables:  # every later call reads these same arrays
         table.setflags(write=False)
@@ -172,7 +224,7 @@ def _tables() -> tuple[np.ndarray, ...]:
 
 def _scaled(m, e, k):
     """m·2^e·10^(16-k) as a double-double (s, t), s an integer near 1e16..1e17."""
-    hi, hi_high, hi_low, lo, b = _tables()[0].take(k - _K_MIN, axis=1)
+    hi, hi_high, hi_low, lo, b = _tables().pow10.take(k - _K_MIN, axis=1)
     m_high, m_low = _split(m)
     p = m * hi
     err = ((m_high * hi_high - p) + m_high * hi_low + m_low * hi_high) + m_low * hi_low + m * lo
@@ -181,18 +233,19 @@ def _scaled(m, e, k):
     return np.ldexp(s, e), np.ldexp(err - (s - p), e)
 
 
-def _digits(magnitude, count):
-    """ASCII of the 4·count lowest decimal digits of each integer in magnitude."""
-    groups = np.empty((len(magnitude), count), np.int64)
-    for i in range(count - 1, -1, -1):
+def _groups(magnitude, count):
+    """The `count` 4-digit groups of each int64 in 0..10^(4·count)-1, one row each, the highest first."""
+    groups = np.empty((count, len(magnitude)), np.int64)
+    for i in range(count - 1, 0, -1):
         q = magnitude // 10000
-        groups[:, i] = magnitude - q * 10000
+        groups[i] = magnitude - q * 10000
         magnitude = q
-    return _tables()[3].take(groups).view(np.uint8)
+    groups[0] = magnitude
+    return groups
 
 
 def _float_slots(a: np.ndarray):
-    """Slots and keep mask of each cell's %.17g, and which cells are left to `_cell`.
+    """The 13-word field of each cell's %.17g, a column each, and which cells are left to `_cell`.
 
     Zero is settled as "0" or "-0"; a nonzero finite cell only when one pass
     puts its y in [10^16, 10^17 - 1/2) away from a tie.
@@ -208,70 +261,82 @@ def _float_slots(a: np.ndarray):
     odd |= ~zero & (outside | (np.abs(t - np.floor(t) - 0.5) < 2.0**-30))
     d = np.where(odd | zero, 0, s.astype(np.int64) + np.floor(t + 0.5).astype(np.int64))
     k = np.where(zero, 0, k) - _K_MIN
-    digits = _digits(d, 5)[:, 3:]
-    nonzero = digits != ord("0")
-    nonzero[:, 0] = True
-    last = 16 - np.argmax(nonzero[:, ::-1], axis=1)  # the last digit %g keeps
-    _, exponents, layouts, _, kept = _tables()
-    keep = kept.take(layouts.take(k) + last, axis=0)
-    keep[:, 0] = np.signbit(a)
-    return np.hstack([
-        np.broadcast_to(np.frombuffer(b"-0.000", np.uint8), (len(a), 6)),
-        digits, np.full((len(a), 1), ord("."), np.uint8), digits[:, 1:],
-        exponents.take(k, axis=0),
-    ]), keep, odd
+    groups = _groups(d, 5)
+    tables = _tables()
+    # the last nonzero digit, which %g keeps last; 0 for zero
+    last = np.maximum((tables.last_digits.take(groups) + _GROUP_STARTS).max(axis=0), 0)
+    field = np.empty((13, len(a)), _WORD)
+    point, field[11], field[12] = tables.k_words.take(k, axis=1)
+    field[0] = point | np.signbit(a) * np.uint32(ord("-") << 8)
+    tables.digits.take(groups, out=field[1:6])
+    field[6] = ord(".") << 24
+    field[7:11] = field[2:6]
+    field[1:11] &= tables.float_masks.take(tables.layouts.take(k) + last, axis=1)
+    return field, odd
 
 
 def _int_slots(a: np.ndarray):
-    """Slots and keep mask of each cell's %d: a nonnegative int64 column only."""
-    a = a.astype(np.uint64)
-    length = np.maximum(1, np.searchsorted(_POWERS_OF_TEN, a, "right"))
-    count = (int(length.max()) + 3) // 4
-    return _digits(a, count), np.arange(4 * count) >= (4 * count - length)[:, None]
+    """The field of each cell's %d, a column each, and which cells are left to `_cell`: the negative ones."""
+    odd = a < 0
+    a = np.where(odd, 0, a).astype(np.int64, copy=False)
+    words = len(str(int(a.max(initial=0)))) // 4 + 1
+    groups = _groups(a, words)
+    tables = _tables()
+    # the digit count: the highest nonzero group's, plus 4 for each group below it
+    places = 4 * np.arange(words - 1, -1, -1, dtype=np.int8)[:, None]
+    count = (tables.digit_counts.take(groups) + places * (groups > 0)).max(axis=0)
+    field = tables.digits.take(groups)
+    field &= tables.int_masks[5 - words :].take(count, axis=1)
+    return field, odd
 
 
 def _column_slots(a):
-    """Slots, keep mask and undecided cells of a column; `_cell` writes any row holding one."""
+    """Field and undecided cells of a column; `_cell` writes any row holding one."""
     if isinstance(a, np.ndarray) and a.dtype == np.float64:
         return _float_slots(a)
     if isinstance(a, np.ndarray) and a.dtype.kind == "i":
-        odd = a < 0
-        return *_int_slots(np.where(odd, 0, a)), odd
-    return np.zeros((len(a), 0), np.uint8), np.zeros((len(a), 0), bool), np.ones(len(a), bool)
+        return _int_slots(a)
+    return np.zeros((1, len(a)), _WORD), np.ones(len(a), bool)
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write one 1-D column per header name as CSV, each cell's text equal to `_cell`'s.
 
     numpy formats a float64 or signed-integer ndarray column CSV_CHUNK rows
-    at a time, and `_cell` writes each row that holds a cell numpy leaves
+    at a time from lookup tables: the chunk's fields, one per column, stack
+    into one array of words, whose transpose less its NUL bytes is the
+    chunk's text.  `_cell` writes each row that holds a cell numpy leaves
     undecided.  Every cell of any other column, a list say, is undecided,
-    so `_cell` writes every row of a table that has one.  A column count
-    other than len(header), or columns of unequal length, raise ValueError.
+    so `_cell` writes every row of a table that has one.  The file is
+    written as bytes with "\\n" line ends on every platform: the header
+    line, each row opening with the "\\n" that ends the line above, and a
+    last "\\n".  A column count other than len(header), or columns of
+    unequal length, raise ValueError.
     """
     lengths = {len(column) for column in columns}
     if len(columns) != len(header) or len(lengths) > 1:
         raise ValueError(
             f"{len(columns)} columns of lengths {sorted(lengths)} under {len(header)} header names"
         )
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
+    with open(path, "wb") as f:
+        f.write(",".join(header).encode())
         for start in range(0, max(lengths, default=0), CSV_CHUNK):
             chunk = [column[start : start + CSV_CHUNK] for column in columns]
-            cells = [_column_slots(column) for column in chunk]
-            sep = np.full((len(chunk[0]), 1), ord(","), np.uint8)
-            slots = np.hstack([part for s, _, _ in cells for part in (s, sep)])
-            slots[:, -1] = ord("\n")
-            keep = np.hstack([part for _, k, _ in cells for part in (k, np.ones_like(sep, bool))])
-            undecided = np.flatnonzero(np.any([odd for *_, odd in cells], axis=0))
-            keep[undecided, :-1] = False  # the row keeps only its newline
-            text = slots[keep].tobytes().decode()
+            fields = [_column_slots(column) for column in chunk]
+            words = np.concatenate([field for field, _ in fields])
+            leads = np.cumsum([0] + [len(field) for field, _ in fields[:-1]])
+            words[leads] |= np.array([ord("\n")] + [ord(",")] * (len(leads) - 1), np.uint32)[:, None]
+            words = words[words.max(axis=1) > 0]  # a word no cell keeps a byte of adds nothing
+            # no byte but a lead is "\n", so an undecided row is its line whatever its bytes
+            text = words.T.tobytes().translate(None, b"\0")
+            undecided = np.flatnonzero(np.any([odd for _, odd in fields], axis=0))
             if undecided.size:
-                lines = text.split("\n")
+                lines = text.split(b"\n")  # lines[0] is empty: the text opens with "\n"
                 for i in undecided.tolist():
-                    lines[i] = ",".join(_cell(column[i]) for column in chunk)
-                text = "\n".join(lines)
+                    lines[i + 1] = ",".join(_cell(column[i]) for column in chunk).encode()
+                text = b"\n".join(lines)
             f.write(text)
+        f.write(b"\n")
 
 
 def _solve_summary(profile: HittingProfile) -> dict:

@@ -192,7 +192,7 @@ def _panel_update(A: np.ndarray, k0: int, k1: int, N: np.ndarray, M: np.ndarray)
     return L21
 
 
-def _solve_gth_rhs(W: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _solve_gth_rhs(W: np.ndarray, r: np.ndarray, cut: float = 0.0) -> np.ndarray:
     """Solve t = r + Q t by GTH elimination, Q = W[:, 1:] and exit mass c = W[:, 0].
 
     Each row of W sums to 1: c_k plus state k's masses Q_k.  The solve
@@ -213,19 +213,13 @@ def _solve_gth_rhs(W: np.ndarray, r: np.ndarray) -> np.ndarray:
     The back substitution goes a panel at a time, through the stored rows
     U12 and the folded r: t_panel = M (r_panel + U12 t_after).
 
-    Where r > 0 everywhere, as for expected times, the masses Q below
-    e^LOG_NEGLIGIBLE (about 1e-152) are zeroed before the elimination, so
-    no product of two stored masses is subnormal.  A zeroed mass acts as a
-    self-loop: it moves its row's equation by less than
-    e^LOG_NEGLIGIBLE max t, against t >= min r, so t keeps its relative
-    accuracy while max t / min r stays far below 1e136.  The exit mass c is
-    never zeroed.  Where r has zeros, as for occupation times, t may itself
-    lie below 1e-150 and nothing is zeroed.
+    The masses Q below `cut` are zeroed before the elimination; the exit
+    mass c never is.  A zeroed mass acts as a self-loop: the row's m masses
+    move its equation by less than m cut max t, against t >= min r.
     """
     m = r.size
     r = np.array(r, dtype=float)  # a copy: the panels fold r in place
-    if np.all(r > 0.0):
-        cut = math.exp(LOG_NEGLIGIBLE)
+    if cut > 0.0:
         for i in range(0, m, ROW_BLOCK):
             Q = W[i : i + ROW_BLOCK, 1:]
             Q[Q < cut] = 0.0
@@ -550,8 +544,20 @@ def _conditioned_time(profile: HittingProfile, r: np.ndarray) -> np.ndarray:
     straight into the solve's working array, which it spends, so the solve
     holds one m x u array beside O(_PANEL m) scratch, and its peak is
     tilting's own, 1.1-1.4 m^2 doubles.  t(0) = 0, and t is read-only.
+
+    Where r > 0 everywhere, as for expected times, the tilted masses below
+    e^LOG_NEGLIGIBLE (about 1e-152) are zeroed, so no product of two stored
+    masses is subnormal.  A row loses at most its m masses, so that moves
+    each equation by less than its rounding while e^LOG_NEGLIGIBLE m max t
+    stays below 2^-53 min r, about max t < 1.1e136 min r / m; a t past that
+    is solved again with every mass.  Where r has zeros, as
+    for occupation times, t may itself lie below 1e-150 and nothing is zeroed.
     """
-    t = np.concatenate(([0.0], _solve_gth_rhs(_tilt(profile), r)))
+    cut = math.exp(LOG_NEGLIGIBLE) if np.all(r > 0.0) else 0.0
+    t = _solve_gth_rhs(_tilt(profile), r, cut)
+    if cut and t.size and cut * t.size * t.max() >= 2.0**-53 * r.min():
+        t = _solve_gth_rhs(_tilt(profile), r)
+    t = np.concatenate(([0.0], t))
     t.flags.writeable = False
     return t
 

@@ -682,6 +682,55 @@ class TestCsvWriter:
         want = _per_cell(["a", "b", "c"], [column.tolist() for column in columns])
         assert (tmp_path / "t.csv").read_bytes() == want
 
+    @pytest.mark.parametrize("chunk", [cli.CSV_CHUNK, 3])
+    def test_int_columns_across_ten_thousand_match_per_cell(self, tmp_path, monkeypatch, chunk):
+        # a chunk's largest value sets its group count, and a digit count adds 4 per group
+        # below the highest nonzero one; 3-row chunks hold values below 10^4 only, a
+        # straddle, and values above it only
+        monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
+        ints = [9997, 9998, 9999, 10000, 10001, 9999, 0, 5, 10000, 9999, 99999999, 100000000]
+        ints += [1000, 999, 9999, 10000, 10000, 10000, 12345678, 9, 2**63 - 1]
+        # negative cells among small ones go to `_cell`, and leave the rest of their chunk
+        mixed = [3, -1, 0, -9999, 10000, -10000, 12, -(2**63), 5, 9999, -5, 1]
+        mixed += [7, 8, -1, 9999, 10000, 0, 1, 2, 3, -3, -2, -1][: len(ints) - len(mixed)]
+        columns = [np.array(ints), np.array(mixed), np.clip(mixed, -(2**15), 2**15 - 1).astype(np.int16)]
+        cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], columns)
+        want = _per_cell(["a", "b", "c"], [column.tolist() for column in columns])
+        assert (tmp_path / "t.csv").read_bytes() == want
+
+    def test_empty_tables_match_per_cell(self, tmp_path):
+        for header, columns in [
+            (["a", "b"], [np.array([], np.int64), np.array([])]),
+            (["a"], [[]]),
+            ([], []),
+        ]:
+            cli._write_csv(tmp_path / "t.csv", header, columns)
+            assert (tmp_path / "t.csv").read_bytes() == _per_cell(header, columns)
+
+    @pytest.mark.parametrize("chunk", [cli.CSV_CHUNK, 3])
+    def test_trailing_zero_digits_match_per_cell(self, tmp_path, monkeypatch, chunk):
+        # the 17 digits of each pair end in 0, 3, 4, 5, 8, 12 and 16 zeros: fixed, then exponent notation
+        monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
+        pairs = {
+            0: (0.0008638679618463273, 7.71032970366848e-30),
+            3: (17.299936760405, 4.4702770729216e17),
+            4: (279333679754400.0, 2.266144105303e-30),
+            5: (284135.589248, 3.26025790113e-30),
+            8: (12316083.9, 1.69943232e-05),
+            12: (4949900000000000.0, 8.6826e-300),
+            16: (200000.0, 5e17),
+        }
+        floats = []
+        for zeros, pair in pairs.items():
+            for v in pair:
+                digits = format(v, ".16e").split("e")[0].replace(".", "")
+                assert len(digits) - len(digits.rstrip("0")) == zeros, v
+            floats += [*pair, -pair[0], -pair[1]]
+        _, odd = cli._float_slots(np.array(floats))
+        assert not odd.any()  # each is settled in one pass, not left to `_cell`
+        cli._write_csv(tmp_path / "t.csv", ["v"], [np.array(floats)])
+        assert (tmp_path / "t.csv").read_bytes() == _per_cell(["v"], [floats])
+
     def test_rows_of_mixed_cells_match_per_cell(self, tmp_path):
         ints = [2**63 - 1, -(2**63), 2**63, 2**64 - 1, 2**53 + 1, -7, 0, 10**30, -(10**30)]
         floats = [0.1, -0.0, math.nan, math.inf, 5e-324, 1e300, -2.5, 1.0, 1e17]
@@ -729,10 +778,10 @@ class TestCsvWriter:
             (log10_h, 0.0),
             (floats[np.isfinite(floats)], 0.01),
         ]:
-            slots, keep, odd = cli._float_slots(values)
+            field, odd = cli._float_slots(values)
             assert np.count_nonzero(odd) <= share * len(values)
             settled = np.flatnonzero(~odd)
-            texts = [slots[i][keep[i]].tobytes().decode() for i in settled]
+            texts = [field[:, i].tobytes().replace(b"\0", b"").decode() for i in settled]
             assert texts == [format(v, ".17g") for v in values[settled].tolist()]
 
     def test_rows_of_unequal_width_are_refused(self, tmp_path):

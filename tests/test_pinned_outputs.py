@@ -3,7 +3,8 @@
 All ten experiments run at the benchmark's reduced ("small") sizes, plus a
 cond-time/occupation pair sharing one --cache directory, so the second run
 reads the profile the first one stored.  Every CSV, report.txt and cached
-profile (JSON) file must hash to its pinned value.
+profile (JSON) file must hash to its pinned value.  figure2 also runs at
+its README size, whose kernel.csv spans many of the CSV writer's chunks.
 
 The pins hold for this numpy build, its BLAS and this libm: the kernel's
 log-factorial table calls libm's log through math.log and does the rest in
@@ -30,7 +31,7 @@ on a CPU that lacks their instructions OpenBLAS dies with SIGILL.
 
 The pins also depend on numpy's SIMD dispatch: np.exp and np.log round
 differently in their AVX-512 and AVX2 loops.  Under
-NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4" 6 of the 7 test
+NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4" 7 of the 8 test
 cases here fail (all but test_profile_bytes_pinned[6.0-1200-299]), so a
 runner without AVX-512 loops fails tier-1 until the value-determining exp
 and log are made portable (ROADMAP item 3).
@@ -117,6 +118,11 @@ TIME_PINS = {
     ),
 }
 
+#: figure2's README run, whose kernel.csv of 89,102 rows spans 22 of the
+#: writer's CSV_CHUNKs, and the sha256 of that file
+README_FIGURE2 = ["figure2", "--lambda", "6", "--n", "1200", *WINDOW]
+README_KERNEL_PIN = "10ce82cb138d2fbbf8a962ab3e92b8441bf9316c2d6ab21a41545bbf1ebf0713"
+
 
 def _digests(root: Path) -> dict[str, str]:
     return {
@@ -138,6 +144,11 @@ def _run_all(root: Path) -> dict[str, str]:
 
 def test_output_bytes_pinned(tmp_path):
     assert _run_all(tmp_path) == PINS
+
+
+def test_readme_kernel_bytes_pinned(tmp_path):
+    assert cli.main([*README_FIGURE2, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "kernel.csv").read_bytes()).hexdigest() == README_KERNEL_PIN
 
 
 def _profile_digest(lam: float, n: int, u: int) -> str:

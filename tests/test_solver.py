@@ -920,6 +920,7 @@ class TestConditionedTimeSolve:
     @example(lam=6.0, n_u=(1200, 299))  # figure2's README profile
     @example(lam=2.0, n_u=(2000, 594))  # bounds-report's window
     @example(lam=3.0, n_u=(2400, 759))
+    @example(lam=3.017578125, n_u=(795, 795))  # max t = 1.5e140, past the cut's bound
     def test_panel_solve_matches_sequential_solve(self, lam, n_u):
         # expected times (r = 1, with the cut) and band occupation times (no cut);
         # an occupation time below the smallest normal double has no relative
@@ -939,6 +940,18 @@ class TestConditionedTimeSolve:
         rows = tilted_kernel(prof)[:, 1:]
         assert np.any((rows > 0.0) & (rows < math.exp(solver.LOG_NEGLIGIBLE)))
         t = conditional_expected_extinction(prof)
+        monkeypatch.setattr(solver, "LOG_NEGLIGIBLE", -math.inf)
+        assert conditional_expected_extinction(prof).tobytes() == t.tobytes()
+
+    @pytest.mark.parametrize("n", [765, 795])
+    def test_t_past_the_cut_bound_keeps_every_mass(self, monkeypatch, n):
+        # a row may lose all its m masses, so t is solved again with every mass once
+        # m max t passes 2^-53 e^350 min r = 1.1e136: at n = 765 max t = 7.5e134 stays below
+        # 1.1e136 but m max t does not; at n = 795 max t = 1.5e140, and the cut moved t by
+        # 7e-15, beyond its rounding
+        prof = hitting_profile(ModelParams(3.017578125, n), n)
+        t = conditional_expected_extinction(prof)
+        assert t.max() * (t.size - 1) > 2.0**-53 * math.exp(-solver.LOG_NEGLIGIBLE)
         monkeypatch.setattr(solver, "LOG_NEGLIGIBLE", -math.inf)
         assert conditional_expected_extinction(prof).tobytes() == t.tobytes()
 
