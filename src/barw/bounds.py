@@ -40,8 +40,8 @@ class BoundSet:
     q1 = q(lam*exp(-lam*eps)) and q2 = q(lam*(1 + 2*lam*eps)) drive the
     envelope; theta = q(exp(lam*eps)) the geometric upper bound; kappa_n
     the adjacent-ratio floor; gamma the one-step row-ratio bound at the
-    chosen alpha.  Fields whose own precondition fails are NaN and the
-    matching flag is False.
+    chosen alpha.  A field whose own precondition fails is NaN; the
+    envelope, which needs more than q1, has its own flag.
     """
 
     lam: float
@@ -54,8 +54,6 @@ class BoundSet:
     kappa_n: float
     gamma: float
     envelope_ok: bool
-    kappa_ok: bool
-    gamma_ok: bool
 
 
 def default_alpha(lam: float) -> float:
@@ -74,13 +72,8 @@ def log_kappa_floor(lam: float, n: int) -> float:
     return n * math.log1p(-z) if z < 1.0 else math.nan
 
 
-def kappa_floor(lam: float, n: int) -> float:
-    """The adjacent-ratio floor (1 - e*lam/((e-1)*n))^n, NaN when undefined."""
-    return math.exp(log_kappa_floor(lam, n))
-
-
 def make_bound_set(lam: float, n: int, epsilon: float, alpha: float | None = None) -> BoundSet:
-    """Compute every derived constant, flagging inapplicable ones.
+    """Compute every derived constant, NaN where inapplicable, and the envelope flag.
 
     The envelope needs eps < 1/(2*lam) and a q1, which exists once
     lam*exp(-lam*eps) exceeds 1 by GW_MEAN_MARGIN; kappa_n needs
@@ -102,16 +95,9 @@ def make_bound_set(lam: float, n: int, epsilon: float, alpha: float | None = Non
         raise ValueError(f"epsilon={epsilon} gives no bound set at lambda={lam}: {exc}") from None
     envelope_ok = epsilon < 1.0 / (2.0 * lam) and not math.isnan(q1)
 
-    kappa_n = kappa_floor(lam, n)
-    kappa_ok = not math.isnan(kappa_n)
-
-    gamma_ok = lam * epsilon < 1.0
-    gamma = (
-        math.exp(-alpha * lam1 * (1.0 - lam * epsilon)) if gamma_ok else math.nan
-    )
-    return BoundSet(
-        lam, n, epsilon, alpha, q1, q2, theta, kappa_n, gamma, envelope_ok, kappa_ok, gamma_ok
-    )
+    kappa_n = math.exp(log_kappa_floor(lam, n))
+    gamma = math.exp(-alpha * lam1 * (1.0 - lam * epsilon)) if lam * epsilon < 1.0 else math.nan
+    return BoundSet(lam, n, epsilon, alpha, q1, q2, theta, kappa_n, gamma, envelope_ok)
 
 
 def envelope_log_bounds(bounds: BoundSet, x: int) -> tuple[float, float]:
@@ -211,7 +197,7 @@ def check_geometric(profile: HittingProfile, bounds: BoundSet) -> CheckReport:
 
 def check_ratio_kappa(profile: HittingProfile, bounds: BoundSet) -> CheckReport:
     """Verify phi(x+1)/phi(x) >= kappa_n for every adjacent pair, in logs."""
-    if not bounds.kappa_ok:
+    if math.isnan(bounds.kappa_n):
         raise ValueError("kappa_n is undefined: e*lam/((e-1)*n) >= 1")
     params = {"lambda": bounds.lam, "n": bounds.n, "u": profile.u, "kappa_n": bounds.kappa_n}
     if profile.u < 2:
@@ -247,12 +233,12 @@ def check_ratio_beta(profile: HittingProfile) -> CheckReport:
 def check_gamma_ratio(bounds: BoundSet) -> CheckReport:
     """Exhaustively verify p(x+1,y) <= gamma * p(x,y) on its stated grid.
 
-    Needs bounds.gamma_ok (lam*eps < 1).  The grid is 0 <= x < eps*n - 1
+    Needs a gamma, which lam*eps < 1 gives.  The grid is 0 <= x < eps*n - 1
     (threshold_u's low u, less 1) and 0 <= y <= (1-alpha)*n*b(x); the
     ratio p(x+1,y)/p(x,y) is also checked to be increasing in y, which
     pins its maximum at the right edge of the grid.
     """
-    if not bounds.gamma_ok:
+    if math.isnan(bounds.gamma):
         raise ValueError(f"epsilon must lie in (0, 1/lam), got {bounds.epsilon}")
     params = ModelParams(bounds.lam, bounds.n)
     log_gamma = math.log(bounds.gamma)

@@ -227,11 +227,6 @@ def transition_log_rows(
     return rows
 
 
-def transition_log_row(params: ModelParams, x: int, y_hi: int | None = None) -> np.ndarray:
-    """Natural logs of the Bin(n, b(x)) mass at y = 0..y_hi (default n)."""
-    return transition_log_rows(params, (x,), 0, y_hi)[0]
-
-
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) over the last axis of a 1-d or 2-d array, overwriting `a` as scratch.
 

@@ -33,7 +33,7 @@ from .chain import (
     equilibrium,
     gw_extinction_prob,
     threshold_u,
-    transition_log_row,
+    transition_log_rows,
 )
 from .simulate import (
     TruncationError,
@@ -83,7 +83,6 @@ class ExperimentConfig:
     alpha: float | None = None
     x0: int | None = None
     u: int | None = None
-    mode: str | None = None
     trials: int | None = None
     seed: int | None = None
     graph: str | None = None
@@ -361,22 +360,17 @@ def _params(config: ExperimentConfig) -> ModelParams:
     return ModelParams(config.lam, config.n)
 
 
-def _resolve_u(config: ExperimentConfig, params: ModelParams, default_mode: str | None) -> int:
-    """Threshold from --u or --mode/--epsilon, with a per-experiment default mode.
+def _resolve_u(config: ExperimentConfig, params: ModelParams, mode: str | None) -> int:
+    """Threshold from --u, or else from --epsilon by the experiment's own mode.
 
-    --mode low|window derives u from --epsilon, so an explicit --u with
-    either of them is a conflict, not an override.  Without a default mode
-    one of --u and --mode is required.
+    profile has no mode of its own, so it needs --u.
     """
     if config.u is not None:
-        if config.mode in ("low", "window"):
-            raise ValueError(f"mode={config.mode} derives u from --epsilon; do not pass --u")
         return config.u
-    mode = config.mode or default_mode
     if mode is None:
-        raise ValueError(f"{config.experiment}: --u or --mode (low|window) is required")
+        raise ValueError(f"{config.experiment}: --u is required")
     if config.epsilon is None:
-        raise ValueError(f"mode={mode} requires --epsilon")
+        raise ValueError(f"{config.experiment}: --u or --epsilon is required")
     return threshold_u(params, config.epsilon, mode)
 
 
@@ -453,12 +447,12 @@ def _constants(params: ModelParams, epsilon: float | None, u: int | None) -> dic
 
 
 def _profile_step(
-    config: ExperimentConfig, default_mode: str | None, *required: str, check=lambda u: None
+    config: ExperimentConfig, mode: str | None, *required: str, check=lambda u: None
 ) -> tuple[HittingProfile, dict]:
     """Check the flags, resolve u, `check(u)`, get u's profile; returns it and its summary fields."""
     params = _params(config)
     _require(config, *required)
-    u = _resolve_u(config, params, default_mode)
+    u = _resolve_u(config, params, mode)
     _check_threshold(params, u)
     check(u)
     constants = _constants(params, config.epsilon, u)
@@ -571,7 +565,7 @@ def _exp_equivalence(config: ExperimentConfig) -> tuple[tuple, dict]:
     constants = _constants(params, None, None)
     counts = particle_step_counts(graph, config.x0, config.lam, config.trials, config.seed)
     empirical = np.bincount(counts, minlength=n + 1)[: n + 1] / config.trials
-    exact = np.exp(transition_log_row(params, config.x0))
+    exact = np.exp(transition_log_rows(params, (config.x0,))[0])
     columns = [[n], [params.lam], [config.x0], [config.trials], [tv_distance(empirical, exact)]]
     return (["n", "lambda", "x", "trials", "tv_distance"], columns), {"constants": constants}
 
@@ -591,9 +585,9 @@ def _exp_bounds_report(config: ExperimentConfig) -> tuple[str, dict]:
     if "window" in profiles:
         # u_win - 1 < eq - eps*n, so the drift factor clears exp(lam*eps) below u_win
         reports.append(bnd.check_geometric(profiles["window"], bset))
-        if bset.kappa_ok:
+        if not math.isnan(bset.kappa_n):
             reports.append(bnd.check_ratio_kappa(profiles["window"], bset))
-    if bset.gamma_ok:
+    if not math.isnan(bset.gamma):
         reports.append(bnd.check_gamma_ratio(bset))
     return bnd.render_reports(reports), {
         "constants": _constants(params, config.epsilon, None),
@@ -664,7 +658,6 @@ _ARGUMENTS = {
     "--alpha": {"type": float},
     "--x0": {"type": int},
     "--u": {"type": int},
-    "--mode": {"choices": ["low", "window"]},
     "--trials": {"type": int},
     "--seed": {"type": int},
     "--graph": {"type": str, "help": "graph file path"},
@@ -672,7 +665,7 @@ _ARGUMENTS = {
     "--cache": {"dest": "cache_dir", "type": Path, "default": None},
 }
 
-_THRESHOLD = ("--lambda", "--n", "--epsilon", "--u", "--mode")
+_THRESHOLD = ("--lambda", "--n", "--epsilon", "--u")
 _TRIALS = ("--x0", "--trials", "--seed")
 
 #: each experiment's function, its one output file and the flags it reads
@@ -711,14 +704,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(**vars(args))
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        summary = run_experiment(_config_from_args(args))
+        summary = run_experiment(ExperimentConfig(**vars(args)))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -170,16 +170,12 @@ def uniforms(words: np.ndarray) -> np.ndarray:
     return u
 
 
-def _invert(cdf: np.ndarray, u) -> np.ndarray:
-    """Inverse-CDF draw: how many entries of a nondecreasing CDF row are <= u."""
-    return np.searchsorted(cdf, u, side="right")
+def _invert_rows(table: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: how many entries of the nondecreasing CDF row table[rows] are <= u.
 
-
-def _invert_rows(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """_invert(table[rows[i]], u[i]) for every i, by bisection.
-
-    All rows have length k, so every search halves its range in step with the
-    others and reads ceil(log2 k) + 1 entries of the flat table, not a row.
+    rows is an int array matching u, or one row index for every u.  All rows
+    have length k, so every search halves its range in step with the others
+    and reads ceil(log2 k) + 1 entries of the flat table, not a row.
     """
     k = table.shape[1]
     flat = table.reshape(-1)
@@ -488,7 +484,7 @@ def _particle_chunk(
     p = parents.size
     first = -(-p // 4)  # blocks holding the count words
     words = philox_block(seed, idx[:, None], np.arange(first)).reshape(idx.size, 4 * first)
-    offspring = _invert(_poisson_cdf(lam), uniforms(words[:, :p]))
+    offspring = _invert_rows(_poisson_cdf(lam)[None], 0, uniforms(words[:, :p]))
     moves = offspring.sum(axis=1)
     u = _move_uniforms(seed, idx, p, moves)
     key = _move_targets(graph, np.tile(parents, idx.size), offspring.reshape(-1), u)

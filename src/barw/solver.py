@@ -120,10 +120,6 @@ class HittingProfile:
         if not np.all(np.isfinite(self.log_phi)):
             raise ValueError("all phi entries must be strictly positive")
 
-    def phi(self, x: int) -> float:
-        """phi(x) as a native float (0.0 if the value underflows)."""
-        return float(np.exp(self.log_phi[x]))
-
 
 def _solve_m_matrix(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (I - Q) x = b by Gaussian elimination without pivoting, native doubles.

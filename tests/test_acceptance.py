@@ -27,7 +27,7 @@ from barw import (
     make_bound_set,
     threshold_u,
     tilted_kernel,
-    transition_log_row,
+    transition_log_rows,
     unconditional_expected_extinction,
 )
 from barw.cli import ExperimentConfig, run_experiment
@@ -60,7 +60,7 @@ def test_c01_tiny_instance_oracle():
         b1 = branch_prob(params, 1)
         p10 = (1.0 - b1) ** 3
         p11 = 3.0 * b1 * (1.0 - b1) ** 2
-        assert abs(prof.phi(1) - p10 / (1.0 - p11)) <= 1e-12
+        assert abs(math.exp(prof.log_phi[1]) - p10 / (1.0 - p11)) <= 1e-12
 
         for n in range(1, 13):
             for u in range(1, min(4, n) + 1):
@@ -163,7 +163,7 @@ def test_c07_monte_carlo_vs_exact():
     with criterion(7, "MC hitting estimate within 4 SE of exact phi(3)", 30.0):
         params = ModelParams(2.0, 50)
         est = estimate_hitting_prob(params, 10, 3, 100_000, seed=MC_SEED)
-        phi3 = hitting_profile(params, 10).phi(3)
+        phi3 = math.exp(hitting_profile(params, 10).log_phi[3])
         assert abs(est.mean - phi3) <= 4.0 * est.std_error
 
 
@@ -217,7 +217,7 @@ def dominated(a, b):
 
 def tilt(params, x, factor, upper):
     """The pmf proportional to factor^y p(x, y) on y < upper, normalized in logs."""
-    log_w = transition_log_row(params, x)[:upper] + np.arange(upper) * math.log(factor)
+    log_w = transition_log_rows(params, (x,))[0, :upper] + np.arange(upper) * math.log(factor)
     w = np.exp(log_w - log_w.max())
     return w / w.sum()
 
@@ -261,13 +261,13 @@ def test_c12_stochastic_dominance_suite():
 
 def test_c13_meanfield_equivalence():
     with criterion(13, "particle one-step counts match Bin(n, b(x)) in TV", 60.0):
-        from barw import complete_graph, particle_step_counts, transition_log_row, tv_distance
+        from barw import complete_graph, particle_step_counts, transition_log_rows, tv_distance
 
         graph = complete_graph(30, allow_self=True)
         trials = 200_000
         counts = particle_step_counts(graph, 10, 2.0, trials, seed=EQUIV_SEED)
         empirical = np.bincount(counts, minlength=31)[:31] / trials
-        exact = np.exp(transition_log_row(ModelParams(2.0, 30), 10))
+        exact = np.exp(transition_log_rows(ModelParams(2.0, 30), (10,))[0])
         assert tv_distance(empirical, exact) <= 0.01
 
 

@@ -24,7 +24,7 @@ from barw import (
     threshold_u,
     transition_log_rows,
 )
-from barw.bounds import kappa_floor, log_kappa_floor
+from barw.bounds import log_kappa_floor
 
 #: blocks scipy, imports barw, runs every experiment step by step and
 #: records after each step whether numpy.random has been loaded; argv[1] is
@@ -122,7 +122,6 @@ COUNTS = {
     "particle_step_counts-trials": (lambda k, v: particle_step_counts(K30, 3, 2.0, v, 1), 0),
     "particle_step_counts-seed": (lambda k, v: particle_step_counts(K30, 3, 2.0, 10, v), -1),
     "GraphSpec-vertex_count": (lambda k, v: GraphSpec(v, None, True), 0),
-    "kappa_floor-n": (lambda k, v: kappa_floor(2.0, v), 0),
     "log_kappa_floor-n": (lambda k, v: log_kappa_floor(2.0, v), 0),
 }
 
@@ -139,7 +138,6 @@ REALS = {
     "conditional_occupation_time-delta": (lambda k, v: conditional_occupation_time(k, v), 1.0),
     "particle_step_counts-lambda": (lambda k, v: particle_step_counts(K30, 3, v, 10, 1), 0.0),
     "default_alpha-lambda": (lambda k, v: default_alpha(v), 1.0),
-    "kappa_floor-lambda": (lambda k, v: kappa_floor(v, 50), 1.0),
     "log_kappa_floor-lambda": (lambda k, v: log_kappa_floor(v, 50), 1.0),
 }
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -22,7 +23,7 @@ from barw import (
     make_bound_set,
     render_reports,
     threshold_u,
-    transition_log_row,
+    transition_log_rows,
 )
 from barw import bounds
 
@@ -71,8 +72,21 @@ class TestMakeBoundSet:
 
     def test_kappa_undefined_for_tiny_n(self):
         bs = make_bound_set(2.0, 3, 0.05)
-        assert not bs.kappa_ok
         assert math.isnan(bs.kappa_n)
+
+    # lam*eps = 1 exactly at (2, 0.5) and (10, 0.1); e*lam/((e-1)*n) falls below 1 from
+    # n = 3, 4, 16 and 159 on at lam = 1.5, 2, 10 and 100
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 10.0, 100.0])
+    def test_nan_kappa_and_gamma_are_their_preconditions_failing(self, lam):
+        for n, epsilon in itertools.product(
+            [1, 2, 3, 4, 15, 16, 50, 158, 159, 2000], [0.001, 0.05, 0.1, 0.3, 0.5, 0.9]
+        ):
+            try:
+                bs = make_bound_set(lam, n, epsilon)
+            except ValueError:  # no q2 or theta at this eps
+                continue
+            assert math.isnan(bs.kappa_n) == (math.e * lam / ((math.e - 1.0) * n) >= 1.0)
+            assert math.isnan(bs.gamma) == (lam * epsilon >= 1.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -121,12 +135,14 @@ class TestMakeBoundSet:
             u = min(math.ceil(epsilon * n), 4)
             profile = HittingProfile(params, u, -np.arange(u, dtype=float), 0.0, "synthetic")
             assert isinstance(check_envelope(profile, bs).passed, bool)
-        if bs.kappa_ok:
+        assert math.isnan(bs.kappa_n) == (math.e * lam / ((math.e - 1.0) * n) >= 1.0)
+        assert math.isnan(bs.gamma) == (lam * epsilon >= 1.0)
+        if not math.isnan(bs.kappa_n):
             u = min(n, 4)
             profile = HittingProfile(params, u, -np.arange(u, dtype=float), 0.0, "synthetic")
             assert isinstance(check_ratio_kappa(profile, bs).passed, bool)
             assert math.isfinite(bounds.log_kappa_floor(lam, n))
-        if bs.gamma_ok:
+        if not math.isnan(bs.gamma):
             assert 0.0 < bs.gamma <= 1.0
 
 
@@ -330,8 +346,8 @@ class TestViolationsAreReported:
         params = ModelParams(2.0, 200)
         for violation in report.violations:
             x, y = map(int, re.match(r"x=(\d+) y=(\d+) log_ratio=", violation).groups())
-            log_ratio = transition_log_row(params, x + 1)[y] - transition_log_row(params, x)[y]
-            assert log_ratio > math.log(gamma)
+            rows = transition_log_rows(params, (x, x + 1))
+            assert rows[1, y] - rows[0, y] > math.log(gamma)
 
     def test_gamma_ratio_not_increasing(self, monkeypatch):
         # p(6, 2) raised by e^0.5: the ratio p(6,y)/p(5,y) then falls from y=2 to 3

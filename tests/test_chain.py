@@ -13,7 +13,6 @@ from barw import (
     gw_extinction_prob,
     hitting_profile,
     threshold_u,
-    transition_log_row,
     transition_log_rows,
 )
 import barw.simulate as sim
@@ -167,25 +166,25 @@ class TestGwExtinctionProb:
 
 class TestTransitionLogpmf:
     def test_empty_state_point_mass(self):
-        row = transition_log_row(ModelParams(2.0, 10), 0)
+        row = transition_log_rows(ModelParams(2.0, 10), (0,))[0]
         assert row[0] == 0.0
         assert np.all(np.isneginf(row[1:]))
 
     def test_direct_evaluation(self):
         params = ModelParams(2.0, 3)
         b1 = branch_prob(params, 1)
-        got = transition_log_row(params, 1)[0]
+        got = transition_log_rows(params, (1,))[0, 0]
         assert got == pytest.approx(3 * math.log1p(-b1), abs=1e-14)
 
     @pytest.mark.parametrize("x", [0, 1, 10, 25, 50])
     def test_row_sums_to_one(self, x):
         params = ModelParams(1.5, 50)
-        total = np.exp(transition_log_row(params, x)).sum()
+        total = np.exp(transition_log_rows(params, (x,))).sum()
         assert abs(total - 1.0) <= 1e-10
 
     def test_row_matches_scalar_op(self):
         params = ModelParams(2.0, 20)
-        row = transition_log_row(params, 7)
+        row = transition_log_rows(params, (7,))[0]
         b = branch_prob(params, 7)
         for y in (0, 3, 11, 20):
             scalar = (
@@ -197,13 +196,13 @@ class TestTransitionLogpmf:
     def test_out_of_range(self):
         params = ModelParams(2.0, 10)
         with pytest.raises(ValueError):
-            transition_log_row(params, -1)
+            transition_log_rows(params, (-1,))
         with pytest.raises(ValueError):
-            transition_log_row(params, 11)
+            transition_log_rows(params, (11,))
 
     def test_large_n_no_overflow(self):
         params = ModelParams(2.0, 10_000)
-        row = transition_log_row(params, 5000)
+        row = transition_log_rows(params, (5000,))[0]
         assert np.all(np.isfinite(row))
         assert abs(np.exp(row).sum() - 1.0) <= 1e-10
 
@@ -214,7 +213,7 @@ class TestTransitionLogpmf:
         rows = transition_log_rows(params, [0, 7, 20], 5, 12)
         assert rows.shape == (3, 8)
         assert np.all(np.isneginf(rows[0]))
-        assert rows[1].tobytes() == transition_log_row(params, 7)[5:13].tobytes()
+        assert rows[1].tobytes() == transition_log_rows(params, (7,))[0, 5:13].tobytes()
         y = np.arange(5, 13)
         b = branch_prob(params, 20)
         direct = gammaln(21.0) - gammaln(y + 1.0) - gammaln(21.0 - y)
@@ -258,7 +257,7 @@ class TestTransitionLogpmf:
         # u = n + 1: the rows of every transient state over the whole support,
         # as unconditional_expected_extinction builds them
         params = ModelParams(2.0, n)
-        single = np.array([transition_log_row(params, x) for x in range(1, n + 1)])
+        single = np.array([transition_log_rows(params, (x,))[0] for x in range(1, n + 1)])
         assert _transient_log_rows(params, n + 1).tobytes() == single.tobytes()
 
 
@@ -288,7 +287,7 @@ class TestLogFactorials:
         b = branch_prob(params, x)
         direct = gammaln(5001.0) - gammaln(y + 1.0) - gammaln(5000 - y + 1.0)
         direct = direct + y * math.log(b) + (5000 - y) * math.log1p(-b)
-        assert transition_log_row(params, x).tobytes() == direct.tobytes()
+        assert transition_log_rows(params, (x,))[0].tobytes() == direct.tobytes()
 
     @pytest.mark.parametrize("lam", [1.5, 2.0, 8.0, 800.0])
     def test_poisson_cdf_matches_gammaln_formula(self, lam):
@@ -348,30 +347,33 @@ class TestThresholdU:
             threshold_u(ModelParams(2.0, 10), 0.1, "middle")
 
 
-def _resolve(lam, n, default_mode=None, **flags):
+def _resolve(lam, n, mode=None, **flags):
     config = ExperimentConfig(experiment="profile", out_dir=Path("."), lam=lam, n=n, **flags)
-    return _resolve_u(config, ModelParams(lam, n), default_mode)
+    return _resolve_u(config, ModelParams(lam, n), mode)
 
 
 class TestLevelSpec:
-    """Threshold resolution from u, mode and epsilon (cli._resolve_u)."""
+    """Threshold resolution from u, or from epsilon by the experiment's mode (cli._resolve_u)."""
 
     def test_custom(self):
         assert _resolve(2.0, 100, u=17) == 17
 
     def test_custom_requires_u(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="profile: --u is required"):
             _resolve(2.0, 100, epsilon=0.05)
 
     def test_low_derives(self):
-        assert _resolve(2.0, 100, mode="low", epsilon=0.05) == 5
+        assert _resolve(2.0, 100, "low", epsilon=0.05) == 5
 
     def test_window_derives(self):
-        assert _resolve(1.5, 1200, mode="window", epsilon=0.05) == 265
+        assert _resolve(1.5, 1200, "window", epsilon=0.05) == 265
 
-    def test_derived_modes_reject_explicit_u(self):
-        with pytest.raises(ValueError):
-            _resolve(2.0, 100, mode="low", epsilon=0.05, u=5)
+    def test_derived_requires_epsilon(self):
+        with pytest.raises(ValueError, match=r"--u or --epsilon is required"):
+            _resolve(2.0, 100, "window")
+
+    def test_explicit_u_wins_over_the_mode(self):
+        assert _resolve(2.0, 100, "low", epsilon=0.05, u=7) == 7
 
     def test_custom_range_check(self):
         # an explicit u passes through; the solve and the sampler own its range

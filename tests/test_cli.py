@@ -70,27 +70,18 @@ class TestProfileExperiment:
         lines = (out / "phi.csv").read_text().splitlines()
         assert len(lines) == 11
 
-    def test_mode_low_resolution(self, tmp_path):
-        out = tmp_path / "out"
-        code = run(
-            ["profile", "--lambda", "2", "--n", "100", "--mode", "low",
-             "--epsilon", "0.05", "--out", str(out)]
-        )
-        assert code == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["constants"]["u"] == 5
-
     def test_summary_constants_match_modules(self, tmp_path):
         out = tmp_path / "out"
+        params = ModelParams(1.5, 300)
+        u = threshold_u(params, 0.05, "window")
         run(
-            ["profile", "--lambda", "1.5", "--n", "300", "--mode", "window",
+            ["profile", "--lambda", "1.5", "--n", "300", "--u", str(u),
              "--epsilon", "0.05", "--out", str(out)]
         )
         summary = json.loads((out / "summary.json").read_text())
-        params = ModelParams(1.5, 300)
         assert summary["constants"]["eq"] == equilibrium(params)
         assert summary["constants"]["q"] == gw_extinction_prob(1.5)
-        assert summary["constants"]["u"] == threshold_u(params, 0.05, "window")
+        assert summary["constants"]["u"] == u
 
 
 class TestFigureExperiments:
@@ -148,12 +139,11 @@ class TestThresholdResolution:
         assert json.loads((out / "summary.json").read_text())["constants"]["u"] == 17
 
     def test_custom_requires_u(self, tmp_path, capsys):
-        # profile has no default mode: without --u it needs --mode
+        # profile has no threshold rule of its own: --epsilon does not stand in for --u
         out = tmp_path / "x"
         assert run(["profile", "--lambda", "2", "--n", "100", "--epsilon", "0.05",
                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "--u" in err and "--mode" in err
+        assert "profile: --u is required" in capsys.readouterr().err
         assert not out.exists()
 
     def test_custom_range_check(self, tmp_path, capsys):
@@ -177,32 +167,43 @@ class TestThresholdResolution:
                 assert f"threshold {u} outside [1, 100]" in capsys.readouterr().err
                 assert not out.exists() and not cache.exists()
 
-    def test_derived_mode_requires_epsilon(self, tmp_path, capsys):
+    def test_low_threshold_snaps_eps_n(self, tmp_path):
+        # mc-hitting's own threshold is ceil(eps*n), and 0.05 * 100 lands a few ulps above 5
+        out = tmp_path / "out"
+        code = run(
+            ["mc-hitting", "--lambda", "2", "--n", "100", "--epsilon", "0.05",
+             "--x0", "3", "--trials", "10", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["constants"]["u"] == 5
+
+    def test_derived_threshold_requires_epsilon(self, tmp_path, capsys):
         out = tmp_path / "x"
-        assert run(["figure1", "--lambda", "2", "--n", "100", "--mode", "window",
-                    "--out", str(out)]) == 2
-        assert "mode=window requires --epsilon" in capsys.readouterr().err
+        assert run(["figure1", "--lambda", "2", "--n", "100", "--out", str(out)]) == 2
+        assert "figure1: --u or --epsilon is required" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_derived_modes_reject_explicit_u(self, tmp_path):
-        cases = [
-            ("profile", "phi.csv", ["--n", "100", "--mode", "low", "--u", "7"]),
-            ("figure1", "logh.csv", ["--n", "300", "--mode", "low", "--u", "5"]),
-            ("figure2", "kernel.csv", ["--n", "300", "--mode", "window", "--u", "5"]),
-        ]
-        for experiment, csv, flags in cases:
-            out = tmp_path / experiment
-            argv = [experiment, "--lambda", "2", "--epsilon", "0.05", *flags, "--out", str(out)]
-            assert run(argv) == 2
-            assert not (out / csv).exists()
+    @pytest.mark.parametrize("experiment", list(cli._EXPERIMENTS))
+    def test_mode_is_an_unknown_flag(self, tmp_path, capsys, experiment):
+        # the threshold is --u or the experiment's own rule; --mode names neither
+        out, cache = tmp_path / "x", tmp_path / "c"
+        flags = cli._EXPERIMENTS[experiment][2]
+        argv = [experiment, "--lambda", "2", "--n", "100", "--mode", "low", "--out", str(out)]
+        argv += ["--epsilon", "0.05"] if "--epsilon" in flags else []
+        argv += ["--cache", str(cache)] if "--cache" in flags else []
+        assert exit_code(argv) == 2
+        assert "unrecognized arguments: --mode low" in capsys.readouterr().err
+        assert not out.exists() and not cache.exists()
 
-    def test_figures_honor_u_and_mode(self, tmp_path):
+    def test_figures_honor_u(self, tmp_path):
         assert run(["figure1", "--lambda", "1.5", "--n", "300", "--u", "5",
                     "--out", str(tmp_path / "f1")]) == 0
         assert len((tmp_path / "f1" / "logh.csv").read_text().splitlines()) == 1 + 5
-        assert run(["figure2", "--lambda", "2", "--n", "100", "--mode", "low",
+        # --u wins over the window threshold that --epsilon would give
+        assert run(["figure2", "--lambda", "2", "--n", "100", "--u", "5",
                     "--epsilon", "0.05", "--out", str(tmp_path / "f2")]) == 0
-        # u = ceil(0.05 * 100) = 5: rows x = 1..4, columns y = 0..4
+        # u = 5: rows x = 1..4, columns y = 0..4
         assert len((tmp_path / "f2" / "kernel.csv").read_text().splitlines()) == 1 + 4 * 5
 
 
@@ -493,7 +494,7 @@ class TestFlags:
     def test_unused_flags_are_rejected(self, tmp_path, capsys):
         cases = [
             ["bounds-report", "--lambda", "2", "--n", "100", "--epsilon", "0.05",
-             "--u", "7", "--mode", "low"],
+             "--u", "7", "--x0", "3"],
             ["profile", "--lambda", "2", "--n", "50", "--u", "10",
              "--trials", "5", "--delta", "3", "--seed", "9"],
         ]
@@ -514,7 +515,6 @@ class TestFlags:
         "--alpha": ("0.4", "alpha", 0.4),
         "--x0": ("7", "x0", 7),
         "--u": ("9", "u", 9),
-        "--mode": ("low", "mode", "low"),
         "--trials": ("123", "trials", 123),
         "--seed": ("5", "seed", 5),
         "--graph": ("g.txt", "graph", "g.txt"),
@@ -534,14 +534,14 @@ class TestFlags:
             assert want[field] != value
             argv += [flag, text]
             want[field] = value
-        config = cli._config_from_args(cli._build_parser().parse_args(argv))
+        config = ExperimentConfig(**vars(cli._build_parser().parse_args(argv)))
         assert dataclasses.asdict(config) == want
         if "--self-loops" in flags:
             assert type(config.self_loops) is bool
 
     def test_unset_flags_keep_config_defaults(self):
         for argv in (["uncond-time", "--out", "o"], ["equivalence", "--out", "o"]):
-            config = cli._config_from_args(cli._build_parser().parse_args(argv))
+            config = ExperimentConfig(**vars(cli._build_parser().parse_args(argv)))
             assert config == ExperimentConfig(experiment=argv[0], out_dir=Path("o"))
 
     def test_bad_flag_values_exit_2_before_output(self, tmp_path, capsys):
@@ -597,7 +597,7 @@ class TestFlags:
         assert len(commands) == len(cli._EXPERIMENTS)
         for argv in commands:
             args = cli._build_parser().parse_args(argv)
-            assert cli._config_from_args(args).experiment == argv[0]
+            assert ExperimentConfig(**vars(args)).experiment == argv[0]
 
 
 class TestSummaryKeys:
@@ -1149,12 +1149,13 @@ class TestExitCodes:
             # eps*n overflows to inf: no threshold, and no bound set
             ["mc-hitting", "--lambda", "2", "--n", "50", "--x0", "3", "--trials", "10",
              "--seed", "1", "--epsilon", "1e308"],
-            ["figure1", "--lambda", "2", "--n", "50", "--epsilon", "inf", "--mode", "low"],
+            ["mc-hitting", "--lambda", "2", "--n", "50", "--x0", "3", "--trials", "10",
+             "--seed", "1", "--epsilon", "inf"],
             ["bounds-report", "--lambda", "2", "--n", "300", "--epsilon", "inf"],
             # a site count beyond the doubles would overflow in the first float operation
             ["figure1", "--lambda", "2", "--n", str(10**400), "--epsilon", "0.05"],
         ],
-        ids=["no-x0", "bad-epsilon", "bad-lambda", "mc-hitting-eps-1e308", "figure1-eps-inf",
+        ids=["no-x0", "bad-epsilon", "bad-lambda", "mc-hitting-eps-1e308", "mc-hitting-eps-inf",
              "bounds-report-eps-inf", "figure1-n-10**400"],
     )
     def test_refused_run_creates_no_out_directory(self, tmp_path, argv):
@@ -1205,7 +1206,8 @@ class TestExitCodes:
             ["figure1"],
             ["cond-time"],
             ["occupation", "--delta", "0.001"],
-            ["mc-hitting", "--mode", "window", "--x0", "3", "--trials", "100", "--seed", "1"],
+            # the window u as --u: mc-hitting's own rule would take ceil(eps*n) = 80
+            ["mc-hitting", "--u", "13", "--x0", "3", "--trials", "100", "--seed", "1"],
         ],
         ids=lambda flags: flags[0],
     )
@@ -1217,7 +1219,7 @@ class TestExitCodes:
         constants = json.loads((tmp_path / "summary.json").read_text())["constants"]
         assert constants["u"] == 13
         assert constants["q1"] is None and constants["q2"] is None and constants["theta"] is None
-        assert constants["kappa_n"] == bounds.kappa_floor(100.0, 2000)
+        assert constants["kappa_n"] == math.exp(bounds.log_kappa_floor(100.0, 2000))
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from barw import (
     parse_graph_file,
     threshold_u,
     tilted_kernel,
-    transition_log_row,
+    transition_log_rows,
     tv_distance,
 )
 from barw.chain import _cdf_rows
@@ -42,7 +42,7 @@ def trial_stream(seed, i):
 
 def binomial_cdf(params, x):
     """The CDF of one count-chain step from x, Bin(n, b(x)) over 0..n."""
-    return _cdf_rows(np.exp(transition_log_row(params, x)))
+    return _cdf_rows(np.exp(transition_log_rows(params, (x,))[0]))
 
 
 def walk(cdfs, x0, u, stream, cap=10**6):
@@ -126,7 +126,7 @@ class TestStepMeanfield:
         draws = trial_stream(202, 0).random(trials)
         samples = np.searchsorted(binomial_cdf(params, 10), draws, side="right")
         empirical = np.bincount(samples, minlength=51)[:51] / trials
-        exact = np.exp(transition_log_row(params, 10))
+        exact = np.exp(transition_log_rows(params, (10,))[0])
         assert tv_distance(empirical, exact) <= 0.01
 
 
@@ -136,7 +136,7 @@ class TestExactPoissonSampler:
         # the offspring sampler: inversion of one uniform per draw
         stream = trial_stream(303, 0)
         trials = 200_000
-        samples = sim._invert(sim._poisson_cdf(lam), stream.random(trials))
+        samples = sim._invert_rows(sim._poisson_cdf(lam)[None], 0, stream.random(trials))
         hi = int(samples.max()) + 1
         empirical = np.bincount(samples, minlength=hi) / trials
         exact = poisson.pmf(np.arange(hi), lam)
@@ -336,7 +336,7 @@ class TestStepParticle:
         trials = 200_000
         counts = sim.particle_step_counts(g, x, lam, trials, seed=505)
         empirical = np.bincount(counts, minlength=n + 1)[: n + 1] / trials
-        exact = np.exp(transition_log_row(ModelParams(lam, n), x))
+        exact = np.exp(transition_log_rows(ModelParams(lam, n), (x,))[0])
         assert tv_distance(empirical, exact) <= 0.01
 
 
@@ -375,7 +375,7 @@ class TestRunToAbsorption:
 
     def test_absorption_fraction_matches_exact_phi(self):
         params = ModelParams(2.0, 50)
-        phi3 = hitting_profile(params, 10).phi(3)
+        phi3 = math.exp(hitting_profile(params, 10).log_phi[3])
         trials = 20_000
         absorbed = sum(walk(self.ROWS, 3, 10, trial_stream(606, i))[-1] == 0 for i in range(trials))
         p_hat = absorbed / trials
@@ -421,7 +421,7 @@ class TestEstimateHittingProb:
     def test_matches_exact_solution(self):
         params = ModelParams(2.0, 50)
         est = estimate_hitting_prob(params, 10, 3, 20_000, seed=1234)
-        phi3 = hitting_profile(params, 10).phi(3)
+        phi3 = math.exp(hitting_profile(params, 10).log_phi[3])
         assert abs(est.mean - phi3) <= 4 * est.std_error
 
     def test_preconditions(self):
@@ -615,6 +615,26 @@ class TestInvertRows:
             got = sim._invert_rows(table, rows, u)
             assert np.array_equal(got, searchsorted_rows(table, rows, u))
 
+    # the offspring draw's shape: one row, index 0 for every uniform, uniforms in a block
+    @PROPERTY_SETTINGS
+    @given(cdf_table_draws())
+    def test_one_row_for_a_block_of_draws(self, case):
+        table, _, u = case
+        for block in (u[None], u[:, None], np.stack([u, u[::-1]])):
+            want = np.searchsorted(table[0], block, side="right")
+            assert np.array_equal(sim._invert_rows(table[:1], 0, block), want)
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 6.0, 40.0, 800.0])
+    def test_every_entry_of_a_poisson_row(self, lam):
+        # ties at every entry, the doubles either side of it, 0 and the top uniform,
+        # as (trials, parents) blocks of the shape _particle_chunk draws
+        cdf = sim._poisson_cdf(lam)
+        ends = np.resize([0.0, TOP_UNIFORM], cdf.size)
+        u = np.stack([cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0), ends])
+        for block in (u, u.T):
+            want = np.searchsorted(cdf, block, side="right")
+            assert np.array_equal(sim._invert_rows(cdf[None], 0, block), want)
+
 
 @st.composite
 def chain_case(draw):
@@ -706,7 +726,7 @@ class TestCdfRowsEndAtOne:
     def test_poisson_row(self, lam):
         cdf = sim._poisson_cdf(lam)
         assert cdf[-1] == 1.0
-        assert sim._invert(cdf, TOP_UNIFORM) < len(cdf)
+        assert sim._invert_rows(cdf[None], 0, np.array([TOP_UNIFORM]))[0] < len(cdf)
         check_cdf_rows(cdf[np.newaxis])
 
     @PROPERTY_SETTINGS

@@ -28,7 +28,6 @@ from barw import (
     read_profile,
     threshold_u,
     tilted_kernel,
-    transition_log_row,
     unconditional_expected_extinction,
     write_profile,
 )
@@ -278,7 +277,7 @@ class TestHittingProfileSmall:
         b1 = branch_prob(params, 1)
         p10 = (1.0 - b1) ** 3
         p11 = 3.0 * b1 * (1.0 - b1) ** 2
-        assert prof.phi(1) == pytest.approx(p10 / (1.0 - p11), abs=1e-12)
+        assert math.exp(prof.log_phi[1]) == pytest.approx(p10 / (1.0 - p11), abs=1e-12)
 
     def test_u_one_is_trivial(self):
         prof = hitting_profile(ModelParams(2.0, 10), 1)
@@ -627,7 +626,7 @@ class TestTiltedKernel:
     def test_absorbing_mass_at_least_raw(self, profile_2_50_u10, kernel_2_50_u10):
         # mass on 0 is p(x,0)/phi(x) >= p(x,0) since phi <= 1
         raw = np.exp(
-            np.array([transition_log_row(ModelParams(2.0, 50), x, 0)[0] for x in range(1, 10)])
+            transition_log_rows(ModelParams(2.0, 50), range(1, 10), 0, 0)[:, 0]
         )
         assert np.all(kernel_2_50_u10[:, 0] >= raw - 1e-15)
 
